@@ -20,7 +20,8 @@ class RankDeficiencyError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when an iterative solver exhausts its iteration budget."""
+    """Raised when an iterative solver exhausts its iteration budget or
+    produces a non-finite iterate."""
 
 
 class BaseEstimator:

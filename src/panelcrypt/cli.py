@@ -17,6 +17,7 @@ import numpy as np
 from . import __version__
 from . import decentralization as dec
 from . import pipeline
+from .base import ConvergenceError
 from .estimators import ModelSpec, estimator_for
 from .metrics import compute_all_metrics
 from .panel import load_panel, load_panel_csv, read_meta_csv, write_panel_csv
@@ -368,7 +369,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -216,7 +216,12 @@ def write_metrics_csv(bundle, path):
 
 
 def read_metrics_csv(path):
-    """Load a metrics file back into a {entity: {name: MetricSeries}} bundle."""
+    """Load a metrics file back into a {entity: {name: MetricSeries}} bundle.
+
+    Rows are numbered from 1 after the header.  A row without exactly four
+    fields, a non-finite value and a repeated (entity, date, metric) raise
+    ``PanelLoadError`` with the file and row.
+    """
     source = os.fspath(path)
     collected = {}
     with open(path, newline="") as handle:
@@ -225,6 +230,10 @@ def read_metrics_csv(path):
         if header is None or [h.strip() for h in header] != ["entity", "date", "metric", "value"]:
             raise PanelLoadError("expected header entity,date,metric,value", source)
         for lineno, row in enumerate(reader, start=1):
+            if len(row) != 4:
+                raise PanelLoadError(
+                    f"expected 4 fields entity,date,metric,value, got {len(row)}", source, lineno
+                )
             entity, date_text, name, value_text = row
             try:
                 value = float(value_text)
@@ -232,6 +241,8 @@ def read_metrics_csv(path):
                 raise PanelLoadError(
                     f"unparseable numeric {value_text!r}", source, lineno
                 ) from None
+            if not math.isfinite(value):
+                raise PanelLoadError(f"non-finite value {value_text!r}", source, lineno)
             collected.setdefault(entity, {}).setdefault(name, []).append(
                 (parse_date(date_text, source, lineno), value)
             )
@@ -241,11 +252,36 @@ def read_metrics_csv(path):
         for name, pairs in by_name.items():
             pairs.sort(key=lambda p: p[0])
             dates = np.array([p[0] for p in pairs], dtype="datetime64[D]")
+            repeats = np.flatnonzero(dates[1:] == dates[:-1])
+            if len(repeats):
+                day = dates[repeats[0]]
+                first, again = _metric_rows(path, entity, name, day)[:2]
+                raise PanelLoadError(
+                    f"duplicate {name} row for {entity} on {day} (first at row {first})",
+                    source,
+                    again,
+                )
             values = np.array([p[1] for p in pairs], dtype=float)
             bundle[entity][name] = mx.MetricSeries(
                 entity, name, dates, values, np.zeros(len(values), dtype=bool)
             )
     return bundle
+
+
+def _metric_rows(path, entity, name, day):
+    """Row numbers of the metrics-file rows for one entity, metric and date.
+
+    Only the error path reads the file a second time: keeping a row number
+    per parsed row would cost as much memory as the values themselves.
+    """
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        return [
+            lineno
+            for lineno, (row_entity, date_text, row_name, _) in enumerate(reader, start=1)
+            if row_entity == entity and row_name == name and parse_date(date_text) == day
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Quantile (LAD) regression with kernel-based inference.
 
 The solver is a primal-dual interior-point method on the bounded-dual LP of
-the check-loss problem (Frisch-Newton with Mehrotra correction).  Sparsity
-is estimated from residuals with an Epanechnikov kernel, Hall-Sheather
-bandwidth and Rankit plotting positions; coefficient covariances use the
-heteroskedasticity-robust (Huber-White) sandwich.
+the check-loss problem (Frisch-Newton with Mehrotra correction).  It stops
+when the duality gap falls to ``GAP_TOL``, or when a step fails to halve a
+gap already within ``GAP_RTOL`` of the objective, where rounding rather than
+the iterate sets the gap.  It never returns a non-finite coefficient: a
+non-finite gap or iterate, or an iteration budget spent above both
+thresholds, raises ``ConvergenceError``.  Sparsity is estimated from
+residuals with an Epanechnikov kernel, Hall-Sheather bandwidth and Rankit
+plotting positions; coefficient covariances use the heteroskedasticity-robust
+(Huber-White) sandwich.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .base import (
 from .estimators import chi2_survival, qr_solve
 
 GAP_TOL = 1e-9
+GAP_RTOL = 1e-9
 MAX_ITER = 200
 _STEP_DAMP = 0.9995
 
@@ -92,11 +98,20 @@ def _median_interval_quantile(y, tau):
 
 
 def _bound(v, dv):
-    """Largest multiple of dv that keeps v positive."""
-    neg = dv < 0
-    if not neg.any():
-        return np.inf
-    return (-v[neg] / dv[neg]).min()
+    """Largest multiple of dv that keeps v positive: the minimum of -v/dv
+    over the entries with dv < 0, or inf when there are none.
+
+    Dividing by min(dv, -0.0) sends every entry with dv >= 0 to -inf, so one
+    division and one max give the same bits as the masked minimum without
+    gathering the negative entries.  The only NaN it makes is 0/-0.0 (v = 0
+    where dv >= 0); then the max is taken over dv < 0 alone.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = v / np.minimum(dv, -0.0)
+    top = ratio.max()
+    if np.isnan(top):
+        top = ratio.max(where=dv < 0, initial=-np.inf)
+    return -top
 
 
 def _solve_lp(X, y, tau, max_iter=MAX_ITER, gap_tol=GAP_TOL):
@@ -105,6 +120,14 @@ def _solve_lp(X, y, tau, max_iter=MAX_ITER, gap_tol=GAP_TOL):
     Dual: max y'a subject to X'a = (1 - tau) X'1 and a in [0, 1]^n; the
     equality multipliers at the optimum are the negative regression
     coefficients.
+
+    The iteration stops when the duality gap is at most ``gap_tol``, or when
+    a step fails to halve a gap that is already within ``GAP_RTOL`` of the
+    objective: the gap is a difference of terms of the objective's size, so
+    below that floor its rounding, not the iterate, decides whether it falls
+    further, and iterating on drives the iterates toward underflow.  A
+    non-finite gap, or an exhausted ``max_iter`` with the gap above both
+    thresholds, raises ``ConvergenceError``.
     """
     n, k = X.shape
     A = X.T
@@ -118,10 +141,12 @@ def _solve_lp(X, y, tau, max_iter=MAX_ITER, gap_tol=GAP_TOL):
     r = r + 0.001 * (r == 0.0)
     z = np.where(r > 0, r, 0.0)
     w = z - r
-    gap = c @ x - yy @ b + w.sum()
+    objective = c @ x
+    gap = objective - yy @ b + w.sum()
+    floor = GAP_RTOL * max(1.0, abs(objective))
 
     it = 0
-    while gap > gap_tol and it < max_iter:
+    while math.isfinite(gap) and gap > gap_tol and it < max_iter:
         it += 1
         q = 1.0 / (z / x + w / s)
         r = z - w
@@ -159,9 +184,19 @@ def _solve_lp(X, y, tau, max_iter=MAX_ITER, gap_tol=GAP_TOL):
         yy = yy + fd * dy
         z = z + fd * dz
         w = w + fd * dw
-        gap = c @ x - yy @ b + w.sum()
+        previous = gap
+        objective = c @ x
+        gap = objective - yy @ b + w.sum()
+        floor = GAP_RTOL * max(1.0, abs(objective))
+        if gap > 0.5 * previous and gap <= floor:
+            break
 
-    if gap > gap_tol:
+    if not (math.isfinite(gap) and np.isfinite(yy).all()):
+        raise ConvergenceError(
+            f"interior-point solver produced a non-finite iterate at iteration {it} "
+            f"(gap {gap:.3e})"
+        )
+    if gap > gap_tol and gap > floor:
         raise ConvergenceError(
             f"interior-point solver did not converge in {max_iter} iterations "
             f"(gap {gap:.3e})"

@@ -5,7 +5,9 @@ import csv
 import numpy as np
 import pytest
 
+from panelcrypt.base import ConvergenceError
 from panelcrypt.cli import main
+from panelcrypt.quantreg import PanelQuantile
 
 from conftest import build_panel_files
 
@@ -159,3 +161,14 @@ def test_error_reporting(tmp_path, capsys):
     code = main(["report", "--config", str(tmp_path / "missing.cfg")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_solver_failure_reported(tmp_path, panel_file, capsys, monkeypatch):
+    def diverge(self, design):
+        raise ConvergenceError("interior-point solver produced a non-finite iterate")
+
+    monkeypatch.setattr(PanelQuantile, "fit", diverge)
+    code = main(["quantile", "--panel", str(panel_file), "--taus", "0.5",
+                 "--out", str(tmp_path / "quantiles")])
+    assert code == 1
+    assert "error: interior-point solver produced a non-finite iterate" in capsys.readouterr().err

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from panelcrypt.estimators import FixedEffects, ModelSpec, hausman
+from panelcrypt.panel import PanelLoadError
 from panelcrypt.pipeline import (
     CONTROLS,
     FIG4_GRID,
@@ -165,6 +166,27 @@ class TestSimulate:
                 ok = ~series.missing
                 assert np.array_equal(series.values[ok], back.values)
                 assert np.array_equal(series.dates[ok], back.dates)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("AAA,2020-01-02,size\n", "expected 4 fields"),
+            ("AAA,2020-01-02,size,nan\n", "non-finite value 'nan'"),
+            ("AAA,2020-01-01,size,2.0\n", "duplicate size row for AAA on 2020-01-01"),
+        ],
+        ids=["short_row", "nan_value", "duplicate_row"],
+    )
+    def test_metrics_file_defects_name_file_and_row(self, tmp_path, row, message):
+        path = tmp_path / "metrics.csv"
+        path.write_text(
+            "entity,date,metric,value\n"
+            "AAA,2020-01-01,size,1.0\n"
+            "AAA,2020-01-03,size,3.0\n" + row
+        )
+        with pytest.raises(PanelLoadError, match=message) as info:
+            read_metrics_csv(path)
+        assert info.value.source == str(path)
+        assert info.value.row == 3
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):

@@ -5,10 +5,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from panelcrypt.base import ConvergenceError
 from panelcrypt.estimators import DesignMatrix
 from panelcrypt.quantreg import (
     PanelQuantile,
+    _bound,
+    _solve_lp,
     check_loss,
     fit_quantile_coefficients,
     hall_sheather_bandwidth,
@@ -34,6 +38,26 @@ def brute_force_loss(X, y, tau):
         loss = check_loss(y - X @ beta, tau)
         best = min(best, loss)
     return best
+
+
+def highs_loss(X, y, tau):
+    """Check loss at the HiGHS optimum of min tau 1'u + (1 - tau) 1'v
+    subject to X b + u - v = y, u, v >= 0."""
+    n, k = X.shape
+    cost = np.concatenate([np.zeros(k), np.full(n, tau), np.full(n, 1.0 - tau)])
+    A_eq = np.hstack([X, np.eye(n), -np.eye(n)])
+    bounds = [(None, None)] * k + [(0.0, None)] * (2 * n)
+    res = linprog(cost, A_eq=A_eq, b_eq=y, bounds=bounds, method="highs")
+    assert res.status == 0
+    return check_loss(y - X @ res.x[:k], tau)
+
+
+def masked_bound(v, dv):
+    """Reference step bound: min of -v/dv over the entries with dv < 0."""
+    neg = dv < 0
+    if not neg.any():
+        return np.inf
+    return (-v[neg] / dv[neg]).min()
 
 
 def pooled_design(X, y, columns=None):
@@ -136,6 +160,68 @@ class TestSolver:
             fitted.append(float(centroid @ beta))
         assert all(a <= b + 1e-8 for a, b in zip(fitted, fitted[1:]))
 
+
+class TestStoppingRule:
+    def test_stalled_gap_stops_at_the_optimum(self):
+        # the duality gap of this draw stalls a little above GAP_TOL; iterating
+        # on drove the iterates into overflow and returned NaN coefficients
+        rng = np.random.default_rng(692)
+        n = 120
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, 3))])
+        y = X @ rng.normal(size=4) + 50.0 * rng.standard_t(3, size=n)
+        beta, iterations = fit_quantile_coefficients(X, y, 0.93)
+        assert np.isfinite(beta).all()
+        assert iterations < 50
+        best = highs_loss(X, y, 0.93)
+        assert abs(check_loss(y - X @ beta, 0.93) - best) <= 1e-9 * best
+
+    def test_exhausted_budget_raises(self):
+        rng = np.random.default_rng(70)
+        X = np.column_stack([np.ones(200), rng.normal(size=(200, 2))])
+        y = X @ np.array([1.0, 0.5, -0.3]) + rng.standard_t(3, size=200)
+        with pytest.raises(ConvergenceError, match="did not converge in 2 iterations"):
+            fit_quantile_coefficients(X, y, 0.3, max_iter=2)
+        with pytest.raises(ConvergenceError):
+            PanelQuantile(tau=0.3, max_iter=2).fit(pooled_design(X, y))
+
+    def test_non_finite_iterate_raises(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        X = np.column_stack([np.ones(200), rng.normal(size=(200, 2))])
+        y = X @ np.array([1.0, 0.5, -0.3]) + rng.standard_t(3, size=200)
+        solve = np.linalg.solve
+        calls = []
+
+        def poisoned(M, rhs):
+            calls.append(None)
+            step = solve(M, rhs)
+            return step * np.nan if len(calls) == 3 else step
+
+        monkeypatch.setattr(np.linalg, "solve", poisoned)
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            _solve_lp(X, y, 0.3)
+        assert len(calls) == 3
+
+
+class TestStepBound:
+    def test_matches_masked_formula_bitwise(self):
+        rng = np.random.default_rng(72)
+        for trial in range(400):
+            n = int(rng.integers(1, 40))
+            # iterates are positive or +0.0 after underflow
+            v = rng.random(n) * 10.0 ** rng.integers(-100, 100, size=n)
+            v[rng.random(n) < 0.2] = 0.0
+            dv = rng.normal(size=n) * 10.0 ** rng.integers(-100, 100, size=n)
+            if trial % 4 == 0:
+                dv = np.abs(dv)
+            pick = rng.random(n)
+            dv[pick < 0.15] = 0.0
+            dv[pick > 0.85] = -0.0
+            got, want = _bound(v, dv), masked_bound(v, dv)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            if not (dv < 0).any():
+                assert got == np.inf
+        # a NaN where dv < 0 propagates, as in the masked form
+        assert np.isnan(_bound(np.array([np.nan, 1.0, 0.0]), np.array([-1.0, -2.0, 0.0])))
 
 class TestHallSheather:
     def test_published_bandwidths(self):
