@@ -39,18 +39,18 @@ GINI_DIMENSIONS = ("network", "wealth", "node", "code", "information")
 
 
 class PanelLoadError(ValueError):
-    """Validation failure with a file/row location."""
+    """Validation failure located as ``path:line``; the header is line 1."""
 
-    def __init__(self, message, source=None, row=None):
+    def __init__(self, message, source=None, line=None):
         location = ""
         if source is not None:
             location = f"{source}"
-            if row is not None:
-                location += f", row {row}"
+            if line is not None:
+                location += f":{line}"
             location = f" [{location}]"
         super().__init__(message + location)
         self.source = source
-        self.row = row
+        self.line = line
 
 
 @dataclass(frozen=True)
@@ -143,22 +143,22 @@ class PanelDataset:
         return sum(len(rec) for rec in self.observations.values())
 
 
-def parse_date(text, source=None, row=None):
+def parse_date(text, source=None, line=None):
     """Parse ISO-8601 (YYYY-MM-DD) or DD.MM.YYYY into datetime64[D]."""
     text = text.strip()
     if "." in text:
         parts = text.split(".")
         if len(parts) != 3:
-            raise PanelLoadError(f"unparseable date {text!r}", source, row)
+            raise PanelLoadError(f"unparseable date {text!r}", source, line)
         day, month, year = parts
         text = f"{year}-{month.zfill(2)}-{day.zfill(2)}"
     try:
         return np.datetime64(text, "D")
     except ValueError:
-        raise PanelLoadError(f"unparseable date {text!r}", source, row) from None
+        raise PanelLoadError(f"unparseable date {text!r}", source, line) from None
 
 
-def _parse_float(cell, column, source, row):
+def _parse_float(cell, column, source, line):
     cell = cell.strip()
     if cell == "":
         return np.nan, True
@@ -166,17 +166,17 @@ def _parse_float(cell, column, source, row):
         return float(cell), False
     except ValueError:
         raise PanelLoadError(
-            f"unparseable numeric {cell!r} in column {column!r}", source, row
+            f"unparseable numeric {cell!r} in column {column!r}", source, line
         ) from None
 
 
-def _parse_bool(cell, column, source, row):
+def _parse_bool(cell, column, source, line):
     text = cell.strip().lower()
     if text in ("1", "true", "yes"):
         return True
     if text in ("0", "false", "no"):
         return False
-    raise PanelLoadError(f"unparseable boolean {cell!r} in column {column!r}", source, row)
+    raise PanelLoadError(f"unparseable boolean {cell!r} in column {column!r}", source, line)
 
 
 def _check_header(header, expected, source):
@@ -192,41 +192,42 @@ def _open_rows(path):
         return list(csv.reader(handle))
 
 
-def _validate_observation_row(values, missing, source, row):
-    """Invariants on one OHLCV row; row is the 1-based data row index."""
+def _validate_observation_row(values, missing, source, line):
+    """Invariants on one OHLCV row at file line ``line``."""
     o, h, lo, c = (values[f] for f in ("open", "high", "low", "close"))
     present = {f: not missing[f] for f in ENTITY_FIELDS}
     for price_field in ("open", "high", "low", "close"):
         if present[price_field] and values[price_field] <= 0:
             raise PanelLoadError(
-                f"nonpositive {price_field} {values[price_field]}", source, row
+                f"nonpositive {price_field} {values[price_field]}", source, line
             )
     if present["volume"] and values["volume"] <= 0:
-        raise PanelLoadError(f"nonpositive volume {values['volume']}", source, row)
+        raise PanelLoadError(f"nonpositive volume {values['volume']}", source, line)
     if present["mcap"] and values["mcap"] <= 0:
-        raise PanelLoadError(f"nonpositive mcap {values['mcap']}", source, row)
+        raise PanelLoadError(f"nonpositive mcap {values['mcap']}", source, line)
     if present["attention"] and not (0.0 <= values["attention"] <= 100.0):
         raise PanelLoadError(
-            f"attention {values['attention']} outside [0, 100]", source, row
+            f"attention {values['attention']} outside [0, 100]", source, line
         )
     if all(present[f] for f in ("open", "high", "low", "close")):
         if h < lo:
-            raise PanelLoadError(f"high {h} < low {lo}", source, row)
+            raise PanelLoadError(f"high {h} < low {lo}", source, line)
         if lo > min(o, c):
-            raise PanelLoadError(f"low {lo} above min(open, close) {min(o, c)}", source, row)
+            raise PanelLoadError(f"low {lo} above min(open, close) {min(o, c)}", source, line)
         if h < max(o, c):
-            raise PanelLoadError(f"high {h} below max(open, close) {max(o, c)}", source, row)
+            raise PanelLoadError(f"high {h} below max(open, close) {max(o, c)}", source, line)
     elif present["high"] and present["low"] and h < lo:
-        raise PanelLoadError(f"high {h} < low {lo}", source, row)
+        raise PanelLoadError(f"high {h} < low {lo}", source, line)
 
 
-def _check_dates_strictly_increasing(dates, source):
+def _check_dates_strictly_increasing(dates, source, lines):
+    """``lines[j]`` is the file line that holds ``dates[j]``."""
     if len(dates) > 1:
         deltas = np.diff(dates)
         bad = np.flatnonzero(deltas <= np.timedelta64(0, "D"))
         if bad.size:
             raise PanelLoadError(
-                f"dates not strictly increasing at data row {bad[0] + 2}", source
+                "dates not strictly increasing", source, lines[bad[0] + 1]
             )
 
 
@@ -244,15 +245,16 @@ def read_entity_csv(path, symbol=None):
     dates = np.empty(n, dtype="datetime64[D]")
     values = {f: np.full(n, np.nan) for f in ENTITY_FIELDS}
     missing = {f: np.zeros(n, dtype=bool) for f in ENTITY_FIELDS}
-    for i, row in enumerate(rows[1:], start=1):
-        dates[i - 1] = parse_date(row[index["date"]], source, i)
+    for j, row in enumerate(rows[1:]):
+        line = j + 2
+        dates[j] = parse_date(row[index["date"]], source, line)
         row_values, row_missing = {}, {}
         for f in ENTITY_FIELDS:
-            row_values[f], row_missing[f] = _parse_float(row[index[f]], f, source, i)
-            values[f][i - 1] = row_values[f]
-            missing[f][i - 1] = row_missing[f]
-        _validate_observation_row(row_values, row_missing, source, i)
-    _check_dates_strictly_increasing(dates, source)
+            row_values[f], row_missing[f] = _parse_float(row[index[f]], f, source, line)
+            values[f][j] = row_values[f]
+            missing[f][j] = row_missing[f]
+        _validate_observation_row(row_values, row_missing, source, line)
+    _check_dates_strictly_increasing(dates, source, range(2, n + 2))
     return EntityRecords(symbol=symbol, dates=dates, values=values, missing=missing)
 
 
@@ -267,19 +269,20 @@ def read_market_csv(path):
     dates = np.empty(n, dtype="datetime64[D]")
     values = {f: np.full(n, np.nan) for f in MARKET_FIELDS}
     missing = {f: np.zeros(n, dtype=bool) for f in MARKET_FIELDS}
-    for i, row in enumerate(rows[1:], start=1):
-        dates[i - 1] = parse_date(row[index["date"]], source, i)
+    for j, row in enumerate(rows[1:]):
+        line = j + 2
+        dates[j] = parse_date(row[index["date"]], source, line)
         for f in MARKET_FIELDS:
-            values[f][i - 1], missing[f][i - 1] = _parse_float(row[index[f]], f, source, i)
-        if not missing["index_level"][i - 1] and values["index_level"][i - 1] <= 0:
+            values[f][j], missing[f][j] = _parse_float(row[index[f]], f, source, line)
+        if not missing["index_level"][j] and values["index_level"][j] <= 0:
             raise PanelLoadError(
-                f"nonpositive index_level {values['index_level'][i - 1]}", source, i
+                f"nonpositive index_level {values['index_level'][j]}", source, line
             )
-        if not missing["shock_loss"][i - 1] and values["shock_loss"][i - 1] < 0:
+        if not missing["shock_loss"][j] and values["shock_loss"][j] < 0:
             raise PanelLoadError(
-                f"negative shock_loss {values['shock_loss'][i - 1]}", source, i
+                f"negative shock_loss {values['shock_loss'][j]}", source, line
             )
-    _check_dates_strictly_increasing(dates, source)
+    _check_dates_strictly_increasing(dates, source, range(2, n + 2))
     return MarketSeries(dates=dates, values=values, missing=missing)
 
 
@@ -292,7 +295,7 @@ def read_meta_csv(path):
     index = _check_header(rows[0], META_HEADER, source)
     metas = []
     seen = set()
-    for i, row in enumerate(rows[1:], start=1):
+    for i, row in enumerate(rows[1:], start=2):
         symbol = row[index["symbol"]].strip()
         if symbol in seen:
             raise PanelLoadError(f"duplicate symbol {symbol!r}", source, i)
@@ -404,7 +407,7 @@ def load_panel_csv(path):
     meta_cells = {}
     market_rows = []
     order = []
-    for i, row in enumerate(rows[1:], start=1):
+    for i, row in enumerate(rows[1:], start=2):
         symbol = row[index["entity"]].strip()
         if symbol == MARKET_SYMBOL:
             market_rows.append((i, row))
@@ -450,7 +453,7 @@ def load_panel_csv(path):
                 values[f][j] = row_values[f]
                 missing[f][j] = row_missing[f]
             _validate_observation_row(row_values, row_missing, source, i)
-        _check_dates_strictly_increasing(dates, source)
+        _check_dates_strictly_increasing(dates, source, [i for i, _ in picked])
         if len(dates) and dates[0] < meta.listing_date:
             raise PanelLoadError(
                 f"{symbol}: first observation {dates[0]} precedes listing date "
@@ -469,7 +472,7 @@ def load_panel_csv(path):
         dates[j] = parse_date(row[index["date"]], source, i)
         for f in MARKET_FIELDS:
             values[f][j], missing[f][j] = _parse_float(row[index[f]], f, source, i)
-    _check_dates_strictly_increasing(dates, source)
+    _check_dates_strictly_increasing(dates, source, [i for i, _ in market_rows])
     market = MarketSeries(dates=dates, values=values, missing=missing)
     return PanelDataset(entities=tuple(metas), observations=observations, market=market)
 

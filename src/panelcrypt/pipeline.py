@@ -218,9 +218,9 @@ def write_metrics_csv(bundle, path):
 def read_metrics_csv(path):
     """Load a metrics file back into a {entity: {name: MetricSeries}} bundle.
 
-    Rows are numbered from 1 after the header.  A row without exactly four
-    fields, a non-finite value and a repeated (entity, date, metric) raise
-    ``PanelLoadError`` with the file and row.
+    A row without exactly four fields, a non-finite value and a repeated
+    (entity, date, metric) raise ``PanelLoadError`` located as ``path:line``,
+    the header being line 1.
     """
     source = os.fspath(path)
     collected = {}
@@ -229,7 +229,7 @@ def read_metrics_csv(path):
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["entity", "date", "metric", "value"]:
             raise PanelLoadError("expected header entity,date,metric,value", source)
-        for lineno, row in enumerate(reader, start=1):
+        for lineno, row in enumerate(reader, start=2):
             if len(row) != 4:
                 raise PanelLoadError(
                     f"expected 4 fields entity,date,metric,value, got {len(row)}", source, lineno
@@ -257,7 +257,7 @@ def read_metrics_csv(path):
                 day = dates[repeats[0]]
                 first, again = _metric_rows(path, entity, name, day)[:2]
                 raise PanelLoadError(
-                    f"duplicate {name} row for {entity} on {day} (first at row {first})",
+                    f"duplicate {name} row for {entity} on {day} (first at line {first})",
                     source,
                     again,
                 )
@@ -269,9 +269,9 @@ def read_metrics_csv(path):
 
 
 def _metric_rows(path, entity, name, day):
-    """Row numbers of the metrics-file rows for one entity, metric and date.
+    """File lines of the metrics-file rows for one entity, metric and date.
 
-    Only the error path reads the file a second time: keeping a row number
+    Only the error path reads the file a second time: keeping a line number
     per parsed row would cost as much memory as the values themselves.
     """
     with open(path, newline="") as handle:
@@ -279,7 +279,7 @@ def _metric_rows(path, entity, name, day):
         next(reader)
         return [
             lineno
-            for lineno, (row_entity, date_text, row_name, _) in enumerate(reader, start=1)
+            for lineno, (row_entity, date_text, row_name, _) in enumerate(reader, start=2)
             if row_entity == entity and row_name == name and parse_date(date_text) == day
         ]
 
@@ -339,8 +339,21 @@ def build_design(metas, bundle, spec, window=None, response="price_risk"):
 
     Rows with any missing value are excluded and tallied by the first
     missing column in a fixed priority order; under fixed effects a
-    requested HyFi main effect is absorbed (noted, not fitted).
+    requested HyFi main effect is absorbed (noted, not fitted).  A regressor
+    or interaction name that the bundle does not carry for every entity
+    raises ``ValueError`` listing the available names.
     """
+    per_entity = [set(bundle[meta.symbol]) for meta in metas]
+    market = set(MARKET_METRICS)
+    available = {"hyfi"} | (market & set(bundle.get(MARKET_SYMBOL, ())))
+    if per_entity:
+        available |= set.intersection(*per_entity) - market
+    for name in [*spec.regressors, *(n for pair in spec.interactions for n in pair)]:
+        if name not in available:
+            raise ValueError(
+                f"model spec names unknown metric {name!r}; available: "
+                + ", ".join(sorted(available))
+            )
     regressors = list(spec.regressors)
     notes = []
     if spec.effects == "fixed" and "hyfi" in regressors:

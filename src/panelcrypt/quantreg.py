@@ -6,10 +6,22 @@ when the duality gap falls to ``GAP_TOL``, or when a step fails to halve a
 gap already within ``GAP_RTOL`` of the objective, where rounding rather than
 the iterate sets the gap.  It never returns a non-finite coefficient: a
 non-finite gap or iterate, or an iteration budget spent above both
-thresholds, raises ``ConvergenceError``.  Sparsity is estimated from
-residuals with an Epanechnikov kernel, Hall-Sheather bandwidth and Rankit
-plotting positions; coefficient covariances use the heteroskedasticity-robust
-(Huber-White) sandwich.
+thresholds, raises ``ConvergenceError``.
+
+Large designs go through Portnoy-Koenker (1997) preprocessing ("The Gaussian
+hare and the Laplacian tortoise", the method of R's ``quantreg::rq.fit.pfn``):
+a fixed-seed subsample of m = round(((k+1) n)^(2/3)) rows is solved first,
+the rows its fit places far below or above the quantile are pinned there and
+collapsed into two summed rows, and the small remaining problem is solved
+with the same interior point.  A sign check on the pinned rows proves the
+result optimal for the full problem; mis-pinned rows are released and the
+problem solved again.  Preprocessing runs while 2m <= n, in practice from
+n >= 8 (k+1)^2 rows; smaller designs are solved directly.  The iteration
+count of a fit is the sum over its subproblem solves.
+
+Sparsity is estimated from residuals with an Epanechnikov kernel,
+Hall-Sheather bandwidth and Rankit plotting positions; coefficient
+covariances use the heteroskedasticity-robust (Huber-White) sandwich.
 """
 
 from __future__ import annotations
@@ -18,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 from scipy.special import ndtri
 
 from .base import (
@@ -32,6 +45,11 @@ GAP_TOL = 1e-9
 GAP_RTOL = 1e-9
 MAX_ITER = 200
 _STEP_DAMP = 0.9995
+# Portnoy-Koenker preprocessing, with the constants of quantreg's rq.fit.pfn
+_PK_MARGIN = 0.8          # M = 0.8 m rows left free around the quantile
+_PK_MAX_MISPINNED = 0.1   # mis-pinned rows, as a share of M, before m doubles
+_PK_BAND_FLOOR = 1e-6
+_PK_SEED = 0
 
 
 def check_loss(residuals, tau):
@@ -204,9 +222,96 @@ def _solve_lp(X, y, tau, max_iter=MAX_ITER, gap_tol=GAP_TOL):
     return -yy, it
 
 
+def _sample_factor(sample):
+    """Cholesky factor of a subsample's X'X, or None when the subsample is
+    unusable: X'X is singular, or a column is nonzero on one row only.  Such
+    a row's dual variable is held at 1 - tau, inside its bounds, and
+    ``_solve_lp`` then overflows on it."""
+    if np.count_nonzero(sample, axis=0).min() < 2:
+        return None
+    try:
+        return np.linalg.cholesky(sample.T @ sample)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _solve_preprocessed(X, y, tau, max_iter, gap_tol):
+    """Portnoy-Koenker (1997) preprocessing around ``_solve_lp``.
+
+    A subsample of m = round(((k+1) n)^(2/3)) rows gives a first fit.  Rows
+    whose residuals, scaled by the band ||L^-1 x_i|| (L the Cholesky factor
+    of the subsample's X'X), lie below or above the tau -/+ M/(2n) quantiles
+    of the scaled residuals, with M = 0.8 m, are pinned to that side and
+    collapsed into one summed "glob" row per side.  The check loss is
+    sublinear, so the reduced problem's loss never exceeds the full loss and
+    equals it wherever every pinned row keeps its side: a solution of the
+    reduced problem under which no row pinned below has a positive residual
+    and no row pinned above a negative one is optimal for the full problem.
+    Mis-pinned rows are released and the reduced problem solved again; more
+    than 0.1 M of them, or an unusable subsample (``_sample_factor``), doubles
+    m and redraws.  Once 2m exceeds n the direct solve runs.  Returns the
+    coefficients and the iterations summed over every subproblem solve.
+    """
+    n, k = X.shape
+    m = round(((k + 1) * n) ** (2.0 / 3.0))
+    rng = np.random.default_rng(_PK_SEED)
+    iterations = 0
+    while 2 * m <= n:
+        rows = np.sort(rng.choice(n, size=m, replace=False))
+        sample = X[rows]
+        chol = _sample_factor(sample)
+        if chol is None:
+            m *= 2
+            continue
+        beta, it = _solve_lp(sample, y[rows], tau, max_iter=max_iter, gap_tol=gap_tol)
+        iterations += it
+        band = np.sqrt(np.square(sla.solve_triangular(chol, X.T, lower=True)).sum(axis=0))
+        r = y - X @ beta
+        margin = _PK_MARGIN * m
+        lo_q = max(1.0 / n, tau - margin / (2.0 * n))
+        hi_q = min(tau + margin / (2.0 * n), (n - 1.0) / n)
+        kappa_lo, kappa_hi = np.quantile(r / np.maximum(_PK_BAND_FLOOR, band), [lo_q, hi_q])
+        below = r < band * kappa_lo
+        above = r > band * kappa_hi
+        while True:
+            free = ~(below | above)
+            parts_X, parts_y = [X[free]], [y[free]]
+            for pinned in (below, above):
+                if pinned.any():
+                    parts_X.append(X[pinned].sum(axis=0)[None, :])
+                    parts_y.append(y[pinned].sum(keepdims=True))
+            beta, it = _solve_lp(
+                np.concatenate(parts_X), np.concatenate(parts_y), tau,
+                max_iter=max_iter, gap_tol=gap_tol,
+            )
+            iterations += it
+            r = y - X @ beta
+            wrong_below = below & (r > 0.0)
+            wrong_above = above & (r < 0.0)
+            wrong = int(wrong_below.sum() + wrong_above.sum())
+            if not wrong:
+                return beta, iterations
+            if wrong > _PK_MAX_MISPINNED * margin:
+                m *= 2
+                break
+            below &= ~wrong_below
+            above &= ~wrong_above
+    beta, it = _solve_lp(X, y, tau, max_iter=max_iter, gap_tol=gap_tol)
+    return beta, iterations + it
+
+
 def fit_quantile_coefficients(X, y, tau, max_iter=MAX_ITER, gap_tol=GAP_TOL):
-    """Coefficients minimizing the check loss; midpoint convention for the
-    flat optimum of an intercept-only fit."""
+    """Coefficients minimizing the check loss, and the solver's iteration count.
+
+    An intercept-only fit takes the midpoint convention on a flat optimum.
+    Otherwise, while 2m <= n with m = round(((k+1) n)^(2/3)), the fit runs
+    through Portnoy-Koenker preprocessing (``_solve_preprocessed``): the
+    reduced problem's solution is returned only once no pinned row has a
+    residual of the wrong sign, which proves it optimal for the full problem.
+    Smaller designs go to ``_solve_lp`` directly.  The iteration count is the
+    sum over every subproblem solved; ``max_iter`` and ``gap_tol`` apply to
+    each, and a ``ConvergenceError`` from any of them propagates.
+    """
     X = as_float_array(X, "X", ndim=2)
     y = as_float_array(y, "y")
     check_consistent_length(X=X, y=y)
@@ -221,7 +326,7 @@ def fit_quantile_coefficients(X, y, tau, max_iter=MAX_ITER, gap_tol=GAP_TOL):
         if level == 0.0:
             raise ValueError("intercept-only design with a zero column")
         return np.array([_median_interval_quantile(y, tau) / level]), 0
-    return _solve_lp(X, y, tau, max_iter=max_iter, gap_tol=gap_tol)
+    return _solve_preprocessed(X, y, tau, max_iter, gap_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -172,3 +172,16 @@ def test_solver_failure_reported(tmp_path, panel_file, capsys, monkeypatch):
                  "--out", str(tmp_path / "quantiles")])
     assert code == 1
     assert "error: interior-point solver produced a non-finite iterate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["regressors = size,bogus", "interactions = hyfi*bogus"])
+def test_unknown_spec_name_reported(tmp_path, panel_file, capsys, line):
+    spec = tmp_path / "bogus.cfg"
+    spec.write_text(f"effects = pooled\n{line}\n")
+    code = main(["fit", "--panel", str(panel_file), "--spec", str(spec),
+                 "--out", str(tmp_path / "fit")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: model spec names unknown metric 'bogus'" in err
+    assert "available: " in err and "market_volatility" in err
+    assert not (tmp_path / "fit").exists()

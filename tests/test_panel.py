@@ -37,11 +37,11 @@ def test_single_row_panel(tmp_path):
 def test_high_below_low_names_row(tmp_path):
     rng = np.random.default_rng(2)
     dates, o, h, l, c, v, m, a = random_ohlcv(rng, 5, start="2021-01-01")
-    h[3], l[3] = l[3], h[3] + 10.0          # force high < low on data row 4
+    h[3], l[3] = l[3], h[3] + 10.0          # force high < low on data row 4, file line 5
     path = write_entity_csv(tmp_path / "BAD.csv", dates, o, h, l, c, v, m, a)
     with pytest.raises(ps.PanelLoadError) as err:
         ps.read_entity_csv(path)
-    assert "row 4" in str(err.value)
+    assert f"[{path}:5]" in str(err.value)
 
 
 def test_nonmonotone_dates_rejected(tmp_path):
@@ -50,8 +50,9 @@ def test_nonmonotone_dates_rejected(tmp_path):
     dates = dates.copy()
     dates[3] = dates[1]
     path = write_entity_csv(tmp_path / "DUP.csv", dates, o, h, l, c, v, m, a)
-    with pytest.raises(ps.PanelLoadError, match="strictly increasing"):
+    with pytest.raises(ps.PanelLoadError, match="strictly increasing") as err:
         ps.read_entity_csv(path)
+    assert f"[{path}:5]" in str(err.value)
 
 
 def test_negative_price_and_volume_rejected(tmp_path):

@@ -186,7 +186,8 @@ class TestSimulate:
         with pytest.raises(PanelLoadError, match=message) as info:
             read_metrics_csv(path)
         assert info.value.source == str(path)
-        assert info.value.row == 3
+        assert info.value.line == 4
+        assert f"[{path}:4]" in str(info.value)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):

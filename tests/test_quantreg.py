@@ -5,10 +5,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
 
+from panelcrypt import quantreg
 from panelcrypt.base import ConvergenceError
-from panelcrypt.estimators import DesignMatrix
+from panelcrypt.estimators import DesignMatrix, ModelSpec
+from panelcrypt.pipeline import CONTROLS, SynthParams, build_design, simulate_dgp
 from panelcrypt.quantreg import (
     PanelQuantile,
     _bound,
@@ -45,7 +48,8 @@ def highs_loss(X, y, tau):
     subject to X b + u - v = y, u, v >= 0."""
     n, k = X.shape
     cost = np.concatenate([np.zeros(k), np.full(n, tau), np.full(n, 1.0 - tau)])
-    A_eq = np.hstack([X, np.eye(n), -np.eye(n)])
+    eye = sparse.identity(n, format="csr")
+    A_eq = sparse.hstack([sparse.csr_matrix(X), eye, -eye], format="csr")
     bounds = [(None, None)] * k + [(0.0, None)] * (2 * n)
     res = linprog(cost, A_eq=A_eq, b_eq=y, bounds=bounds, method="highs")
     assert res.status == 0
@@ -222,6 +226,111 @@ class TestStepBound:
                 assert got == np.inf
         # a NaN where dv < 0 propagates, as in the masked form
         assert np.isnan(_bound(np.array([np.nan, 1.0, 0.0]), np.array([-1.0, -2.0, 0.0])))
+
+
+def heavy_tailed_design(seed, n, k):
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(n), rng.standard_t(3, size=(n, k - 1))])
+    y = X @ rng.normal(size=k) + rng.standard_t(2, size=n)
+    return X, y
+
+
+def record_solves(monkeypatch, perturb_first=None):
+    """Wrap ``_solve_lp`` to record the row count of every subproblem; with
+    ``perturb_first``, the first solve's coefficients are moved by it."""
+    solve = quantreg._solve_lp
+    rows = []
+
+    def recorded(X, y, tau, **kwargs):
+        beta, iterations = solve(X, y, tau, **kwargs)
+        rows.append(X.shape[0])
+        if perturb_first is not None and len(rows) == 1:
+            beta = beta + perturb_first
+        return beta, iterations
+
+    monkeypatch.setattr(quantreg, "_solve_lp", recorded)
+    return rows
+
+
+class TestPreprocessing:
+    @pytest.mark.parametrize("seed, n, k", [(101, 1000, 3), (102, 1500, 8), (103, 2000, 5),
+                                            (104, 3000, 8), (105, 3000, 3)])
+    def test_heavy_tailed_designs_match_highs(self, monkeypatch, seed, n, k):
+        X, y = heavy_tailed_design(seed, n, k)
+        m = round(((k + 1) * n) ** (2.0 / 3.0))
+        for tau in (0.10, 0.50, 0.90):
+            rows = record_solves(monkeypatch)
+            beta, iterations = fit_quantile_coefficients(X, y, tau)
+            assert rows[0] == m and max(rows) < n      # preprocessed, no direct solve
+            assert iterations > 0
+            best = highs_loss(X, y, tau)
+            assert abs(check_loss(y - X @ beta, tau) - best) <= 1e-9 * best
+            monkeypatch.undo()
+
+    def test_simulated_panel_matches_direct_solve(self):
+        sim = simulate_dgp(SynthParams(), seed=7)
+        spec = ModelSpec(effects="pooled", regressors=list(CONTROLS) + ["hyfi"])
+        design, _ = build_design(sim.metas, sim.bundle, spec)
+        X, y = design.matrix, design.response
+        assert X.shape[0] > 30000
+        for tau in (0.10, 0.25, 0.50, 0.75, 0.90):
+            beta, _ = fit_quantile_coefficients(X, y, tau)
+            again, _ = fit_quantile_coefficients(X, y, tau)
+            assert np.isfinite(beta).all()
+            assert beta.tobytes() == again.tobytes()
+            direct, _ = _solve_lp(X, y, tau)
+            want = check_loss(y - X @ direct, tau)
+            assert abs(check_loss(y - X @ beta, tau) - want) <= 1e-12 * want
+
+    def test_small_designs_solve_directly(self, monkeypatch):
+        # 2m > n: 120 rows and 4 columns give m = 71
+        X, y = heavy_tailed_design(106, 120, 4)
+        rows = record_solves(monkeypatch)
+        fit_quantile_coefficients(X, y, 0.5)
+        assert rows == [120]
+
+    def test_mispinned_rows_are_released(self, monkeypatch):
+        X, y = heavy_tailed_design(81, 3000, 4)
+        rows = record_solves(monkeypatch, perturb_first=np.array([0.3, 0.0, 0.0, 0.0]))
+        beta, _ = fit_quantile_coefficients(X, y, 0.5)
+        m = rows[0]
+        # sample, reduced problem, and at least one re-solve after a fix-up
+        assert len(rows) >= 3 and rows[2] > rows[1] and max(rows) < 2 * m
+        best = highs_loss(X, y, 0.5)
+        assert abs(check_loss(y - X @ beta, 0.5) - best) <= 1e-9 * best
+
+    @pytest.mark.parametrize("n, tail", [(3000, "second sample"), (1000, "direct solve")])
+    def test_too_many_mispinned_rows_double_m(self, monkeypatch, n, tail):
+        X, y = heavy_tailed_design(81, n, 4)
+        rows = record_solves(monkeypatch, perturb_first=np.array([0.0, 1.0, 0.0, 0.0]))
+        beta, _ = fit_quantile_coefficients(X, y, 0.5)
+        m = rows[0]
+        if tail == "second sample":
+            assert rows[2] == 2 * m and len(rows) == 4
+        else:
+            assert 4 * m > n and rows[2:] == [n]
+        best = highs_loss(X, y, 0.5)
+        assert abs(check_loss(y - X @ beta, 0.5) - best) <= 1e-9 * best
+
+    @pytest.mark.parametrize("support", [2, 3, 5, 20])
+    def test_sparse_columns_reach_the_optimum(self, support):
+        # a subsample that misses a sparse dummy leaves X'X singular, and one
+        # that holds a single row of it overflows the interior point; either
+        # is redrawn larger
+        for seed in range(6):
+            X, y = heavy_tailed_design(seed, 1000, 3)
+            X = np.column_stack([X, np.zeros(1000)])
+            X[np.random.default_rng(seed).choice(1000, support, replace=False), 3] = 1.0
+            for tau in (0.10, 0.50, 0.90):
+                beta, _ = fit_quantile_coefficients(X, y, tau)
+                best = highs_loss(X, y, tau)
+                assert abs(check_loss(y - X @ beta, tau) - best) <= 1e-9 * best
+
+    def test_subproblem_failure_propagates(self):
+        X, y = heavy_tailed_design(107, 2000, 3)
+        with pytest.raises(ConvergenceError, match="did not converge in 2 iterations"):
+            fit_quantile_coefficients(X, y, 0.3, max_iter=2)
+
 
 class TestHallSheather:
     def test_published_bandwidths(self):
