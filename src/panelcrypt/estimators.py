@@ -96,10 +96,20 @@ class DesignMatrix:
 
 
 class _Groups:
-    """Entity grouping helper (codes, counts, group means)."""
+    """Entity grouping helper (codes, counts, group means).
+
+    ``labels`` and ``codes`` equal ``np.unique(entities, return_inverse=True)``
+    in values and dtype.  They come from a set and a dict lookup per row
+    instead: ``np.unique`` sorts the whole object array of labels, which on
+    a long panel costs far more than hashing each row once.
+    """
 
     def __init__(self, entities):
-        self.labels, self.codes = np.unique(entities, return_inverse=True)
+        values = entities.tolist()
+        labels = sorted(set(values))
+        index = {label: code for code, label in enumerate(labels)}
+        self.labels = np.array(labels, dtype=entities.dtype)
+        self.codes = np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
         self.n_groups = len(self.labels)
         self.counts = np.bincount(self.codes, minlength=self.n_groups)
 
@@ -699,7 +709,7 @@ def fit_model(design, spec):
     """Fit one ModelSpec, adding the gap-aware response lag when dynamic."""
     lag_name = None
     if spec.dynamic:
-        before = set(np.unique(design.entities).tolist())
+        before = set(_Groups(design.entities).labels.tolist())
         design, lag_name, _ = with_response_lag(design)
         if spec.effects == "fixed":
             groups = _Groups(design.entities)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,9 @@ META_HEADER = (
 PANEL_HEADER = ("entity",) + ENTITY_HEADER + MARKET_FIELDS
 
 GINI_DIMENSIONS = ("network", "wealth", "node", "code", "information")
+
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_DOTTED_DATE = re.compile(r"([0-9]{1,2})\.([0-9]{1,2})\.([0-9]{4})")
 
 
 class PanelLoadError(ValueError):
@@ -144,16 +148,21 @@ class PanelDataset:
 
 
 def parse_date(text, source=None, line=None):
-    """Parse ISO-8601 (YYYY-MM-DD) or DD.MM.YYYY into datetime64[D]."""
+    """Parse YYYY-MM-DD or D.M.YYYY (day and month of one or two digits) into
+    datetime64[D]; surrounding blanks are ignored.  Any other text, such as
+    ``2020``, ``2020-03``, ``NaT``, a time of day or ``today``, and any date
+    that does not exist raise ``PanelLoadError``."""
     text = text.strip()
-    if "." in text:
-        parts = text.split(".")
-        if len(parts) != 3:
-            raise PanelLoadError(f"unparseable date {text!r}", source, line)
-        day, month, year = parts
-        text = f"{year}-{month.zfill(2)}-{day.zfill(2)}"
+    dotted = _DOTTED_DATE.fullmatch(text)
+    if dotted:
+        day, month, year = dotted.groups()
+        iso = f"{year}-{month.zfill(2)}-{day.zfill(2)}"
+    elif _ISO_DATE.fullmatch(text):
+        iso = text
+    else:
+        raise PanelLoadError(f"unparseable date {text!r}", source, line)
     try:
-        return np.datetime64(text, "D")
+        return np.datetime64(iso, "D")
     except ValueError:
         raise PanelLoadError(f"unparseable date {text!r}", source, line) from None
 

@@ -218,12 +218,21 @@ def write_metrics_csv(bundle, path):
 def read_metrics_csv(path):
     """Load a metrics file back into a {entity: {name: MetricSeries}} bundle.
 
-    A row without exactly four fields, a non-finite value and a repeated
-    (entity, date, metric) raise ``PanelLoadError`` located as ``path:line``,
-    the header being line 1.
+    A row without exactly four fields, an unparseable or non-finite value, an
+    unparseable date and a repeated (entity, date, metric) raise
+    ``PanelLoadError`` located as ``path:line``, the header being line 1.
+    Entities and metrics keep the order of their first row.
+
+    A row keeps only its float value and a day number shared with every row
+    of the same date text, so each distinct date text is parsed once.  No line
+    number is kept per row; the duplicate check runs per series after a
+    stable sort on the date, and only that error path reads the file again
+    for the lines (``_metric_rows``).
     """
     source = os.fspath(path)
-    collected = {}
+    collected = {}  # (entity, metric) -> ([day], [value])
+    days = {}  # date text -> day number
+    isfinite = math.isfinite
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -241,17 +250,27 @@ def read_metrics_csv(path):
                 raise PanelLoadError(
                     f"unparseable numeric {value_text!r}", source, lineno
                 ) from None
-            if not math.isfinite(value):
+            if not isfinite(value):
                 raise PanelLoadError(f"non-finite value {value_text!r}", source, lineno)
-            collected.setdefault(entity, {}).setdefault(name, []).append(
-                (parse_date(date_text, source, lineno), value)
-            )
+            day = days.get(date_text)
+            if day is None:
+                day = days[date_text] = int(parse_date(date_text, source, lineno).view(np.int64))
+            series = collected.get((entity, name))
+            if series is None:
+                series = collected[entity, name] = ([], [])
+            series[0].append(day)
+            series[1].append(value)
+    # series are checked and built entity by entity, in first-row order
+    by_entity = {}
+    for (entity, name), series in collected.items():
+        by_entity.setdefault(entity, {})[name] = series
     bundle = {}
-    for entity, by_name in collected.items():
+    for entity, by_name in by_entity.items():
         bundle[entity] = {}
-        for name, pairs in by_name.items():
-            pairs.sort(key=lambda p: p[0])
-            dates = np.array([p[0] for p in pairs], dtype="datetime64[D]")
+        for name, (series_days, series_values) in by_name.items():
+            dates = np.array(series_days, dtype=np.int64).view("datetime64[D]")
+            order = np.argsort(dates, kind="stable")
+            dates = dates[order]
             repeats = np.flatnonzero(dates[1:] == dates[:-1])
             if len(repeats):
                 day = dates[repeats[0]]
@@ -261,7 +280,7 @@ def read_metrics_csv(path):
                     source,
                     again,
                 )
-            values = np.array([p[1] for p in pairs], dtype=float)
+            values = np.array(series_values, dtype=float)[order]
             bundle[entity][name] = mx.MetricSeries(
                 entity, name, dates, values, np.zeros(len(values), dtype=bool)
             )

@@ -5,8 +5,8 @@ the check-loss problem (Frisch-Newton with Mehrotra correction).  It stops
 when the duality gap falls to ``GAP_TOL``, or when a step fails to halve a
 gap already within ``GAP_RTOL`` of the objective, where rounding rather than
 the iterate sets the gap.  It never returns a non-finite coefficient: a
-non-finite gap or iterate, or an iteration budget spent above both
-thresholds, raises ``ConvergenceError``.
+non-finite gap or iterate, a singular Newton system, or an iteration budget
+spent above both thresholds, raises ``ConvergenceError``.
 
 Large designs go through Portnoy-Koenker (1997) preprocessing ("The Gaussian
 hare and the Laplacian tortoise", the method of R's ``quantreg::rq.fit.pfn``):
@@ -132,6 +132,17 @@ def _bound(v, dv):
     return -top
 
 
+def _newton_step(M, rhs, it):
+    """Solve the Newton system of iteration ``it``; a singular ``M`` is a
+    ``ConvergenceError``, like the solver's other failures."""
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError as err:
+        raise ConvergenceError(
+            f"interior-point solver hit a singular Newton system at iteration {it} ({err})"
+        ) from None
+
+
 def _solve_lp(X, y, tau, max_iter=MAX_ITER, gap_tol=GAP_TOL):
     """Frisch-Newton interior point on the bounded dual of the check-loss LP.
 
@@ -144,8 +155,8 @@ def _solve_lp(X, y, tau, max_iter=MAX_ITER, gap_tol=GAP_TOL):
     objective: the gap is a difference of terms of the objective's size, so
     below that floor its rounding, not the iterate, decides whether it falls
     further, and iterating on drives the iterates toward underflow.  A
-    non-finite gap, or an exhausted ``max_iter`` with the gap above both
-    thresholds, raises ``ConvergenceError``.
+    non-finite gap, a singular Newton system, or an exhausted ``max_iter``
+    with the gap above both thresholds, raises ``ConvergenceError``.
     """
     n, k = X.shape
     A = X.T
@@ -171,7 +182,7 @@ def _solve_lp(X, y, tau, max_iter=MAX_ITER, gap_tol=GAP_TOL):
         qa = q[:, None] * A.T
         M = A @ qa
         rhs = A @ (q * r)
-        dy = np.linalg.solve(M, rhs)
+        dy = _newton_step(M, rhs, it)
         dx = q * (A.T @ dy - r)
         ds = -dx
         dz = -z * (1.0 + dx / x)
@@ -189,7 +200,7 @@ def _solve_lp(X, y, tau, max_iter=MAX_ITER, gap_tol=GAP_TOL):
             xinv = 1.0 / x
             sinv = 1.0 / s
             xi = mu * (xinv - sinv)
-            dy = np.linalg.solve(M, rhs + A @ (q * (dxdz - dsdw - xi)))
+            dy = _newton_step(M, rhs + A @ (q * (dxdz - dsdw - xi)), it)
             dx = q * (A.T @ dy + xi - r - dxdz + dsdw)
             ds = -dx
             dz = mu * xinv - z - xinv * z * dx - dxdz

@@ -14,6 +14,7 @@ from panelcrypt.estimators import (
     ModelSpec,
     PooledOLS,
     RandomEffects,
+    _Groups,
     chi2_survival,
     fit_model,
     hausman,
@@ -66,6 +67,34 @@ def lsdv_oracle(design):
     full = np.column_stack([design.matrix, dummies])
     coef, *_ = np.linalg.lstsq(full, design.response, rcond=None)
     return coef[: design.matrix.shape[1]]
+
+
+class TestGroups:
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.array(["BTC", "ETH", "AAVE", "btc", "MARKET"], dtype=object),
+            np.array(["BTC", "ETH", "AAVE", "btc", "MARKET"]),
+            np.array([30, -2, 7, 1_000_000, 0]),
+        ],
+        ids=["object", "str", "int"],
+    )
+    def test_matches_np_unique(self, labels):
+        # entities interleaved and non-contiguous, one of them on a single row
+        rng = np.random.default_rng(8)
+        entities = labels[rng.integers(0, len(labels) - 1, size=200)]
+        entities[rng.integers(0, 200)] = labels[-1]
+        groups = _Groups(entities)
+        want_labels, want_codes = np.unique(entities, return_inverse=True)
+        assert groups.labels.dtype == want_labels.dtype
+        assert groups.labels.tolist() == want_labels.tolist()
+        assert groups.codes.dtype == want_codes.dtype
+        assert np.array_equal(groups.codes, want_codes)
+        assert np.array_equal(groups.counts, np.bincount(want_codes))
+
+    def test_empty(self):
+        groups = _Groups(np.array([], dtype=object))
+        assert groups.n_groups == 0 and len(groups.codes) == 0
 
 
 class TestPooledOLS:

@@ -123,6 +123,47 @@ def test_dd_mm_yyyy_dates_normalized(tmp_path):
     assert str(rec.dates[1]) == "2020-01-02"
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("2020-01-05", "2020-01-05"),
+        (" 2020-01-05 ", "2020-01-05"),
+        ("5.1.2020", "2020-01-05"),
+        ("05.01.2020", "2020-01-05"),
+        ("29.2.2020", "2020-02-29"),
+        ("2020", None),
+        ("2020-03", None),
+        ("NaT", None),
+        ("2020-01-05T13:00", None),
+        ("today", None),
+        ("2020-1-5", None),
+        ("20200105", None),
+        ("2020-02-30", None),
+        ("31.4.2021", None),
+        ("1.1.20", None),
+        ("005.01.2020", None),
+        ("1.2.3.2020", None),
+        ("", None),
+    ],
+)
+def test_only_documented_date_formats_accepted(tmp_path, text, expected):
+    if expected is not None:
+        assert str(ps.parse_date(text)) == expected
+    path = tmp_path / "DATE.csv"
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(ps.ENTITY_HEADER)
+        writer.writerow(["01.01.2020", "1", "2", "0.5", "1.5", "10", "1e9", "50"])
+        writer.writerow([text, "1", "2", "0.5", "1.5", "10", "1e9", "50"])
+    if expected is None:
+        with pytest.raises(ps.PanelLoadError, match="unparseable date") as err:
+            ps.read_entity_csv(path)
+        assert err.value.line == 3
+        assert f"[{path}:3]" in str(err.value)
+    else:
+        assert str(ps.read_entity_csv(path).dates[1]) == expected
+
+
 def test_missing_cells_masked(tmp_path):
     rng = np.random.default_rng(7)
     dates, o, h, l, c, v, m, a = random_ohlcv(rng, 6)

@@ -1,12 +1,17 @@
 """Design assembly, synthetic generation, batteries and figure identities."""
 
+import csv
+import io
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panelcrypt.estimators import FixedEffects, ModelSpec, hausman
+from panelcrypt.metrics import MetricSeries
 from panelcrypt.panel import PanelLoadError
 from panelcrypt.pipeline import (
     CONTROLS,
@@ -189,6 +194,20 @@ class TestSimulate:
         assert info.value.line == 4
         assert f"[{path}:4]" in str(info.value)
 
+    @pytest.mark.parametrize("date_text", ["2020", "2020-03", "NaT", "2020-01-05T13:00", "today"])
+    def test_metrics_file_bad_date_names_file_and_line(self, tmp_path, date_text):
+        path = tmp_path / "metrics.csv"
+        path.write_text(
+            "entity,date,metric,value\n"
+            "AAA,2020-01-01,size,1.0\n"
+            "AAA,2020-01-03,size,3.0\n"
+            f"AAA,{date_text},size,2.0\n"
+        )
+        with pytest.raises(PanelLoadError, match="unparseable date") as info:
+            read_metrics_csv(path)
+        assert info.value.line == 4
+        assert f"[{path}:4]" in str(info.value)
+
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             SynthParams(phi=1.0)
@@ -196,6 +215,128 @@ class TestSimulate:
             SynthParams(sigma_low=0.0)
         with pytest.raises(ValueError):
             SynthParams(n_entities=1)
+
+
+# Metric-file properties.  Names may carry blanks, commas and quotes, so the
+# writer's quoting is exercised.  Dates span every four-digit year, as the
+# reader requires, and often fall in one short window, so that series share
+# date texts.
+NAMES = st.text(alphabet='ABab_ ,"', min_size=1, max_size=4)
+DAYS = st.one_of(
+    st.integers(18_262, 18_272),
+    st.integers(
+        int(np.datetime64("0001-01-01", "D").astype(np.int64)),
+        int(np.datetime64("9999-12-31", "D").astype(np.int64)),
+    ),
+)
+PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def metric_bundles(draw):
+    bundle = {}
+    for entity in draw(st.lists(NAMES, min_size=1, max_size=3, unique=True)):
+        bundle[entity] = {}
+        for name in draw(st.lists(NAMES, min_size=1, max_size=3, unique=True)):
+            days = sorted(draw(st.sets(DAYS, min_size=1, max_size=6)))
+            values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                   min_size=len(days), max_size=len(days)))
+            bundle[entity][name] = MetricSeries(
+                entity, name, np.array(days, dtype=np.int64).view("datetime64[D]"),
+                np.array(values), np.zeros(len(days), dtype=bool),
+            )
+    return bundle
+
+
+def data_lines(bundle, path):
+    """Write ``bundle`` to ``path``; return the header and the data lines."""
+    write_metrics_csv(bundle, path)
+    header, *lines = path.read_text().splitlines(keepends=True)
+    return header, lines
+
+
+def csv_line(fields):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(fields)
+    return out.getvalue()
+
+
+def same_series(a, b):
+    assert a.dates.dtype == b.dates.dtype and a.values.dtype == b.values.dtype
+    assert a.dates.tobytes() == b.dates.tobytes()
+    assert a.values.tobytes() == b.values.tobytes()
+    assert not a.missing.any() and not b.missing.any()
+
+
+BAD_ROWS = {
+    "short": (["{entity},{date},{name}", "{entity},{date},{name},1.0,2.0", ""], "expected 4 fields"),
+    "non_finite": (["nan", "inf", "-Infinity", "1e999"], "non-finite value"),
+    "bad_number": (["abc", "1.2.3", "", "0x10"], "unparseable numeric"),
+    "bad_date": (["2020-13-01", "today", "2020", "NaT", "1.1.20"], "unparseable date"),
+}
+
+
+class TestMetricsFileProperties:
+    @PROPERTY_SETTINGS
+    @given(bundle=metric_bundles())
+    def test_round_trip_bit_for_bit(self, tmp_path_factory, bundle):
+        path = tmp_path_factory.mktemp("metrics") / "metrics.csv"
+        write_metrics_csv(bundle, path)
+        loaded = read_metrics_csv(path)
+        # the writer sorts, and the reader keeps first-appearance order
+        assert list(loaded) == sorted(bundle)
+        for entity, per in loaded.items():
+            assert list(per) == sorted(bundle[entity])
+            for name, series in per.items():
+                assert (series.entity, series.name) == (entity, name)
+                same_series(series, bundle[entity][name])
+
+    @PROPERTY_SETTINGS
+    @given(bundle=metric_bundles(), data=st.data())
+    def test_row_order_does_not_matter(self, tmp_path_factory, bundle, data):
+        folder = tmp_path_factory.mktemp("metrics")
+        header, lines = data_lines(bundle, folder / "sorted.csv")
+        shuffled = data.draw(st.permutations(lines))
+        path = folder / "shuffled.csv"
+        path.write_text(header + "".join(shuffled))
+        loaded = read_metrics_csv(path)
+        rows = list(csv.reader(shuffled))
+        assert list(loaded) == list(dict.fromkeys(row[0] for row in rows))
+        for entity, per in loaded.items():
+            names = [row[2] for row in rows if row[0] == entity]
+            assert list(per) == list(dict.fromkeys(names))
+            for name, series in per.items():
+                same_series(series, bundle[entity][name])
+
+    @PROPERTY_SETTINGS
+    @given(bundle=metric_bundles(), kind=st.sampled_from([*BAD_ROWS, "duplicate"]),
+           data=st.data())
+    def test_one_bad_row_is_named_by_its_line(self, tmp_path_factory, bundle, kind, data):
+        path = tmp_path_factory.mktemp("metrics") / "metrics.csv"
+        header, lines = data_lines(bundle, path)
+        if kind == "duplicate":
+            # a second row for an earlier row's (entity, date, metric); the
+            # error names the later of the two
+            at = data.draw(st.integers(1, len(lines)))
+            entity, date, name, value = next(csv.reader([lines[data.draw(st.integers(0, at - 1))]]))
+            value = data.draw(st.sampled_from([value, "0.5"]))
+            bad, message = csv_line([entity, date, name, value]), "duplicate"
+        else:
+            at = data.draw(st.integers(0, len(lines)))
+            entity, date, name, value = next(csv.reader([data.draw(st.sampled_from(lines))]))
+            texts, message = BAD_ROWS[kind]
+            text = data.draw(st.sampled_from(texts))
+            if kind == "short":
+                bad = text.format(entity="E", date=date, name="m") + "\n"
+            elif kind == "bad_date":
+                bad = csv_line([entity, text, name, value])
+            else:
+                bad = csv_line([entity, date, name, text])
+        path.write_text(header + "".join(lines[:at]) + bad + "".join(lines[at:]))
+        with pytest.raises(PanelLoadError, match=message) as info:
+            read_metrics_csv(path)
+        assert info.value.line == at + 2
+        assert f"[{path}:{at + 2}]" in str(info.value)
 
 
 @pytest.fixture(scope="module")

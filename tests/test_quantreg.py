@@ -206,6 +206,18 @@ class TestStoppingRule:
         assert len(calls) == 3
 
 
+    def test_singular_newton_system_raises(self):
+        # a 200-row dummy: a reduced problem's Newton matrix turns singular,
+        # which numpy reported as a bare LinAlgError
+        rng = np.random.default_rng(4)
+        n = 1000
+        X = np.column_stack([np.ones(n), rng.normal(size=n), rng.normal(size=n), np.zeros(n)])
+        X[rng.choice(n, 200, replace=False), 3] = 1.0
+        y = X @ np.array([1.0, 0.5, -0.3, 2.0]) + rng.standard_t(3, size=n)
+        with pytest.raises(ConvergenceError, match=r"singular Newton system at iteration \d+"):
+            fit_quantile_coefficients(X, y, 0.5)
+
+
 class TestStepBound:
     def test_matches_masked_formula_bitwise(self):
         rng = np.random.default_rng(72)
