@@ -28,7 +28,6 @@ from .pipeline import (
     parse_config,
     run_report,
     simulate_dgp,
-    stars,
     write_metrics_csv,
     write_simulation,
 )
@@ -130,13 +129,7 @@ def _parse_model_spec(path):
 
 def _write_fit_outputs(result, ledger, outdir):
     os.makedirs(outdir, exist_ok=True)
-    rows = []
-    if result.intercept is not None:
-        se = result.intercept_se or float("nan")
-        rows.append(("const", result.intercept, se, stars(result.intercept, se)))
-    for name in result.columns:
-        est, se = result.coef(name), result.se_of(name)
-        rows.append((name, est, se, stars(est, se)))
+    rows = pipeline._coefficient_rows(result)
     pipeline._write_csv(
         os.path.join(outdir, "coefficients.csv"),
         ("term", "estimate", "se", "stars"),
@@ -176,8 +169,6 @@ def _cmd_fit(args):
     spec = _parse_model_spec(args.spec)
     design, ledger = build_design(list(panel.entities), bundle, spec)
     result = estimator_for(spec).fit(design).result_
-    if spec.dynamic:
-        result.lag_column = f"{design.response_name}_lag"
     _write_fit_outputs(result, ledger, args.out)
     print(f"wrote {args.out}: {result.method}, {result.nobs} observations")
     return 0
@@ -195,25 +186,16 @@ def _cmd_quantile(args):
     os.makedirs(args.out, exist_ok=True)
     path_rows = []
     for tau in taus:
-        fit = PanelQuantile(tau=tau).fit(design).result_
-        rows = [
-            (name, fit.coef(name), fit.se_of(name), stars(fit.coef(name), fit.se_of(name)))
-            for name in fit.columns
-        ]
-        rows += [
-            ("pseudo_r2", fit.pseudo_r2, float("nan"), ""),
-            ("sparsity", fit.sparsity, float("nan"), ""),
-            ("hall_sheather_bw", fit.hall_sheather_bw, float("nan"), ""),
-            ("quantile_dependent", fit.quantile_dependent, float("nan"), ""),
-            ("quasi_lr", fit.quasi_lr_stat, float("nan"), ""),
-        ]
+        terms, stats = pipeline._quantile_rows(PanelQuantile(tau=tau).fit(design).result_)
+        # the per-tau file carries the summary statistics, not the LR p-value or nobs
+        rows = terms + [(name, value, float("nan"), "") for name, value in stats
+                        if name not in ("quasi_lr_p", "nobs")]
         pipeline._write_csv(
             os.path.join(args.out, f"quantile_tau{tau:.2f}.csv"),
             ("term", "estimate", "se", "stars"),
             rows,
         )
-        for name in fit.columns:
-            path_rows.append((float(tau), name, fit.coef(name), fit.se_of(name)))
+        path_rows += [(float(tau),) + row[:3] for row in terms]
     pipeline._write_csv(
         os.path.join(args.out, "path.csv"),
         ("tau", "term", "estimate", "se"),

@@ -1,11 +1,17 @@
 """Panel regression machinery: pooled OLS, fixed/random effects,
-cross-section-weighted feasible GLS, dynamic variants, White covariance,
-the Hausman specification test and long-run effect arithmetic.
+cross-section-weighted feasible GLS, White covariance, the Hausman
+specification test and long-run effect arithmetic.
 
 Estimators follow the scikit-learn convention: hyperparameters in the
 constructor, ``fit`` returns ``self``, learned quantities live on
 underscore attributes (``result_``, ``coef_``, ...).  All fits are
 deterministic pure functions of the design matrix.
+
+Row weights are the one weighting mechanism: pooled, fixed and random
+effects each solve weighted least squares on their transformed rows, and
+cross-section EGLS is the same estimator refitted with inverse-variance
+weights.  A dynamic fit is an ordinary fit whose design carries the
+response lag column (built by ``pipeline.build_design``).
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from scipy import special
 from .base import BaseEstimator, RankDeficiencyError, check_is_fitted
 
 RANK_TOL = 1e-10
-DAY = np.timedelta64(1, "D")
 
 EFFECTS = ("pooled", "fixed", "random")
 WEIGHTS = ("none", "cross_section_egls")
@@ -32,7 +37,12 @@ COVARIANCES = ("classical", "white")
 
 @dataclass
 class DesignMatrix:
-    """Complete-case regression data with entity and date labels per row."""
+    """Complete-case regression data with entity and date labels per row.
+
+    ``weights`` are finite positive row weights (default 1): every estimator
+    scales its transformed rows by their square roots before solving.  Under
+    fixed effects they must be constant within each entity.
+    """
 
     response: np.ndarray
     matrix: np.ndarray
@@ -67,8 +77,9 @@ class DesignMatrix:
             self.weights = np.ones(n)
         else:
             self.weights = np.asarray(self.weights, dtype=float)
-            if len(self.weights) != n or np.any(self.weights <= 0):
-                raise ValueError("weights must be positive and align with rows")
+            positive = np.isfinite(self.weights) & (self.weights > 0)
+            if len(self.weights) != n or not np.all(positive):
+                raise ValueError("weights must be finite, positive and align with rows")
         if not np.all(np.isfinite(self.response)) or not np.all(np.isfinite(self.matrix)):
             raise ValueError("design contains missing or non-finite values; "
                              "drop incomplete rows upstream")
@@ -76,6 +87,12 @@ class DesignMatrix:
     @property
     def nobs(self):
         return len(self.response)
+
+    @property
+    def lag_column(self):
+        """Name of the response lag column when the design carries one."""
+        name = f"{self.response_name}_lag"
+        return name if name in self.columns else None
 
     def column(self, name):
         return self.matrix[:, self.columns.index(name)]
@@ -287,57 +304,6 @@ def _r2_original(y, fitted):
 
 
 # ---------------------------------------------------------------------------
-# lagged response (dynamic specifications)
-
-
-def lagged_response(design, lag=1):
-    """Gap-aware per-entity lag of the response.
-
-    Returns ``(values, missing)`` aligned with the design rows; a lag across
-    a calendar gap (or an entity boundary) is missing.
-    """
-    if design.dates is None:
-        raise ValueError("design has no dates; cannot build a gap-aware lag")
-    n = design.nobs
-    values = np.full(n, np.nan)
-    missing = np.ones(n, dtype=bool)
-    order = np.lexsort((design.dates, design.entities))
-    ent = design.entities[order]
-    dates = design.dates[order]
-    resp = design.response[order]
-    same_entity = np.concatenate(([False], ent[1:] == ent[:-1]))
-    step_ok = np.concatenate(([False], (dates[1:] - dates[:-1]) == lag * DAY))
-    ok = same_entity & step_ok
-    idx = order[ok]
-    src = order[np.flatnonzero(ok) - 1]
-    values[idx] = design.response[src]
-    missing[idx] = False
-    return values, missing
-
-
-def with_response_lag(design, name=None):
-    """Append the lagged response column, dropping rows where it is missing.
-
-    Returns ``(new_design, lag_name, n_dropped)``.
-    """
-    name = name or f"{design.response_name}_lag"
-    if name in design.columns:
-        raise ValueError(f"column {name!r} already present")
-    values, missing = lagged_response(design)
-    keep = ~missing
-    new = replace(
-        design,
-        response=design.response[keep],
-        matrix=np.column_stack([design.matrix[keep], values[keep]]),
-        columns=design.columns + [name],
-        entities=design.entities[keep],
-        dates=None if design.dates is None else design.dates[keep],
-        weights=design.weights[keep],
-    )
-    return new, name, int(missing.sum())
-
-
-# ---------------------------------------------------------------------------
 # estimators
 
 
@@ -348,14 +314,14 @@ class PooledOLS(BaseEstimator):
         self.covariance = covariance
 
     def fit(self, design):
-        X, y = design.matrix, design.response
+        root = np.sqrt(design.weights)
+        X, y = design.matrix * root[:, None], design.response * root
         n, k = X.shape
         beta = qr_solve(X, y, design.columns)
-        fitted = X @ beta
-        resid = y - fitted
         df_resid = n - k
-        cov = _covariance(X, resid, df_resid, self.covariance)
-        r2 = _r2_original(y, fitted)
+        cov = _covariance(X, y - X @ beta, df_resid, self.covariance)
+        fitted = design.matrix @ beta
+        r2 = _r2_original(design.response, fitted)
         groups = _Groups(design.entities)
         self.result_ = FitResult(
             method="pooled",
@@ -367,8 +333,9 @@ class PooledOLS(BaseEstimator):
             df_resid=df_resid,
             r2=r2,
             adj_r2=_adj_r2(r2, n, k),
-            residuals=resid,
+            residuals=design.response - fitted,
             fitted=fitted,
+            lag_column=design.lag_column,
         )
         self.coef_ = beta
         self.cov_ = cov
@@ -391,7 +358,9 @@ class FixedEffects(BaseEstimator):
     """Within estimator with recovered per-entity intercepts.
 
     Time-invariant columns are absorbed by the entity effects; they are
-    reported on ``result_.absorbed`` rather than silently dropped.
+    reported on ``result_.absorbed`` rather than silently dropped.  Row
+    weights must be constant within each entity: demeaning and weighting
+    then commute, and the weighted within fit equals weighted LSDV.
     """
 
     def __init__(self, covariance="white"):
@@ -407,8 +376,15 @@ class FixedEffects(BaseEstimator):
         if varying.size == 0:
             raise ValueError("no within-entity variation in any regressor")
         columns = [design.columns[j] for j in varying]
+        weights = np.empty(groups.n_groups)
+        weights[groups.codes] = design.weights
+        if np.any(weights[groups.codes] != design.weights):
+            raise ValueError("fixed effects need row weights constant within each entity")
+        root = np.sqrt(design.weights)
         X = groups.demean(design.matrix[:, varying])
         y = groups.demean(design.response)
+        X *= root[:, None]
+        y *= root
         n, k = X.shape
         beta = qr_solve(X, y, columns)
         resid = y - X @ beta
@@ -425,9 +401,10 @@ class FixedEffects(BaseEstimator):
         intercept = float(alpha.mean())
         sigma2 = float(resid @ resid) / max(df_resid, 1)
         xbar_mean = xbar.mean(axis=0)
-        # delta-method approximation; ignores the (small) slope/mean cross term
+        # delta-method approximation; ignores the (small) slope/mean cross term.
+        # An entity's mean error has variance sigma2 / (w_i T_i).
         intercept_var = float(xbar_mean @ cov @ xbar_mean) + sigma2 * float(
-            np.sum(1.0 / groups.counts)
+            np.sum(1.0 / (weights * groups.counts))
         ) / groups.n_groups**2
 
         self.result_ = FitResult(
@@ -447,6 +424,7 @@ class FixedEffects(BaseEstimator):
             intercept_se=float(np.sqrt(max(intercept_var, 0.0))),
             absorbed=absorbed,
             flags=[f"absorbed:{name}" for name in absorbed],
+            lag_column=design.lag_column,
         )
         self.coef_ = beta
         self.cov_ = cov
@@ -498,7 +476,11 @@ def _swamy_arora(design, groups):
 
 
 class RandomEffects(BaseEstimator):
-    """Swamy-Arora feasible GLS with unbalanced-panel quasi-demeaning."""
+    """Swamy-Arora feasible GLS with unbalanced-panel quasi-demeaning.
+
+    Row weights scale the quasi-demeaned rows; the variance components come
+    from the unweighted within and between regressions.
+    """
 
     def __init__(self, covariance="white"):
         self.covariance = covariance
@@ -507,8 +489,11 @@ class RandomEffects(BaseEstimator):
         groups = _Groups(design.entities)
         components, theta, flags = _swamy_arora(design, groups)
         scale = theta[groups.codes]
+        root = np.sqrt(design.weights)
         X = design.matrix - scale[:, None] * groups.mean(design.matrix)[groups.codes]
         y = design.response - scale * groups.mean(design.response)[groups.codes]
+        X *= root[:, None]
+        y *= root
         n, k = X.shape
         beta = qr_solve(X, y, design.columns)
         resid_t = y - X @ beta
@@ -530,138 +515,54 @@ class RandomEffects(BaseEstimator):
             fitted=fitted,
             variance_components=components,
             flags=flags,
+            lag_column=design.lag_column,
         )
         self.coef_ = beta
         self.cov_ = cov
         return self
 
 
+ESTIMATORS = {"pooled": PooledOLS, "fixed": FixedEffects, "random": RandomEffects}
+
+
 class CrossSectionEGLS(BaseEstimator):
     """Two-step feasible GLS with per-entity variance weights.
 
-    Stage 1 fits the requested effects specification; stage 2 reweights every
-    row by the inverse estimated entity variance and refits, reporting the
-    covariance on the weighted problem.
+    Stage 1 fits the requested effects specification; stage 2 fits the same
+    estimator again with every row weighted by the inverse estimated variance
+    of its entity, so the covariance is the weighted problem's.  An entity
+    with fewer rows than stage-1 parameters, or a zero residual variance,
+    takes the pooled variance instead and is named in a flag.
     """
 
     def __init__(self, effects="fixed", covariance="white"):
         self.effects = effects
         self.covariance = covariance
 
-    def _stage1(self, design):
-        if self.effects == "fixed":
-            return FixedEffects(covariance=self.covariance).fit(design).result_
-        if self.effects == "random":
-            return RandomEffects(covariance=self.covariance).fit(design).result_
-        if self.effects == "pooled":
-            return PooledOLS(covariance=self.covariance).fit(design).result_
-        raise ValueError(f"unknown effects {self.effects!r}; expected one of {EFFECTS}")
-
     def fit(self, design):
-        stage1 = self._stage1(design)
+        if self.effects not in ESTIMATORS:
+            raise ValueError(f"unknown effects {self.effects!r}; expected one of {EFFECTS}")
+        estimator = ESTIMATORS[self.effects]
+        stage1 = estimator(covariance=self.covariance).fit(design).result_
         groups = _Groups(design.entities)
         resid = stage1.residuals
         flags = []
-        n_params = len(stage1.columns)
         sq = np.bincount(groups.codes, weights=resid**2, minlength=groups.n_groups)
         sigma2 = sq / groups.counts
         pooled = float(resid @ resid) / design.nobs
-        thin = groups.counts < max(n_params, 1)
-        degenerate = sigma2 <= 0
-        fallback = thin | degenerate
+        fallback = (groups.counts < max(len(stage1.columns), 1)) | (sigma2 <= 0)
         if fallback.any():
             sigma2[fallback] = pooled
             flags.append(
                 "pooled_variance_fallback:" + ",".join(groups.labels[fallback].astype(str))
             )
         weights = 1.0 / sigma2
-        row_scale = np.sqrt(weights[groups.codes])
-
-        if self.effects == "fixed":
-            # equal weights within an entity: demeaning and weighting commute
-            varying, invariant = _split_time_invariant(design, groups)
-            columns = [design.columns[j] for j in varying]
-            Xd = groups.demean(design.matrix[:, varying]) * row_scale[:, None]
-            yd = groups.demean(design.response) * row_scale
-            beta = qr_solve(Xd, yd, columns)
-            resid_w = yd - Xd @ beta
-            df_resid = design.nobs - len(columns) - groups.n_groups
-            cov = _covariance(Xd, resid_w, df_resid, self.covariance)
-            xbar = groups.mean(design.matrix[:, varying])
-            alpha = groups.mean(design.response) - xbar @ beta
-            fitted = alpha[groups.codes] + design.matrix[:, varying] @ beta
-            r2 = _r2_original(design.response, fitted)
-            adj = _adj_r2(r2, design.nobs, len(columns) + groups.n_groups)
-            result = FitResult(
-                method="fixed_egls",
-                columns=columns,
-                params=beta,
-                cov=cov,
-                nobs=design.nobs,
-                n_entities=groups.n_groups,
-                df_resid=df_resid,
-                r2=r2,
-                adj_r2=adj,
-                residuals=design.response - fitted,
-                fitted=fitted,
-                entity_effects=dict(zip(groups.labels.tolist(), alpha)),
-                intercept=float(alpha.mean()),
-                intercept_se=stage1.intercept_se,
-                absorbed=[design.columns[j] for j in invariant],
-                flags=flags + stage1.flags,
-            )
-        elif self.effects == "random":
-            components, theta, s1_flags = _swamy_arora(design, groups)
-            scale = theta[groups.codes]
-            X = design.matrix - scale[:, None] * groups.mean(design.matrix)[groups.codes]
-            y = design.response - scale * groups.mean(design.response)[groups.codes]
-            Xw = X * row_scale[:, None]
-            yw = y * row_scale
-            beta = qr_solve(Xw, yw, design.columns)
-            resid_w = yw - Xw @ beta
-            df_resid = design.nobs - len(design.columns)
-            cov = _covariance(Xw, resid_w, df_resid, self.covariance)
-            fitted = design.matrix @ beta
-            r2 = _r2_original(design.response, fitted)
-            result = FitResult(
-                method="random_egls",
-                columns=list(design.columns),
-                params=beta,
-                cov=cov,
-                nobs=design.nobs,
-                n_entities=groups.n_groups,
-                df_resid=df_resid,
-                r2=r2,
-                adj_r2=_adj_r2(r2, design.nobs, len(design.columns)),
-                residuals=design.response - fitted,
-                fitted=fitted,
-                variance_components=components,
-                flags=flags + s1_flags,
-            )
-        else:
-            Xw = design.matrix * row_scale[:, None]
-            yw = design.response * row_scale
-            beta = qr_solve(Xw, yw, design.columns)
-            resid_w = yw - Xw @ beta
-            df_resid = design.nobs - len(design.columns)
-            cov = _covariance(Xw, resid_w, df_resid, self.covariance)
-            fitted = design.matrix @ beta
-            r2 = _r2_original(design.response, fitted)
-            result = FitResult(
-                method="pooled_egls",
-                columns=list(design.columns),
-                params=beta,
-                cov=cov,
-                nobs=design.nobs,
-                n_entities=groups.n_groups,
-                df_resid=df_resid,
-                r2=r2,
-                adj_r2=_adj_r2(r2, design.nobs, len(design.columns)),
-                residuals=design.response - fitted,
-                fitted=fitted,
-                flags=flags,
-            )
+        weighted = replace(design, weights=weights[groups.codes])
+        result = estimator(covariance=self.covariance).fit(weighted).result_
+        result.method = f"{self.effects}_egls"
+        result.flags = flags + result.flags
         result.entity_weights = dict(zip(groups.labels.tolist(), weights))
+        result.intercept_se = stage1.intercept_se
         self.result_ = result
         self.coef_ = result.params
         self.cov_ = result.cov
@@ -698,28 +599,7 @@ class ModelSpec:
 def estimator_for(spec):
     if spec.weights == "cross_section_egls":
         return CrossSectionEGLS(effects=spec.effects, covariance=spec.covariance)
-    if spec.effects == "fixed":
-        return FixedEffects(covariance=spec.covariance)
-    if spec.effects == "random":
-        return RandomEffects(covariance=spec.covariance)
-    return PooledOLS(covariance=spec.covariance)
-
-
-def fit_model(design, spec):
-    """Fit one ModelSpec, adding the gap-aware response lag when dynamic."""
-    lag_name = None
-    if spec.dynamic:
-        before = set(_Groups(design.entities).labels.tolist())
-        design, lag_name, _ = with_response_lag(design)
-        if spec.effects == "fixed":
-            groups = _Groups(design.entities)
-            counts = dict(zip(groups.labels.tolist(), groups.counts.tolist()))
-            thin = sorted(label for label in before if counts.get(label, 0) < 2)
-            if thin:
-                raise ValueError(f"entities with < 2 usable rows after lagging: {thin}")
-    result = estimator_for(spec).fit(design).result_
-    result.lag_column = lag_name
-    return result
+    return ESTIMATORS[spec.effects](covariance=spec.covariance)
 
 
 # ---------------------------------------------------------------------------

@@ -91,12 +91,19 @@ def log1p_metric(raw):
     return out if out.ndim else float(out)
 
 
-def _gap_after_lag(dates):
-    """True at t when the previous row is not exactly one calendar day back."""
-    gap = np.ones(len(dates), dtype=bool)
-    if len(dates) > 1:
-        gap[1:] = np.diff(dates) != DAY
-    return gap
+def lagged(values, missing, dates):
+    """Gap-aware one-day lag of a daily series: ``(values, missing)`` where
+    row t holds row t-1's value.  The lag is missing on the first row, where
+    the previous row is not exactly one calendar day back, and where the
+    previous value is missing."""
+    n = len(values)
+    out = np.full(n, np.nan)
+    out_missing = np.ones(n, dtype=bool)
+    if n > 1:
+        ok = (np.diff(dates) == DAY) & ~missing[:-1]
+        out[1:][ok] = values[:-1][ok]
+        out_missing[1:][ok] = False
+    return out, out_missing
 
 
 def price_risk_series(entity, dates, high, low, close, missing):
@@ -111,15 +118,11 @@ def price_risk_series(entity, dates, high, low, close, missing):
 
 def log_return_series(entity, dates, close, missing_close):
     """Gap-aware one-day log return of the close price."""
-    n = len(dates)
-    miss = missing_close.copy()
-    miss |= np.concatenate(([True], missing_close[:-1]))
-    miss |= _gap_after_lag(dates)
-    values = np.full(n, np.nan)
+    prev, prev_missing = lagged(close, missing_close, dates)
+    miss = missing_close | prev_missing
+    values = np.full(len(dates), np.nan)
     ok = ~miss
-    if ok.any():
-        idx = np.flatnonzero(ok)
-        values[idx] = np.log(close[idx] / close[idx - 1])
+    values[ok] = np.log(close[ok] / prev[ok])
     return MetricSeries(entity, "log_return", dates, values, miss)
 
 
@@ -202,14 +205,11 @@ def size_change(entity, dates, mcap, missing_mcap):
     """Gap-aware one-day change in ln(market capitalization)."""
     if np.any(mcap[~missing_mcap] <= 0):
         raise ValueError(f"{entity}: mcap must be strictly positive where present")
-    n = len(dates)
-    miss = missing_mcap.copy()
-    miss |= np.concatenate(([True], missing_mcap[:-1]))
-    miss |= _gap_after_lag(dates)
-    values = np.full(n, np.nan)
-    idx = np.flatnonzero(~miss)
-    if idx.size:
-        values[idx] = np.log(mcap[idx]) - np.log(mcap[idx - 1])
+    prev, prev_missing = lagged(mcap, missing_mcap, dates)
+    miss = missing_mcap | prev_missing
+    values = np.full(len(dates), np.nan)
+    ok = ~miss
+    values[ok] = np.log(mcap[ok]) - np.log(prev[ok])
     return MetricSeries(entity, "size", dates, values, miss)
 
 

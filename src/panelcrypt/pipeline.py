@@ -22,6 +22,8 @@ from . import diagnostics as diag
 from . import metrics as mx
 from . import refdata
 from .estimators import (
+    COVARIANCES,
+    WEIGHTS,
     DesignMatrix,
     FixedEffects,
     ModelSpec,
@@ -96,6 +98,14 @@ class RunConfig:
                 raise ValueError(f"tau {tau} outside (0, 1)")
         if self.panel is None and (self.metrics_file is None or self.meta is None):
             raise ValueError("config needs either panel=, or metrics= plus meta=")
+        if self.weights not in WEIGHTS:
+            raise ValueError(f"weights must be one of {WEIGHTS}, got {self.weights!r}")
+        if self.covariance not in COVARIANCES:
+            raise ValueError(f"covariance must be one of {COVARIANCES}, got {self.covariance!r}")
+        try:
+            parse_date(self.split_date)
+        except PanelLoadError as exc:
+            raise ValueError(f"split_date: {exc}") from None
 
 
 _CONFIG_KEYS = {
@@ -104,7 +114,7 @@ _CONFIG_KEYS = {
     "meta": ("meta", str),
     "out": ("out", str),
     "seed": ("seed", int),
-    "split_date": ("split_date", str),
+    "split_date": ("split_date", "date"),
     "taus": ("taus", "floats"),
     "weights": ("weights", str),
     "covariance": ("covariance", str),
@@ -136,6 +146,12 @@ def parse_config(path):
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             attr, kind = _CONFIG_KEYS[key]
             if kind is str:
+                values[attr] = text
+            elif kind == "date":
+                try:
+                    parse_date(text)
+                except PanelLoadError as exc:
+                    raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
                 values[attr] = text
             elif kind is int:
                 values[attr] = int(text)
@@ -342,17 +358,6 @@ def _market_aligned(bundle, name, dates):
     return _aligned(bundle[MARKET_SYMBOL][name], dates)
 
 
-def _lagged(values, missing, dates):
-    n = len(values)
-    out = np.full(n, np.nan)
-    out_missing = np.ones(n, dtype=bool)
-    if n > 1:
-        ok = (np.diff(dates) == DAY) & ~missing[:-1]
-        out[1:][ok] = values[:-1][ok]
-        out_missing[1:][ok] = False
-    return out, out_missing
-
-
 def build_design(metas, bundle, spec, window=None, response="price_risk"):
     """Entity-day design matrix with interactions and gap-aware lags.
 
@@ -423,7 +428,7 @@ def build_design(metas, bundle, spec, window=None, response="price_risk"):
             right = values.get(b) or resolve(b)
             values[name] = (left[0] * right[0], left[1] | right[1])
         if lag_name:
-            values[lag_name] = _lagged(resp.values, resp.missing, dates)
+            values[lag_name] = mx.lagged(resp.values, resp.missing, dates)
 
         rows_in += int(keep_window.sum())
         complete = keep_window.copy()
@@ -510,10 +515,7 @@ class BaselineFragment:
 
 def _fit_one(metas, bundle, spec, window=None):
     design, ledger = build_design(metas, bundle, spec, window=window)
-    result = estimator_for(spec).fit(design).result_
-    if spec.dynamic:
-        result.lag_column = f"{design.response_name}_lag"
-    return result, ledger, design
+    return estimator_for(spec).fit(design).result_, ledger, design
 
 
 def run_baseline(metas, bundle, config, window=None):
@@ -597,7 +599,7 @@ class SplitFragment:
 
 def run_split(metas, bundle, config):
     """Re-run the baseline battery before and after the split date."""
-    split = np.datetime64(config.split_date, "D")
+    split = parse_date(config.split_date)
     all_dates = [s.dates for per in bundle.values() for s in per.values()]
     lo = min(d[0] for d in all_dates if len(d))
     hi = max(d[-1] for d in all_dates if len(d))
@@ -1116,15 +1118,36 @@ def _write_csv(path, header, rows):
             )
 
 
-def _coefficient_rows(label, fit):
+def _term_rows(fit):
+    rows = []
+    for name in fit.columns:
+        est, se = fit.coef(name), fit.se_of(name)
+        rows.append((name, est, se, stars(est, se)))
+    return rows
+
+
+def _coefficient_rows(fit):
+    """(term, estimate, se, stars) rows of a panel fit; a fixed-effects fit's
+    mean entity effect comes first as ``const``."""
     rows = []
     if fit.intercept is not None:
         se = fit.intercept_se if fit.intercept_se is not None else float("nan")
-        rows.append((label, "const", fit.intercept, se, stars(fit.intercept, se)))
-    for name in fit.columns:
-        est, se = fit.coef(name), fit.se_of(name)
-        rows.append((label, name, est, se, stars(est, se)))
-    return rows
+        rows.append(("const", fit.intercept, se, stars(fit.intercept, se)))
+    return rows + _term_rows(fit)
+
+
+def _quantile_rows(fit):
+    """(term, estimate, se, stars) rows and (statistic, value) rows of one
+    quantile fit."""
+    return _term_rows(fit), [
+        ("pseudo_r2", fit.pseudo_r2),
+        ("sparsity", fit.sparsity),
+        ("hall_sheather_bw", fit.hall_sheather_bw),
+        ("quantile_dependent", fit.quantile_dependent),
+        ("quasi_lr", fit.quasi_lr_stat),
+        ("quasi_lr_p", fit.quasi_lr_pvalue),
+        ("nobs", float(fit.nobs)),
+    ]
 
 
 def _fitstat_rows(label, fit, test=None):
@@ -1295,7 +1318,7 @@ def run_report(config):
         coefficient_rows, fitstat_rows = [], []
         for job in BASELINE_JOBS:
             fit = baseline.fits[job]
-            coefficient_rows += _coefficient_rows(job, fit)
+            coefficient_rows += [(job,) + row for row in _coefficient_rows(fit)]
             test = baseline.hausman["static" if job.startswith("static") else "dynamic"]
             fitstat_rows += _fitstat_rows(job, fit, test)
         for job, per_column in sorted(baseline.long_run.items()):
@@ -1326,20 +1349,10 @@ def run_report(config):
         quantiles = run_quantiles(metas, bundle, config)
         rows, fitstats, path_rows = [], [], []
         for tau in sorted(quantiles.fits):
-            fit = quantiles.fits[tau]
-            for name in fit.columns:
-                est, se = fit.coef(name), fit.se_of(name)
-                rows.append((float(tau), name, est, se, stars(est, se)))
-                path_rows.append((float(tau), name, est, se))
-            fitstats += [
-                (float(tau), "pseudo_r2", fit.pseudo_r2),
-                (float(tau), "sparsity", fit.sparsity),
-                (float(tau), "hall_sheather_bw", fit.hall_sheather_bw),
-                (float(tau), "quantile_dependent", fit.quantile_dependent),
-                (float(tau), "quasi_lr", fit.quasi_lr_stat),
-                (float(tau), "quasi_lr_p", fit.quasi_lr_pvalue),
-                (float(tau), "nobs", float(fit.nobs)),
-            ]
+            terms, stats = _quantile_rows(quantiles.fits[tau])
+            rows += [(float(tau),) + row for row in terms]
+            path_rows += [(float(tau),) + row[:3] for row in terms]
+            fitstats += [(float(tau),) + row for row in stats]
         _write_csv(
             os.path.join(tables, "quantile_coefficients.csv"),
             ("tau", "term", "estimate", "se", "stars"),
@@ -1370,8 +1383,7 @@ def run_report(config):
         for period, fragment in (("pre", split.pre), ("post", split.post)):
             for job in BASELINE_JOBS:
                 fit = fragment.fits[job]
-                for row in _coefficient_rows(job, fit):
-                    rows.append((period,) + row)
+                rows += [(period, job) + row for row in _coefficient_rows(fit)]
                 test = fragment.hausman["static" if job.startswith("static") else "dynamic"]
                 for row in _fitstat_rows(job, fit, test):
                     fitstats.append((period,) + row)

@@ -2,6 +2,8 @@
 efficiency, Hausman arithmetic and the chi-square tail."""
 
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,13 +18,13 @@ from panelcrypt.estimators import (
     RandomEffects,
     _Groups,
     chi2_survival,
-    fit_model,
+    estimator_for,
     hausman,
-    lagged_response,
     long_run_effect,
     white_cov,
-    with_response_lag,
 )
+from panelcrypt.metrics import MetricSeries
+from panelcrypt.pipeline import build_design
 
 
 def make_design(y, X, columns, entities, dates=None):
@@ -140,6 +142,60 @@ class TestPooledOLS:
         assert fit.se == pytest.approx(np.sqrt(np.diag(fit.cov)), rel=1e-12)
         eigenvalues = np.linalg.eigvalsh(fit.cov)
         assert eigenvalues.min() > -1e-12
+
+
+class TestRowWeights:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite, positive"):
+            DesignMatrix(response=[1.0, 2.0, 3.0], matrix=[[0.1], [0.2], [0.4]],
+                         columns=["x"], entities=["A", "A", "A"], weights=[1.0, bad, 1.0])
+
+    def test_pooled_is_weighted_least_squares(self):
+        rng = np.random.default_rng(34)
+        X = np.column_stack([np.ones(60), rng.normal(size=(60, 2))])
+        y = X @ np.array([0.2, 1.0, -0.5]) + rng.normal(size=60)
+        w = rng.uniform(0.2, 5.0, size=60)
+        design = replace(make_design(y, X, ["const", "a", "b"], ["A"] * 60), weights=w)
+        fit = PooledOLS(covariance="classical").fit(design).result_
+        root = np.sqrt(w)
+        oracle, *_ = np.linalg.lstsq(X * root[:, None], y * root, rcond=None)
+        assert fit.params == pytest.approx(oracle, abs=1e-10)
+        assert fit.residuals == pytest.approx(y - X @ oracle, abs=1e-10)
+
+    def test_fixed_equals_weighted_lsdv(self):
+        rng = np.random.default_rng(35)
+        design, _ = random_panel(rng, 5, 12, beta=np.array([0.8, -0.3]), unbalanced=True)
+        labels, codes = np.unique(design.entities, return_inverse=True)
+        w = rng.uniform(0.2, 5.0, size=len(labels))[codes]
+        fit = FixedEffects().fit(replace(design, weights=w)).result_
+        root = np.sqrt(w)
+        dummies = np.zeros((design.nobs, len(labels)))
+        dummies[np.arange(design.nobs), codes] = 1.0
+        full = np.column_stack([design.matrix, dummies]) * root[:, None]
+        coef, *_ = np.linalg.lstsq(full, design.response * root, rcond=None)
+        assert fit.params == pytest.approx(coef[:2], abs=1e-8)
+
+    @pytest.mark.parametrize("cls", [PooledOLS, FixedEffects, RandomEffects])
+    def test_constant_weights_change_no_estimate(self, cls):
+        rng = np.random.default_rng(37)
+        design, _ = random_panel(rng, 5, 20, beta=np.array([0.4, 0.9]), unbalanced=True)
+        if cls is not FixedEffects:
+            design = TestCrossSectionEGLS.with_const(design)
+        plain = cls().fit(design).result_
+        scaled = cls().fit(replace(design, weights=np.full(design.nobs, 4.0))).result_
+        assert scaled.params == pytest.approx(plain.params, rel=1e-10)
+        assert scaled.cov == pytest.approx(plain.cov, rel=1e-10)
+        if cls is FixedEffects:
+            assert scaled.intercept_se == pytest.approx(plain.intercept_se, rel=1e-10)
+
+    def test_fixed_refuses_weights_varying_within_entity(self):
+        rng = np.random.default_rng(36)
+        design, _ = random_panel(rng, 3, 6, beta=np.array([0.5]))
+        w = np.ones(design.nobs)
+        w[4] = 2.0
+        with pytest.raises(ValueError, match="constant within each entity"):
+            FixedEffects().fit(replace(design, weights=w))
 
 
 class TestWhiteCovariance:
@@ -385,11 +441,84 @@ class TestCrossSectionEGLS:
         assert any("pooled_variance_fallback" in flag for flag in egls.flags)
         assert "THIN" in [f for f in egls.flags if "fallback" in f][0]
 
+    @staticmethod
+    def with_const(design):
+        X = np.column_stack([np.ones(design.nobs), design.matrix])
+        return make_design(design.response, X, ["const"] + design.columns,
+                           design.entities, design.dates)
+
+    @staticmethod
+    def hand_two_step(design, stage1, transform):
+        """Second step by hand: sigma_i^2 from the stage-1 residuals, every
+        transformed row scaled by 1/sigma_i, then least squares and White."""
+        labels, codes = np.unique(design.entities, return_inverse=True)
+        resid = stage1.residuals
+        sigma2 = np.bincount(codes, weights=resid**2) / np.bincount(codes)
+        scale = np.sqrt(1.0 / sigma2)[codes]
+        X, y = transform(design, labels, codes)
+        Xw, yw = X * scale[:, None], y * scale
+        beta, *_ = np.linalg.lstsq(Xw, yw, rcond=None)
+        return beta, white_cov(Xw, yw - Xw @ beta)
+
+    def test_random_matches_hand_built_two_step(self):
+        rng = np.random.default_rng(31)
+        design, _ = random_panel(rng, 7, 40, beta=np.array([0.6, -0.4]), sigma_alpha=0.8,
+                                 unbalanced=True)
+        design = self.with_const(design)
+        stage1 = RandomEffects().fit(design).result_
+
+        def quasi_demean(design, labels, codes):
+            theta = np.array([stage1.variance_components.theta[l] for l in labels])[codes]
+            xbar = np.vstack([design.matrix[codes == j].mean(axis=0)
+                              for j in range(len(labels))])[codes]
+            ybar = np.array([design.response[codes == j].mean()
+                             for j in range(len(labels))])[codes]
+            return design.matrix - theta[:, None] * xbar, design.response - theta * ybar
+
+        beta, cov = self.hand_two_step(design, stage1, quasi_demean)
+        egls = CrossSectionEGLS(effects="random").fit(design).result_
+        assert egls.method == "random_egls"
+        assert egls.params == pytest.approx(beta, rel=1e-9, abs=1e-12)
+        assert egls.cov == pytest.approx(cov, rel=1e-8, abs=1e-15)
+
+    def test_pooled_matches_hand_built_two_step(self):
+        rng = np.random.default_rng(32)
+        design, _ = random_panel(rng, 5, 50, beta=np.array([0.3, 1.1]), unbalanced=True)
+        design = self.with_const(design)
+        stage1 = PooledOLS().fit(design).result_
+        beta, cov = self.hand_two_step(
+            design, stage1, lambda design, labels, codes: (design.matrix, design.response)
+        )
+        egls = CrossSectionEGLS(effects="pooled").fit(design).result_
+        assert egls.method == "pooled_egls"
+        assert egls.params == pytest.approx(beta, rel=1e-9, abs=1e-12)
+        assert egls.cov == pytest.approx(cov, rel=1e-8, abs=1e-15)
+
+    @pytest.mark.parametrize("effects", ["pooled", "fixed", "random"])
+    def test_equals_estimator_on_inverse_variance_weights(self, effects):
+        rng = np.random.default_rng(33)
+        design, _ = random_panel(rng, 6, 30, beta=np.array([0.5, -0.2]), unbalanced=True)
+        if effects != "fixed":
+            design = self.with_const(design)
+        egls = CrossSectionEGLS(effects=effects).fit(design).result_
+        weights = np.array([egls.entity_weights[e] for e in design.entities])
+        plain = estimator_for(ModelSpec(effects=effects)).fit(
+            replace(design, weights=weights)
+        ).result_
+        assert egls.columns == plain.columns
+        assert np.array_equal(egls.params, plain.params)
+        assert np.array_equal(egls.cov, plain.cov)
+        assert np.array_equal(egls.residuals, plain.residuals)
+
 
 class TestDynamic:
-    def ar1_panel(self, rng, n_entities, t, phi, beta=0.5):
-        start = np.datetime64("2021-01-01", "D")
-        rows_y, rows_x, ents, dates = [], [], [], []
+    """Dynamic fits on the report's path: ``build_design`` with
+    ``dynamic=True`` adds the gap-aware response lag, then the estimator."""
+
+    def ar1_inputs(self, rng, n_entities, t, phi, beta=0.5):
+        dates = np.datetime64("2021-01-01", "D") + np.arange(t)
+        present = np.zeros(t, dtype=bool)
+        metas, bundle = [], {}
         for i in range(n_entities):
             alpha = rng.normal(0, 0.3)
             x = rng.normal(size=t)
@@ -397,59 +526,40 @@ class TestDynamic:
             y[0] = alpha + beta * x[0] + rng.normal()
             for s in range(1, t):
                 y[s] = alpha + phi * y[s - 1] + beta * x[s] + rng.normal()
-            rows_y.append(y)
-            rows_x.append(x[:, None])
-            ents.append(np.full(t, f"E{i:02d}", dtype=object))
-            dates.append(start + np.arange(t))
-        return make_design(np.concatenate(rows_y), np.vstack(rows_x), ["x"],
-                           np.concatenate(ents), np.concatenate(dates))
+            symbol = f"E{i:02d}"
+            metas.append(SimpleNamespace(symbol=symbol, hyfi=False))
+            bundle[symbol] = {
+                "price_risk": MetricSeries(symbol, "price_risk", dates, y, present.copy()),
+                "x": MetricSeries(symbol, "x", dates, x, present.copy()),
+            }
+        return metas, bundle
 
-    def test_lag_is_gap_aware(self):
-        dates = np.array(["2021-01-01", "2021-01-02", "2021-01-04", "2021-01-05"],
-                         dtype="datetime64[D]")
-        design = make_design([1.0, 2.0, 3.0, 4.0], [[0.0]] * 4, ["x"], ["A"] * 4, dates)
-        values, missing = lagged_response(design)
-        assert missing.tolist() == [True, False, True, False]
-        assert values[1] == 1.0 and values[3] == 3.0
-
-    def test_lag_row_dropped_at_gap(self):
-        dates = np.array(["2021-01-01", "2021-01-02", "2021-01-04", "2021-01-05"],
-                         dtype="datetime64[D]")
-        design = make_design([1.0, 2.0, 3.0, 4.0], [[0.1], [0.2], [0.3], [0.4]],
-                             ["x"], ["A"] * 4, dates)
-        lagged, name, dropped = with_response_lag(design)
-        assert name == "y_lag"
-        assert dropped == 2            # first row and the gap row
-        assert lagged.nobs == 2
+    def fit(self, metas, bundle, dynamic):
+        spec = ModelSpec(effects="fixed", dynamic=dynamic, regressors=["x"])
+        design, _ = build_design(metas, bundle, spec)
+        return estimator_for(spec).fit(design).result_
 
     def test_phi_recovery(self):
         rng = np.random.default_rng(22)
         reps = 20
         estimates = np.empty(reps)
         for r in range(reps):
-            design = self.ar1_panel(rng, 18, 500, phi=0.3)
-            spec = ModelSpec(effects="fixed", dynamic=True, regressors=["x"])
-            fit = fit_model(design, spec)
+            metas, bundle = self.ar1_inputs(rng, 18, 500, phi=0.3)
+            fit = self.fit(metas, bundle, dynamic=True)
+            assert fit.lag_column == "price_risk_lag"
             estimates[r] = fit.phi
         mc_se = estimates.std(ddof=1) / math.sqrt(reps)
         assert abs(estimates.mean() - 0.3) < 3 * mc_se + 1e-9
 
     def test_zero_phi_matches_static(self):
         rng = np.random.default_rng(23)
-        design = self.ar1_panel(rng, 10, 400, phi=0.0)
-        static = FixedEffects().fit(design).result_
-        dynamic = fit_model(design, ModelSpec(effects="fixed", dynamic=True,
-                                              regressors=["x"]))
+        metas, bundle = self.ar1_inputs(rng, 10, 400, phi=0.0)
+        static = self.fit(metas, bundle, dynamic=False)
+        dynamic = self.fit(metas, bundle, dynamic=True)
+        assert static.lag_column is None and static.phi is None
+        assert dynamic.nobs == static.nobs - len(metas)
         assert dynamic.coef("x") == pytest.approx(static.coef("x"), abs=0.02)
-        assert abs(dynamic.phi) < 3 * dynamic.se_of("y_lag") + 0.02
-
-    def test_entity_too_short_after_lag(self):
-        dates = np.array(["2021-01-01", "2021-01-02", "2021-01-03", "2021-02-01"],
-                         dtype="datetime64[D]")
-        design = make_design([1.0, 2.0, 3.0, 4.0], [[0.1], [0.2], [0.3], [0.4]],
-                             ["x"], ["A", "A", "A", "B"], dates)
-        with pytest.raises(ValueError, match="usable rows"):
-            fit_model(design, ModelSpec(effects="fixed", dynamic=True, regressors=["x"]))
+        assert abs(dynamic.phi) < 3 * dynamic.se_of("price_risk_lag") + 0.02
 
 
 class TestHausman:

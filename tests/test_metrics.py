@@ -172,6 +172,35 @@ class TestRealizedVolatility:
             mx.realized_volatility(dates, np.full(10, 1.0), window=30)
 
 
+class TestLagged:
+    """The one gap-aware lag, shared by returns, size and the dynamic fits."""
+
+    dates = np.array(["2021-01-01", "2021-01-02", "2021-01-03", "2021-01-05", "2021-01-06"],
+                     dtype="datetime64[D]")
+
+    def test_first_row_gap_and_missing_predecessor(self):
+        values = np.array([1.0, 2.0, np.nan, 4.0, 5.0])
+        missing = np.array([False, False, True, False, False])
+        lag, lag_missing = mx.lagged(values, missing, self.dates)
+        # row 0: no predecessor; row 3: two days after row 2 (and row 2 is
+        # missing); row 2's predecessor is present; row 4 follows row 3
+        assert lag_missing.tolist() == [True, False, False, True, False]
+        assert lag[1] == 1.0 and lag[2] == 2.0 and lag[4] == 4.0
+        assert np.isnan(lag[lag_missing]).all()
+
+    def test_missing_predecessor_on_consecutive_days(self):
+        dates = np.datetime64("2021-01-01", "D") + np.arange(4)
+        values = np.array([1.0, 2.0, 3.0, 4.0])
+        missing = np.array([False, True, False, False])
+        _lag, lag_missing = mx.lagged(values, missing, dates)
+        assert lag_missing.tolist() == [True, False, True, False]
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_short_is_all_missing(self, n):
+        lag, lag_missing = mx.lagged(np.ones(n), np.zeros(n, dtype=bool), self.dates[:n])
+        assert lag_missing.tolist() == [True] * n and np.isnan(lag).all()
+
+
 class TestSizeChange:
     def test_constant_mcap(self):
         dates = np.datetime64("2021-01-01", "D") + np.arange(3)

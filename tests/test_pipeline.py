@@ -641,3 +641,31 @@ class TestReport:
     def test_config_requires_inputs(self):
         with pytest.raises(ValueError, match="needs either"):
             RunConfig(out="x")
+
+    @pytest.mark.parametrize("text", ["today", "2020", "2020-13-01", "NaT", "2020-04-01T00:00"])
+    def test_config_split_date_checked_at_its_line(self, tmp_path, text):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"metrics = m.csv\nmeta = m.csv\nsplit_date = {text}\n")
+        with pytest.raises(ValueError, match=r"bad\.cfg:3: split_date: unparseable date"):
+            parse_config(bad)
+        with pytest.raises(ValueError, match="split_date"):
+            RunConfig(metrics_file="m.csv", meta="m.csv", split_date=text)
+
+    @pytest.mark.parametrize("key, value", [("weights", "bogus"), ("covariance", "hc3")])
+    def test_config_rejects_unknown_choice_at_parse_time(self, tmp_path, key, value):
+        # rejected even when no battery that reads the key would run
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("metrics = m.csv\nmeta = m.csv\nwith_baseline = false\n"
+                       f"with_split = false\n{key} = {value}\n")
+        with pytest.raises(ValueError, match=f"{key} must be one of"):
+            parse_config(bad)
+
+    def test_dotted_split_date_splits_on_the_same_day(self):
+        sim = simulate_dgp(small_params(n_entities=3, n_periods=120), seed=52)
+        fragments = [
+            run_split(sim.metas, sim.bundle,
+                      RunConfig(metrics_file="m.csv", meta="m.csv", split_date=text))
+            for text in ("2020-03-01", "1.3.2020")
+        ]
+        assert fragments[0].split_date == fragments[1].split_date == "2020-03-01"
+        assert fragments[0].attenuation == fragments[1].attenuation
