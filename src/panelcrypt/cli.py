@@ -18,7 +18,7 @@ from . import __version__
 from . import decentralization as dec
 from . import pipeline
 from .base import ConvergenceError
-from .estimators import ModelSpec, estimator_for
+from .estimators import COVARIANCES, EFFECTS, WEIGHTS, ModelSpec, estimator_for
 from .metrics import compute_all_metrics
 from .panel import load_panel, load_panel_csv, read_meta_csv, write_panel_csv
 from .pipeline import (
@@ -93,8 +93,14 @@ def _cmd_decentralization(args):
     return 0
 
 
-_MODEL_SPEC_KEYS = ("effects", "weights", "dynamic", "covariance",
-                    "regressors", "interactions")
+_MODEL_SPEC_KEYS = {
+    "effects": EFFECTS,
+    "weights": WEIGHTS,
+    "dynamic": "bool",
+    "covariance": COVARIANCES,
+    "regressors": str,
+    "interactions": str,
+}
 
 
 def _parse_model_spec(path):
@@ -108,7 +114,9 @@ def _parse_model_spec(path):
             key = key.strip()
             if key not in _MODEL_SPEC_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown model spec key {key!r}")
-            keys[key] = text.strip()
+            keys[key] = pipeline.parse_setting(
+                text.strip(), _MODEL_SPEC_KEYS[key], f"{path}:{lineno}", key
+            )
     regressors = [t.strip() for t in keys.get("regressors", ",".join(CONTROLS)).split(",") if t.strip()]
     interactions = []
     for token in keys.get("interactions", "").split(","):
@@ -120,7 +128,7 @@ def _parse_model_spec(path):
     return ModelSpec(
         effects=keys.get("effects", "random"),
         weights=keys.get("weights", "none"),
-        dynamic=keys.get("dynamic", "false").lower() in ("true", "1", "yes"),
+        dynamic=keys.get("dynamic", False),
         covariance=keys.get("covariance", "white"),
         regressors=regressors,
         interactions=interactions,
@@ -249,14 +257,11 @@ def _parse_synth_params(path):
                 continue
             key, _, text = line.partition("=")
             key, text = key.strip(), text.strip()
+            where = f"{path}:{lineno}"
             if key.startswith("beta_"):
-                beta[key[len("beta_"):]] = float(text)
+                beta[key[len("beta_"):]] = pipeline.parse_setting(text, float, where, key)
             elif key in _SYNTH_KEYS:
-                kind = _SYNTH_KEYS[key]
-                if kind == "bool":
-                    values[key] = text.lower() in ("true", "1", "yes")
-                else:
-                    values[key] = kind(text)
+                values[key] = pipeline.parse_setting(text, _SYNTH_KEYS[key], where, key)
             else:
                 raise SystemExit(f"{path}:{lineno}: unknown parameter {key!r}")
     if beta:

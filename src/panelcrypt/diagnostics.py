@@ -1,12 +1,23 @@
 """Unit-root tests, cross-sectional dependence tests, descriptive moments
-and pairwise-complete correlation matrices for the unbalanced panel."""
+and pairwise-complete correlation matrices for the unbalanced panel.
+
+Two kernels carry the work.  Every (C)ADF regression comes from an in-order
+Gram-Schmidt QR (``_inorder_qr``): its columns are orthogonalised in order
+and a column collinear with those kept before it is dropped, so the AIC lag
+candidates, which are column prefixes of the longest one, all read their SSR
+off one factorisation.  Every pairwise correlation comes from Gram products
+of the row-centred, zero-filled data and its finiteness mask
+(``_pairwise_correlations``), with no loop over pairs.
+"""
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import linalg as sla
 from scipy.special import ndtr
 
 from .estimators import chi2_survival
@@ -153,32 +164,89 @@ class DescribeRow:
     flags: list = field(default_factory=list)
 
 
-def _ols_tstat(X, y, coef_index):
-    """Classical OLS t-ratio for one coefficient, plus fit diagnostics."""
-    n, k = X.shape
-    XtX = X.T @ X
-    beta = np.linalg.solve(XtX, X.T @ y)
-    resid = y - X @ beta
-    ssr = float(resid @ resid)
-    sigma2 = ssr / (n - k)
-    var = sigma2 * np.linalg.inv(XtX)[coef_index, coef_index]
-    return beta[coef_index] / math.sqrt(var), ssr, n, k
+def _orthogonalise(basis, v):
+    """Residual of ``v`` on the orthonormal ``basis`` and its coefficients,
+    with one reorthogonalisation pass (classical Gram-Schmidt twice)."""
+    coef = basis.T @ v
+    r = v - basis @ coef
+    extra = basis.T @ r
+    return r - basis @ extra, coef + extra
+
+
+def _inorder_qr(columns, response, tol=1e-8):
+    """Gram-Schmidt QR of ``columns`` in column order, dropping collinear ones.
+
+    A column is kept when its residual on the columns kept before it exceeds
+    ``tol * max(|col|, 1)``; a later column that fails is dropped, while the
+    first two (constant and lagged level) must pass, else ``ValueError``.
+    ``ValueError`` is also raised when the kept columns leave no residual
+    degrees of freedom.  Returns the triangular factor R of the kept
+    columns, their indices, the response's coordinates z on the kept basis
+    and its squared residual.  The fit on the kept columns among the first m
+    therefore has SSR ``ssr + |z[k_m:]|^2``, k_m being how many they are.
+    """
+    n = len(response)
+    Q = np.empty((n, len(columns)))
+    R = np.zeros((len(columns), len(columns)))
+    kept = []
+    for j, col in enumerate(columns):
+        k = len(kept)
+        v, coef = _orthogonalise(Q[:, :k], col)
+        norm = math.sqrt(float(v @ v))
+        if norm > tol * max(math.sqrt(float(col @ col)), 1.0):
+            Q[:, k] = v / norm
+            R[:k, k] = coef
+            R[k, k] = norm
+            kept.append(j)
+        elif j < 2:
+            raise ValueError("the lagged level is constant on the sample")
+    k = len(kept)
+    if k >= n:
+        raise ValueError(f"no residual degrees of freedom ({n} rows, {k} regressors)")
+    resid, z = _orthogonalise(Q[:, :k], response)
+    return R[:k, :k], kept, z, float(resid @ resid)
 
 
 def _aic(ssr, nobs, n_params):
     return nobs * math.log(ssr / nobs) + 2.0 * n_params
 
 
-def _adf_design(y, p):
-    """Rows for the Dickey-Fuller regression with ``p`` lagged differences."""
-    dy = np.diff(y)
-    t = len(dy)
-    rows = np.arange(p, t)
-    cols = [np.ones(len(rows)), y[rows]]           # constant, y_{t-1}
+def _df_columns(rows, current, lagged, p):
+    """Constant, each of ``current`` on ``rows``, then each of ``lagged`` at
+    lags 1..p (lag by lag)."""
+    cols = [np.ones(len(rows))] + [s[rows] for s in current]
     for j in range(1, p + 1):
-        cols.append(dy[rows - j])
-    X = np.column_stack(cols)
-    return X, dy[rows]
+        cols += [s[rows - j] for s in lagged]
+    return cols
+
+
+def _df_regression(dy, current, lagged, max_lag):
+    """Dickey-Fuller-type t-ratio on ``current[0]`` with AIC-selected lags.
+
+    Every candidate p = 0..max_lag is fitted on the common rows
+    ``max_lag..t-1``; its columns are a prefix of the p = max_lag columns, so
+    one in-order QR gives all their SSRs.  A second in-order QR on rows
+    ``p..t-1`` at the chosen p gives the t-ratio, its variance from R^-1.
+    Returns (statistic, p, nobs).
+    """
+    t = len(dy)
+    rows = np.arange(max_lag, t)
+    _, kept, z, ssr = _inorder_qr(_df_columns(rows, current, lagged, max_lag), dy[rows])
+    best_p, best_aic = 0, np.inf
+    for p in range(0, max_lag + 1):
+        k = bisect_left(kept, 1 + len(current) + len(lagged) * p)
+        aic = _aic(ssr + float(z[k:] @ z[k:]), len(rows), k)
+        if aic < best_aic - 1e-12:
+            best_aic, best_p = aic, p
+
+    rows = np.arange(best_p, t)
+    R, kept, z, ssr = _inorder_qr(_df_columns(rows, current, lagged, best_p), dy[rows])
+    n, k = len(rows), len(kept)
+    # row 1 of R^-1: the lagged level's coefficient is w @ z, its variance
+    # sigma^2 |w|^2
+    w = sla.solve_triangular(R, np.eye(k)[1], trans="T")
+    stat = float(w @ z) / math.sqrt(ssr / (n - k) * float(w @ w))
+    return stat, best_p, n
 
 
 def adf(series, max_lag=4, deterministic="constant"):
@@ -186,7 +254,8 @@ def adf(series, max_lag=4, deterministic="constant"):
 
     The statistic is the t-ratio on the lagged level in
     Dy_t = a + rho y_{t-1} + sum_j phi_j Dy_{t-j} + e_t; stars use the
-    MacKinnon (2010) response-surface critical values.
+    MacKinnon (2010) response-surface critical values.  The fits come from
+    the same in-order QR as the CADF regressions.
     """
     if deterministic != "constant":
         raise ValueError("only the constant deterministic case is supported")
@@ -197,26 +266,12 @@ def adf(series, max_lag=4, deterministic="constant"):
     if np.ptp(y) == 0.0:
         raise ValueError("zero-variance series")
 
-    best_p, best_aic = 0, np.inf
-    for p in range(0, max_lag + 1):
-        # selection on the common sample implied by max_lag
-        dy = np.diff(y)
-        rows = np.arange(max_lag, len(dy))
-        cols = [np.ones(len(rows)), y[rows]]
-        for j in range(1, p + 1):
-            cols.append(dy[rows - j])
-        X = np.column_stack(cols)
-        _, ssr, n, k = _ols_tstat(X, dy[rows], 1)
-        aic = _aic(ssr, n, k)
-        if aic < best_aic - 1e-12:
-            best_aic, best_p = aic, p
-
-    X, target = _adf_design(y, best_p)
-    stat, _, nobs, _ = _ols_tstat(X, target, 1)
+    dy = np.diff(y)
+    stat, best_p, nobs = _df_regression(dy, [y], [dy], max_lag)
     cv = _adf_critical_values(nobs)
     return UnitRootResult(
         test="adf",
-        statistic=float(stat),
+        statistic=stat,
         lags=best_p,
         deterministic="constant",
         nobs=nobs,
@@ -225,49 +280,11 @@ def adf(series, max_lag=4, deterministic="constant"):
     )
 
 
-def _drop_collinear(columns, protected=2, tol=1e-8):
-    """Keep a maximal independent column subset, preserving the first
-    ``protected`` columns (constant and the lagged level)."""
-    kept = list(columns[:protected])
-    for col in columns[protected:]:
-        basis = np.column_stack(kept)
-        coef, *_ = np.linalg.lstsq(basis, col, rcond=None)
-        resid = col - basis @ coef
-        if np.linalg.norm(resid) > tol * max(np.linalg.norm(col), 1.0):
-            kept.append(col)
-    return kept
-
-
 def _cadf_stat(y, ybar_lag, dybar, max_lag):
-    """CADF t-statistic for one entity with AIC-selected augmentation.
-
-    Cross-section-average columns that are collinear with the entity's own
-    regressors (for example when every entity carries the same series) are
-    dropped, which reduces the regression to the plain ADF form.
-    """
+    """CADF t-statistic for one entity with AIC-selected augmentation, on
+    the columns listed in ``cips``.  Returns (statistic, p, nobs)."""
     dy = np.diff(y)
-    t = len(dy)
-    best_p, best_aic = 0, np.inf
-    rows_sel = np.arange(max_lag, t)
-    for p in range(0, max_lag + 1):
-        cols = [np.ones(len(rows_sel)), y[rows_sel], ybar_lag[rows_sel], dybar[rows_sel]]
-        for j in range(1, p + 1):
-            cols.append(dybar[rows_sel - j])
-            cols.append(dy[rows_sel - j])
-        X = np.column_stack(_drop_collinear(cols))
-        _, ssr, n, k = _ols_tstat(X, dy[rows_sel], 1)
-        aic = _aic(ssr, n, k)
-        if aic < best_aic - 1e-12:
-            best_aic, best_p = aic, p
-
-    rows = np.arange(best_p, t)
-    cols = [np.ones(len(rows)), y[rows], ybar_lag[rows], dybar[rows]]
-    for j in range(1, best_p + 1):
-        cols.append(dybar[rows - j])
-        cols.append(dy[rows - j])
-    X = np.column_stack(_drop_collinear(cols))
-    stat, _, nobs, _ = _ols_tstat(X, dy[rows], 1)
-    return float(stat), best_p, nobs
+    return _df_regression(dy, [y, ybar_lag, dybar], [dybar, dy], max_lag)
 
 
 def truncate_cadf(statistic, lower=CADF_LOWER, upper=CADF_UPPER):
@@ -281,6 +298,14 @@ def cips(panel_values, max_lag=4, deterministic="constant", entity_labels=None):
     NaN marking missing observations; cross-section averages use whatever
     entities are present at each date.  The truncated variant clips each
     CADF statistic to [-6.19, 2.61] before averaging.
+
+    Each entity's CADF regression has the columns constant, y_{t-1},
+    ybar_{t-1}, Dybar_t, then Dybar_{t-j}, Dy_{t-j} for j = 1..p.  One
+    in-order QR of the p = max_lag design on the common rows gives the SSR
+    of every p for the AIC choice; a column collinear with the columns before
+    it is dropped in that order (tolerance 1e-8 relative to the column's
+    norm, or absolute below norm 1).  A second in-order QR at the chosen p
+    gives the t-ratio, its variance from R^-1.
     """
     if deterministic != "constant":
         raise ValueError("only the constant deterministic case is supported")
@@ -303,19 +328,18 @@ def cips(panel_values, max_lag=4, deterministic="constant", entity_labels=None):
             raise ValueError(
                 f"entity {labels[i]}: too few observations ({idx.size}) for the CADF regression"
             )
-        if not np.all(np.diff(idx) == 1):
-            first, last = idx[0], idx[-1]
-            if np.isfinite(y[first:last + 1]).all():
-                idx = np.arange(first, last + 1)
-            else:
-                raise ValueError(f"entity {labels[i]}: interior gaps are not supported")
+        if idx[-1] - idx[0] + 1 != idx.size:
+            raise ValueError(f"entity {labels[i]}: interior gaps are not supported")
         seg = y[idx]
         ybar_seg = ybar[idx]
         if not np.isfinite(ybar_seg).all():
             raise ValueError("cross-section average undefined on part of the sample")
         ybar_lag = ybar_seg[:-1]
         dybar = np.diff(ybar_seg)
-        stat, p, nobs = _cadf_stat(seg, ybar_lag, dybar, max_lag)
+        try:
+            stat, p, nobs = _cadf_stat(seg, ybar_lag, dybar, max_lag)
+        except ValueError as exc:
+            raise ValueError(f"entity {labels[i]}: {exc}") from None
         stats[labels[i]] = stat
         lags[labels[i]] = p
         truncated[labels[i]] = truncate_cadf(stat)
@@ -338,11 +362,54 @@ def cips(panel_values, max_lag=4, deterministic="constant", entity_labels=None):
     )
 
 
+def _pairwise_correlations(data):
+    """Pairwise-complete Pearson correlations of every row pair i < j.
+
+    Each row is centred on the mean of its finite values first, so that
+    series with a large mean do not cancel.  With a 0/1 finiteness mask M
+    and the zero-filled centred rows X, the products M M^T, X M^T,
+    (X*X) M^T and X X^T give every pair's overlap count, sums, sums of
+    squares and cross sums, hence its overlap-centred moments.  A pair whose
+    overlap variance on either side is within rounding of zero (at most
+    4 n eps times its sum of squares) is marked degenerate.
+
+    Returns (i, j, counts, rho, degenerate) over the pairs in row-major
+    i < j order; rho is 0 where the pair has fewer than 3 overlapping
+    observations or is degenerate.
+    """
+    ok = np.isfinite(data)
+    mask = ok.astype(float)
+    x = np.where(ok, data, 0.0)
+    x -= x.sum(axis=1, keepdims=True) / np.maximum(ok.sum(axis=1, keepdims=True), 1)
+    x[~ok] = 0.0
+    counts = mask @ mask.T
+    sums = x @ mask.T                      # sums[i, j]: row i over its overlap with j
+    squares = (x * x) @ mask.T
+    n = np.maximum(counts, 1.0)
+    var = squares - sums * sums / n
+    cross = x @ x.T - sums * sums.T / n
+    i, j = np.triu_indices(len(data), 1)
+    counts = counts[i, j]
+    var_i, var_j = var[i, j], var[j, i]
+    tiny = 4.0 * np.finfo(float).eps * counts
+    degenerate = (counts >= 3) & (
+        (var_i <= tiny * squares[i, j]) | (var_j <= tiny * squares[j, i])
+    )
+    usable = (counts >= 3) & ~degenerate
+    rho = np.zeros(len(i))
+    rho[usable] = cross[i, j][usable] / np.sqrt(var_i[usable] * var_j[usable])
+    return i, j, counts.astype(int), rho, degenerate
+
+
 def dependence_tests(panel_values, entity_labels=None):
     """Cross-sectional dependence battery on an (N, T) residual panel.
 
-    Pairwise correlations use overlapping non-missing samples; pairs with
-    fewer than 3 joint observations are excluded and reported.
+    Pairwise correlations use overlapping non-missing samples.  All pairs
+    come at once from the centred Gram kernel ``_pairwise_correlations``
+    (four matrix products over the row-centred data and its mask) and are
+    summed in i < j order.  Pairs with fewer than 3 joint observations are
+    excluded and reported in that order; a pair whose overlap variance is
+    zero to rounding raises ``ValueError`` naming the pair.
     """
     data = np.asarray(panel_values, dtype=float)
     if data.ndim != 2 or data.shape[0] < 2:
@@ -350,28 +417,18 @@ def dependence_tests(panel_values, entity_labels=None):
     n = data.shape[0]
     labels = list(entity_labels) if entity_labels is not None else list(range(n))
 
-    rhos, t_ij = [], []
-    excluded = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            ok = np.isfinite(data[i]) & np.isfinite(data[j])
-            t_pair = int(ok.sum())
-            if t_pair < 3:
-                excluded.append((labels[i], labels[j]))
-                continue
-            a = data[i, ok] - data[i, ok].mean()
-            b = data[j, ok] - data[j, ok].mean()
-            denom = math.sqrt(float(a @ a) * float(b @ b))
-            if denom == 0.0:
-                raise ValueError(
-                    f"zero-variance overlap for pair ({labels[i]}, {labels[j]})"
-                )
-            rhos.append(float(a @ b) / denom)
-            t_ij.append(t_pair)
-    if not rhos:
+    i, j, counts, rho, degenerate = _pairwise_correlations(data)
+    if degenerate.any():
+        first = int(np.argmax(degenerate))
+        raise ValueError(
+            f"zero-variance overlap for pair ({labels[i[first]]}, {labels[j[first]]})"
+        )
+    usable = counts >= 3
+    excluded = [(labels[a], labels[b]) for a, b in zip(i[~usable], j[~usable])]
+    if not usable.any():
         raise ValueError("no entity pair has at least 3 overlapping observations")
-    rhos = np.asarray(rhos)
-    t_ij = np.asarray(t_ij, dtype=float)
+    rhos = rho[usable]
+    t_ij = counts[usable].astype(float)
     pair_count = len(rhos)
 
     bp = float(np.sum(t_ij * rhos**2))
@@ -435,7 +492,8 @@ def describe(values, missing=None):
 
 
 def correlation_matrix(series_list, labels=None):
-    """Pairwise-complete Pearson correlation matrix (unit diagonal)."""
+    """Pairwise-complete Pearson correlation matrix (unit diagonal), from the
+    same Gram kernel as ``dependence_tests``."""
     data = [np.asarray(s, dtype=float) for s in series_list]
     k = len(data)
     if k < 1:
@@ -444,18 +502,14 @@ def correlation_matrix(series_list, labels=None):
     if any(len(s) != length for s in data):
         raise ValueError("series must share a common calendar length")
     labels = list(labels) if labels is not None else [f"x{i}" for i in range(k)]
+    i, j, counts, rho, degenerate = _pairwise_correlations(np.vstack(data))
+    bad = (counts < 3) | degenerate
+    if bad.any():
+        first = int(np.argmax(bad))
+        pair = f"({labels[i[first]]}, {labels[j[first]]})"
+        if counts[first] < 3:
+            raise ValueError(f"pair {pair} has fewer than 3 joint observations")
+        raise ValueError(f"zero-variance series in pair {pair}")
     out = np.eye(k)
-    for i in range(k):
-        for j in range(i + 1, k):
-            ok = np.isfinite(data[i]) & np.isfinite(data[j])
-            if ok.sum() < 3:
-                raise ValueError(
-                    f"pair ({labels[i]}, {labels[j]}) has fewer than 3 joint observations"
-                )
-            a = data[i][ok] - data[i][ok].mean()
-            b = data[j][ok] - data[j][ok].mean()
-            denom = math.sqrt(float(a @ a) * float(b @ b))
-            if denom == 0.0:
-                raise ValueError(f"zero-variance series in pair ({labels[i]}, {labels[j]})")
-            out[i, j] = out[j, i] = float(a @ b) / denom
+    out[i, j] = out[j, i] = rho
     return out, labels

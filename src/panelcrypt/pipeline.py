@@ -116,8 +116,8 @@ _CONFIG_KEYS = {
     "seed": ("seed", int),
     "split_date": ("split_date", "date"),
     "taus": ("taus", "floats"),
-    "weights": ("weights", str),
-    "covariance": ("covariance", str),
+    "weights": ("weights", WEIGHTS),
+    "covariance": ("covariance", COVARIANCES),
     "volatility_window": ("volatility_window", int),
     "standardize_figures": ("standardize_figures", "bool"),
     "raw_volatility_in_fits": ("raw_volatility_in_fits", "bool"),
@@ -127,6 +127,36 @@ _CONFIG_KEYS = {
     "with_diagnostics": ("with_diagnostics", "bool"),
     "with_reference_figures": ("with_reference_figures", "bool"),
 }
+
+
+_TRUE, _FALSE = ("true", "1", "yes"), ("false", "0", "no")
+
+
+def parse_setting(text, kind, where, key):
+    """Convert the value text of one ``key = value`` line.
+
+    ``kind`` is ``str``, ``int``, ``float``, ``"bool"`` (true/false, 1/0,
+    yes/no, any case), ``"floats"`` (a comma list), ``"date"`` (checked by
+    ``parse_date``, kept as text) or a tuple of allowed strings.  A bad value
+    raises ``ValueError`` naming ``where`` (``path:line``) and the key.
+    """
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ValueError(f"{where}: {key} must be one of {kind}, got {text!r}")
+        return text
+    try:
+        if kind == "bool":
+            if text.lower() not in _TRUE + _FALSE:
+                raise ValueError(f"boolean expected, got {text!r}")
+            return text.lower() in _TRUE
+        if kind == "floats":
+            return tuple(float(t) for t in text.split(",") if t.strip())
+        if kind == "date":
+            parse_date(text)
+            return text
+        return kind(text)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {key}: {exc}") from None
 
 
 def parse_config(path):
@@ -141,26 +171,10 @@ def parse_config(path):
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, _, text = line.partition("=")
             key = key.strip()
-            text = text.strip()
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             attr, kind = _CONFIG_KEYS[key]
-            if kind is str:
-                values[attr] = text
-            elif kind == "date":
-                try:
-                    parse_date(text)
-                except PanelLoadError as exc:
-                    raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
-                values[attr] = text
-            elif kind is int:
-                values[attr] = int(text)
-            elif kind == "bool":
-                if text.lower() not in ("true", "false", "1", "0", "yes", "no"):
-                    raise ValueError(f"{path}:{lineno}: boolean expected, got {text!r}")
-                values[attr] = text.lower() in ("true", "1", "yes")
-            elif kind == "floats":
-                values[attr] = tuple(float(t) for t in text.split(",") if t.strip())
+            values[attr] = parse_setting(text.strip(), kind, f"{path}:{lineno}", key)
     return RunConfig(**values)
 
 
@@ -1426,14 +1440,12 @@ def _emit_diagnostics(metas, bundle, config, tables, extra_pooled=None):
     calendar = np.unique(
         np.concatenate([s.dates for per in bundle.values() for s in per.values()])
     )
-    date_index = {d: i for i, d in enumerate(calendar.tolist())}
 
     def aligned(entity, name):
         series = bundle[entity][name]
         out = np.full(len(calendar), np.nan)
         ok = np.flatnonzero(~series.missing)
-        idx = [date_index[d] for d in series.dates[ok].tolist()]
-        out[idx] = series.values[ok]
+        out[np.searchsorted(calendar, series.dates[ok])] = series.values[ok]
         return out
 
     variables = ["price_risk"] + [c for c in CONTROLS if c not in MARKET_METRICS]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from panelcrypt.base import ConvergenceError
-from panelcrypt.cli import main
+from panelcrypt.cli import _parse_model_spec, _parse_synth_params, main
 from panelcrypt.quantreg import PanelQuantile
 
 from conftest import build_panel_files
@@ -185,3 +185,25 @@ def test_unknown_spec_name_reported(tmp_path, panel_file, capsys, line):
     assert "error: model spec names unknown metric 'bogus'" in err
     assert "available: " in err and "market_volatility" in err
     assert not (tmp_path / "fit").exists()
+
+
+def test_model_spec_rejects_non_boolean_dynamic(tmp_path):
+    spec = tmp_path / "spec.cfg"
+    spec.write_text("effects = fixed\ndynamic = ture\n")
+    with pytest.raises(ValueError, match=r"spec\.cfg:2: dynamic: boolean expected, got 'ture'"):
+        _parse_model_spec(spec)
+    spec.write_text("effects = fixed\ndynamic = YES\n")
+    assert _parse_model_spec(spec).dynamic is True
+
+
+@pytest.mark.parametrize("line, message", [
+    ("use_benchmark_universe = ture",
+     r"params\.cfg:2: use_benchmark_universe: boolean expected, got 'ture'"),
+    ("n_entities = many", r"params\.cfg:2: n_entities: invalid literal for int\(\)"),
+    ("beta_size = big", r"params\.cfg:2: beta_size: could not convert string to float"),
+])
+def test_synth_params_bad_value_named_at_its_line(tmp_path, line, message):
+    params = tmp_path / "params.cfg"
+    params.write_text(f"n_periods = 160\n{line}\n")
+    with pytest.raises(ValueError, match=message):
+        _parse_synth_params(params)

@@ -7,6 +7,7 @@ import pytest
 
 from panelcrypt.diagnostics import (
     CADF_LOWER,
+    _cadf_stat,
     adf,
     cips,
     correlation_matrix,
@@ -14,6 +15,77 @@ from panelcrypt.diagnostics import (
     describe,
     truncate_cadf,
 )
+
+
+def _reference_cadf(y, ybar_lag, dybar, max_lag, tol=1e-8):
+    """Loop oracle for one CADF: each candidate column is kept when its
+    ``lstsq`` residual on the columns kept before it exceeds
+    ``tol * max(|col|, 1)``; every candidate lag is fitted by ``lstsq`` and
+    the t-ratio uses a Householder QR.  Returns (statistic, lag, nobs, k)."""
+    dy = np.diff(y)
+    t = len(dy)
+
+    def design(rows, p):
+        cols = [np.ones(len(rows)), y[rows], ybar_lag[rows], dybar[rows]]
+        for j in range(1, p + 1):
+            cols += [dybar[rows - j], dy[rows - j]]
+        kept = cols[:2]
+        for col in cols[2:]:
+            basis = np.column_stack(kept)
+            coef, *_ = np.linalg.lstsq(basis, col, rcond=None)
+            if np.linalg.norm(col - basis @ coef) > tol * max(np.linalg.norm(col), 1.0):
+                kept.append(col)
+        return np.column_stack(kept), dy[rows]
+
+    best_p, best_aic = 0, np.inf
+    for p in range(max_lag + 1):
+        X, target = design(np.arange(max_lag, t), p)
+        beta, *_ = np.linalg.lstsq(X, target, rcond=None)
+        resid = target - X @ beta
+        n, k = X.shape
+        aic = n * math.log(float(resid @ resid) / n) + 2.0 * k
+        if aic < best_aic - 1e-12:
+            best_aic, best_p = aic, p
+    X, target = design(np.arange(best_p, t), best_p)
+    n, k = X.shape
+    q, r = np.linalg.qr(X)
+    beta = np.linalg.solve(r, q.T @ target)
+    resid = target - X @ beta
+    rinv = np.linalg.inv(r)
+    se = math.sqrt(float(resid @ resid) / (n - k) * float(rinv[1] @ rinv[1]))
+    return beta[1] / se, best_p, n, k
+
+
+def _reference_correlations(data):
+    """Per-pair loop oracle: (i, j, overlap count, rho or None) in i < j
+    order, each pair centred on its own overlap mean."""
+    out = []
+    for i in range(len(data)):
+        for j in range(i + 1, len(data)):
+            ok = np.isfinite(data[i]) & np.isfinite(data[j])
+            if ok.sum() < 3:
+                out.append((i, j, int(ok.sum()), None))
+                continue
+            a = data[i, ok] - data[i, ok].mean()
+            b = data[j, ok] - data[j, ok].mean()
+            out.append((i, j, int(ok.sum()), float(a @ b) / math.sqrt(float(a @ a) * float(b @ b))))
+    return out
+
+
+def _offset_panel_with_holes(rng, n, t, offset=1e6, missing=0.02):
+    common = rng.normal(size=t)
+    data = offset + 0.5 * common + rng.normal(size=(n, t))
+    data[rng.uniform(size=(n, t)) < missing] = np.nan
+    return data
+
+
+def _ar_difference_walk(rng, t, phis):
+    """Random walk whose differences are AR(len(phis)), so AIC picks lags."""
+    e = rng.normal(size=t)
+    dy = np.zeros(t)
+    for s in range(t):
+        dy[s] = e[s] + sum(phi * dy[s - 1 - j] for j, phi in enumerate(phis) if s > j)
+    return np.cumsum(dy)
 
 
 class TestADF:
@@ -154,6 +226,96 @@ class TestCIPS:
         with pytest.raises(ValueError):
             cips(np.random.default_rng(0).normal(size=(1, 50)))
 
+    def test_max_lag_four_matches_lstsq_oracle(self):
+        rng = np.random.default_rng(85)
+        data = np.vstack([
+            _ar_difference_walk(rng, 260, (0.6, -0.3)),
+            _ar_difference_walk(rng, 260, (0.0, 0.0, 0.5)),
+            _ar_difference_walk(rng, 260, ()),
+            _ar_difference_walk(rng, 260, (-0.5,)),
+        ])
+        result = cips(data, max_lag=4)
+        ybar = data.mean(axis=0)
+        expected_lags = []
+        for i, y in enumerate(data):
+            stat, lag, nobs, _ = _reference_cadf(y, ybar[:-1], np.diff(ybar), 4)
+            expected_lags.append(lag)
+            assert result.lags[i] == lag
+            assert result.cadf_stats[i] == pytest.approx(stat, rel=1e-9)
+        assert result.nobs == sum(259 - lag for lag in expected_lags)
+        assert len(set(expected_lags)) > 1
+
+    def test_lagged_difference_duplicating_lagged_dybar_is_dropped(self):
+        rng = np.random.default_rng(86)
+        y = _ar_difference_walk(rng, 300, (0.5, 0.3, -0.3))
+        dy = np.diff(y)
+        # dybar_t = dy_{t-1}: each lagged dybar column repeats the next
+        # lagged difference, and the current dybar repeats dy_{t-1}
+        dybar = np.concatenate([[0.25], dy[:-1]])
+        ybar_lag = np.cumsum(rng.normal(size=len(dy)))
+        stat, lag, nobs = _cadf_stat(y, ybar_lag, dybar, 4)
+        ref_stat, ref_lag, ref_nobs, k = _reference_cadf(y, ybar_lag, dybar, 4)
+        assert (lag, nobs) == (ref_lag, ref_nobs)
+        assert lag >= 2 and k == 4 + lag
+        assert stat == pytest.approx(ref_stat, rel=1e-9)
+
+    def test_entity_equal_to_cross_section_mean(self):
+        rng = np.random.default_rng(87)
+        a = _ar_difference_walk(rng, 200, (0.4,))
+        b = _ar_difference_walk(rng, 200, (-0.3, 0.3))
+        data = np.vstack([a, b, (a + b) / 2.0])
+        result = cips(data, max_lag=4, entity_labels=["a", "b", "mean"])
+        ybar = data.mean(axis=0)
+        for i, label in enumerate(("a", "b")):
+            stat, lag, _, _ = _reference_cadf(data[i], ybar[:-1], np.diff(ybar), 4)
+            assert result.lags[label] == lag
+            assert result.cadf_stats[label] == pytest.approx(stat, rel=1e-9)
+        # the mean entity's current dybar column equals its response, so its
+        # regression fits exactly and the t-ratio is rounding noise; only
+        # finiteness is pinned
+        assert math.isfinite(result.cadf_stats["mean"])
+
+    def test_every_entity_carrying_one_series(self):
+        rng = np.random.default_rng(88)
+        base = _ar_difference_walk(rng, 180, (0.5,))
+        for max_lag in range(5):
+            result = cips(np.vstack([base, base]), max_lag=max_lag)
+            assert math.isfinite(result.statistic)
+            assert result.cadf_stats[0] == result.cadf_stats[1]
+
+    def test_error_texts(self):
+        rng = np.random.default_rng(89)
+        walk = np.cumsum(rng.normal(size=(2, 40)), axis=1)
+        short = walk.copy()
+        short[1, :31] = np.nan
+        with pytest.raises(ValueError) as info:
+            cips(short, entity_labels=["BTC", "ETH"])
+        assert str(info.value) == "entity ETH: too few observations (9) for the CADF regression"
+        gap = walk.copy()
+        gap[0, 20] = np.nan
+        with pytest.raises(ValueError) as info:
+            cips(gap, entity_labels=["BTC", "ETH"])
+        assert str(info.value) == "entity BTC: interior gaps are not supported"
+        undefined = walk.copy()
+        undefined[1, 20] = np.inf
+        with pytest.raises(ValueError) as info:
+            cips(undefined, entity_labels=["BTC", "ETH"])
+        assert str(info.value) == "cross-section average undefined on part of the sample"
+
+    def test_degenerate_regressions_raise_value_error_naming_the_entity(self):
+        rng = np.random.default_rng(95)
+        walk = np.cumsum(rng.normal(size=(3, 60)), axis=1)
+        walk[1] = 5.0
+        with pytest.raises(ValueError) as info:
+            cips(walk, entity_labels=["a", "b", "c"])
+        assert str(info.value) == "entity b: the lagged level is constant on the sample"
+        # 14 observations pass the size check but leave the p = 4 regression
+        # (12 columns on 9 rows) without residual degrees of freedom
+        with pytest.raises(ValueError, match=r"^entity a: no residual degrees of freedom"):
+            cips(walk[[0, 2], :14], entity_labels=["a", "c"])
+        with pytest.raises(ValueError, match="no residual degrees of freedom"):
+            adf(walk[0, :9])
+
 
 class TestDependence:
     def by_name(self, results):
@@ -207,6 +369,42 @@ class TestDependence:
     def test_zero_variance_pair_rejected(self):
         with pytest.raises(ValueError):
             dependence_tests(np.vstack([np.ones(10), np.arange(10.0)]))
+
+    def test_gram_kernel_matches_pair_loop_on_offset_series(self):
+        rng = np.random.default_rng(90)
+        data = _offset_panel_with_holes(rng, 12, 400)
+        reference = _reference_correlations(data)
+        rhos = np.array([rho for *_, rho in reference])
+        t_ij = np.array([t for _, _, t, _ in reference], dtype=float)
+        n = len(data)
+        results = self.by_name(dependence_tests(data))
+        cd = math.sqrt(2.0 / (n * (n - 1))) * np.sum(np.sqrt(t_ij) * rhos)
+        assert results["Pesaran-CD"].statistic == pytest.approx(cd, rel=1e-12)
+        assert results["BP-LM"].statistic == pytest.approx(np.sum(t_ij * rhos**2), rel=1e-12)
+        assert results["BP-LM"].pair_count == len(reference)
+
+    def test_excluded_pairs_keep_pair_loop_order(self):
+        rng = np.random.default_rng(91)
+        data = rng.normal(size=(6, 30))
+        data[1, 2:] = np.nan          # 2 observations: excluded with everyone
+        data[4, :28] = np.nan         # overlaps of 2 with every other row
+        data[2, 10:] = np.nan
+        data[5, :9] = np.nan          # (2, 5) overlap in 1 observation
+        labels = ["a", "b", "c", "d", "e", "f"]
+        expected = [(labels[i], labels[j]) for i, j, _, rho in _reference_correlations(data)
+                    if rho is None]
+        results = dependence_tests(data, entity_labels=labels)
+        assert results[0].excluded_pairs == expected
+        assert results[0].pair_count == 15 - len(expected)
+
+    def test_constant_on_overlap_with_one_partner_rejected(self):
+        rng = np.random.default_rng(92)
+        data = rng.normal(size=(3, 40))
+        data[1, 25:] = 7.3            # constant where the third row is present
+        data[2, :25] = np.nan
+        with pytest.raises(ValueError) as info:
+            dependence_tests(data, entity_labels=["a", "b", "c"])
+        assert str(info.value) == "zero-variance overlap for pair (b, c)"
 
 
 class TestDescribe:
@@ -295,3 +493,24 @@ class TestCorrelationMatrix:
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError):
             correlation_matrix([np.ones(10), np.arange(10.0)])
+
+    def test_gram_kernel_matches_pair_loop_on_offset_series(self):
+        rng = np.random.default_rng(93)
+        data = _offset_panel_with_holes(rng, 6, 3000)
+        matrix, _ = correlation_matrix(list(data))
+        for i, j, _, rho in _reference_correlations(data):
+            assert abs(matrix[i, j] - rho) < 1e-12
+            assert matrix[j, i] == matrix[i, j]
+
+    def test_errors_name_the_first_failing_pair(self):
+        rng = np.random.default_rng(94)
+        x, y, z = rng.normal(size=(3, 40))
+        y[25:] = 7.3
+        z[:25] = np.nan
+        with pytest.raises(ValueError) as info:
+            correlation_matrix([x, y, z], ["x", "y", "z"])
+        assert str(info.value) == "zero-variance series in pair (y, z)"
+        z[:38] = np.nan
+        with pytest.raises(ValueError) as info:
+            correlation_matrix([x, y, z], ["x", "y", "z"])
+        assert str(info.value) == "pair (x, z) has fewer than 3 joint observations"

@@ -660,6 +660,18 @@ class TestReport:
         with pytest.raises(ValueError, match=f"{key} must be one of"):
             parse_config(bad)
 
+    @pytest.mark.parametrize("line, message", [
+        ("seed = seven", r"bad\.cfg:3: seed: invalid literal for int\(\)"),
+        ("taus = 0.1,x", r"bad\.cfg:3: taus: could not convert string to float: 'x'"),
+        ("weights = bogus", r"bad\.cfg:3: weights must be one of .*, got 'bogus'"),
+        ("with_split = ture", r"bad\.cfg:3: with_split: boolean expected, got 'ture'"),
+    ])
+    def test_config_bad_value_named_at_its_line(self, tmp_path, line, message):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"metrics = m.csv\nmeta = m.csv\n{line}\n")
+        with pytest.raises(ValueError, match=message):
+            parse_config(bad)
+
     def test_dotted_split_date_splits_on_the_same_day(self):
         sim = simulate_dgp(small_params(n_entities=3, n_periods=120), seed=52)
         fragments = [
