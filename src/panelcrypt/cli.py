@@ -19,7 +19,6 @@ from . import decentralization as dec
 from . import pipeline
 from .base import ConvergenceError
 from .estimators import COVARIANCES, EFFECTS, WEIGHTS, ModelSpec, estimator_for
-from .metrics import compute_all_metrics
 from .panel import load_panel, load_panel_csv, read_meta_csv, write_panel_csv
 from .pipeline import (
     CONTROLS,
@@ -54,8 +53,7 @@ def _cmd_ingest(args):
 
 def _cmd_metrics(args):
     panel = load_panel_csv(args.panel)
-    bundle = compute_all_metrics(panel, window=args.window)
-    pipeline.add_decentralization_metric(bundle, panel.entities, panel)
+    bundle = pipeline.metrics_from_panel(panel, window=args.window)
     write_metrics_csv(bundle, args.out)
     n_series = sum(len(per) for per in bundle.values())
     print(f"wrote {args.out}: {n_series} metric series")

@@ -97,20 +97,6 @@ class DesignMatrix:
     def column(self, name):
         return self.matrix[:, self.columns.index(name)]
 
-    def select(self, names):
-        idx = [self.columns.index(c) for c in names]
-        return replace(self, matrix=self.matrix[:, idx], columns=list(names))
-
-    def take_rows(self, keep):
-        return replace(
-            self,
-            response=self.response[keep],
-            matrix=self.matrix[keep],
-            entities=self.entities[keep],
-            dates=None if self.dates is None else self.dates[keep],
-            weights=self.weights[keep],
-        )
-
 
 class _Groups:
     """Entity grouping helper (codes, counts, group means).
@@ -209,9 +195,6 @@ class FitResult:
 
     def se_of(self, name):
         return float(self.se[self.columns.index(name)])
-
-    def as_dict(self):
-        return dict(zip(self.columns, self.params))
 
 
 @dataclass

@@ -10,7 +10,7 @@ has to reason about NaN propagation.
 from __future__ import annotations
 
 import csv
-import io
+import operator
 import os
 import re
 from dataclasses import dataclass, field
@@ -196,9 +196,22 @@ def _check_header(header, expected, source):
     return {col: header.index(col) for col in expected}
 
 
-def _open_rows(path):
+def _read_rows(path, expected):
+    """Data rows of a CSV file numbered from line 2, and its header index.
+
+    Every row must have as many fields as the header.
+    """
+    source = os.fspath(path)
     with open(path, newline="") as handle:
-        return list(csv.reader(handle))
+        rows = list(csv.reader(handle))
+    if not rows:
+        raise PanelLoadError("empty file", source)
+    index = _check_header(rows[0], expected, source)
+    width = len(rows[0])
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != width:
+            raise PanelLoadError(f"expected {width} fields, got {len(row)}", source, line)
+    return source, enumerate(rows[1:], start=2), index
 
 
 def _validate_observation_row(values, missing, source, line):
@@ -229,102 +242,115 @@ def _validate_observation_row(values, missing, source, line):
         raise PanelLoadError(f"high {h} < low {lo}", source, line)
 
 
-def _check_dates_strictly_increasing(dates, source, lines):
-    """``lines[j]`` is the file line that holds ``dates[j]``."""
+def _validate_market_row(values, missing, source, line):
+    """Invariants on one market row at file line ``line``."""
+    if not missing["index_level"] and values["index_level"] <= 0:
+        raise PanelLoadError(f"nonpositive index_level {values['index_level']}", source, line)
+    if not missing["shock_loss"] and values["shock_loss"] < 0:
+        raise PanelLoadError(f"negative shock_loss {values['shock_loss']}", source, line)
+
+
+def _parse_dated_rows(numbered_rows, index, fields, validate, source):
+    """``(dates, values, missing)`` from ``(line, row)`` pairs in file order.
+
+    ``validate(values, missing, source, line)`` checks each row; the dates
+    must be strictly increasing.
+    """
+    lines, dates = [], []
+    values = {f: [] for f in fields}
+    missing = {f: [] for f in fields}
+    for line, row in numbered_rows:
+        lines.append(line)
+        dates.append(parse_date(row[index["date"]], source, line))
+        row_values, row_missing = {}, {}
+        for f in fields:
+            row_values[f], row_missing[f] = _parse_float(row[index[f]], f, source, line)
+            values[f].append(row_values[f])
+            missing[f].append(row_missing[f])
+        validate(row_values, row_missing, source, line)
+    dates = np.array(dates, dtype="datetime64[D]")
     if len(dates) > 1:
-        deltas = np.diff(dates)
-        bad = np.flatnonzero(deltas <= np.timedelta64(0, "D"))
+        bad = np.flatnonzero(np.diff(dates) <= np.timedelta64(0, "D"))
         if bad.size:
-            raise PanelLoadError(
-                "dates not strictly increasing", source, lines[bad[0] + 1]
-            )
+            raise PanelLoadError("dates not strictly increasing", source, lines[bad[0] + 1])
+    values = {f: np.array(v, dtype=float) for f, v in values.items()}
+    missing = {f: np.array(m, dtype=bool) for f, m in missing.items()}
+    return dates, values, missing
+
+
+def _parse_entity_rows(symbol, numbered_rows, index, source):
+    dates, values, missing = _parse_dated_rows(
+        numbered_rows, index, ENTITY_FIELDS, _validate_observation_row, source
+    )
+    return EntityRecords(symbol=symbol, dates=dates, values=values, missing=missing)
+
+
+def _parse_market_rows(numbered_rows, index, source):
+    dates, values, missing = _parse_dated_rows(
+        numbered_rows, index, MARKET_FIELDS, _validate_market_row, source
+    )
+    return MarketSeries(dates=dates, values=values, missing=missing)
+
+
+def _parse_meta_row(line, row, index, source):
+    """EntityMeta from the ``META_HEADER`` cells of one row."""
+    symbol = row[index["symbol"]].strip()
+    components = []
+    for dim in GINI_DIMENSIONS:
+        column = f"gini_{dim}"
+        value, is_missing = _parse_float(row[index[column]], column, source, line)
+        if is_missing:
+            raise PanelLoadError(f"missing {column}", source, line)
+        components.append(value)
+    hyfi = _parse_bool(row[index["hyfi"]], "hyfi", source, line)
+    listing_date = parse_date(row[index["listing_date"]], source, line)
+    try:
+        return EntityMeta(
+            symbol=symbol,
+            category=row[index["category"]].strip(),
+            hyfi=hyfi,
+            listing_date=listing_date,
+            gini_components=tuple(components),
+        )
+    except ValueError as exc:
+        raise PanelLoadError(str(exc), source, line) from None
+
+
+def _check_listing(meta, rec, source, line):
+    """``line`` is the file line of the entity's first observation."""
+    if len(rec) and rec.dates[0] < meta.listing_date:
+        raise PanelLoadError(
+            f"{meta.symbol}: first observation {rec.dates[0]} precedes "
+            f"listing date {meta.listing_date}",
+            source,
+            line,
+        )
 
 
 def read_entity_csv(path, symbol=None):
     """Read one entity file with schema ``date,open,high,low,close,volume,mcap,attention``."""
-    source = os.fspath(path)
-    rows = _open_rows(path)
-    if not rows:
-        raise PanelLoadError("empty file", source)
-    index = _check_header(rows[0], ENTITY_HEADER, source)
+    source, numbered_rows, index = _read_rows(path, ENTITY_HEADER)
     if symbol is None:
         symbol = os.path.splitext(os.path.basename(source))[0].upper()
-
-    n = len(rows) - 1
-    dates = np.empty(n, dtype="datetime64[D]")
-    values = {f: np.full(n, np.nan) for f in ENTITY_FIELDS}
-    missing = {f: np.zeros(n, dtype=bool) for f in ENTITY_FIELDS}
-    for j, row in enumerate(rows[1:]):
-        line = j + 2
-        dates[j] = parse_date(row[index["date"]], source, line)
-        row_values, row_missing = {}, {}
-        for f in ENTITY_FIELDS:
-            row_values[f], row_missing[f] = _parse_float(row[index[f]], f, source, line)
-            values[f][j] = row_values[f]
-            missing[f][j] = row_missing[f]
-        _validate_observation_row(row_values, row_missing, source, line)
-    _check_dates_strictly_increasing(dates, source, range(2, n + 2))
-    return EntityRecords(symbol=symbol, dates=dates, values=values, missing=missing)
+    return _parse_entity_rows(symbol, numbered_rows, index, source)
 
 
 def read_market_csv(path):
     """Read the market file with schema ``date,index_level,shock_loss``."""
-    source = os.fspath(path)
-    rows = _open_rows(path)
-    if not rows:
-        raise PanelLoadError("empty file", source)
-    index = _check_header(rows[0], MARKET_HEADER, source)
-    n = len(rows) - 1
-    dates = np.empty(n, dtype="datetime64[D]")
-    values = {f: np.full(n, np.nan) for f in MARKET_FIELDS}
-    missing = {f: np.zeros(n, dtype=bool) for f in MARKET_FIELDS}
-    for j, row in enumerate(rows[1:]):
-        line = j + 2
-        dates[j] = parse_date(row[index["date"]], source, line)
-        for f in MARKET_FIELDS:
-            values[f][j], missing[f][j] = _parse_float(row[index[f]], f, source, line)
-        if not missing["index_level"][j] and values["index_level"][j] <= 0:
-            raise PanelLoadError(
-                f"nonpositive index_level {values['index_level'][j]}", source, line
-            )
-        if not missing["shock_loss"][j] and values["shock_loss"][j] < 0:
-            raise PanelLoadError(
-                f"negative shock_loss {values['shock_loss'][j]}", source, line
-            )
-    _check_dates_strictly_increasing(dates, source, range(2, n + 2))
-    return MarketSeries(dates=dates, values=values, missing=missing)
+    source, numbered_rows, index = _read_rows(path, MARKET_HEADER)
+    return _parse_market_rows(numbered_rows, index, source)
 
 
 def read_meta_csv(path):
     """Read entity metadata: symbol, category, HyFi flag, listing date, gini components."""
-    source = os.fspath(path)
-    rows = _open_rows(path)
-    if not rows:
-        raise PanelLoadError("empty file", source)
-    index = _check_header(rows[0], META_HEADER, source)
+    source, numbered_rows, index = _read_rows(path, META_HEADER)
     metas = []
     seen = set()
-    for i, row in enumerate(rows[1:], start=2):
-        symbol = row[index["symbol"]].strip()
-        if symbol in seen:
-            raise PanelLoadError(f"duplicate symbol {symbol!r}", source, i)
-        seen.add(symbol)
-        components = []
-        for dim in GINI_DIMENSIONS:
-            value, is_missing = _parse_float(row[index[f"gini_{dim}"]], f"gini_{dim}", source, i)
-            if is_missing:
-                raise PanelLoadError(f"missing gini_{dim}", source, i)
-            components.append(value)
-        try:
-            meta = EntityMeta(
-                symbol=symbol,
-                category=row[index["category"]].strip(),
-                hyfi=_parse_bool(row[index["hyfi"]], "hyfi", source, i),
-                listing_date=parse_date(row[index["listing_date"]], source, i),
-                gini_components=tuple(components),
-            )
-        except ValueError as exc:
-            raise PanelLoadError(str(exc), source, i) from None
+    for line, row in numbered_rows:
+        meta = _parse_meta_row(line, row, index, source)
+        if meta.symbol in seen:
+            raise PanelLoadError(f"duplicate symbol {meta.symbol!r}", source, line)
+        seen.add(meta.symbol)
         metas.append(meta)
     return metas
 
@@ -341,7 +367,7 @@ def load_panel(entity_files, market_file, meta_file):
         rec = read_entity_csv(path)
         if rec.symbol in by_symbol:
             raise PanelLoadError(f"duplicate entity file for {rec.symbol}", os.fspath(path))
-        by_symbol[rec.symbol] = rec
+        by_symbol[rec.symbol] = (rec, os.fspath(path))
     known = {meta.symbol for meta in metas}
     extra = sorted(set(by_symbol) - known)
     if extra:
@@ -350,14 +376,10 @@ def load_panel(entity_files, market_file, meta_file):
     if missing:
         raise PanelLoadError(f"metadata without entity files: {missing}")
     for meta in metas:
-        rec = by_symbol[meta.symbol]
-        if len(rec) and rec.dates[0] < meta.listing_date:
-            raise PanelLoadError(
-                f"{meta.symbol}: first observation {rec.dates[0]} precedes "
-                f"listing date {meta.listing_date}"
-            )
+        rec, source = by_symbol[meta.symbol]
+        _check_listing(meta, rec, source, 2)
     market = read_market_csv(market_file)
-    observations = {meta.symbol: by_symbol[meta.symbol] for meta in metas}
+    observations = {meta.symbol: by_symbol[meta.symbol][0] for meta in metas}
     return PanelDataset(entities=tuple(metas), observations=observations, market=market)
 
 
@@ -365,23 +387,24 @@ def _format_value(value, is_missing):
     return "" if is_missing else repr(float(value))
 
 
-def write_panel_csv(panel, path_or_buffer):
+def format_meta_cells(meta):
+    """The ``META_HEADER`` cells after ``symbol``; floats reload bit for bit."""
+    return [meta.category, "1" if meta.hyfi else "0", str(meta.listing_date)] + [
+        repr(float(c)) for c in meta.gini_components
+    ]
+
+
+def write_panel_csv(panel, path):
     """Write the consolidated panel CSV (entity rows plus MARKET rows).
 
     Floats are written with ``repr`` so a reload reproduces them bit for bit.
     """
-    own = isinstance(path_or_buffer, (str, os.PathLike))
-    handle = open(path_or_buffer, "w", newline="") if own else path_or_buffer
-    try:
+    with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(PANEL_HEADER + META_HEADER[1:])
         for meta in panel.entities:
             rec = panel.observations[meta.symbol]
-            meta_cells = [
-                meta.category,
-                "1" if meta.hyfi else "0",
-                str(meta.listing_date),
-            ] + [repr(c) for c in meta.gini_components]
+            meta_cells = format_meta_cells(meta)
             for i in range(len(rec)):
                 cells = [meta.symbol, str(rec.dates[i])]
                 cells += [
@@ -398,98 +421,40 @@ def write_panel_csv(panel, path_or_buffer):
                 for f in MARKET_FIELDS
             ]
             writer.writerow(cells + [""] * len(META_HEADER[1:]))
-    finally:
-        if own:
-            handle.close()
 
 
 def load_panel_csv(path):
-    """Load a consolidated panel CSV produced by :func:`write_panel_csv`."""
-    source = os.fspath(path)
-    rows = _open_rows(path)
-    if not rows:
-        raise PanelLoadError("empty file", source)
-    expected = PANEL_HEADER + META_HEADER[1:]
-    index = _check_header(rows[0], expected, source)
+    """Load a consolidated panel CSV produced by :func:`write_panel_csv`.
 
-    entity_rows = {}
-    meta_cells = {}
-    market_rows = []
-    order = []
-    for i, row in enumerate(rows[1:], start=2):
-        symbol = row[index["entity"]].strip()
-        if symbol == MARKET_SYMBOL:
-            market_rows.append((i, row))
-            continue
-        if symbol not in entity_rows:
-            entity_rows[symbol] = []
-            order.append(symbol)
-            meta_cells[symbol] = (i, row)
-        entity_rows[symbol].append((i, row))
+    Rows are grouped by ``entity`` and checked by the same row rules as the
+    per-file inputs; every row of an entity must repeat the meta cells of
+    its first row.
+    """
+    source, numbered_rows, index = _read_rows(path, PANEL_HEADER + META_HEADER[1:])
+    index["symbol"] = index["entity"]  # the meta row parser reads the symbol here
+    meta_cells = operator.itemgetter(*(index[c] for c in META_HEADER[1:]))
+    groups = {}
+    for line, row in numbered_rows:
+        groups.setdefault(row[index["entity"]].strip(), []).append((line, row))
+    market_rows = groups.pop(MARKET_SYMBOL, [])
 
     metas = []
     observations = {}
-    for symbol in order:
-        i, row = meta_cells[symbol]
-        components = []
-        for dim in GINI_DIMENSIONS:
-            value, is_missing = _parse_float(row[index[f"gini_{dim}"]], f"gini_{dim}", source, i)
-            if is_missing:
-                raise PanelLoadError(f"missing gini_{dim} for {symbol}", source, i)
-            components.append(value)
-        try:
-            meta = EntityMeta(
-                symbol=symbol,
-                category=row[index["category"]].strip(),
-                hyfi=_parse_bool(row[index["hyfi"]], "hyfi", source, i),
-                listing_date=parse_date(row[index["listing_date"]], source, i),
-                gini_components=tuple(components),
-            )
-        except ValueError as exc:
-            raise PanelLoadError(str(exc), source, i) from None
+    for symbol, rows in groups.items():
+        first_line, first_row = rows[0]
+        meta = _parse_meta_row(first_line, first_row, index, source)
+        expected = meta_cells(first_row)
+        for line, row in rows:
+            if meta_cells(row) != expected:
+                raise PanelLoadError(
+                    f"{symbol}: meta cells differ from line {first_line}", source, line
+                )
+        rec = _parse_entity_rows(symbol, rows, index, source)
+        _check_listing(meta, rec, source, first_line)
         metas.append(meta)
-
-        picked = entity_rows[symbol]
-        n = len(picked)
-        dates = np.empty(n, dtype="datetime64[D]")
-        values = {f: np.full(n, np.nan) for f in ENTITY_FIELDS}
-        missing = {f: np.zeros(n, dtype=bool) for f in ENTITY_FIELDS}
-        for j, (i, row) in enumerate(picked):
-            dates[j] = parse_date(row[index["date"]], source, i)
-            row_values, row_missing = {}, {}
-            for f in ENTITY_FIELDS:
-                row_values[f], row_missing[f] = _parse_float(row[index[f]], f, source, i)
-                values[f][j] = row_values[f]
-                missing[f][j] = row_missing[f]
-            _validate_observation_row(row_values, row_missing, source, i)
-        _check_dates_strictly_increasing(dates, source, [i for i, _ in picked])
-        if len(dates) and dates[0] < meta.listing_date:
-            raise PanelLoadError(
-                f"{symbol}: first observation {dates[0]} precedes listing date "
-                f"{meta.listing_date}",
-                source,
-            )
-        observations[symbol] = EntityRecords(
-            symbol=symbol, dates=dates, values=values, missing=missing
-        )
-
-    n = len(market_rows)
-    dates = np.empty(n, dtype="datetime64[D]")
-    values = {f: np.full(n, np.nan) for f in MARKET_FIELDS}
-    missing = {f: np.zeros(n, dtype=bool) for f in MARKET_FIELDS}
-    for j, (i, row) in enumerate(market_rows):
-        dates[j] = parse_date(row[index["date"]], source, i)
-        for f in MARKET_FIELDS:
-            values[f][j], missing[f][j] = _parse_float(row[index[f]], f, source, i)
-    _check_dates_strictly_increasing(dates, source, [i for i, _ in market_rows])
-    market = MarketSeries(dates=dates, values=values, missing=missing)
+        observations[symbol] = rec
+    market = _parse_market_rows(market_rows, index, source)
     return PanelDataset(entities=tuple(metas), observations=observations, market=market)
-
-
-def panel_to_csv_text(panel):
-    buffer = io.StringIO()
-    write_panel_csv(panel, buffer)
-    return buffer.getvalue()
 
 
 def subsample(panel, start, end):

@@ -34,8 +34,10 @@ from .estimators import (
 )
 from .panel import (
     MARKET_SYMBOL,
+    META_HEADER,
     EntityMeta,
     PanelLoadError,
+    format_meta_cells,
     load_panel_csv,
     parse_date,
     read_meta_csv,
@@ -881,9 +883,6 @@ class SimulatedPanel:
     truth: dict
     params: SynthParams
 
-    def entity_sigmas(self):
-        return self.truth["sigma_i"]
-
 
 def _synthetic_metas(params, rng):
     if params.use_benchmark_universe and params.n_entities == 18:
@@ -1070,21 +1069,11 @@ def simulate_dgp(params, seed=None):
 
 
 def write_meta_csv(metas, path):
-    from .panel import META_HEADER
-
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(META_HEADER)
         for meta in metas:
-            writer.writerow(
-                (
-                    meta.symbol,
-                    meta.category,
-                    "1" if meta.hyfi else "0",
-                    str(meta.listing_date),
-                )
-                + tuple(repr(float(c)) for c in meta.gini_components)
-            )
+            writer.writerow([meta.symbol] + format_meta_cells(meta))
 
 
 def write_simulation(sim, outdir):

@@ -4,8 +4,12 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from panelcrypt.panel import ENTITY_HEADER, MARKET_HEADER, META_HEADER
+
+# Bounded, reproducible settings for the property tests, so tier-1 time stays flat.
+PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True, database=None, deadline=None)
 
 
 def write_entity_csv(path, dates, open_, high, low, close, volume, mcap, attention,

@@ -4,11 +4,15 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from panelcrypt import panel as ps
+from panelcrypt.pipeline import write_meta_csv as write_metas
 from panelcrypt.refdata import BENCHMARK_UNIVERSE, PANEL_END
 
 from conftest import (
+    PROPERTY_SETTINGS,
     build_panel_files,
     random_ohlcv,
     write_entity_csv,
@@ -298,3 +302,247 @@ def test_benchmark_shaped_observation_counts(tmp_path):
     assert str(dates[0]) == "2021-02-22"
     dates, values, _ = ps.series(panel, "BTC", "close")
     assert len(values) == 1790
+
+
+def rewrite_cell(path, line, column, text):
+    """Set the cell at file ``line`` under header ``column`` to ``text``."""
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    rows[line - 1][rows[0].index(column)] = text
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+
+
+def line_of(path, entity, date=None):
+    """File line of ``entity``'s row on ``date``, or of its first row."""
+    with open(path, newline="") as handle:
+        for line, row in enumerate(csv.reader(handle), start=1):
+            if row[0] == entity and date in (None, row[1]):
+                return line
+    raise AssertionError(f"no row for {entity} {date}")
+
+
+def message(err):
+    """``PanelLoadError`` text without its ``[path:line]`` suffix."""
+    return str(err).removesuffix(f" [{err.source}:{err.line}]")
+
+
+@pytest.fixture
+def consolidated(tmp_path, small_panel_files):
+    path = tmp_path / "consolidated.csv"
+    ps.write_panel_csv(ps.load_panel(*small_panel_files), path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "column, text, expected",
+    [("shock_loss", "-5", "negative shock_loss -5.0"),
+     ("index_level", "0", "nonpositive index_level 0.0")],
+)
+def test_consolidated_market_rows_checked(consolidated, column, text, expected):
+    line = line_of(consolidated, ps.MARKET_SYMBOL) + 3
+    rewrite_cell(consolidated, line, column, text)
+    with pytest.raises(ps.PanelLoadError) as err:
+        ps.load_panel_csv(consolidated)
+    assert message(err.value) == expected
+    assert f"[{consolidated}:{line}]" in str(err.value)
+
+
+@pytest.mark.parametrize("column, text", [("hyfi", "0"), ("gini_code", "0.25"),
+                                          ("listing_date", "2019-12-31")])
+def test_consolidated_meta_cells_must_agree(consolidated, column, text):
+    first = line_of(consolidated, "AAA")
+    rewrite_cell(consolidated, first + 7, column, text)
+    with pytest.raises(ps.PanelLoadError) as err:
+        ps.load_panel_csv(consolidated)
+    assert message(err.value) == f"AAA: meta cells differ from line {first}"
+    assert f"[{consolidated}:{first + 7}]" in str(err.value)
+
+
+def test_consolidated_listing_date_names_first_row(consolidated):
+    first = line_of(consolidated, "CCC")
+    with open(consolidated, newline="") as handle:
+        n_rows = sum(1 for row in csv.reader(handle) if row[0] == "CCC")
+    for line in range(first, first + n_rows):
+        rewrite_cell(consolidated, line, "listing_date", "2020-01-13")
+    with pytest.raises(ps.PanelLoadError, match="precedes listing date") as err:
+        ps.load_panel_csv(consolidated)
+    assert (err.value.source, err.value.line) == (str(consolidated), first)
+
+
+
+@pytest.mark.parametrize("row", [[], ["2020-01-01", "1"], ["2020-01-01"] + ["1"] * 20])
+def test_row_width_must_match_header(consolidated, small_panel_files, row):
+    entity_file = small_panel_files[0][0]
+    for path, load in [(entity_file, ps.read_entity_csv), (consolidated, ps.load_panel_csv)]:
+        with open(path, "a", newline="") as handle:
+            csv.writer(handle).writerow(row)
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        with pytest.raises(ps.PanelLoadError) as err:
+            load(path)
+        assert message(err.value) == f"expected {len(rows[0])} fields, got {len(row)}"
+        assert (err.value.source, err.value.line) == (str(path), len(rows))
+
+def test_meta_row_error_located_once(tmp_path):
+    path = write_meta_csv(tmp_path / "meta.csv",
+                          [("AAA", "test", False, "2021-01-01", (0.5,) * 5)])
+    rewrite_cell(path, 2, "hyfi", "maybe")
+    with pytest.raises(ps.PanelLoadError) as err:
+        ps.read_meta_csv(path)
+    assert str(err.value) == f"unparseable boolean 'maybe' in column 'hyfi' [{path}:2]"
+
+
+def test_numpy_float_components_round_trip(tmp_path, small_panel_files):
+    panel = ps.load_panel(*small_panel_files)
+    metas = tuple(
+        ps.EntityMeta(meta.symbol, meta.category, meta.hyfi, meta.listing_date,
+                      tuple(np.float64(c) for c in meta.gini_components))
+        for meta in panel.entities
+    )
+    panel = ps.PanelDataset(metas, panel.observations, panel.market)
+    ps.write_panel_csv(panel, tmp_path / "panel.csv")
+    assert ps.load_panel_csv(tmp_path / "panel.csv").entities == metas
+    write_metas(metas, tmp_path / "meta.csv")
+    assert tuple(ps.read_meta_csv(tmp_path / "meta.csv")) == metas
+
+
+# Panel-row properties.  A generated panel is a set of per-file inputs whose
+# rows respect every loader rule; empty cells stand for missing values.
+SYMBOLS = ("AAA", "BBB", "CCC", "DDD")
+PRICES = st.floats(1e-3, 1e6)
+STEPS = st.floats(0.0, 1e3)
+DAY0 = np.datetime64("2020-01-01", "D")
+
+
+@st.composite
+def cell(draw, values):
+    return "" if draw(st.booleans()) else repr(draw(values))
+
+
+@st.composite
+def days(draw, first=0):
+    return [str(DAY0 + d) for d in sorted(draw(st.sets(st.integers(first, first + 30),
+                                                        min_size=1, max_size=5)))]
+
+
+@st.composite
+def entity_rows(draw, first):
+    rows = []
+    for date in draw(days(first)):
+        low = draw(PRICES)
+        open_, close = low + draw(STEPS), low + draw(STEPS)
+        prices = [open_, max(open_, close) + draw(STEPS), low, close]
+        row = [date] + [draw(cell(st.just(p))) for p in prices]
+        row += [draw(cell(PRICES)), draw(cell(PRICES)), draw(cell(st.floats(0.0, 100.0)))]
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def raw_panels(draw):
+    """``(meta rows, {symbol: entity rows}, market rows)`` as text cells."""
+    metas, entities = [], {}
+    for symbol in draw(st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=3, unique=True)):
+        listing = draw(st.integers(0, 10))
+        gini = draw(st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5))
+        metas.append([symbol, "test", "1" if draw(st.booleans()) else "0",
+                      str(DAY0 + listing)] + [repr(g) for g in gini])
+        entities[symbol] = draw(entity_rows(listing + draw(st.integers(0, 3))))
+    market = [[date, draw(cell(PRICES)), draw(cell(st.floats(0.0, 1e9)))]
+              for date in draw(days())]
+    return metas, entities, market
+
+
+def write_rows(path, header, rows):
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle).writerows([header] + rows)
+    return str(path)
+
+
+def write_raw(folder, raw):
+    """Write the per-file inputs; return ``load_panel``'s arguments."""
+    metas, entities, market = raw
+    (folder / "entities").mkdir()
+    entity_files = [write_rows(folder / "entities" / f"{symbol}.csv", ps.ENTITY_HEADER, rows)
+                    for symbol, rows in entities.items()]
+    return (entity_files, write_rows(folder / "market.csv", ps.MARKET_HEADER, market),
+            write_rows(folder / "meta.csv", ps.META_HEADER, metas))
+
+
+def same_records(a, b):
+    assert a.dates.dtype == b.dates.dtype and a.dates.tobytes() == b.dates.tobytes()
+    assert list(a.values) == list(b.values)
+    for name in a.values:
+        assert a.values[name].tobytes() == b.values[name].tobytes()
+        assert a.missing[name].tobytes() == b.missing[name].tobytes()
+
+
+def cells_of(rec, fields):
+    """The loaded records written back as the generator's text cells."""
+    return [[str(rec.dates[i])] + ["" if rec.missing[f][i] else repr(float(rec.values[f][i]))
+                                   for f in fields] for i in range(len(rec))]
+
+
+CORRUPTIONS = {
+    "price": (("open", "high", "low", "close"), ("-1.0", "0", "x")),
+    "volume": (("volume",), ("0", "-2.5", "1e")),
+    "market": (("index_level", "shock_loss"), ("-5", "abc")),
+    "gini": ([f"gini_{dim}" for dim in ps.GINI_DIMENSIONS], ("1.5", "-0.1", "", "x")),
+}
+
+
+class TestPanelRowProperties:
+    @PROPERTY_SETTINGS
+    @given(raw=raw_panels())
+    def test_round_trip_bit_for_bit(self, tmp_path_factory, raw):
+        folder = tmp_path_factory.mktemp("panel")
+        panel = ps.load_panel(*write_raw(folder, raw))
+        metas, entities, market = raw
+        assert [[m.symbol] + ps.format_meta_cells(m) for m in panel.entities] == metas
+        for symbol, rows in entities.items():
+            assert cells_of(panel.observations[symbol], ps.ENTITY_FIELDS) == rows
+        assert cells_of(panel.market, ps.MARKET_FIELDS) == market
+
+        ps.write_panel_csv(panel, folder / "panel.csv")
+        again = ps.load_panel_csv(folder / "panel.csv")
+        assert again.entities == panel.entities
+        assert list(again.observations) == list(panel.observations)
+        for symbol, rec in panel.observations.items():
+            same_records(rec, again.observations[symbol])
+        same_records(panel.market, again.market)
+
+    @PROPERTY_SETTINGS
+    @given(raw=raw_panels(), kind=st.sampled_from(sorted(CORRUPTIONS)), data=st.data())
+    def test_one_bad_cell_same_error_from_both_forms(self, tmp_path_factory, raw, kind, data):
+        folder = tmp_path_factory.mktemp("panel")
+        files = write_raw(folder, raw)
+        consolidated = folder / "panel.csv"
+        ps.write_panel_csv(ps.load_panel(*files), consolidated)
+        metas, entities, market = raw
+        columns, texts = CORRUPTIONS[kind]
+        column, text = data.draw(st.sampled_from(columns)), data.draw(st.sampled_from(texts))
+        if kind == "gini":
+            k = data.draw(st.integers(0, len(metas) - 1))
+            path, line = files[2], k + 2
+            panel_line = line_of(consolidated, metas[k][0])
+        elif kind == "market":
+            j = data.draw(st.integers(0, len(market) - 1))
+            path, line = files[1], j + 2
+            panel_line = line_of(consolidated, ps.MARKET_SYMBOL, market[j][0])
+        else:
+            k = data.draw(st.integers(0, len(metas) - 1))
+            rows = entities[metas[k][0]]
+            j = data.draw(st.integers(0, len(rows) - 1))
+            path, line = files[0][k], j + 2
+            panel_line = line_of(consolidated, metas[k][0], rows[j][0])
+        rewrite_cell(path, line, column, text)
+        rewrite_cell(consolidated, panel_line, column, text)
+
+        with pytest.raises(ps.PanelLoadError) as per_file:
+            ps.load_panel(*files)
+        with pytest.raises(ps.PanelLoadError) as one_file:
+            ps.load_panel_csv(consolidated)
+        assert message(per_file.value) == message(one_file.value)
+        assert (per_file.value.source, per_file.value.line) == (path, line)
+        assert (one_file.value.source, one_file.value.line) == (str(consolidated), panel_line)

@@ -7,7 +7,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from panelcrypt.estimators import FixedEffects, ModelSpec, hausman
@@ -32,6 +32,8 @@ from panelcrypt.pipeline import (
     write_metrics_csv,
     write_simulation,
 )
+
+from conftest import PROPERTY_SETTINGS
 
 
 def small_params(**overrides):
@@ -229,7 +231,6 @@ DAYS = st.one_of(
         int(np.datetime64("9999-12-31", "D").astype(np.int64)),
     ),
 )
-PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True, database=None, deadline=None)
 
 
 @st.composite
