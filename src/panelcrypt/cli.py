@@ -96,41 +96,16 @@ _MODEL_SPEC_KEYS = {
     "weights": WEIGHTS,
     "dynamic": "bool",
     "covariance": COVARIANCES,
-    "regressors": str,
-    "interactions": str,
+    "regressors": "names",
+    "interactions": "pairs",
 }
 
 
 def _parse_model_spec(path):
-    keys = {}
-    with open(path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, text = line.partition("=")
-            key = key.strip()
-            if key not in _MODEL_SPEC_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown model spec key {key!r}")
-            keys[key] = pipeline.parse_setting(
-                text.strip(), _MODEL_SPEC_KEYS[key], f"{path}:{lineno}", key
-            )
-    regressors = [t.strip() for t in keys.get("regressors", ",".join(CONTROLS)).split(",") if t.strip()]
-    interactions = []
-    for token in keys.get("interactions", "").split(","):
-        token = token.strip()
-        if not token:
-            continue
-        left, _, right = token.partition("*")
-        interactions.append((left.strip(), right.strip()))
-    return ModelSpec(
-        effects=keys.get("effects", "random"),
-        weights=keys.get("weights", "none"),
-        dynamic=keys.get("dynamic", False),
-        covariance=keys.get("covariance", "white"),
-        regressors=regressors,
-        interactions=interactions,
-    )
+    """A model spec settings file; unset keys keep ``ModelSpec``'s defaults,
+    except that the regressors default to the study's controls."""
+    keys = pipeline.read_settings(path, _MODEL_SPEC_KEYS, "model spec key")
+    return ModelSpec(**{"regressors": list(CONTROLS), **keys})
 
 
 def _write_fit_outputs(result, ledger, outdir):
@@ -242,30 +217,17 @@ _SYNTH_KEYS = {
     "sigma_high": float,
     "use_benchmark_universe": "bool",
     "seed": int,
+    **{f"beta_{name}": float for name in pipeline.default_truth()},
 }
 
 
 def _parse_synth_params(path):
-    values = {}
-    beta = {}
-    with open(path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, text = line.partition("=")
-            key, text = key.strip(), text.strip()
-            where = f"{path}:{lineno}"
-            if key.startswith("beta_"):
-                beta[key[len("beta_"):]] = pipeline.parse_setting(text, float, where, key)
-            elif key in _SYNTH_KEYS:
-                values[key] = pipeline.parse_setting(text, _SYNTH_KEYS[key], where, key)
-            else:
-                raise SystemExit(f"{path}:{lineno}: unknown parameter {key!r}")
+    """A simulation parameter settings file; ``beta_<name>`` overrides one
+    coefficient of ``pipeline.default_truth()``."""
+    values = pipeline.read_settings(path, _SYNTH_KEYS, "parameter")
+    beta = {key[len("beta_"):]: values.pop(key) for key in list(values) if key.startswith("beta_")}
     if beta:
-        full = pipeline.default_truth()
-        full.update(beta)
-        values["beta"] = full
+        values["beta"] = {**pipeline.default_truth(), **beta}
     return SynthParams(**values)
 
 

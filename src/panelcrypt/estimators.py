@@ -17,6 +17,7 @@ response lag column (built by ``pipeline.build_design``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import linalg as sla
@@ -97,6 +98,13 @@ class DesignMatrix:
     def column(self, name):
         return self.matrix[:, self.columns.index(name)]
 
+    @cached_property
+    def groups(self):
+        """The entity grouping of the rows, built on first use.  Every fit
+        of this design reads it; ``replace`` makes a design that builds its
+        own."""
+        return _Groups(self.entities)
+
 
 class _Groups:
     """Entity grouping helper (codes, counts, group means).
@@ -158,7 +166,6 @@ class FitResult:
     r2: float
     adj_r2: float
     residuals: np.ndarray          # original-scale residuals
-    fitted: np.ndarray
     entity_effects: dict = None    # FE intercepts by entity label
     intercept: float = None        # FE: mean entity effect
     intercept_se: float = None
@@ -176,12 +183,6 @@ class FitResult:
     @property
     def se(self):
         return np.sqrt(np.clip(np.diag(self.cov), 0.0, None))
-
-    @property
-    def tstats(self):
-        se = self.se
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(se > 0, self.params / se, np.inf)
 
     @property
     def phi(self):
@@ -272,6 +273,18 @@ def _covariance(X, residuals, df_resid, kind):
     raise ValueError(f"unknown covariance {kind!r}; expected one of {COVARIANCES}")
 
 
+def _wls(X, y, weights, columns, covariance, df_resid):
+    """Weighted least squares: scale the rows by ``sqrt(weights)`` and solve.
+
+    Returns ``(beta, scaled residuals, covariance of beta)``.
+    """
+    root = np.sqrt(weights)
+    X, y = X * root[:, None], y * root
+    beta = qr_solve(X, y, columns)
+    resid = y - X @ beta
+    return beta, resid, _covariance(X, resid, df_resid, covariance)
+
+
 def _adj_r2(r2, nobs, n_params):
     if nobs - n_params <= 0:
         return float("nan")
@@ -290,54 +303,70 @@ def _r2_original(y, fitted):
 # estimators
 
 
-class PooledOLS(BaseEstimator):
-    """Ordinary least squares on the pooled panel."""
+def _within(design):
+    """Within-entity deviations of a design, and its entity means.
+
+    Returns ``(varying, invariant, X, y, xbar, ybar)``: the indices of the
+    columns with and without within-entity variation, the demeaned varying
+    columns and response, and the entity means of every column and of the
+    response.  ``X`` is a C-ordered copy, as the deviations of the column
+    slice itself would be: a strided slice changes the products' last bits.
+    """
+    groups = design.groups
+    xbar = groups.mean(design.matrix)
+    ybar = groups.mean(design.response)
+    deviations = design.matrix - xbar[groups.codes]
+    scale = np.maximum(np.abs(design.matrix).max(axis=0), 1.0)
+    varying = np.abs(deviations).max(axis=0) > RANK_TOL * scale
+    if not varying.any():
+        raise ValueError("no within-entity variation in any regressor")
+    X = np.ascontiguousarray(deviations[:, varying])
+    y = design.response - ybar[groups.codes]
+    return np.flatnonzero(varying), np.flatnonzero(~varying), X, y, xbar, ybar
+
+
+class _LeastSquares(BaseEstimator):
+    """Constructor and result assembly shared by the panel estimators."""
 
     def __init__(self, covariance="white"):
         self.covariance = covariance
 
-    def fit(self, design):
-        root = np.sqrt(design.weights)
-        X, y = design.matrix * root[:, None], design.response * root
-        n, k = X.shape
-        beta = qr_solve(X, y, design.columns)
-        df_resid = n - k
-        cov = _covariance(X, y - X @ beta, df_resid, self.covariance)
-        fitted = design.matrix @ beta
+    def _finish(self, design, fitted, n_params, **fields):
+        """Set ``result_``, ``coef_`` and ``cov_`` from the original-scale
+        fitted values; ``fields`` are the ``FitResult`` fields that differ
+        between estimators."""
         r2 = _r2_original(design.response, fitted)
-        groups = _Groups(design.entities)
         self.result_ = FitResult(
-            method="pooled",
-            columns=list(design.columns),
-            params=beta,
-            cov=cov,
-            nobs=n,
-            n_entities=groups.n_groups,
-            df_resid=df_resid,
+            nobs=design.nobs,
+            n_entities=design.groups.n_groups,
             r2=r2,
-            adj_r2=_adj_r2(r2, n, k),
+            adj_r2=_adj_r2(r2, design.nobs, n_params),
             residuals=design.response - fitted,
-            fitted=fitted,
             lag_column=design.lag_column,
+            **fields,
         )
-        self.coef_ = beta
-        self.cov_ = cov
+        self.coef_ = self.result_.params
+        self.cov_ = self.result_.cov
         return self
+
+
+class PooledOLS(_LeastSquares):
+    """Ordinary least squares on the pooled panel."""
+
+    def fit(self, design):
+        n, k = design.matrix.shape
+        beta, _, cov = _wls(design.matrix, design.response, design.weights,
+                            design.columns, self.covariance, n - k)
+        return self._finish(design, design.matrix @ beta, k, method="pooled",
+                            columns=list(design.columns), params=beta, cov=cov,
+                            df_resid=n - k)
 
     def predict(self, X):
         check_is_fitted(self)
         return np.asarray(X, dtype=float) @ self.coef_
 
 
-def _split_time_invariant(design, groups):
-    """Indices of columns with and without within-entity variation."""
-    demeaned = groups.demean(design.matrix)
-    scale = np.maximum(np.abs(design.matrix).max(axis=0), 1.0)
-    varying = np.abs(demeaned).max(axis=0) > RANK_TOL * scale
-    return np.flatnonzero(varying), np.flatnonzero(~varying)
-
-
-class FixedEffects(BaseEstimator):
+class FixedEffects(_LeastSquares):
     """Within estimator with recovered per-entity intercepts.
 
     Time-invariant columns are absorbed by the entity effects; they are
@@ -346,42 +375,25 @@ class FixedEffects(BaseEstimator):
     then commute, and the weighted within fit equals weighted LSDV.
     """
 
-    def __init__(self, covariance="white"):
-        self.covariance = covariance
-
     def fit(self, design):
-        groups = _Groups(design.entities)
+        groups = design.groups
         if np.any(groups.counts < 2):
             thin = groups.labels[groups.counts < 2].tolist()
             raise ValueError(f"entities with fewer than 2 rows under fixed effects: {thin}")
-        varying, invariant = _split_time_invariant(design, groups)
+        varying, invariant, X, y, xbar, ybar = _within(design)
         absorbed = [design.columns[j] for j in invariant]
-        if varying.size == 0:
-            raise ValueError("no within-entity variation in any regressor")
         columns = [design.columns[j] for j in varying]
         weights = np.empty(groups.n_groups)
         weights[groups.codes] = design.weights
         if np.any(weights[groups.codes] != design.weights):
             raise ValueError("fixed effects need row weights constant within each entity")
-        root = np.sqrt(design.weights)
-        X = groups.demean(design.matrix[:, varying])
-        y = groups.demean(design.response)
-        X *= root[:, None]
-        y *= root
         n, k = X.shape
-        beta = qr_solve(X, y, columns)
-        resid = y - X @ beta
         df_resid = n - k - groups.n_groups
-        cov = _covariance(X, resid, df_resid, self.covariance)
+        beta, resid, cov = _wls(X, y, design.weights, columns, self.covariance, df_resid)
 
-        xbar = groups.mean(design.matrix[:, varying])
-        ybar = groups.mean(design.response)
+        xbar = np.ascontiguousarray(xbar[:, varying])
         alpha = ybar - xbar @ beta
         fitted = alpha[groups.codes] + design.matrix[:, varying] @ beta
-        resid_orig = design.response - fitted
-        r2 = _r2_original(design.response, fitted)
-
-        intercept = float(alpha.mean())
         sigma2 = float(resid @ resid) / max(df_resid, 1)
         xbar_mean = xbar.mean(axis=0)
         # delta-method approximation; ignores the (small) slope/mean cross term.
@@ -389,53 +401,43 @@ class FixedEffects(BaseEstimator):
         intercept_var = float(xbar_mean @ cov @ xbar_mean) + sigma2 * float(
             np.sum(1.0 / (weights * groups.counts))
         ) / groups.n_groups**2
-
-        self.result_ = FitResult(
+        return self._finish(
+            design, fitted, k + groups.n_groups,
             method="fixed",
             columns=columns,
             params=beta,
             cov=cov,
-            nobs=n,
-            n_entities=groups.n_groups,
             df_resid=df_resid,
-            r2=r2,
-            adj_r2=_adj_r2(r2, n, k + groups.n_groups),
-            residuals=resid_orig,
-            fitted=fitted,
             entity_effects=dict(zip(groups.labels.tolist(), alpha)),
-            intercept=intercept,
+            intercept=float(alpha.mean()),
             intercept_se=float(np.sqrt(max(intercept_var, 0.0))),
             absorbed=absorbed,
             flags=[f"absorbed:{name}" for name in absorbed],
-            lag_column=design.lag_column,
         )
-        self.coef_ = beta
-        self.cov_ = cov
-        return self
 
 
-def _swamy_arora(design, groups):
-    """Variance components from the within and between regressions."""
+def _swamy_arora(design):
+    """Variance components from the within and between regressions.
+
+    Returns ``(components, theta per entity code, flags, xbar, ybar)``, the
+    last two being the entity means of the columns and of the response.
+    """
+    groups = design.groups
     flags = []
-    varying, _ = _split_time_invariant(design, groups)
-    if varying.size == 0:
-        raise ValueError("no within-entity variation; cannot estimate components")
-    Xw = groups.demean(design.matrix[:, varying])
-    yw = groups.demean(design.response)
+    varying, _, Xw, yw, xbar, ybar = _within(design)
     beta_w = qr_solve(Xw, yw, [design.columns[j] for j in varying])
     resid_w = yw - Xw @ beta_w
     df_within = design.nobs - varying.size - groups.n_groups
     sigma2_eps = float(resid_w @ resid_w) / max(df_within, 1)
 
-    Xb = groups.mean(design.matrix)
-    yb = groups.mean(design.response)
+    Xb = xbar
     if not any(np.allclose(Xb[:, j], Xb[0, j]) and Xb[0, j] == 1.0 for j in range(Xb.shape[1])):
         Xb = np.column_stack([np.ones(groups.n_groups), Xb])
     rank = np.linalg.matrix_rank(Xb)
     t_bar = float(groups.counts.mean())
     if groups.n_groups > rank:
-        beta_b, *_ = np.linalg.lstsq(Xb, yb, rcond=None)
-        resid_b = yb - Xb @ beta_b
+        beta_b, *_ = np.linalg.lstsq(Xb, ybar, rcond=None)
+        resid_b = ybar - Xb @ beta_b
         sigma2_between = float(resid_b @ resid_b) / (groups.n_groups - rank)
         sigma2_alpha = sigma2_between - sigma2_eps / t_bar
     else:
@@ -455,54 +457,27 @@ def _swamy_arora(design, groups):
         theta=dict(zip(groups.labels.tolist(), theta)),
         clamped=clamped,
     )
-    return components, theta, flags
+    return components, theta, flags, xbar, ybar
 
 
-class RandomEffects(BaseEstimator):
+class RandomEffects(_LeastSquares):
     """Swamy-Arora feasible GLS with unbalanced-panel quasi-demeaning.
 
     Row weights scale the quasi-demeaned rows; the variance components come
     from the unweighted within and between regressions.
     """
 
-    def __init__(self, covariance="white"):
-        self.covariance = covariance
-
     def fit(self, design):
-        groups = _Groups(design.entities)
-        components, theta, flags = _swamy_arora(design, groups)
-        scale = theta[groups.codes]
-        root = np.sqrt(design.weights)
-        X = design.matrix - scale[:, None] * groups.mean(design.matrix)[groups.codes]
-        y = design.response - scale * groups.mean(design.response)[groups.codes]
-        X *= root[:, None]
-        y *= root
+        codes = design.groups.codes
+        components, theta, flags, xbar, ybar = _swamy_arora(design)
+        scale = theta[codes]
+        X = design.matrix - scale[:, None] * xbar[codes]
+        y = design.response - scale * ybar[codes]
         n, k = X.shape
-        beta = qr_solve(X, y, design.columns)
-        resid_t = y - X @ beta
-        df_resid = n - k
-        cov = _covariance(X, resid_t, df_resid, self.covariance)
-        fitted = design.matrix @ beta
-        r2 = _r2_original(design.response, fitted)
-        self.result_ = FitResult(
-            method="random",
-            columns=list(design.columns),
-            params=beta,
-            cov=cov,
-            nobs=n,
-            n_entities=groups.n_groups,
-            df_resid=df_resid,
-            r2=r2,
-            adj_r2=_adj_r2(r2, n, k),
-            residuals=design.response - fitted,
-            fitted=fitted,
-            variance_components=components,
-            flags=flags,
-            lag_column=design.lag_column,
-        )
-        self.coef_ = beta
-        self.cov_ = cov
-        return self
+        beta, _, cov = _wls(X, y, design.weights, design.columns, self.covariance, n - k)
+        return self._finish(design, design.matrix @ beta, k, method="random",
+                            columns=list(design.columns), params=beta, cov=cov,
+                            df_resid=n - k, variance_components=components, flags=flags)
 
 
 ESTIMATORS = {"pooled": PooledOLS, "fixed": FixedEffects, "random": RandomEffects}
@@ -527,7 +502,7 @@ class CrossSectionEGLS(BaseEstimator):
             raise ValueError(f"unknown effects {self.effects!r}; expected one of {EFFECTS}")
         estimator = ESTIMATORS[self.effects]
         stage1 = estimator(covariance=self.covariance).fit(design).result_
-        groups = _Groups(design.entities)
+        groups = design.groups
         resid = stage1.residuals
         flags = []
         sq = np.bincount(groups.codes, weights=resid**2, minlength=groups.n_groups)
@@ -549,7 +524,6 @@ class CrossSectionEGLS(BaseEstimator):
         self.result_ = result
         self.coef_ = result.params
         self.cov_ = result.cov
-        self.stage1_result_ = stage1
         return self
 
 

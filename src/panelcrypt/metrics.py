@@ -41,10 +41,6 @@ class MetricSeries:
     def __len__(self):
         return len(self.values)
 
-    @property
-    def present(self):
-        return ~self.missing
-
     def present_values(self):
         return self.values[~self.missing]
 

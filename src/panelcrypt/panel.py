@@ -10,6 +10,7 @@ has to reason about NaN propagation.
 from __future__ import annotations
 
 import csv
+import math
 import operator
 import os
 import re
@@ -168,15 +169,20 @@ def parse_date(text, source=None, line=None):
 
 
 def _parse_float(cell, column, source, line):
+    """``(value, missing)`` of one numeric cell; an empty cell is missing, and
+    a present value must be finite."""
     cell = cell.strip()
     if cell == "":
         return np.nan, True
     try:
-        return float(cell), False
+        value = float(cell)
     except ValueError:
         raise PanelLoadError(
             f"unparseable numeric {cell!r} in column {column!r}", source, line
         ) from None
+    if not math.isfinite(value):
+        raise PanelLoadError(f"non-finite numeric {cell!r} in column {column!r}", source, line)
+    return value, False
 
 
 def _parse_bool(cell, column, source, line):
@@ -295,6 +301,8 @@ def _parse_market_rows(numbered_rows, index, source):
 def _parse_meta_row(line, row, index, source):
     """EntityMeta from the ``META_HEADER`` cells of one row."""
     symbol = row[index["symbol"]].strip()
+    if not symbol:
+        raise PanelLoadError("empty symbol", source, line)
     components = []
     for dim in GINI_DIMENSIONS:
         column = f"gini_{dim}"

@@ -138,9 +138,11 @@ def parse_setting(text, kind, where, key):
     """Convert the value text of one ``key = value`` line.
 
     ``kind`` is ``str``, ``int``, ``float``, ``"bool"`` (true/false, 1/0,
-    yes/no, any case), ``"floats"`` (a comma list), ``"date"`` (checked by
-    ``parse_date``, kept as text) or a tuple of allowed strings.  A bad value
-    raises ``ValueError`` naming ``where`` (``path:line``) and the key.
+    yes/no, any case), ``"floats"`` (a comma list), ``"names"`` (a comma
+    list of names), ``"pairs"`` (a comma list of ``left*right`` name pairs),
+    ``"date"`` (checked by ``parse_date``, kept as text) or a tuple of
+    allowed strings.  A bad value raises ``ValueError`` naming ``where``
+    (``path:line``) and the key.
     """
     if isinstance(kind, tuple):
         if text not in kind:
@@ -153,6 +155,14 @@ def parse_setting(text, kind, where, key):
             return text.lower() in _TRUE
         if kind == "floats":
             return tuple(float(t) for t in text.split(",") if t.strip())
+        if kind == "names":
+            return [t.strip() for t in text.split(",") if t.strip()]
+        if kind == "pairs":
+            pairs = [tuple(n.strip() for n in t.split("*")) for t in text.split(",") if t.strip()]
+            for pair in pairs:
+                if len(pair) != 2 or not all(pair):
+                    raise ValueError(f"expected 'left*right', got {'*'.join(pair)!r}")
+            return pairs
         if kind == "date":
             parse_date(text)
             return text
@@ -161,23 +171,40 @@ def parse_setting(text, kind, where, key):
         raise ValueError(f"{where}: {key}: {exc}") from None
 
 
-def parse_config(path):
-    """Flat key = value config file; '#' starts a comment."""
-    values = {}
+def read_settings(path, kinds, what):
+    """``{key: value}`` from a flat ``key = value`` settings file.
+
+    '#' starts a comment and blank lines are skipped.  Every other line
+    needs an '=' and a key of ``kinds`` that no earlier line set; the value
+    is converted by ``parse_setting`` with ``kinds[key]``.  A bad line
+    raises ``ValueError`` naming ``path:line``; an unknown key is reported
+    as an unknown ``what``.
+    """
+    values, lines = {}, {}
     with open(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+                raise ValueError(f"{where}: expected 'key = value', got {raw!r}")
             key, _, text = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            attr, kind = _CONFIG_KEYS[key]
-            values[attr] = parse_setting(text.strip(), kind, f"{path}:{lineno}", key)
-    return RunConfig(**values)
+            if key not in kinds:
+                raise ValueError(f"{where}: unknown {what} {key!r}")
+            if key in lines:
+                raise ValueError(f"{where}: {key} already set at line {lines[key]}")
+            lines[key] = lineno
+            values[key] = parse_setting(text.strip(), kinds[key], where, key)
+    return values
+
+
+def parse_config(path):
+    """Report config: a settings file (``read_settings``) of ``_CONFIG_KEYS``."""
+    kinds = {key: kind for key, (_, kind) in _CONFIG_KEYS.items()}
+    values = read_settings(path, kinds, "config key")
+    return RunConfig(**{_CONFIG_KEYS[key][0]: value for key, value in values.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -192,35 +219,39 @@ def metrics_from_panel(panel, window=30):
     return bundle
 
 
-def add_decentralization_metric(bundle, metas, panel):
-    """Composite decentralization per token, purified against pooled ln(mcap)."""
-    symbols, dec_vals, mcap_vals, slices = [], [], [], {}
-    offset = 0
-    for meta in metas:
-        rec = panel.observations[meta.symbol]
-        composite = dec.composite_index(meta.gini_components)
-        n = len(rec)
-        ok = ~rec.missing["mcap"]
-        values = np.full(n, np.nan)
-        values[ok] = np.log(rec.values["mcap"][ok])
-        symbols.append(meta.symbol)
-        dec_vals.append(np.full(n, composite))
-        mcap_vals.append(values)
-        slices[meta.symbol] = (offset, offset + n)
-        offset += n
-    pooled_dec = np.concatenate(dec_vals)
-    pooled_log_mcap = np.concatenate(mcap_vals)
-    residuals, res_missing = dec.orthogonalize(pooled_dec, pooled_log_mcap)
-    for meta in metas:
-        lo, hi = slices[meta.symbol]
-        rec = panel.observations[meta.symbol]
-        bundle[meta.symbol]["decentralization"] = mx.MetricSeries(
-            meta.symbol,
-            "decentralization",
-            rec.dates,
-            residuals[lo:hi],
-            res_missing[lo:hi],
+def purified_decentralization(metas, dates, log_mcap):
+    """Composite decentralization per token, purified against pooled ln(mcap).
+
+    ``dates`` and ``log_mcap`` hold one array per entry of ``metas`` (NaN
+    where ln(mcap) is missing).  Returns ``{symbol: MetricSeries}``.
+    """
+    composite = [
+        np.full(len(d), dec.composite_index(meta.gini_components))
+        for meta, d in zip(metas, dates)
+    ]
+    residuals, missing = dec.orthogonalize(np.concatenate(composite), np.concatenate(log_mcap))
+    series, offset = {}, 0
+    for meta, d in zip(metas, dates):
+        end = offset + len(d)
+        series[meta.symbol] = mx.MetricSeries(
+            meta.symbol, "decentralization", d, residuals[offset:end], missing[offset:end]
         )
+        offset = end
+    return series
+
+
+def add_decentralization_metric(bundle, metas, panel):
+    """Add each token's purified decentralization series to ``bundle``."""
+    dates, log_mcap = [], []
+    for meta in metas:
+        rec = panel.observations[meta.symbol]
+        ok = ~rec.missing["mcap"]
+        values = np.full(len(rec), np.nan)
+        values[ok] = np.log(rec.values["mcap"][ok])
+        dates.append(rec.dates)
+        log_mcap.append(values)
+    for symbol, series in purified_decentralization(metas, dates, log_mcap).items():
+        bundle[symbol]["decentralization"] = series
     return bundle
 
 
@@ -353,25 +384,25 @@ class DropLedger:
 
 
 def _aligned(series, dates):
-    """Align a metric series onto a target date vector; unmatched dates stay
-    missing.  Fast path when the grids already coincide."""
+    """``(values, missing)`` of a metric series on a target date vector:
+    unmatched dates are missing, and the values are NaN wherever the result
+    is missing.  Fast path when the grids already coincide."""
     if len(series.dates) == len(dates) and np.array_equal(series.dates, dates):
-        return series.values, series.missing
-    idx = np.searchsorted(series.dates, dates)
-    n = len(dates)
-    values = np.full(n, np.nan)
-    missing = np.ones(n, dtype=bool)
-    in_range = (idx < len(series.dates))
-    match = np.zeros(n, dtype=bool)
-    match[in_range] = series.dates[idx[in_range]] == dates[in_range]
-    take = idx[match]
-    values[match] = series.values[take]
-    missing[match] = series.missing[take]
+        values, missing = series.values, series.missing
+    else:
+        idx = np.searchsorted(series.dates, dates)
+        n = len(dates)
+        values = np.full(n, np.nan)
+        missing = np.ones(n, dtype=bool)
+        in_range = (idx < len(series.dates))
+        match = np.zeros(n, dtype=bool)
+        match[in_range] = series.dates[idx[in_range]] == dates[in_range]
+        take = idx[match]
+        values[match] = series.values[take]
+        missing[match] = series.missing[take]
+    if missing.any():
+        values = np.where(missing, np.nan, values)
     return values, missing
-
-
-def _market_aligned(bundle, name, dates):
-    return _aligned(bundle[MARKET_SYMBOL][name], dates)
 
 
 def build_design(metas, bundle, spec, window=None, response="price_risk"):
@@ -433,7 +464,7 @@ def build_design(metas, bundle, spec, window=None, response="price_risk"):
                     np.zeros(len(dates), dtype=bool),
                 )
             if name in MARKET_METRICS:
-                return _market_aligned(bundle, name, dates)
+                return _aligned(bundle[MARKET_SYMBOL][name], dates)
             return _aligned(per_entity[name], dates)
 
         values = {response: (resp.values, resp.missing)}
@@ -702,18 +733,25 @@ def _slope_pairs(fit, scale=1.0):
     return (mv, mv_se), (hyfi, hyfi_se)
 
 
+def _figure5_model_rows(model, non, hyfi, phi):
+    """One model's fig5 rows from its non-HyFi and HyFi ``(estimate, se)``
+    slopes: the short run, and the long run when ``phi`` is not None."""
+    horizons = [("short", 1.0)]
+    if phi is not None:
+        horizons.append(("long", 1.0 / (1.0 - phi)))
+    rows = []
+    for horizon, factor in horizons:
+        for group, (est, se) in (("nonhyfi", non), ("hyfi", hyfi)):
+            est_h, se_h = est * factor, se * factor
+            lo, hi = _interval(est_h, se_h)
+            rows.append((model, horizon, group, est_h, se_h, lo, hi))
+    return rows
+
+
 def figure5_rows(static_fit, dynamic_fit, scale=1.0):
     rows = []
     for model, fit in (("static_fixed", static_fit), ("dynamic_fixed", dynamic_fit)):
-        non, hyfi = _slope_pairs(fit, scale)
-        horizons = [("short", 1.0)]
-        if fit.phi is not None:
-            horizons.append(("long", 1.0 / (1.0 - fit.phi)))
-        for horizon, factor in horizons:
-            for group, (est, se) in (("nonhyfi", non), ("hyfi", hyfi)):
-                est_h, se_h = est * factor, se * factor
-                lo, hi = _interval(est_h, se_h)
-                rows.append((model, horizon, group, est_h, se_h, lo, hi))
+        rows += _figure5_model_rows(model, *_slope_pairs(fit, scale), fit.phi)
     return rows
 
 
@@ -793,18 +831,14 @@ def reference_figures():
     fig4 = figure4_rows(dyn["intercept"][0], slope_non, slope_hyfi, phi)
 
     fig5 = []
-    for model, table, lag in (
-        ("static_fixed", static, None),
-        ("dynamic_fixed", dyn, phi),
-    ):
+    for model, table, lag in (("static_fixed", static, None), ("dynamic_fixed", dyn, phi)):
         mv, mv_se = table["market_volatility"]
         inter, inter_se = table["hyfi_x_market_volatility"]
-        pairs = (("nonhyfi", mv, mv_se), ("hyfi", mv + inter, math.hypot(mv_se, inter_se)))
-        horizons = [("short", 1.0)] + ([("long", 1.0 / (1.0 - lag))] if lag else [])
-        for horizon, factor in horizons:
-            for group, est, se in pairs:
-                lo, hi = _interval(est * factor, se * factor)
-                fig5.append((model, horizon, group, est * factor, se * factor, lo, hi))
+        # math.hypot, not _slope_pairs' sqrt of the sum of squares: the two
+        # differ in the last digit of the static HyFi SE
+        fig5 += _figure5_model_rows(
+            model, (mv, mv_se), (mv + inter, math.hypot(mv_se, inter_se)), lag
+        )
 
     fig6 = []
     for tau in sorted(refdata.BENCHMARK_QUANTILE_HYFI):
@@ -812,11 +846,7 @@ def reference_figures():
         lo, hi = _interval(est, se)
         fig6.append((float(tau), "hyfi", est, se, lo, hi))
 
-    fig7 = []
-    for period in ("pre", "post"):
-        est, se = refdata.BENCHMARK_SPLIT_INTERACTION[period]
-        lo, hi = _interval(est, se)
-        fig7.append((period, est, se, lo, hi))
+    fig7 = figure7_rows(refdata.BENCHMARK_SPLIT_INTERACTION)
     return {"fig4": fig4, "fig5": fig5, "fig6": fig6, "fig7": fig7}
 
 
@@ -952,9 +982,6 @@ def simulate_dgp(params, seed=None):
     sigma_i = np.linspace(params.sigma_low, params.sigma_high, params.n_entities)
     alphas = rng.normal(0.0, params.sigma_alpha, size=params.n_entities)
 
-    mv_by_date = dict(zip(market_vol.dates.tolist(), market_vol.values))
-    shock_by_date = dict(zip(market_shocks.dates.tolist(), market_shocks.values))
-
     entity_frames = []
     for i, meta in enumerate(metas):
         dates = calendar[calendar >= meta.listing_date]
@@ -999,31 +1026,16 @@ def simulate_dgp(params, seed=None):
             }
         )
 
-    pooled_dec = np.concatenate(
-        [
-            np.full(len(f["dates"]), dec.composite_index(f["meta"].gini_components))
-            for f in entity_frames
-        ]
+    purified = purified_decentralization(
+        metas, [f["dates"] for f in entity_frames], [f["log_mcap"] for f in entity_frames]
     )
-    pooled_mcap = np.concatenate([f["log_mcap"] for f in entity_frames])
-    residuals, res_missing = dec.orthogonalize(pooled_dec, pooled_mcap)
-
-    offset = 0
     for f in entity_frames:
         meta = f["meta"]
         dates = f["dates"]
         n = len(dates)
-        dec_series = mx.MetricSeries(
-            meta.symbol,
-            "decentralization",
-            dates,
-            residuals[offset:offset + n],
-            res_missing[offset:offset + n],
-        )
-        offset += n
-
-        mv = np.array([mv_by_date.get(d, np.nan) for d in dates.tolist()])
-        shocks = np.array([shock_by_date.get(d, np.nan) for d in dates.tolist()])
+        dec_series = purified[meta.symbol]
+        mv = _aligned(market_vol, dates)[0]
+        shocks = _aligned(market_shocks, dates)[0]
         hyfi = 1.0 if meta.hyfi else 0.0
         beta = params.beta
         regression_part = (
@@ -1430,19 +1442,13 @@ def _emit_diagnostics(metas, bundle, config, tables, extra_pooled=None):
         np.concatenate([s.dates for per in bundle.values() for s in per.values()])
     )
 
-    def aligned(entity, name):
-        series = bundle[entity][name]
-        out = np.full(len(calendar), np.nan)
-        ok = np.flatnonzero(~series.missing)
-        out[np.searchsorted(calendar, series.dates[ok])] = series.values[ok]
-        return out
-
     variables = ["price_risk"] + [c for c in CONTROLS if c not in MARKET_METRICS]
     pooled = {}
     per_entity_matrix = {}
     for name in variables:
-        stacked = [aligned(meta.symbol, name) for meta in metas]
-        per_entity_matrix[name] = np.vstack(stacked)
+        per_entity_matrix[name] = np.vstack(
+            [_aligned(bundle[meta.symbol][name], calendar)[0] for meta in metas]
+        )
         pooled[name] = np.concatenate(
             [bundle[meta.symbol][name].present_values() for meta in metas]
         )
@@ -1491,17 +1497,11 @@ def _emit_diagnostics(metas, bundle, config, tables, extra_pooled=None):
     corr_names = list(CONTROLS)
     stacked = {}
     for name in corr_names:
-        parts = []
-        for meta in metas:
-            base = bundle[meta.symbol]["price_risk"].dates
-            if name in MARKET_METRICS:
-                values, missing = _market_aligned(bundle, name, base)
-            else:
-                values, missing = _aligned(bundle[meta.symbol][name], base)
-            values = values.copy()
-            values[missing] = np.nan
-            parts.append(values)
-        stacked[name] = np.concatenate(parts)
+        stacked[name] = np.concatenate([
+            _aligned(bundle[MARKET_SYMBOL if name in MARKET_METRICS else meta.symbol][name],
+                     bundle[meta.symbol]["price_risk"].dates)[0]
+            for meta in metas
+        ])
     matrix, labels = diag.correlation_matrix(
         [stacked[name] for name in corr_names], corr_names
     )

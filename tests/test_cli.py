@@ -207,3 +207,20 @@ def test_synth_params_bad_value_named_at_its_line(tmp_path, line, message):
     params.write_text(f"n_periods = 160\n{line}\n")
     with pytest.raises(ValueError, match=message):
         _parse_synth_params(params)
+
+
+def test_synth_params_reject_unknown_coefficient(tmp_path):
+    params = tmp_path / "params.cfg"
+    params.write_text("n_periods = 160\nbeta_sise = 0.5\n")
+    with pytest.raises(ValueError, match=r"params\.cfg:2: unknown parameter 'beta_sise'"):
+        _parse_synth_params(params)
+    params.write_text("n_periods = 160\nbeta_size = 0.5\n")
+    assert _parse_synth_params(params).beta["size"] == 0.5
+
+
+@pytest.mark.parametrize("token", ["hyfi", "hyfi*", "*market_volatility", "a*b*c"])
+def test_model_spec_rejects_malformed_interaction(tmp_path, token):
+    spec = tmp_path / "spec.cfg"
+    spec.write_text(f"effects = fixed\ninteractions = size*illiquidity, {token}\n")
+    with pytest.raises(ValueError, match=r"spec\.cfg:2: interactions: expected 'left\*right'"):
+        _parse_model_spec(spec)

@@ -485,10 +485,12 @@ def cells_of(rec, fields):
 
 
 CORRUPTIONS = {
-    "price": (("open", "high", "low", "close"), ("-1.0", "0", "x")),
-    "volume": (("volume",), ("0", "-2.5", "1e")),
-    "market": (("index_level", "shock_loss"), ("-5", "abc")),
-    "gini": ([f"gini_{dim}" for dim in ps.GINI_DIMENSIONS], ("1.5", "-0.1", "", "x")),
+    "price": (("open", "high", "low", "close"), ("-1.0", "0", "x", "nan", "inf")),
+    "volume": (("volume",), ("0", "-2.5", "1e", "nan", "-inf")),
+    "nonfinite": (("mcap", "attention"), ("nan", "inf", "-inf")),
+    "market": (("index_level", "shock_loss"), ("-5", "abc", "NaN", "inf")),
+    "gini": ([f"gini_{dim}" for dim in ps.GINI_DIMENSIONS], ("1.5", "-0.1", "", "x", "nan")),
+    "symbol": (("symbol",), ("", " ")),
 }
 
 
@@ -522,7 +524,7 @@ class TestPanelRowProperties:
         metas, entities, market = raw
         columns, texts = CORRUPTIONS[kind]
         column, text = data.draw(st.sampled_from(columns)), data.draw(st.sampled_from(texts))
-        if kind == "gini":
+        if kind in ("gini", "symbol"):
             k = data.draw(st.integers(0, len(metas) - 1))
             path, line = files[2], k + 2
             panel_line = line_of(consolidated, metas[k][0])
@@ -537,7 +539,8 @@ class TestPanelRowProperties:
             path, line = files[0][k], j + 2
             panel_line = line_of(consolidated, metas[k][0], rows[j][0])
         rewrite_cell(path, line, column, text)
-        rewrite_cell(consolidated, panel_line, column, text)
+        # the consolidated file carries the symbol in its entity column
+        rewrite_cell(consolidated, panel_line, "entity" if kind == "symbol" else column, text)
 
         with pytest.raises(ps.PanelLoadError) as per_file:
             ps.load_panel(*files)

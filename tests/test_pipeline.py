@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from panelcrypt import estimators
 from panelcrypt.estimators import FixedEffects, ModelSpec, hausman
 from panelcrypt.metrics import MetricSeries
 from panelcrypt.panel import PanelLoadError
@@ -388,6 +389,21 @@ class TestBaseline:
         truth = default_truth()["hyfi_x_market_volatility"]
         assert abs(estimates.mean() - truth) <= 3 * mc_se + 1e-9
 
+    def test_entity_groups_built_once_per_design(self, monkeypatch):
+        # per label: the RE design, the EGLS stage-1 design (shared with the
+        # Hausman FE fit) and the reweighted EGLS stage-2 design
+        sim = simulate_dgp(small_params(n_entities=4, n_periods=120), seed=5)
+        config = RunConfig(metrics_file="unused", meta="unused", out="unused")
+        built, groups = [], estimators._Groups
+
+        def counting(entities):
+            built.append(len(entities))
+            return groups(entities)
+
+        monkeypatch.setattr(estimators, "_Groups", counting)
+        run_baseline(sim.metas, sim.bundle, config)
+        assert len(built) == 6
+
     def test_variance_components_reported(self, fragment):
         _, result = fragment
         vc = result.fits["static_random"].variance_components
@@ -637,6 +653,12 @@ class TestReport:
         bad = tmp_path / "bad.cfg"
         bad.write_text("nonsense = 1\n")
         with pytest.raises(ValueError, match="unknown config key"):
+            parse_config(bad)
+
+    def test_config_rejects_repeated_key(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("metrics = m.csv\nmeta = m.csv\nseed = 1\n\nseed = 2\n")
+        with pytest.raises(ValueError, match=r"bad\.cfg:5: seed already set at line 3"):
             parse_config(bad)
 
     def test_config_requires_inputs(self):
