@@ -324,7 +324,9 @@ def cips(panel_values, max_lag=4, deterministic="constant", entity_labels=None):
         y = data[i]
         ok = np.isfinite(y)
         idx = np.flatnonzero(ok)
-        if idx.size <= max_lag + 5:
+        # the p = max_lag regression has 4 + 2 max_lag columns on
+        # idx.size - 1 - max_lag rows and needs a residual degree of freedom
+        if idx.size < 3 * max_lag + 6:
             raise ValueError(
                 f"entity {labels[i]}: too few observations ({idx.size}) for the CADF regression"
             )

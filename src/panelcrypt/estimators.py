@@ -102,7 +102,8 @@ class DesignMatrix:
     def groups(self):
         """The entity grouping of the rows, built on first use.  Every fit
         of this design reads it; ``replace`` makes a design that builds its
-        own."""
+        own, unless the caller assigns the grouping of a design with the same
+        entities, as EGLS stage 2 does."""
         return _Groups(self.entities)
 
 
@@ -516,6 +517,7 @@ class CrossSectionEGLS(BaseEstimator):
             )
         weights = 1.0 / sigma2
         weighted = replace(design, weights=weights[groups.codes])
+        weighted.groups = groups
         result = estimator(covariance=self.covariance).fit(weighted).result_
         result.method = f"{self.effects}_egls"
         result.flags = flags + result.flags

@@ -391,8 +391,26 @@ def load_panel(entity_files, market_file, meta_file):
     return PanelDataset(entities=tuple(metas), observations=observations, market=market)
 
 
-def _format_value(value, is_missing):
-    return "" if is_missing else repr(float(value))
+def csv_cell(text, lineterminator):
+    """``text`` as ``csv.writer`` (QUOTE_MINIMAL) writes it inside a row.
+
+    The cell is quoted, with its quotes doubled, when it holds the
+    delimiter, the quote character or a character of ``lineterminator``.
+    """
+    if any(c in text for c in ',"' + lineterminator):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def day_texts(dates, cache):
+    """``str`` of each day in ``dates``; ``cache`` maps day numbers to texts.
+
+    Each day not yet in ``cache`` is formatted once and added to it.
+    """
+    days = dates.astype("datetime64[D]", copy=False).view(np.int64).tolist()
+    for day in set(days).difference(cache):
+        cache[day] = str(np.datetime64(day, "D"))
+    return list(map(cache.__getitem__, days))
 
 
 def format_meta_cells(meta):
@@ -402,33 +420,74 @@ def format_meta_cells(meta):
     ]
 
 
+def _value_rows(label, series, fields):
+    """Row texts of ``series``' ``fields`` cells: ``repr`` where present,
+    empty where missing.
+
+    A present non-finite value raises ``ValueError`` naming ``label``, the
+    column and the date.
+    """
+    block = np.column_stack([series.values[f] for f in fields])
+    absent = np.column_stack([series.missing[f] for f in fields])
+    bad = ~(absent | np.isfinite(block))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(
+            f"non-finite value {block[i, j]} for {label} {fields[j]} on {series.dates[i]}"
+        )
+    return [
+        ",".join(["" if gone else repr(value) for value, gone in zip(row, gone_row)])
+        for row, gone_row in zip(block.tolist(), absent.tolist())
+    ]
+
+
+def write_blocks(path, blocks):
+    """Write the text blocks of ``blocks`` to ``path`` one at a time.
+
+    When a block fails with ``ValueError`` the partial file is removed, so
+    that no reader takes it for a complete one.
+    """
+    try:
+        with open(path, "w", newline="") as handle:
+            for block in blocks:
+                handle.write(block)
+    except ValueError:
+        if os.path.exists(path):
+            os.remove(path)
+        raise
+
+
 def write_panel_csv(panel, path):
     """Write the consolidated panel CSV (entity rows plus MARKET rows).
 
-    Floats are written with ``repr`` so a reload reproduces them bit for bit.
+    Floats are written with ``repr`` so a reload reproduces them bit for bit,
+    and a present non-finite value raises ``ValueError`` and leaves no file.
+    The rows of one entity, and then the MARKET rows, are formatted and
+    written as one block of text, with the bytes ``csv.writer`` would give.
     """
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(PANEL_HEADER + META_HEADER[1:])
-        for meta in panel.entities:
-            rec = panel.observations[meta.symbol]
-            meta_cells = format_meta_cells(meta)
-            for i in range(len(rec)):
-                cells = [meta.symbol, str(rec.dates[i])]
-                cells += [
-                    _format_value(rec.values[f][i], rec.missing[f][i]) for f in ENTITY_FIELDS
-                ]
-                cells += ["", ""]  # market columns
-                writer.writerow(cells + meta_cells)
-        market = panel.market
-        for i in range(len(market)):
-            cells = [MARKET_SYMBOL, str(market.dates[i])]
-            cells += [""] * len(ENTITY_FIELDS)
-            cells += [
-                _format_value(market.values[f][i], market.missing[f][i])
-                for f in MARKET_FIELDS
-            ]
-            writer.writerow(cells + [""] * len(META_HEADER[1:]))
+    write_blocks(path, _panel_blocks(panel))
+
+
+def _panel_blocks(panel):
+    """The header, one text block per entity, then the MARKET block."""
+    end = "\r\n"
+    days = {}
+    yield ",".join(PANEL_HEADER + META_HEADER[1:]) + end
+    for meta in panel.entities:
+        rec = panel.observations[meta.symbol]
+        head = csv_cell(meta.symbol, end) + ","
+        tail = ",,," + ",".join(csv_cell(c, end) for c in format_meta_cells(meta)) + end
+        rows = _value_rows(meta.symbol, rec, ENTITY_FIELDS)
+        dates = day_texts(rec.dates, days)
+        yield "".join([f"{head}{day},{row}{tail}" for day, row in zip(dates, rows)])
+    # the MARKET rows leave the entity and meta columns empty
+    market = panel.market
+    head = MARKET_SYMBOL + ","
+    gap = "," * (len(ENTITY_FIELDS) + 1)
+    tail = "," * len(META_HEADER[1:]) + end
+    rows = _value_rows(MARKET_SYMBOL, market, MARKET_FIELDS)
+    dates = day_texts(market.dates, days)
+    yield "".join([f"{head}{day}{gap}{row}{tail}" for day, row in zip(dates, rows)])
 
 
 def load_panel_csv(path):

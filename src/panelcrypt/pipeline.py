@@ -37,10 +37,13 @@ from .panel import (
     META_HEADER,
     EntityMeta,
     PanelLoadError,
+    csv_cell,
+    day_texts,
     format_meta_cells,
     load_panel_csv,
     parse_date,
     read_meta_csv,
+    write_blocks,
 )
 from .quantreg import PanelQuantile
 
@@ -265,17 +268,38 @@ def standardize_market_volatility(bundle):
 
 
 def write_metrics_csv(bundle, path):
-    """Sparse long-format metric file: entity,date,metric,value."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("entity", "date", "metric", "value"))
-        for entity in sorted(bundle):
-            for name in sorted(bundle[entity]):
-                series = bundle[entity][name]
-                for i in np.flatnonzero(~series.missing):
-                    writer.writerow(
-                        (entity, str(series.dates[i]), name, repr(float(series.values[i])))
-                    )
+    """Sparse long-format metric file: entity,date,metric,value.
+
+    Each series is formatted and written as one block of text, with the bytes
+    ``csv.writer`` would give; values are written with ``repr``.  A present
+    non-finite value raises ``ValueError`` naming the entity, the metric and
+    the date, and leaves no file, since the reader would refuse the file.
+    """
+    write_blocks(path, _metrics_blocks(bundle))
+
+
+def _metrics_blocks(bundle):
+    """The header, then one text block per (entity, metric) series."""
+    days = {}
+    yield "entity,date,metric,value\n"
+    for entity in sorted(bundle):
+        head = csv_cell(entity, "\n") + ","
+        for name in sorted(bundle[entity]):
+            series = bundle[entity][name]
+            present = ~series.missing
+            values = series.values[present]
+            dates = series.dates[present]
+            finite = np.isfinite(values)
+            if not finite.all():
+                i = np.flatnonzero(~finite)[0]
+                raise ValueError(
+                    f"non-finite value {values[i]} for {entity} {name} on {dates[i]}"
+                )
+            tail = "," + csv_cell(name, "\n") + ","
+            yield "".join(
+                [f"{head}{day}{tail}{value!r}\n"
+                 for day, value in zip(day_texts(dates, days), values.tolist())]
+            )
 
 
 def read_metrics_csv(path):

@@ -5,11 +5,21 @@ import csv
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from panelcrypt.panel import ENTITY_HEADER, MARKET_HEADER, META_HEADER
 
 # Bounded, reproducible settings for the property tests, so tier-1 time stays flat.
 PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True, database=None, deadline=None)
+
+# Cell texts for the writers' quoting: delimiter, quote and line-break
+# characters, blanks that may lead or trail, and non-ASCII letters.
+CELL_TEXTS = st.text(alphabet='Ab ,"\r\n\u00e9\u4e2d', max_size=5)
+# Finite floats, drawn often at the signed zero and the extremes repr must keep.
+FINITE_VALUES = st.one_of(
+    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
 def write_entity_csv(path, dates, open_, high, low, close, volume, mcap, attention,

@@ -302,6 +302,23 @@ class TestCIPS:
             cips(undefined, entity_labels=["BTC", "ETH"])
         assert str(info.value) == "cross-section average undefined on part of the sample"
 
+    @pytest.mark.parametrize("max_lag", range(5))
+    def test_size_check_states_the_minimum(self, max_lag):
+        # the p = max_lag regression has 4 + 2 max_lag columns on
+        # n - 1 - max_lag rows, so it needs n >= 3 max_lag + 6
+        rng = np.random.default_rng(96)
+        minimum = 3 * max_lag + 6
+        for n in range(max_lag + 6, minimum + 1):
+            walk = np.cumsum(rng.normal(size=(3, n)), axis=1)
+            if n < minimum:
+                with pytest.raises(ValueError) as info:
+                    cips(walk, max_lag=max_lag, entity_labels=["a", "b", "c"])
+                assert str(info.value) == (
+                    f"entity a: too few observations ({n}) for the CADF regression"
+                )
+            else:
+                assert math.isfinite(cips(walk, max_lag=max_lag).statistic)
+
     def test_degenerate_regressions_raise_value_error_naming_the_entity(self):
         rng = np.random.default_rng(95)
         walk = np.cumsum(rng.normal(size=(3, 60)), axis=1)
@@ -309,10 +326,11 @@ class TestCIPS:
         with pytest.raises(ValueError) as info:
             cips(walk, entity_labels=["a", "b", "c"])
         assert str(info.value) == "entity b: the lagged level is constant on the sample"
-        # 14 observations pass the size check but leave the p = 4 regression
-        # (12 columns on 9 rows) without residual degrees of freedom
-        with pytest.raises(ValueError, match=r"^entity a: no residual degrees of freedom"):
+        # 14 observations would leave the p = 4 regression (12 columns on
+        # 9 rows) without residual degrees of freedom
+        with pytest.raises(ValueError) as info:
             cips(walk[[0, 2], :14], entity_labels=["a", "c"])
+        assert str(info.value) == "entity a: too few observations (14) for the CADF regression"
         with pytest.raises(ValueError, match="no residual degrees of freedom"):
             adf(walk[0, :9])
 

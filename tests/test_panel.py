@@ -12,6 +12,8 @@ from panelcrypt.pipeline import write_meta_csv as write_metas
 from panelcrypt.refdata import BENCHMARK_UNIVERSE, PANEL_END
 
 from conftest import (
+    CELL_TEXTS,
+    FINITE_VALUES,
     PROPERTY_SETTINGS,
     build_panel_files,
     random_ohlcv,
@@ -549,3 +551,80 @@ class TestPanelRowProperties:
         assert message(per_file.value) == message(one_file.value)
         assert (per_file.value.source, per_file.value.line) == (path, line)
         assert (one_file.value.source, one_file.value.line) == (str(consolidated), panel_line)
+
+
+def writer_columns(draw, fields):
+    """Dates and per-field values with a random missing mask (NaN there)."""
+    days = sorted(draw(st.sets(st.integers(0, 40), max_size=5)))
+    values, missing = {}, {}
+    for name in fields:
+        mask = np.array(draw(st.lists(st.booleans(), min_size=len(days), max_size=len(days))),
+                        dtype=bool)
+        drawn = draw(st.lists(FINITE_VALUES, min_size=len(days), max_size=len(days)))
+        values[name] = np.where(mask, np.nan, np.array(drawn, dtype=float))
+        missing[name] = mask
+    return DAY0 + np.array(days, dtype=np.int64), values, missing
+
+
+@st.composite
+def writer_panels(draw):
+    """Panels with awkward symbols and categories, edge values, random
+    missing masks, and entities or a market without rows."""
+    metas, observations = [], {}
+    for symbol in draw(st.lists(CELL_TEXTS, max_size=3, unique=True)):
+        gini = tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5)))
+        metas.append(ps.EntityMeta(symbol, draw(CELL_TEXTS), draw(st.booleans()),
+                                   DAY0 + draw(st.integers(0, 10)), gini))
+        observations[symbol] = ps.EntityRecords(symbol, *writer_columns(draw, ps.ENTITY_FIELDS))
+    market = ps.MarketSeries(*writer_columns(draw, ps.MARKET_FIELDS))
+    return ps.PanelDataset(tuple(metas), observations, market)
+
+
+def reference_panel_file(panel, path):
+    """The consolidated file as a plain ``csv.writer`` row loop writes it."""
+
+    def texts(series, fields, i):
+        return ["" if series.missing[f][i] else repr(float(series.values[f][i])) for f in fields]
+
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(ps.PANEL_HEADER + ps.META_HEADER[1:])
+        for meta in panel.entities:
+            rec = panel.observations[meta.symbol]
+            for i in range(len(rec)):
+                writer.writerow([meta.symbol, str(rec.dates[i])]
+                                + texts(rec, ps.ENTITY_FIELDS, i) + ["", ""]
+                                + ps.format_meta_cells(meta))
+        market = panel.market
+        for i in range(len(market)):
+            writer.writerow([ps.MARKET_SYMBOL, str(market.dates[i])]
+                            + [""] * len(ps.ENTITY_FIELDS) + texts(market, ps.MARKET_FIELDS, i)
+                            + [""] * (len(ps.META_HEADER) - 1))
+
+
+class TestPanelWriter:
+    @PROPERTY_SETTINGS
+    @given(panel=writer_panels())
+    def test_bytes_equal_a_csv_writer_row_loop(self, tmp_path_factory, panel):
+        folder = tmp_path_factory.mktemp("panel")
+        ps.write_panel_csv(panel, folder / "blocks.csv")
+        reference_panel_file(panel, folder / "rows.csv")
+        assert (folder / "blocks.csv").read_bytes() == (folder / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "symbol, column, value",
+        [("BBB", "high", np.nan), ("CCC", "attention", np.inf),
+         (ps.MARKET_SYMBOL, "shock_loss", -np.inf)],
+    )
+    def test_present_non_finite_value_refused(self, tmp_path, small_panel_files,
+                                              symbol, column, value):
+        panel = ps.load_panel(*small_panel_files)
+        series = panel.market if symbol == ps.MARKET_SYMBOL else panel.observations[symbol]
+        series.values[column][4] = value
+        with pytest.raises(ValueError) as info:
+            ps.write_panel_csv(panel, tmp_path / "panel.csv")
+        assert str(info.value) == (
+            f"non-finite value {value} for {symbol} {column} on {series.dates[4]}"
+        )
+        # no partial file is left behind
+        assert not (tmp_path / "panel.csv").exists()

@@ -34,7 +34,7 @@ from panelcrypt.pipeline import (
     write_simulation,
 )
 
-from conftest import PROPERTY_SETTINGS
+from conftest import CELL_TEXTS, FINITE_VALUES, PROPERTY_SETTINGS
 
 
 def small_params(**overrides):
@@ -341,6 +341,61 @@ class TestMetricsFileProperties:
         assert f"[{path}:{at + 2}]" in str(info.value)
 
 
+@st.composite
+def writer_bundles(draw):
+    """Bundles with awkward names, edge values, random missing masks, and
+    empty series and entities; missing slots hold NaN."""
+    bundle = {}
+    for entity in draw(st.lists(CELL_TEXTS, max_size=3, unique=True)):
+        bundle[entity] = {}
+        for name in draw(st.lists(CELL_TEXTS, max_size=3, unique=True)):
+            days = sorted(draw(st.sets(DAYS, max_size=6)))
+            values = draw(st.lists(FINITE_VALUES, min_size=len(days), max_size=len(days)))
+            missing = np.array(draw(st.lists(st.booleans(), min_size=len(days),
+                                             max_size=len(days))), dtype=bool)
+            bundle[entity][name] = MetricSeries(
+                entity, name, np.array(days, dtype=np.int64).view("datetime64[D]"),
+                np.where(missing, np.nan, np.array(values, dtype=float)), missing,
+            )
+    return bundle
+
+
+def reference_metrics_file(bundle, path):
+    """The metrics file as a plain ``csv.writer`` row loop writes it."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(("entity", "date", "metric", "value"))
+        for entity in sorted(bundle):
+            for name in sorted(bundle[entity]):
+                series = bundle[entity][name]
+                for i in np.flatnonzero(~series.missing):
+                    writer.writerow(
+                        (entity, str(series.dates[i]), name, repr(float(series.values[i])))
+                    )
+
+
+class TestMetricsWriter:
+    @PROPERTY_SETTINGS
+    @given(bundle=writer_bundles())
+    def test_bytes_equal_a_csv_writer_row_loop(self, tmp_path_factory, bundle):
+        folder = tmp_path_factory.mktemp("metrics")
+        write_metrics_csv(bundle, folder / "blocks.csv")
+        reference_metrics_file(bundle, folder / "rows.csv")
+        assert (folder / "blocks.csv").read_bytes() == (folder / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_present_non_finite_value_refused(self, tmp_path, value):
+        series = MetricSeries(
+            "AAA", "size", np.datetime64("2020-01-01") + np.arange(3),
+            np.array([1.0, value, np.nan]), np.array([False, False, True]),
+        )
+        with pytest.raises(ValueError) as info:
+            write_metrics_csv({"AAA": {"size": series}}, tmp_path / "metrics.csv")
+        assert str(info.value) == f"non-finite value {value} for AAA size on 2020-01-02"
+        # the header alone would read as an empty bundle
+        assert not (tmp_path / "metrics.csv").exists()
+
+
 @pytest.fixture(scope="module")
 def fragment():
     sim = simulate_dgp(small_params(n_entities=6, n_periods=300), seed=21)
@@ -390,8 +445,8 @@ class TestBaseline:
         assert abs(estimates.mean() - truth) <= 3 * mc_se + 1e-9
 
     def test_entity_groups_built_once_per_design(self, monkeypatch):
-        # per label: the RE design, the EGLS stage-1 design (shared with the
-        # Hausman FE fit) and the reweighted EGLS stage-2 design
+        # per label: the RE design and the EGLS stage-1 design, shared with
+        # the Hausman fits; the reweighted EGLS stage-2 design reuses stage 1's
         sim = simulate_dgp(small_params(n_entities=4, n_periods=120), seed=5)
         config = RunConfig(metrics_file="unused", meta="unused", out="unused")
         built, groups = [], estimators._Groups
@@ -402,7 +457,7 @@ class TestBaseline:
 
         monkeypatch.setattr(estimators, "_Groups", counting)
         run_baseline(sim.metas, sim.bundle, config)
-        assert len(built) == 6
+        assert len(built) == 4
 
     def test_variance_components_reported(self, fragment):
         _, result = fragment
