@@ -7,10 +7,6 @@ import inspect
 import numpy as np
 
 
-class NotFittedError(ValueError):
-    """Raised when a fitted attribute is requested before fit()."""
-
-
 class RankDeficiencyError(ValueError):
     """Raised when a design matrix does not have full column rank."""
 
@@ -57,13 +53,6 @@ class BaseEstimator:
     def __repr__(self):
         args = ", ".join(f"{k}={v!r}" for k, v in sorted(self.get_params().items()))
         return f"{type(self).__name__}({args})"
-
-
-def check_is_fitted(estimator, attribute="result_"):
-    if not hasattr(estimator, attribute):
-        raise NotFittedError(
-            f"{type(estimator).__name__} instance is not fitted; call fit() first"
-        )
 
 
 def as_float_array(values, name="array", ndim=1):

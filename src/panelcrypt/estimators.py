@@ -11,7 +11,8 @@ Row weights are the one weighting mechanism: pooled, fixed and random
 effects each solve weighted least squares on their transformed rows, and
 cross-section EGLS is the same estimator refitted with inverse-variance
 weights.  A dynamic fit is an ordinary fit whose design carries the
-response lag column (built by ``pipeline.build_design``).
+response lag column (built by ``pipeline.build_design``).  Each fit keeps
+its classical covariance, and EGLS its stage-1 fit, for the Hausman test.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from scipy import linalg as sla
 from scipy import special
 
-from .base import BaseEstimator, RankDeficiencyError, check_is_fitted
+from .base import BaseEstimator, RankDeficiencyError
 
 RANK_TOL = 1e-10
 
@@ -133,9 +134,6 @@ class _Groups:
             out[:, j] = np.bincount(self.codes, weights=v[:, j], minlength=self.n_groups)
         return out / self.counts[:, None]
 
-    def demean(self, v):
-        return v - self.mean(v)[self.codes]
-
 
 # ---------------------------------------------------------------------------
 # results
@@ -175,6 +173,8 @@ class FitResult:
     flags: list = field(default_factory=list)
     lag_column: str = None
     entity_weights: dict = None    # EGLS: entity label -> 1/sigma_i^2
+    classical_cov: np.ndarray = None  # of the same solve; None if df_resid <= 0
+    stage1: FitResult = None       # EGLS: the unweighted stage-1 fit
 
     def __post_init__(self):
         asym = float(np.abs(self.cov - self.cov.T).max()) if self.cov.size else 0.0
@@ -277,13 +277,18 @@ def _covariance(X, residuals, df_resid, kind):
 def _wls(X, y, weights, columns, covariance, df_resid):
     """Weighted least squares: scale the rows by ``sqrt(weights)`` and solve.
 
-    Returns ``(beta, scaled residuals, covariance of beta)``.
+    Returns ``(beta, scaled residuals, covariances)``, the last being the
+    ``FitResult`` fields ``cov`` and ``classical_cov`` of the scaled rows.
     """
     root = np.sqrt(weights)
     X, y = X * root[:, None], y * root
     beta = qr_solve(X, y, columns)
     resid = y - X @ beta
-    return beta, resid, _covariance(X, resid, df_resid, covariance)
+    classical = classical_cov(X, resid, df_resid) if df_resid > 0 else None
+    if covariance != "classical" or classical is None:
+        return beta, resid, dict(cov=_covariance(X, resid, df_resid, covariance),
+                                 classical_cov=classical)
+    return beta, resid, dict(cov=classical, classical_cov=classical)
 
 
 def _adj_r2(r2, nobs, n_params):
@@ -356,15 +361,11 @@ class PooledOLS(_LeastSquares):
 
     def fit(self, design):
         n, k = design.matrix.shape
-        beta, _, cov = _wls(design.matrix, design.response, design.weights,
-                            design.columns, self.covariance, n - k)
+        beta, _, covs = _wls(design.matrix, design.response, design.weights,
+                             design.columns, self.covariance, n - k)
         return self._finish(design, design.matrix @ beta, k, method="pooled",
-                            columns=list(design.columns), params=beta, cov=cov,
-                            df_resid=n - k)
-
-    def predict(self, X):
-        check_is_fitted(self)
-        return np.asarray(X, dtype=float) @ self.coef_
+                            columns=list(design.columns), params=beta, df_resid=n - k,
+                            **covs)
 
 
 class FixedEffects(_LeastSquares):
@@ -390,7 +391,7 @@ class FixedEffects(_LeastSquares):
             raise ValueError("fixed effects need row weights constant within each entity")
         n, k = X.shape
         df_resid = n - k - groups.n_groups
-        beta, resid, cov = _wls(X, y, design.weights, columns, self.covariance, df_resid)
+        beta, resid, covs = _wls(X, y, design.weights, columns, self.covariance, df_resid)
 
         xbar = np.ascontiguousarray(xbar[:, varying])
         alpha = ybar - xbar @ beta
@@ -399,7 +400,7 @@ class FixedEffects(_LeastSquares):
         xbar_mean = xbar.mean(axis=0)
         # delta-method approximation; ignores the (small) slope/mean cross term.
         # An entity's mean error has variance sigma2 / (w_i T_i).
-        intercept_var = float(xbar_mean @ cov @ xbar_mean) + sigma2 * float(
+        intercept_var = float(xbar_mean @ covs["cov"] @ xbar_mean) + sigma2 * float(
             np.sum(1.0 / (weights * groups.counts))
         ) / groups.n_groups**2
         return self._finish(
@@ -407,13 +408,13 @@ class FixedEffects(_LeastSquares):
             method="fixed",
             columns=columns,
             params=beta,
-            cov=cov,
             df_resid=df_resid,
             entity_effects=dict(zip(groups.labels.tolist(), alpha)),
             intercept=float(alpha.mean()),
             intercept_se=float(np.sqrt(max(intercept_var, 0.0))),
             absorbed=absorbed,
             flags=[f"absorbed:{name}" for name in absorbed],
+            **covs,
         )
 
 
@@ -475,10 +476,10 @@ class RandomEffects(_LeastSquares):
         X = design.matrix - scale[:, None] * xbar[codes]
         y = design.response - scale * ybar[codes]
         n, k = X.shape
-        beta, _, cov = _wls(X, y, design.weights, design.columns, self.covariance, n - k)
+        beta, _, covs = _wls(X, y, design.weights, design.columns, self.covariance, n - k)
         return self._finish(design, design.matrix @ beta, k, method="random",
-                            columns=list(design.columns), params=beta, cov=cov,
-                            df_resid=n - k, variance_components=components, flags=flags)
+                            columns=list(design.columns), params=beta, df_resid=n - k,
+                            variance_components=components, flags=flags, **covs)
 
 
 ESTIMATORS = {"pooled": PooledOLS, "fixed": FixedEffects, "random": RandomEffects}
@@ -491,7 +492,8 @@ class CrossSectionEGLS(BaseEstimator):
     estimator again with every row weighted by the inverse estimated variance
     of its entity, so the covariance is the weighted problem's.  An entity
     with fewer rows than stage-1 parameters, or a zero residual variance,
-    takes the pooled variance instead and is named in a flag.
+    takes the pooled variance instead and is named in a flag.  The result
+    keeps the stage-1 fit as ``stage1``.
     """
 
     def __init__(self, effects="fixed", covariance="white"):
@@ -523,6 +525,7 @@ class CrossSectionEGLS(BaseEstimator):
         result.flags = flags + result.flags
         result.entity_weights = dict(zip(groups.labels.tolist(), weights))
         result.intercept_se = stage1.intercept_se
+        result.stage1 = stage1
         self.result_ = result
         self.coef_ = result.params
         self.cov_ = result.cov

@@ -132,10 +132,6 @@ class PanelDataset:
     def symbols(self):
         return [meta.symbol for meta in self.entities]
 
-    @property
-    def is_empty(self):
-        return len(self.entities) == 0
-
     def meta(self, symbol):
         for meta in self.entities:
             if meta.symbol == symbol:
@@ -391,13 +387,13 @@ def load_panel(entity_files, market_file, meta_file):
     return PanelDataset(entities=tuple(metas), observations=observations, market=market)
 
 
-def csv_cell(text, lineterminator):
-    """``text`` as ``csv.writer`` (QUOTE_MINIMAL) writes it inside a row.
+def csv_cell(text):
+    """``text`` as ``csv.writer`` (QUOTE_MINIMAL, ``\r\n`` rows) writes a cell.
 
     The cell is quoted, with its quotes doubled, when it holds the
-    delimiter, the quote character or a character of ``lineterminator``.
+    delimiter, the quote character, ``\r`` or ``\n``.
     """
-    if any(c in text for c in ',"' + lineterminator):
+    if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -475,8 +471,8 @@ def _panel_blocks(panel):
     yield ",".join(PANEL_HEADER + META_HEADER[1:]) + end
     for meta in panel.entities:
         rec = panel.observations[meta.symbol]
-        head = csv_cell(meta.symbol, end) + ","
-        tail = ",,," + ",".join(csv_cell(c, end) for c in format_meta_cells(meta)) + end
+        head = csv_cell(meta.symbol) + ","
+        tail = ",,," + ",".join(csv_cell(c) for c in format_meta_cells(meta)) + end
         rows = _value_rows(meta.symbol, rec, ENTITY_FIELDS)
         dates = day_texts(rec.dates, days)
         yield "".join([f"{head}{day},{row}{tail}" for day, row in zip(dates, rows)])

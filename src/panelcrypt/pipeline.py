@@ -25,9 +25,7 @@ from .estimators import (
     COVARIANCES,
     WEIGHTS,
     DesignMatrix,
-    FixedEffects,
     ModelSpec,
-    RandomEffects,
     estimator_for,
     hausman,
     long_run_effect,
@@ -271,9 +269,10 @@ def write_metrics_csv(bundle, path):
     """Sparse long-format metric file: entity,date,metric,value.
 
     Each series is formatted and written as one block of text, with the bytes
-    ``csv.writer`` would give; values are written with ``repr``.  A present
-    non-finite value raises ``ValueError`` naming the entity, the metric and
-    the date, and leaves no file, since the reader would refuse the file.
+    ``csv.writer`` gives under ``csv_cell``'s quoting, rows ended by ``\n``;
+    values are written with ``repr``.  A present non-finite value raises
+    ``ValueError`` naming the entity, the metric and the date, and leaves no
+    file, since the reader would refuse the file.
     """
     write_blocks(path, _metrics_blocks(bundle))
 
@@ -283,7 +282,7 @@ def _metrics_blocks(bundle):
     days = {}
     yield "entity,date,metric,value\n"
     for entity in sorted(bundle):
-        head = csv_cell(entity, "\n") + ","
+        head = csv_cell(entity) + ","
         for name in sorted(bundle[entity]):
             series = bundle[entity][name]
             present = ~series.missing
@@ -295,7 +294,7 @@ def _metrics_blocks(bundle):
                 raise ValueError(
                     f"non-finite value {values[i]} for {entity} {name} on {dates[i]}"
                 )
-            tail = "," + csv_cell(name, "\n") + ","
+            tail = "," + csv_cell(name) + ","
             yield "".join(
                 [f"{head}{day}{tail}{value!r}\n"
                  for day, value in zip(day_texts(dates, days), values.tolist())]
@@ -584,33 +583,33 @@ class BaselineFragment:
     n_days: dict               # job name -> number of distinct dates used
 
 
-def _fit_one(metas, bundle, spec, window=None):
-    design, ledger = build_design(metas, bundle, spec, window=window)
-    return estimator_for(spec).fit(design).result_, ledger, design
+def _classical(fit, job):
+    if fit.classical_cov is None:
+        raise ValueError(f"baseline/{job}: no residual degrees of freedom for the"
+                         " classical covariance of the Hausman test")
+    return replace(fit, cov=fit.classical_cov)
 
 
 def run_baseline(metas, bundle, config, window=None):
     """Static and dynamic RE/FE fits with Hausman tests and long-run effects.
 
     The displayed fits use the configured weights and covariance; the
-    Hausman statistics come from auxiliary unweighted fits with classical
-    covariances, the construction under which the efficient-vs-consistent
-    ordering actually holds.
+    Hausman statistics compare unweighted fits (EGLS stage 1 and RE) with
+    their classical covariances, the construction under which the
+    efficient-vs-consistent ordering actually holds.
     """
     specs = _baseline_specs(config)
-    fits, ledgers, n_days, designs = {}, {}, {}, {}
+    fits, ledgers, n_days = {}, {}, {}
     for job in BASELINE_JOBS:
-        result, ledger, design = _fit_one(metas, bundle, specs[job], window=window)
-        fits[job] = result
-        ledgers[job] = ledger
+        design, ledgers[job] = build_design(metas, bundle, specs[job], window=window)
+        fits[job] = estimator_for(specs[job]).fit(design).result_
         n_days[job] = len(np.unique(design.dates))
-        designs[job] = design
 
     tests = {}
     for label in ("static", "dynamic"):
-        fe = FixedEffects(covariance="classical").fit(designs[f"{label}_fixed"]).result_
-        re = RandomEffects(covariance="classical").fit(designs[f"{label}_random"]).result_
-        tests[label] = hausman(fe, re)
+        fe_job, re_job = f"{label}_fixed", f"{label}_random"
+        fe = fits[fe_job].stage1 or fits[fe_job]
+        tests[label] = hausman(_classical(fe, fe_job), _classical(fits[re_job], re_job))
     long_run = {}
     for job in ("dynamic_random", "dynamic_fixed"):
         fit = fits[job]

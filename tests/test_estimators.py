@@ -682,12 +682,6 @@ class TestEstimatorAPI:
     def test_repr_shows_params(self):
         assert repr(PooledOLS(covariance="white")) == "PooledOLS(covariance='white')"
 
-    def test_predict_before_fit_raises(self):
-        from panelcrypt.base import NotFittedError
-
-        with pytest.raises(NotFittedError):
-            PooledOLS().predict(np.ones((3, 2)))
-
     def test_fit_returns_self_and_sets_attributes(self):
         rng = np.random.default_rng(30)
         X = np.column_stack([np.ones(20), rng.normal(size=20)])

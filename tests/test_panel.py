@@ -202,7 +202,7 @@ class TestSubsample:
 
     def test_empty_range_before_listings(self, panel):
         empty = ps.subsample(panel, "2010-01-01", "2010-02-01")
-        assert empty.is_empty
+        assert empty.symbols == []
         assert empty.n_observations() == 0
 
     def test_drops_entities_left_empty(self, panel):

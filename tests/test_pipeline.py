@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from panelcrypt import estimators
-from panelcrypt.estimators import FixedEffects, ModelSpec, hausman
+from panelcrypt.estimators import FixedEffects, ModelSpec, RandomEffects, hausman
 from panelcrypt.metrics import MetricSeries
 from panelcrypt.panel import PanelLoadError
 from panelcrypt.pipeline import (
@@ -19,6 +19,7 @@ from panelcrypt.pipeline import (
     FIG4_GRID,
     RunConfig,
     SynthParams,
+    _baseline_specs,
     build_design,
     default_truth,
     figure4_rows,
@@ -114,6 +115,26 @@ class TestBuildDesign:
                                          window=(mid + np.timedelta64(1, "D"), hi))
         assert pre.nobs + post.nobs == full.nobs
         assert pre_ledger.conserved() and post_ledger.conserved()
+
+    def test_lag_before_window(self, small_sim):
+        # a window's first day keeps the lag from the day before the window:
+        # the lag is taken on the whole series, then the window applies
+        spec = ModelSpec(effects="fixed", dynamic=True, regressors=list(CONTROLS),
+                         interactions=[("hyfi", "market_volatility")])
+        full, _ = build_design(small_sim.metas, small_sim.bundle, spec)
+        lo, hi = full.dates.min(), full.dates.max()
+        mid = lo + (hi - lo) // 2
+        post, ledger = build_design(small_sim.metas, small_sim.bundle, spec,
+                                    window=(mid, hi))
+        lag = post.column("price_risk_lag")
+        for meta in small_sim.metas:
+            series = small_sim.bundle[meta.symbol]["price_risk"]
+            before = np.flatnonzero(series.dates == mid - np.timedelta64(1, "D"))
+            row = np.flatnonzero((post.entities == meta.symbol) & (post.dates == mid))
+            assert len(before) == 1 and not series.missing[before[0]]
+            assert len(row) == 1
+            assert lag[row[0]] == series.values[before[0]]
+        assert "missing_price_risk_lag" not in ledger.dropped
 
     def test_empty_design_rejected(self, small_sim):
         spec = ModelSpec(effects="fixed", regressors=list(CONTROLS),
@@ -257,9 +278,9 @@ def data_lines(bundle, path):
     return header, lines
 
 
-def csv_line(fields):
+def csv_line(fields, lineterminator="\n"):
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow(fields)
+    csv.writer(out, lineterminator=lineterminator).writerow(fields)
     return out.getvalue()
 
 
@@ -361,17 +382,19 @@ def writer_bundles(draw):
 
 
 def reference_metrics_file(bundle, path):
-    """The metrics file as a plain ``csv.writer`` row loop writes it."""
+    """The metrics file as a plain ``csv.writer`` row loop writes it: rows
+    quoted as under the ``\\r\\n`` terminator, each ended by ``\\n``."""
+    rows = [("entity", "date", "metric", "value")]
+    for entity in sorted(bundle):
+        for name in sorted(bundle[entity]):
+            series = bundle[entity][name]
+            for i in np.flatnonzero(~series.missing):
+                rows.append(
+                    (entity, str(series.dates[i]), name, repr(float(series.values[i])))
+                )
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("entity", "date", "metric", "value"))
-        for entity in sorted(bundle):
-            for name in sorted(bundle[entity]):
-                series = bundle[entity][name]
-                for i in np.flatnonzero(~series.missing):
-                    writer.writerow(
-                        (entity, str(series.dates[i]), name, repr(float(series.values[i])))
-                    )
+        for row in rows:
+            handle.write(csv_line(row, "\r\n").removesuffix("\r\n") + "\n")
 
 
 class TestMetricsWriter:
@@ -382,6 +405,29 @@ class TestMetricsWriter:
         write_metrics_csv(bundle, folder / "blocks.csv")
         reference_metrics_file(bundle, folder / "rows.csv")
         assert (folder / "blocks.csv").read_bytes() == (folder / "rows.csv").read_bytes()
+
+    @PROPERTY_SETTINGS
+    @given(bundle=writer_bundles())
+    def test_awkward_names_read_back(self, tmp_path_factory, bundle):
+        # names holding the delimiter, quotes, \r or \n; a series with no
+        # present value writes no row and so does not read back
+        path = tmp_path_factory.mktemp("metrics") / "metrics.csv"
+        write_metrics_csv(bundle, path)
+        expected = {}
+        for entity in sorted(bundle):
+            for name in sorted(bundle[entity]):
+                series = bundle[entity][name]
+                if not series.missing.all():
+                    expected.setdefault(entity, {})[name] = series
+        loaded = read_metrics_csv(path)
+        assert list(loaded) == list(expected)
+        for entity, per in loaded.items():
+            assert list(per) == list(expected[entity])
+            for name, series in per.items():
+                source = expected[entity][name]
+                present = ~source.missing
+                assert series.dates.tobytes() == source.dates[present].tobytes()
+                assert series.values.tobytes() == source.values[present].tobytes()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_present_non_finite_value_refused(self, tmp_path, value):
@@ -445,8 +491,9 @@ class TestBaseline:
         assert abs(estimates.mean() - truth) <= 3 * mc_se + 1e-9
 
     def test_entity_groups_built_once_per_design(self, monkeypatch):
-        # per label: the RE design and the EGLS stage-1 design, shared with
-        # the Hausman fits; the reweighted EGLS stage-2 design reuses stage 1's
+        # per label: the RE design and the EGLS stage-1 design, whose fits
+        # the Hausman test reads; the reweighted EGLS stage-2 design reuses
+        # stage 1's
         sim = simulate_dgp(small_params(n_entities=4, n_periods=120), seed=5)
         config = RunConfig(metrics_file="unused", meta="unused", out="unused")
         built, groups = [], estimators._Groups
@@ -459,6 +506,64 @@ class TestBaseline:
         run_baseline(sim.metas, sim.bundle, config)
         assert len(built) == 4
 
+    @pytest.mark.parametrize("weights", ["none", "cross_section_egls"])
+    @pytest.mark.parametrize("covariance", ["white", "classical"])
+    def test_hausman_equals_classical_refits(self, weights, covariance):
+        # the reference is the stated construction, refitted: classical
+        # FixedEffects on the unweighted FE design (EGLS stage 1) and
+        # classical RandomEffects on the RE design
+        sim = simulate_dgp(small_params(n_entities=4, n_periods=120), seed=5)
+        config = RunConfig(metrics_file="unused", meta="unused", out="unused",
+                           weights=weights, covariance=covariance)
+        fragment = run_baseline(sim.metas, sim.bundle, config)
+        specs = _baseline_specs(config)
+        for label in ("static", "dynamic"):
+            fe_design, _ = build_design(sim.metas, sim.bundle, specs[f"{label}_fixed"])
+            re_design, _ = build_design(sim.metas, sim.bundle, specs[f"{label}_random"])
+            fe = FixedEffects(covariance="classical").fit(fe_design).result_
+            re = RandomEffects(covariance="classical").fit(re_design).result_
+            assert fragment.hausman[label] == hausman(fe, re)
+
+    def test_hausman_reads_the_battery_fits(self, monkeypatch):
+        # per label: the RE fit and its Swamy-Arora within regression, and
+        # the EGLS stage-1 and stage-2 FE fits; nothing is refitted
+        sim = simulate_dgp(small_params(n_entities=4, n_periods=120), seed=5)
+        config = RunConfig(metrics_file="unused", meta="unused", out="unused")
+        calls = []
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name if owner is estimators else owner.__name__)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(estimators, "qr_solve")
+        counting(FixedEffects, "fit")
+        counting(RandomEffects, "fit")
+        run_baseline(sim.metas, sim.bundle, config)
+        assert calls.count("qr_solve") == 8
+        assert calls.count("FixedEffects") == 4
+        assert calls.count("RandomEffects") == 2
+
+    def test_hausman_without_residual_dof_names_the_job(self):
+        # four window days of three entities; the first entity's response is
+        # missing the day before the window, so its first dynamic row has no
+        # lag and the dynamic FE fit has 11 rows for 8 slopes and 3 effects
+        sim = simulate_dgp(small_params(n_entities=3), seed=13)
+        start = np.datetime64("2020-03-02")
+        series = sim.bundle[sim.metas[0].symbol]["price_risk"]
+        before = np.flatnonzero(series.dates == start - np.timedelta64(1, "D"))
+        series.values[before] = np.nan
+        series.missing[before] = True
+        config = RunConfig(metrics_file="unused", meta="unused", out="unused",
+                           weights="none")
+        with pytest.raises(ValueError, match="baseline/dynamic_fixed: no residual degrees"):
+            run_baseline(sim.metas, sim.bundle, config,
+                         window=(start, start + np.timedelta64(3, "D")))
+
     def test_variance_components_reported(self, fragment):
         _, result = fragment
         vc = result.fits["static_random"].variance_components
@@ -470,7 +575,7 @@ class TestBaseline:
         reps = 300
         n_entities, t = 10, 40
         rejections = 0
-        from panelcrypt.estimators import DesignMatrix, RandomEffects
+        from panelcrypt.estimators import DesignMatrix
 
         for _ in range(reps):
             alphas = rng.normal(0, 0.5, size=n_entities)
