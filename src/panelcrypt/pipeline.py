@@ -57,6 +57,7 @@ CONTROLS = (
 )
 MARKET_METRICS = ("market_volatility", "market_shocks")
 INTERACTION = ("hyfi", "market_volatility")
+RESPONSE = "price_risk"
 
 Z_STARS = ((2.5758293035489004, "***"), (1.959963984540054, "**"), (1.6448536269514722, "*"))
 
@@ -428,111 +429,120 @@ def _aligned(series, dates):
     return values, missing
 
 
-def build_design(metas, bundle, spec, window=None, response="price_risk"):
+@dataclass
+class DesignTable:
+    """The entity-day rows (``metas`` order, response dates) that a report's
+    designs select from.  ``columns``: name -> ``(values, missing)`` of the
+    response, the metrics all entities carry, the market metrics and hyfi.
+    ``lag``: the gap-aware response lag of each whole series.  ``span``: the
+    first and last date of any series in the bundle (or ``None``)."""
+
+    entities: np.ndarray
+    dates: np.ndarray
+    columns: dict
+    lag: tuple
+    span: tuple
+
+
+def _stacked(pairs):
+    """One ``(values, missing)`` pair from per-entity pairs; empty for none."""
+    values, missing = zip(*pairs) if pairs else ([np.empty(0)], [np.zeros(0, dtype=bool)])
+    return np.concatenate(values), np.concatenate(missing)
+
+
+def design_table(metas, bundle):
+    """The ``DesignTable`` of ``metas`` in a metric bundle; a table is
+    returned as it is."""
+    if isinstance(bundle, DesignTable):
+        return bundle
+    market = bundle.get(MARKET_SYMBOL, {})
+    names = [RESPONSE] + [name for name in MARKET_METRICS if name in market]
+    if metas:
+        common = set.intersection(*(set(bundle[meta.symbol]) for meta in metas))
+        names += sorted(common - set(names) - set(MARKET_METRICS) - {"hyfi"})
+    parts = {name: [] for name in names}
+    lags, dates = [], []
+    for meta in metas:
+        per_entity = bundle[meta.symbol]
+        response = per_entity[RESPONSE]
+        for name in names:
+            series = market[name] if name in MARKET_METRICS else per_entity[name]
+            parts[name].append(_aligned(series, response.dates))
+        lags.append(mx.lagged(response.values, response.missing, response.dates))
+        dates.append(response.dates)
+    lengths = [len(d) for d in dates]
+    columns = {name: _stacked(parts[name]) for name in names}
+    hyfi = np.repeat([1.0 if meta.hyfi else 0.0 for meta in metas], lengths)
+    columns["hyfi"] = (hyfi, np.zeros(len(hyfi), dtype=bool))
+    ends = [(s.dates[0], s.dates[-1]) for per in bundle.values() for s in per.values()
+            if len(s.dates)]
+    return DesignTable(
+        entities=np.repeat(np.array([meta.symbol for meta in metas], dtype=object), lengths),
+        dates=np.concatenate(dates) if dates else np.empty(0, dtype="datetime64[D]"),
+        columns=columns,
+        lag=_stacked(lags),
+        span=(min(lo for lo, _ in ends), max(hi for _, hi in ends)) if ends else None,
+    )
+
+
+def build_design(metas, bundle, spec, window=None):
     """Entity-day design matrix with interactions and gap-aware lags.
 
-    Rows with any missing value are excluded and tallied by the first
-    missing column in a fixed priority order; under fixed effects a
-    requested HyFi main effect is absorbed (noted, not fitted).  A regressor
-    or interaction name that the bundle does not carry for every entity
-    raises ``ValueError`` listing the available names.
+    Selects columns and rows of ``design_table(metas, bundle)``.  Rows with
+    any missing value are excluded and tallied by the first missing column
+    in a fixed priority order; under fixed effects a requested HyFi main
+    effect is absorbed (noted, not fitted).  A regressor or interaction name
+    that the bundle does not carry for every entity raises ``ValueError``
+    listing the available names.
     """
-    per_entity = [set(bundle[meta.symbol]) for meta in metas]
-    market = set(MARKET_METRICS)
-    available = {"hyfi"} | (market & set(bundle.get(MARKET_SYMBOL, ())))
-    if per_entity:
-        available |= set.intersection(*per_entity) - market
+    table = design_table(metas, bundle)
     for name in [*spec.regressors, *(n for pair in spec.interactions for n in pair)]:
-        if name not in available:
+        if name not in table.columns:
             raise ValueError(
                 f"model spec names unknown metric {name!r}; available: "
-                + ", ".join(sorted(available))
+                + ", ".join(sorted(table.columns))
             )
     regressors = list(spec.regressors)
     notes = []
     if spec.effects == "fixed" and "hyfi" in regressors:
         regressors.remove("hyfi")
         notes.append("hyfi main effect absorbed by entity effects")
+    values = {name: table.columns[name] for name in [RESPONSE, *regressors]}
     interaction_names = [f"{a}_x_{b}" for a, b in spec.interactions]
-    lag_name = f"{response}_lag" if spec.dynamic else None
+    for (a, b), name in zip(spec.interactions, interaction_names):
+        left, right = table.columns[a], table.columns[b]
+        values[name] = (left[0] * right[0], left[1] | right[1])
+    lag_names = [f"{RESPONSE}_lag"] if spec.dynamic else []
+    values.update(dict.fromkeys(lag_names, table.lag))
 
-    columns = []
-    if spec.effects != "fixed":
-        columns.append("const")
-    columns += regressors + interaction_names
-    if lag_name:
-        columns.append(lag_name)
+    columns = ([] if spec.effects == "fixed" else ["const"]) + regressors
+    columns += interaction_names + lag_names
+    priority = [RESPONSE, *lag_names, *regressors, *interaction_names]
 
-    priority = [response] + ([lag_name] if lag_name else []) + regressors + interaction_names
-
-    chunks = {name: [] for name in columns}
-    responses, entities, dates_out = [], [], []
+    complete = np.ones(len(table.dates), dtype=bool)
+    if window is not None:
+        start, end = (np.datetime64(day, "D") for day in window)
+        complete = (table.dates >= start) & (table.dates <= end)
+    rows_in = int(complete.sum())
     dropped = {}
-    rows_in = 0
-
-    for meta in metas:
-        per_entity = bundle[meta.symbol]
-        resp = per_entity[response]
-        dates = resp.dates
-        keep_window = np.ones(len(dates), dtype=bool)
-        if window is not None:
-            start, end = window
-            keep_window = (dates >= np.datetime64(start, "D")) & (
-                dates <= np.datetime64(end, "D")
-            )
-        def resolve(name):
-            if name == "hyfi":
-                return (
-                    np.full(len(dates), 1.0 if meta.hyfi else 0.0),
-                    np.zeros(len(dates), dtype=bool),
-                )
-            if name in MARKET_METRICS:
-                return _aligned(bundle[MARKET_SYMBOL][name], dates)
-            return _aligned(per_entity[name], dates)
-
-        values = {response: (resp.values, resp.missing)}
-        for name in regressors:
-            values[name] = resolve(name)
-        for (a, b), name in zip(spec.interactions, interaction_names):
-            left = values.get(a) or resolve(a)
-            right = values.get(b) or resolve(b)
-            values[name] = (left[0] * right[0], left[1] | right[1])
-        if lag_name:
-            values[lag_name] = mx.lagged(resp.values, resp.missing, dates)
-
-        rows_in += int(keep_window.sum())
-        complete = keep_window.copy()
-        assigned = np.zeros(len(dates), dtype=bool)
-        for name in priority:
-            miss = values[name][1] & keep_window & ~assigned
-            count = int(miss.sum())
-            if count:
-                dropped[f"missing_{name}"] = dropped.get(f"missing_{name}", 0) + count
-                assigned |= miss
-            complete &= ~values[name][1]
-
-        if not complete.any():
-            continue
-        responses.append(resp.values[complete])
-        entities.append(np.full(int(complete.sum()), meta.symbol, dtype=object))
-        dates_out.append(dates[complete])
-        for name in columns:
-            if name == "const":
-                chunks[name].append(np.ones(int(complete.sum())))
-            else:
-                chunks[name].append(values[name][0][complete])
-
-    if not responses:
+    for name in priority:
+        miss = values[name][1] & complete
+        if miss.any():
+            dropped[f"missing_{name}"] = int(miss.sum())
+            complete &= ~miss
+    if not complete.any():
         raise ValueError("design matrix is empty after dropping incomplete rows")
-    y = np.concatenate(responses)
-    matrix = np.column_stack([np.concatenate(chunks[name]) for name in columns])
+
+    n = int(complete.sum())
     design = DesignMatrix(
-        response=y,
-        matrix=matrix,
+        response=values[RESPONSE][0][complete],
+        matrix=np.column_stack(
+            [np.ones(n) if name == "const" else values[name][0][complete] for name in columns]
+        ),
         columns=columns,
-        entities=np.concatenate(entities),
-        dates=np.concatenate(dates_out),
-        response_name=response,
+        entities=table.entities[complete],
+        dates=table.dates[complete],
+        response_name=RESPONSE,
     )
     ledger = DropLedger(
         rows_in=rows_in,
@@ -596,12 +606,14 @@ def run_baseline(metas, bundle, config, window=None):
     The displayed fits use the configured weights and covariance; the
     Hausman statistics compare unweighted fits (EGLS stage 1 and RE) with
     their classical covariances, the construction under which the
-    efficient-vs-consistent ordering actually holds.
+    efficient-vs-consistent ordering actually holds.  ``bundle`` may be the
+    ``design_table`` of ``metas``.
     """
+    table = design_table(metas, bundle)
     specs = _baseline_specs(config)
     fits, ledgers, n_days = {}, {}, {}
     for job in BASELINE_JOBS:
-        design, ledgers[job] = build_design(metas, bundle, specs[job], window=window)
+        design, ledgers[job] = build_design(metas, table, specs[job], window=window)
         fits[job] = estimator_for(specs[job]).fit(design).result_
         n_days[job] = len(np.unique(design.dates))
 
@@ -647,9 +659,10 @@ class QuantileFragment:
     ledger: DropLedger
 
 
-def run_quantiles(metas, bundle, config, window=None):
-    """Pooled quantile fits at every requested tau; failures stay isolated."""
-    design, ledger = build_design(metas, bundle, quantile_spec(config), window=window)
+def run_quantiles(metas, bundle, config):
+    """Pooled quantile fits at every requested tau; failures stay isolated.
+    ``bundle`` may be the ``design_table`` of ``metas``."""
+    design, ledger = build_design(metas, bundle, quantile_spec(config))
     fits, errors = {}, {}
     for tau in config.taus:
         try:
@@ -668,15 +681,15 @@ class SplitFragment:
 
 
 def run_split(metas, bundle, config):
-    """Re-run the baseline battery before and after the split date."""
+    """Re-run the baseline battery before and after the split date; ``bundle``
+    may be the ``design_table`` of ``metas``."""
+    table = design_table(metas, bundle)
     split = parse_date(config.split_date)
-    all_dates = [s.dates for per in bundle.values() for s in per.values()]
-    lo = min(d[0] for d in all_dates if len(d))
-    hi = max(d[-1] for d in all_dates if len(d))
-    if not lo <= split <= hi:
+    lo, hi = table.span or (None, None)
+    if lo is None or not lo <= split <= hi:
         raise ValueError(f"split_date {split} outside panel range [{lo}, {hi}]")
-    pre = run_baseline(metas, bundle, config, window=(lo, split - DAY))
-    post = run_baseline(metas, bundle, config, window=(split, hi))
+    pre = run_baseline(metas, table, config, window=(lo, split - DAY))
+    post = run_baseline(metas, table, config, window=(split, hi))
     name = "hyfi_x_market_volatility"
     attenuation = {}
     for label, fragment in (("pre", pre), ("post", post)):
@@ -1289,8 +1302,7 @@ def _summary_block(fragment):
 
 
 def _volatility_scale(design):
-    column = design.column("market_volatility")
-    return float(column.std(ddof=1)), float(column.mean())
+    return float(design.column("market_volatility").std(ddof=1))
 
 
 def load_inputs(config):
@@ -1350,9 +1362,11 @@ def run_report(config):
                         " tables/correlations.csv, tables/unit_roots.csv,"
                         " tables/dependence.csv")
 
+    # every design below selects from this one table
+    table = design_table(metas, bundle)
     baseline = None
     if config.with_baseline:
-        baseline = run_baseline(metas, bundle, config)
+        baseline = run_baseline(metas, table, config)
         coefficient_rows, fitstat_rows = [], []
         for job in BASELINE_JOBS:
             fit = baseline.fits[job]
@@ -1384,7 +1398,7 @@ def run_report(config):
 
     quantiles = None
     if config.with_quantiles:
-        quantiles = run_quantiles(metas, bundle, config)
+        quantiles = run_quantiles(metas, table, config)
         rows, fitstats, path_rows = [], [], []
         for tau in sorted(quantiles.fits):
             terms, stats = _quantile_rows(quantiles.fits[tau])
@@ -1416,7 +1430,7 @@ def run_report(config):
 
     split = None
     if config.with_split:
-        split = run_split(metas, bundle, config)
+        split = run_split(metas, table, config)
         rows, fitstats = [], []
         for period, fragment in (("pre", split.pre), ("post", split.post)):
             for job in BASELINE_JOBS:
@@ -1444,8 +1458,8 @@ def run_report(config):
 
     scale = 1.0
     if baseline is not None and config.standardize_figures and config.raw_volatility_in_fits:
-        design, _ = build_design(metas, bundle, _baseline_specs(config)["static_fixed"])
-        scale, _mean = _volatility_scale(design)
+        design, _ = build_design(metas, table, _baseline_specs(config)["static_fixed"])
+        scale = _volatility_scale(design)
     written = emit_figures(figures, config, baseline=baseline, quantiles=quantiles,
                            split=split, volatility_scale=scale)
     manifest.append(f"job figures: volatility_scale={scale!r} files={written}")
@@ -1478,13 +1492,9 @@ def _emit_diagnostics(metas, bundle, config, tables, extra_pooled=None):
     for name in MARKET_METRICS:
         series = bundle[MARKET_SYMBOL][name]
         pooled[name] = series.present_values()
-    hyfi_pooled = np.concatenate(
-        [
-            np.full(len(bundle[m.symbol]["price_risk"]), 1.0 if m.hyfi else 0.0)
-            for m in metas
-        ]
-    )
-    pooled["hyfi"] = hyfi_pooled
+    # entity-day rows with market values broadcast, for hyfi and the correlations
+    stacked = design_table(metas, bundle).columns
+    pooled["hyfi"] = stacked["hyfi"][0]
 
     if extra_pooled:
         for name, values in extra_pooled.items():
@@ -1516,22 +1526,10 @@ def _emit_diagnostics(metas, bundle, config, tables, extra_pooled=None):
         rows,
     )
 
-    # correlations on pooled entity-day rows with market values broadcast
-    corr_names = list(CONTROLS)
-    stacked = {}
-    for name in corr_names:
-        stacked[name] = np.concatenate([
-            _aligned(bundle[MARKET_SYMBOL if name in MARKET_METRICS else meta.symbol][name],
-                     bundle[meta.symbol]["price_risk"].dates)[0]
-            for meta in metas
-        ])
     matrix, labels = diag.correlation_matrix(
-        [stacked[name] for name in corr_names], corr_names
+        [stacked[name][0] for name in CONTROLS], list(CONTROLS)
     )
-    rows = [
-        (labels[i],) + tuple(matrix[i])
-        for i in range(len(labels))
-    ]
+    rows = [(label, *row) for label, row in zip(labels, matrix)]
     _write_csv(
         os.path.join(tables, "correlations.csv"),
         ("variable",) + tuple(labels),

@@ -4,26 +4,32 @@ import csv
 import io
 import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from panelcrypt import estimators
+from panelcrypt import estimators, pipeline
 from panelcrypt.estimators import FixedEffects, ModelSpec, RandomEffects, hausman
 from panelcrypt.metrics import MetricSeries
-from panelcrypt.panel import PanelLoadError
+from panelcrypt.panel import MARKET_SYMBOL, PanelLoadError
 from panelcrypt.pipeline import (
+    BASELINE_JOBS,
     CONTROLS,
+    DAY,
     FIG4_GRID,
+    MARKET_METRICS,
     RunConfig,
     SynthParams,
     _baseline_specs,
     build_design,
     default_truth,
+    design_table,
     figure4_rows,
     parse_config,
+    quantile_spec,
     read_metrics_csv,
     reference_figures,
     run_baseline,
@@ -50,7 +56,97 @@ def small_sim():
     return simulate_dgp(small_params(), seed=11)
 
 
+def present_by_day(series):
+    """{day number: value} of a series' present values."""
+    days = series.dates.astype(np.int64).tolist()
+    return {day: value for day, value, missing
+            in zip(days, series.values.tolist(), series.missing.tolist()) if not missing}
+
+
+def reference_design(metas, bundle, spec, window=None):
+    """A design found row by row with date lookups: ``(columns, dropped,
+    rows_in)``, where ``columns`` maps entity, day, the response and every
+    non-constant column name to the complete rows' values."""
+    regressors = [n for n in spec.regressors if not (spec.effects == "fixed" and n == "hyfi")]
+    pairs = [(f"{a}_x_{b}", a, b) for a, b in spec.interactions]
+    lo, hi = (-math.inf, math.inf) if window is None else (
+        int(np.datetime64(d, "D").astype(np.int64)) for d in window)
+    market = {name: present_by_day(bundle[MARKET_SYMBOL][name]) for name in MARKET_METRICS}
+    columns, dropped, rows_in = {}, Counter(), 0
+    for meta in metas:
+        lookups = {name: present_by_day(series) for name, series in bundle[meta.symbol].items()}
+        lookups.update(market)
+        response = lookups["price_risk"]
+        days = bundle[meta.symbol]["price_risk"].dates.astype(np.int64).tolist()
+        for day in (d for d in days if lo <= d <= hi):
+            rows_in += 1
+            cells = {"price_risk": response.get(day)}
+            if spec.dynamic:
+                cells["price_risk_lag"] = response.get(day - 1)
+            for name in regressors:
+                cells[name] = float(meta.hyfi) if name == "hyfi" else lookups[name].get(day)
+            for name, a, b in pairs:
+                left = float(meta.hyfi) if a == "hyfi" else lookups[a].get(day)
+                right = lookups[b].get(day)
+                cells[name] = None if left is None or right is None else left * right
+            missing = [name for name, value in cells.items() if value is None]
+            if missing:
+                dropped[f"missing_{missing[0]}"] += 1
+                continue
+            cells.update(entity=meta.symbol, day=day)
+            for name, value in cells.items():
+                columns.setdefault(name, []).append(value)
+    return columns, dict(sorted(dropped.items())), rows_in
+
+
 class TestBuildDesign:
+    def test_report_designs_equal_row_lookups(self, tmp_path, small_sim):
+        # a metrics file read back keeps only present values, so each
+        # entity's series start on different days; two more carved days make
+        # interior gaps in one response and in another entity's size
+        write_simulation(small_sim, tmp_path)
+        bundle = read_metrics_csv(tmp_path / "metrics.csv")
+        metas = small_sim.metas
+        for symbol, name, position in ((metas[0].symbol, "price_risk", 60),
+                                       (metas[1].symbol, "size", 90)):
+            series = bundle[symbol][name]
+            keep = np.arange(len(series)) != position
+            bundle[symbol][name] = MetricSeries(symbol, name, series.dates[keep],
+                                                series.values[keep], series.missing[keep])
+        config = RunConfig(metrics_file="unused", meta="unused", out="unused",
+                           split_date="2020-03-15")
+        table = design_table(metas, bundle)
+        assert design_table(metas, table) is table
+        # the report's 14 designs: 4 baseline specs over the full sample and
+        # both split windows, the quantile design and the figure-scale design
+        lo, hi = table.span
+        split = np.datetime64(config.split_date)
+        specs = _baseline_specs(config)
+        cases = [(specs[job], window) for window in (None, (lo, split - DAY), (split, hi))
+                 for job in BASELINE_JOBS]
+        cases += [(quantile_spec(config), None), (specs["static_fixed"], None)]
+        assert len(cases) == 14
+        for spec, window in cases:
+            design, ledger = build_design(metas, table, spec, window=window)
+            again, again_ledger = build_design(metas, bundle, spec, window=window)
+            for attr in ("matrix", "response", "entities", "dates"):
+                assert np.array_equal(getattr(design, attr), getattr(again, attr))
+            assert design.columns == again.columns and ledger == again_ledger
+            columns, dropped, rows_in = reference_design(metas, bundle, spec, window)
+            assert ledger.dropped == dropped and ledger.rows_in == rows_in
+            assert list(design.entities) == columns["entity"]
+            assert design.dates.astype(np.int64).tolist() == columns["day"]
+            assert design.response.tolist() == columns["price_risk"]
+            for name in design.columns:
+                expected = [1.0] * design.nobs if name == "const" else columns[name]
+                assert design.column(name).tolist() == expected, name
+
+    def test_no_entities_is_an_empty_design(self, small_sim):
+        spec = ModelSpec(effects="pooled", regressors=["market_volatility"])
+        with pytest.raises(ValueError,
+                           match="design matrix is empty after dropping incomplete rows"):
+            build_design([], small_sim.bundle, spec)
+
     def test_fe_excludes_hyfi_main_effect(self, small_sim):
         spec = ModelSpec(effects="fixed", regressors=list(CONTROLS) + ["hyfi"],
                          interactions=[("hyfi", "market_volatility")])
@@ -800,6 +896,22 @@ class TestReport:
         assert first.keys() == second.keys()
         for name in first:
             assert first[name] == second[name], f"{name} differs between runs"
+
+    def test_report_aligns_each_entity_column_once(self, tmp_path, monkeypatch):
+        # one design table serves every design of the report
+        data_dir = self.write_inputs(tmp_path)
+        config = parse_config(self.write_config(tmp_path, data_dir, tmp_path / "report"))
+        config.with_diagnostics = False
+        names, aligned = [], pipeline._aligned
+
+        def counting(series, dates):
+            names.append(series.name)
+            return aligned(series, dates)
+
+        monkeypatch.setattr(pipeline, "_aligned", counting)
+        run_report(config)
+        columns = ["price_risk", *CONTROLS]
+        assert Counter(names) == dict.fromkeys(columns, 5)
 
     def test_config_parser_round_trip(self, tmp_path):
         data_dir = self.write_inputs(tmp_path)
