@@ -8,7 +8,6 @@ same inputs and seed are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
@@ -72,21 +71,13 @@ def _cmd_decentralization(args):
     metas = read_meta_csv(args.meta) if args.meta else list(panel.entities)
     bundle = {meta.symbol: {} for meta in metas}
     pipeline.add_decentralization_metric(bundle, metas, panel)
-    with open(args.out, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("entity", "date", "composite", "orthogonalized"))
-        for meta in metas:
-            composite = dec.composite_index(meta.gini_components)
-            series = bundle[meta.symbol]["decentralization"]
-            for i in np.flatnonzero(~series.missing):
-                writer.writerow(
-                    (
-                        meta.symbol,
-                        str(series.dates[i]),
-                        repr(float(composite)),
-                        repr(float(series.values[i])),
-                    )
-                )
+    rows = []
+    for meta in metas:
+        composite = dec.composite_index(meta.gini_components)
+        series = bundle[meta.symbol]["decentralization"]
+        rows += [(meta.symbol, str(series.dates[i]), composite, series.values[i])
+                 for i in np.flatnonzero(~series.missing)]
+    pipeline._write_csv(args.out, ("entity", "date", "composite", "orthogonalized"), rows)
     print(f"wrote {args.out}")
     return 0
 
@@ -190,9 +181,9 @@ def _cmd_diagnose(args):
     panel = load_panel_csv(args.panel)
     bundle = pipeline.metrics_from_panel(panel, window=args.window)
     os.makedirs(args.out, exist_ok=True)
-    config = pipeline.RunConfig(panel=args.panel, out=args.out)
+    metas = list(panel.entities)
     pipeline._emit_diagnostics(
-        list(panel.entities), bundle, config, args.out,
+        metas, bundle, pipeline.design_table(metas, bundle), args.out,
         extra_pooled={"attention_raw": pipeline.raw_attention_pooled(panel)},
     )
     print(f"wrote {args.out}: descriptives, correlations, unit roots, dependence tests")

@@ -101,8 +101,6 @@ def _interp_axis(grid, value):
 
 def cips_critical_values(n_entities, nobs):
     """Bilinear interpolation of the simulated CIPS table on (N, T)."""
-    if not CIPS_CV_TABLE:
-        return None
     i0, i1, wi = _interp_axis(CIPS_CV_N, n_entities)
     j0, j1, wj = _interp_axis(CIPS_CV_T, nobs)
     out = {}
@@ -116,8 +114,6 @@ def cips_critical_values(n_entities, nobs):
 
 
 def _stars(statistic, critical_values):
-    if critical_values is None:
-        return ""
     if statistic < critical_values[0.01]:
         return "***"
     if statistic < critical_values[0.05]:
@@ -132,7 +128,6 @@ class UnitRootResult:
     test: str                     # "adf" or "cips"
     statistic: float
     lags: object                  # int, or {entity: int} for CIPS
-    deterministic: str
     nobs: int
     stars: str = ""
     critical_values: dict = None
@@ -249,7 +244,7 @@ def _df_regression(dy, current, lagged, max_lag):
     return stat, best_p, n
 
 
-def adf(series, max_lag=4, deterministic="constant"):
+def adf(series, max_lag=4):
     """Augmented Dickey-Fuller test with a constant and AIC lag selection.
 
     The statistic is the t-ratio on the lagged level in
@@ -257,8 +252,6 @@ def adf(series, max_lag=4, deterministic="constant"):
     MacKinnon (2010) response-surface critical values.  The fits come from
     the same in-order QR as the CADF regressions.
     """
-    if deterministic != "constant":
-        raise ValueError("only the constant deterministic case is supported")
     y = np.asarray(series, dtype=float)
     y = y[np.isfinite(y)]
     if len(y) <= max_lag + 3:
@@ -273,7 +266,6 @@ def adf(series, max_lag=4, deterministic="constant"):
         test="adf",
         statistic=stat,
         lags=best_p,
-        deterministic="constant",
         nobs=nobs,
         stars=_stars(stat, cv),
         critical_values=cv,
@@ -291,7 +283,7 @@ def truncate_cadf(statistic, lower=CADF_LOWER, upper=CADF_UPPER):
     return float(min(max(statistic, lower), upper))
 
 
-def cips(panel_values, max_lag=4, deterministic="constant", entity_labels=None):
+def cips(panel_values, max_lag=4, entity_labels=None):
     """Pesaran-style CIPS test: mean of per-entity CADF statistics.
 
     ``panel_values`` is an (N, T) array aligned on a common calendar with
@@ -307,8 +299,6 @@ def cips(panel_values, max_lag=4, deterministic="constant", entity_labels=None):
     norm, or absolute below norm 1).  A second in-order QR at the chosen p
     gives the t-ratio, its variance from R^-1.
     """
-    if deterministic != "constant":
-        raise ValueError("only the constant deterministic case is supported")
     data = np.asarray(panel_values, dtype=float)
     if data.ndim != 2 or data.shape[0] < 2:
         raise ValueError("need an (N, T) array with at least 2 entities")
@@ -354,7 +344,6 @@ def cips(panel_values, max_lag=4, deterministic="constant", entity_labels=None):
         test="cips",
         statistic=cips_stat,
         lags=lags,
-        deterministic="constant",
         nobs=nobs_total,
         stars=_stars(cips_stat, cv),
         critical_values=cv,

@@ -9,6 +9,7 @@ output directories.  Jobs execute and merge in a fixed order.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -434,14 +435,12 @@ class DesignTable:
     """The entity-day rows (``metas`` order, response dates) that a report's
     designs select from.  ``columns``: name -> ``(values, missing)`` of the
     response, the metrics all entities carry, the market metrics and hyfi.
-    ``lag``: the gap-aware response lag of each whole series.  ``span``: the
-    first and last date of any series in the bundle (or ``None``)."""
+    ``lag``: the gap-aware response lag of each whole series."""
 
     entities: np.ndarray
     dates: np.ndarray
     columns: dict
     lag: tuple
-    span: tuple
 
 
 def _stacked(pairs):
@@ -474,14 +473,11 @@ def design_table(metas, bundle):
     columns = {name: _stacked(parts[name]) for name in names}
     hyfi = np.repeat([1.0 if meta.hyfi else 0.0 for meta in metas], lengths)
     columns["hyfi"] = (hyfi, np.zeros(len(hyfi), dtype=bool))
-    ends = [(s.dates[0], s.dates[-1]) for per in bundle.values() for s in per.values()
-            if len(s.dates)]
     return DesignTable(
         entities=np.repeat(np.array([meta.symbol for meta in metas], dtype=object), lengths),
         dates=np.concatenate(dates) if dates else np.empty(0, dtype="datetime64[D]"),
         columns=columns,
         lag=_stacked(lags),
-        span=(min(lo for lo, _ in ends), max(hi for _, hi in ends)) if ends else None,
     )
 
 
@@ -682,14 +678,25 @@ class SplitFragment:
 
 def run_split(metas, bundle, config):
     """Re-run the baseline battery before and after the split date; ``bundle``
-    may be the ``design_table`` of ``metas``."""
+    may be the ``design_table`` of ``metas``.
+
+    The split date must fall after the first date of the design rows and no
+    later than the last; a battery that still fails names its window.
+    """
     table = design_table(metas, bundle)
     split = parse_date(config.split_date)
-    lo, hi = table.span or (None, None)
-    if lo is None or not lo <= split <= hi:
-        raise ValueError(f"split_date {split} outside panel range [{lo}, {hi}]")
-    pre = run_baseline(metas, table, config, window=(lo, split - DAY))
-    post = run_baseline(metas, table, config, window=(split, hi))
+    lo, hi = (table.dates.min(), table.dates.max()) if len(table.dates) else (None, None)
+    if lo is None or not lo < split <= hi:
+        raise ValueError(f"split_date {split} outside panel range ({lo}, {hi}]")
+
+    def battery(start, end):
+        try:
+            return run_baseline(metas, table, config, window=(start, end))
+        except ValueError as exc:
+            raise ValueError(f"split_date {split}: window {start} to {end}: {exc}") from exc
+
+    pre = battery(lo, split - DAY)
+    post = battery(split, hi)
     name = "hyfi_x_market_volatility"
     attenuation = {}
     for label, fragment in (("pre", pre), ("post", post)):
@@ -1116,12 +1123,20 @@ def simulate_dgp(params, seed=None):
     return SimulatedPanel(metas=metas, bundle=bundle, truth=truth, params=params)
 
 
-def write_meta_csv(metas, path):
+def _write_csv(path, header, rows):
+    """The one CSV table writer: rows ended by ``\n``, floats as
+    ``repr(float(v))`` so that they read back bit for bit (no float repr needs
+    quoting), every other cell as ``str`` quoted by ``csv_cell``."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(META_HEADER)
-        for meta in metas:
-            writer.writerow([meta.symbol] + format_meta_cells(meta))
+        for row in itertools.chain([header], rows):
+            handle.write(",".join(
+                repr(float(v)) if isinstance(v, (float, np.floating)) else csv_cell(str(v))
+                for v in row
+            ) + "\n")
+
+
+def write_meta_csv(metas, path):
+    _write_csv(path, META_HEADER, ([meta.symbol] + format_meta_cells(meta) for meta in metas))
 
 
 def write_simulation(sim, outdir):
@@ -1157,16 +1172,6 @@ def write_simulation(sim, outdir):
 
 # ---------------------------------------------------------------------------
 # report emission
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
-            )
 
 
 def _term_rows(fit):
@@ -1227,77 +1232,50 @@ def _fitstat_rows(label, fit, test=None):
     return rows
 
 
+def _job_rows(fragment):
+    """``(job, coefficient rows, fit-stat rows)`` of each baseline job, its
+    fit-stat rows ending with the Hausman test of its static or dynamic pair."""
+    for job in BASELINE_JOBS:
+        fit = fragment.fits[job]
+        test = fragment.hausman[job.split("_")[0]]
+        yield job, _coefficient_rows(fit), _fitstat_rows(job, fit, test)
+
+
 def _summary_block(fragment):
-    """Fixed-width text table mirroring the published layout, at 4 decimals."""
-
-    jobs = BASELINE_JOBS
-    names = ["const"]
-    for job in jobs:
-        for name in fragment.fits[job].columns:
-            if name not in names:
-                names.append(name)
-
-    def cell(fit, name):
-        if name == "const" and fit.intercept is not None:
-            est, se = fit.intercept, fit.intercept_se
-        elif name in fit.columns:
-            est, se = fit.coef(name), fit.se_of(name)
-        else:
-            return "-", ""
-        return f"{est:.4f}{stars(est, se)}", f"({se:.4f})"
-
+    """Fixed-width text table mirroring the published layout, at 4 decimals:
+    the coefficient and fit-stat rows of the four jobs side by side, terms in
+    first-seen order and ``-`` where a job lacks a term."""
     width = 24
-    lines = []
-    header = "".ljust(24) + "".join(job.ljust(width) for job in jobs)
-    lines.append(header)
-    lines.append("-" * len(header))
-    for name in names:
-        top = name.ljust(24)
-        bottom = "".ljust(24)
-        for job in jobs:
-            est, se = cell(fragment.fits[job], name)
-            top += est.ljust(width)
-            bottom += se.ljust(width)
-        lines.append(top)
-        lines.append(bottom)
-    for caption, attr in (
-        ("cross_section_random", "alpha"),
-        ("idiosyncratic_random", "idiosyncratic"),
-    ):
-        row = caption.ljust(24)
-        for job in jobs:
-            vc = fragment.fits[job].variance_components
-            if vc is None:
-                row += "-".ljust(width)
-            elif attr == "alpha":
-                row += f"SD {vc.sd_alpha:.4f} Rho {vc.rho_alpha:.4f}".ljust(width)
-            else:
-                row += (
-                    f"SD {vc.sd_idiosyncratic:.4f} Rho {vc.rho_idiosyncratic:.4f}"
-                ).ljust(width)
-        lines.append(row)
+    cells, stats = {}, {}
+    for job, coefficients, fitstats in _job_rows(fragment):
+        cells[job] = {term: (f"{est:.4f}{mark}", f"({se:.4f})")
+                      for term, est, se, mark in coefficients}
+        stats[job] = {name: value for _, name, value in fitstats}
+        stats[job]["n_days"] = fragment.n_days[job]
+    jobs = list(cells)
+
+    def line(caption, texts):
+        return caption.ljust(width) + "".join(text.ljust(width) for text in texts)
+
+    header = line("", jobs)
+    lines = [header, "-" * len(header)]
+    for term in dict.fromkeys(term for job in jobs for term in cells[job]):
+        pairs = [cells[job].get(term, ("-", "")) for job in jobs]
+        lines += [line(term, [est for est, _ in pairs]), line("", [se for _, se in pairs])]
+    for caption, part in (("cross_section_random", "alpha"),
+                          ("idiosyncratic_random", "idiosyncratic")):
+        lines.append(line(caption, [
+            f"SD {stats[job][f'sd_{part}']:.4f} Rho {stats[job][f'rho_{part}']:.4f}"
+            if f"sd_{part}" in stats[job] else "-"
+            for job in jobs
+        ]))
     for label in ("static", "dynamic"):
-        test = fragment.hausman[label]
-        lines.append(
-            f"hausman_{label}".ljust(24)
-            + f"{test.statistic:.4f} [{test.p_value:.4f}] df={test.df}"
-        )
-    row = "adj_r2".ljust(24)
-    for job in jobs:
-        row += f"{fragment.fits[job].adj_r2:.4f}".ljust(width)
-    lines.append(row)
-    row = "nobs".ljust(24)
-    for job in jobs:
-        row += str(fragment.fits[job].nobs).ljust(width)
-    lines.append(row)
-    row = "n_entities".ljust(24)
-    for job in jobs:
-        row += str(fragment.fits[job].n_entities).ljust(width)
-    lines.append(row)
-    row = "n_days".ljust(24)
-    for job in jobs:
-        row += str(fragment.n_days[job]).ljust(width)
-    lines.append(row)
+        test = stats[f"{label}_random"]
+        lines.append(f"hausman_{label}".ljust(width) + f"{test['hausman_stat']:.4f}"
+                     f" [{test['hausman_p']:.4f}] df={test['hausman_df']:.0f}")
+    for name, spec in (("adj_r2", ".4f"), ("nobs", ".0f"), ("n_entities", ".0f"),
+                       ("n_days", ".0f")):
+        lines.append(line(name, [format(stats[job][name], spec) for job in jobs]))
     return "\n".join(lines) + "\n"
 
 
@@ -1355,24 +1333,22 @@ def run_report(config):
             value = ",".join(f"{t:g}" for t in value)
         manifest.append(f"  {key} = {value}")
 
+    # the diagnostics and every design below read this one table
+    table = design_table(metas, bundle)
     if config.with_diagnostics:
         extra = {"attention_raw": raw_attention_pooled(panel)} if panel else None
-        _emit_diagnostics(metas, bundle, config, tables, extra_pooled=extra)
+        _emit_diagnostics(metas, bundle, table, tables, extra_pooled=extra)
         manifest.append("job diagnostics: tables/descriptives.csv,"
                         " tables/correlations.csv, tables/unit_roots.csv,"
                         " tables/dependence.csv")
 
-    # every design below selects from this one table
-    table = design_table(metas, bundle)
     baseline = None
     if config.with_baseline:
         baseline = run_baseline(metas, table, config)
         coefficient_rows, fitstat_rows = [], []
-        for job in BASELINE_JOBS:
-            fit = baseline.fits[job]
-            coefficient_rows += [(job,) + row for row in _coefficient_rows(fit)]
-            test = baseline.hausman["static" if job.startswith("static") else "dynamic"]
-            fitstat_rows += _fitstat_rows(job, fit, test)
+        for job, coefficients, fitstats in _job_rows(baseline):
+            coefficient_rows += [(job,) + row for row in coefficients]
+            fitstat_rows += fitstats
         for job, per_column in sorted(baseline.long_run.items()):
             for name, (est, se) in per_column.items():
                 coefficient_rows.append((f"{job}_long_run", name, est, se, stars(est, se)))
@@ -1433,12 +1409,9 @@ def run_report(config):
         split = run_split(metas, table, config)
         rows, fitstats = [], []
         for period, fragment in (("pre", split.pre), ("post", split.post)):
-            for job in BASELINE_JOBS:
-                fit = fragment.fits[job]
-                rows += [(period, job) + row for row in _coefficient_rows(fit)]
-                test = fragment.hausman["static" if job.startswith("static") else "dynamic"]
-                for row in _fitstat_rows(job, fit, test):
-                    fitstats.append((period,) + row)
+            for job, coefficients, job_stats in _job_rows(fragment):
+                rows += [(period, job) + row for row in coefficients]
+                fitstats += [(period,) + row for row in job_stats]
                 fitstats.append((period, job, "n_days", float(fragment.n_days[job])))
         _write_csv(
             os.path.join(tables, "split_coefficients.csv"),
@@ -1469,8 +1442,10 @@ def run_report(config):
     return outdir
 
 
-def _emit_diagnostics(metas, bundle, config, tables, extra_pooled=None):
-    """Descriptives, correlations, unit roots and dependence tests.
+def _emit_diagnostics(metas, bundle, table, tables, extra_pooled=None):
+    """Descriptives, correlations, unit roots and dependence tests, written
+    under ``tables``.  ``table`` is the ``design_table`` of ``metas`` in
+    ``bundle``; the correlations and hyfi read its entity-day rows.
 
     ``extra_pooled`` optionally appends raw-valued variables (for example
     untransformed attention) to the descriptive table.
@@ -1492,9 +1467,7 @@ def _emit_diagnostics(metas, bundle, config, tables, extra_pooled=None):
     for name in MARKET_METRICS:
         series = bundle[MARKET_SYMBOL][name]
         pooled[name] = series.present_values()
-    # entity-day rows with market values broadcast, for hyfi and the correlations
-    stacked = design_table(metas, bundle).columns
-    pooled["hyfi"] = stacked["hyfi"][0]
+    pooled["hyfi"] = table.columns["hyfi"][0]
 
     if extra_pooled:
         for name, values in extra_pooled.items():
@@ -1527,7 +1500,7 @@ def _emit_diagnostics(metas, bundle, config, tables, extra_pooled=None):
     )
 
     matrix, labels = diag.correlation_matrix(
-        [stacked[name][0] for name in CONTROLS], list(CONTROLS)
+        [table.columns[name][0] for name in CONTROLS], list(CONTROLS)
     )
     rows = [(label, *row) for label, row in zip(labels, matrix)]
     _write_csv(

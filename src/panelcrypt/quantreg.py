@@ -311,7 +311,7 @@ def _solve_preprocessed(X, y, tau, max_iter, gap_tol):
     return beta, iterations + it
 
 
-def fit_quantile_coefficients(X, y, tau, max_iter=MAX_ITER, gap_tol=GAP_TOL):
+def fit_quantile_coefficients(X, y, tau, max_iter=MAX_ITER, gap_tol=GAP_TOL, columns=None):
     """Coefficients minimizing the check loss, and the solver's iteration count.
 
     An intercept-only fit takes the midpoint convention on a flat optimum.
@@ -321,7 +321,9 @@ def fit_quantile_coefficients(X, y, tau, max_iter=MAX_ITER, gap_tol=GAP_TOL):
     residual of the wrong sign, which proves it optimal for the full problem.
     Smaller designs go to ``_solve_lp`` directly.  The iteration count is the
     sum over every subproblem solved; ``max_iter`` and ``gap_tol`` apply to
-    each, and a ``ConvergenceError`` from any of them propagates.
+    each, and a ``ConvergenceError`` from any of them propagates.  A
+    rank-deficient ``X`` raises ``RankDeficiencyError`` naming the collinear
+    ``columns`` (``x0``, ``x1``, ... when none are given).
     """
     X = as_float_array(X, "X", ndim=2)
     y = as_float_array(y, "y")
@@ -331,7 +333,7 @@ def fit_quantile_coefficients(X, y, tau, max_iter=MAX_ITER, gap_tol=GAP_TOL):
     n, k = X.shape
     if n <= k:
         raise ValueError(f"need more rows ({n}) than columns ({k})")
-    qr_solve(X, y)  # full-column-rank check with named-column diagnostics upstream
+    qr_solve(X, y, columns)  # full-column-rank check
     if k == 1 and np.ptp(X[:, 0]) == 0.0:
         level = X[0, 0]
         if level == 0.0:
@@ -473,7 +475,8 @@ class PanelQuantile(BaseEstimator):
     def fit(self, design):
         X, y = design.matrix, design.response
         params, iterations = fit_quantile_coefficients(
-            X, y, self.tau, max_iter=self.max_iter, gap_tol=self.gap_tol
+            X, y, self.tau, max_iter=self.max_iter, gap_tol=self.gap_tol,
+            columns=design.columns,
         )
         residuals = y - X @ params
         loss = check_loss(residuals, self.tau)
@@ -499,7 +502,7 @@ class PanelQuantile(BaseEstimator):
 
         result = QuantileFit(
             tau=self.tau,
-            columns=list(design.columns),
+            columns=design.columns,
             params=params,
             cov=cov,
             nobs=design.nobs,

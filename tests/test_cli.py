@@ -1,15 +1,22 @@
 """End-to-end CLI coverage on small synthetic inputs."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from panelcrypt import pipeline
 from panelcrypt.base import ConvergenceError
 from panelcrypt.cli import _parse_model_spec, _parse_synth_params, main
+from panelcrypt.decentralization import composite_index
+from panelcrypt.panel import load_panel, load_panel_csv, read_meta_csv, write_panel_csv
+from panelcrypt.pipeline import write_meta_csv
 from panelcrypt.quantreg import PanelQuantile
 
-from conftest import build_panel_files
+from conftest import CELL_TEXTS, PROPERTY_SETTINGS, build_panel_files
 
 
 @pytest.fixture
@@ -67,6 +74,44 @@ def test_decentralization_command(tmp_path, panel_file):
     assert len(rows) > 100
 
 
+@pytest.fixture(scope="module")
+def awkward_panel(tmp_path_factory):
+    """A consolidated panel file and its entities' metadata."""
+    folder = tmp_path_factory.mktemp("awkward")
+    specs = [("AAA", True, "2020-01-01", 90), ("BBB", False, "2020-01-01", 90),
+             ("CCC", False, "2020-01-10", 81)]
+    entity_files, market_file, meta_file = build_panel_files(
+        folder, np.random.default_rng(92), specs)
+    out = folder / "panel.csv"
+    write_panel_csv(load_panel(entity_files, market_file, meta_file), out)
+    return out, read_meta_csv(meta_file)
+
+
+@PROPERTY_SETTINGS
+@given(categories=st.lists(CELL_TEXTS, min_size=3, max_size=3))
+def test_decentralization_bytes_equal_a_csv_writer_row_loop(tmp_path_factory, awkward_panel,
+                                                            categories):
+    # the categories reach only the meta file, which the command must read back
+    panel_path, metas = awkward_panel
+    metas = [replace(meta, category=category) for meta, category in zip(metas, categories)]
+    folder = tmp_path_factory.mktemp("decentralization")
+    write_meta_csv(metas, folder / "meta.csv")
+    assert main(["decentralization", "--panel", str(panel_path),
+                 "--meta", str(folder / "meta.csv"), "--out", str(folder / "table.csv")]) == 0
+    bundle = {meta.symbol: {} for meta in metas}
+    pipeline.add_decentralization_metric(bundle, metas, load_panel_csv(panel_path))
+    with open(folder / "rows.csv", "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(("entity", "date", "composite", "orthogonalized"))
+        for meta in metas:
+            composite = composite_index(meta.gini_components)
+            series = bundle[meta.symbol]["decentralization"]
+            for i in np.flatnonzero(~series.missing):
+                writer.writerow((meta.symbol, str(series.dates[i]), repr(float(composite)),
+                                 repr(float(series.values[i]))))
+    assert (folder / "table.csv").read_bytes() == (folder / "rows.csv").read_bytes()
+
+
 def test_fit_command(tmp_path, panel_file):
     spec = tmp_path / "model.cfg"
     spec.write_text(
@@ -112,6 +157,17 @@ def test_quantile_command(tmp_path, panel_file):
     # five terms per tau: const + 6 controls + hyfi
     per_tau = [row for row in path_rows[1:] if row[0] == "0.25"]
     assert len(per_tau) == 8
+
+
+def test_quantile_rank_error_names_the_spec_columns(tmp_path, panel_file, capsys):
+    # hyfi * hyfi equals hyfi for a 0/1 dummy
+    spec = tmp_path / "collinear.cfg"
+    spec.write_text("effects = pooled\nregressors = size,hyfi\ninteractions = hyfi*hyfi\n")
+    code = main(["quantile", "--panel", str(panel_file), "--spec", str(spec),
+                 "--taus", "0.5", "--out", str(tmp_path / "quantiles")])
+    assert code == 1
+    assert ("error: rank-deficient design: columns ['hyfi', 'hyfi_x_hyfi'] are collinear"
+            in capsys.readouterr().err)
 
 
 def test_diagnose_command(tmp_path, panel_file):

@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 from panelcrypt import estimators, pipeline
 from panelcrypt.estimators import FixedEffects, ModelSpec, RandomEffects, hausman
 from panelcrypt.metrics import MetricSeries
-from panelcrypt.panel import MARKET_SYMBOL, PanelLoadError
+from panelcrypt.panel import (
+    MARKET_SYMBOL,
+    META_HEADER,
+    EntityMeta,
+    PanelLoadError,
+    format_meta_cells,
+)
 from panelcrypt.pipeline import (
     BASELINE_JOBS,
     CONTROLS,
@@ -37,6 +43,7 @@ from panelcrypt.pipeline import (
     run_report,
     run_split,
     simulate_dgp,
+    write_meta_csv,
     write_metrics_csv,
     write_simulation,
 )
@@ -119,7 +126,7 @@ class TestBuildDesign:
         assert design_table(metas, table) is table
         # the report's 14 designs: 4 baseline specs over the full sample and
         # both split windows, the quantile design and the figure-scale design
-        lo, hi = table.span
+        lo, hi = table.dates.min(), table.dates.max()
         split = np.datetime64(config.split_date)
         specs = _baseline_specs(config)
         cases = [(specs[job], window) for window in (None, (lo, split - DAY), (split, hi))
@@ -538,6 +545,31 @@ class TestMetricsWriter:
         assert not (tmp_path / "metrics.csv").exists()
 
 
+@st.composite
+def writer_metas(draw):
+    """Entity metadata with awkward symbols and categories."""
+    return [
+        EntityMeta(symbol, draw(CELL_TEXTS), draw(st.booleans()),
+                   np.datetime64("2020-01-01") + draw(st.integers(0, 10)),
+                   tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5))))
+        for symbol in draw(st.lists(CELL_TEXTS, max_size=3, unique=True))
+    ]
+
+
+class TestMetaWriter:
+    @PROPERTY_SETTINGS
+    @given(metas=writer_metas())
+    def test_bytes_equal_a_csv_writer_row_loop(self, tmp_path_factory, metas):
+        folder = tmp_path_factory.mktemp("meta")
+        write_meta_csv(metas, folder / "table.csv")
+        # csv.writer quotes \r only when it ends rows with \r\n
+        rows = [META_HEADER] + [[meta.symbol] + format_meta_cells(meta) for meta in metas]
+        with open(folder / "rows.csv", "w", newline="") as handle:
+            for row in rows:
+                handle.write(csv_line(row, "\r\n").removesuffix("\r\n") + "\n")
+        assert (folder / "table.csv").read_bytes() == (folder / "rows.csv").read_bytes()
+
+
 @pytest.fixture(scope="module")
 def fragment():
     sim = simulate_dgp(small_params(n_entities=6, n_periods=300), seed=21)
@@ -775,6 +807,23 @@ class TestSplit:
         with pytest.raises(ValueError, match="outside panel range"):
             run_split(sim.metas, sim.bundle, config)
 
+    @pytest.mark.parametrize("split_date, message", [
+        # in the market warm-up and on the first entity day: no pre-split rows
+        ("2019-12-15", r"split_date 2019-12-15 outside panel range \(2020-01-01, 2020-02-29\]"),
+        ("2020-01-01", r"split_date 2020-01-01 outside panel range \(2020-01-01, 2020-02-29\]"),
+        # one pre-split day whose response is still missing
+        ("2020-01-02", r"split_date 2020-01-02: window 2020-01-01 to 2020-01-01: design matrix"
+                       r" is empty after dropping incomplete rows"),
+    ], ids=["market-warm-up", "first-entity-day", "one-day-before"])
+    def test_split_range_from_the_design_rows(self, split_date, message):
+        # entities from 2020-01-01, the market from a month earlier
+        sim = simulate_dgp(SynthParams(n_entities=3, n_periods=60,
+                                       use_benchmark_universe=False), seed=1)
+        config = RunConfig(metrics_file="unused", meta="unused", out="unused",
+                           split_date=split_date)
+        with pytest.raises(ValueError, match=message):
+            run_split(sim.metas, sim.bundle, config)
+
     def test_stationary_dgp_pre_post_agree(self):
         params = small_params(n_entities=8, n_periods=500)
         config = RunConfig(metrics_file="unused", meta="unused", out="unused",
@@ -897,11 +946,11 @@ class TestReport:
         for name in first:
             assert first[name] == second[name], f"{name} differs between runs"
 
-    def test_report_aligns_each_entity_column_once(self, tmp_path, monkeypatch):
-        # one design table serves every design of the report
+    def aligned_names(self, tmp_path, monkeypatch, diagnostics):
+        """How often a report aligns each metric, by name."""
         data_dir = self.write_inputs(tmp_path)
         config = parse_config(self.write_config(tmp_path, data_dir, tmp_path / "report"))
-        config.with_diagnostics = False
+        config.with_diagnostics = diagnostics
         names, aligned = [], pipeline._aligned
 
         def counting(series, dates):
@@ -910,8 +959,64 @@ class TestReport:
 
         monkeypatch.setattr(pipeline, "_aligned", counting)
         run_report(config)
+        return Counter(names)
+
+    def test_report_aligns_each_entity_column_once(self, tmp_path, monkeypatch):
+        # one design table serves every design of the report
         columns = ["price_risk", *CONTROLS]
-        assert Counter(names) == dict.fromkeys(columns, 5)
+        assert self.aligned_names(tmp_path, monkeypatch, False) == dict.fromkeys(columns, 5)
+
+    def test_diagnostics_read_the_report_table(self, tmp_path, monkeypatch):
+        # the diagnostics align each per-entity variable once more, onto the
+        # bundle's calendar, and take everything else from the report's table
+        per_entity = ["price_risk", *(c for c in CONTROLS if c not in MARKET_METRICS)]
+        expected = {**dict.fromkeys(per_entity, 10), **dict.fromkeys(MARKET_METRICS, 5)}
+        assert self.aligned_names(tmp_path, monkeypatch, True) == expected
+
+    def test_summary_renders_the_coefficient_and_fitstat_rows(self, tmp_path):
+        data_dir = self.write_inputs(tmp_path)
+        out = tmp_path / "report"
+        config = parse_config(self.write_config(tmp_path, data_dir, out))
+        config.with_diagnostics = config.with_quantiles = config.with_split = False
+        run_report(config)
+        tables = out / "tables"
+        lines = (tables / "baseline_summary.txt").read_text().splitlines()
+        width = 24
+
+        def cells(line):
+            return [line[width * i:width * (i + 1)].strip() for i in range(5)]
+
+        assert cells(lines[0]) == ["", *BASELINE_JOBS]
+        # two lines per term, then variance components, Hausman tests and
+        # four statistic rows
+        body = lines[2:-8]
+        rows = {cells(top)[0]: (cells(top)[1:], cells(bottom)[1:])
+                for top, bottom in zip(body[::2], body[1::2])}
+        with open(tables / "baseline_coefficients.csv", newline="") as handle:
+            coefficients = list(csv.DictReader(handle))
+        seen = {}
+        for row in coefficients:
+            if row["fit"] not in BASELINE_JOBS:
+                continue
+            job = BASELINE_JOBS.index(row["fit"])
+            est, se = float(row["estimate"]), float(row["se"])
+            estimates, ses = rows[row["term"]]
+            assert estimates[job] == f"{est:.4f}{row['stars']}"
+            assert ses[job] == f"({se:.4f})"
+            seen.setdefault(row["term"], set()).add(job)
+        # terms in first-seen order; a job without the term shows "-"
+        assert list(rows) == list(seen)
+        for term, (estimates, ses) in rows.items():
+            for job in set(range(4)) - seen[term]:
+                assert estimates[job] == "-" and ses[job] == ""
+        with open(tables / "baseline_fitstats.csv", newline="") as handle:
+            fitstats = {(r["fit"], r["statistic"]): float(r["value"])
+                        for r in csv.DictReader(handle)}
+        by_caption = {cells(line)[0]: cells(line)[1:] for line in lines}
+        for statistic, spec in (("adj_r2", ".4f"), ("nobs", ".0f"), ("n_entities", ".0f")):
+            assert by_caption[statistic] == [
+                format(fitstats[(job, statistic)], spec) for job in BASELINE_JOBS
+            ]
 
     def test_config_parser_round_trip(self, tmp_path):
         data_dir = self.write_inputs(tmp_path)

@@ -9,7 +9,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from panelcrypt import quantreg
-from panelcrypt.base import ConvergenceError
+from panelcrypt.base import ConvergenceError, RankDeficiencyError
 from panelcrypt.estimators import DesignMatrix, ModelSpec
 from panelcrypt.pipeline import CONTROLS, SynthParams, build_design, simulate_dgp
 from panelcrypt.quantreg import (
@@ -543,6 +543,18 @@ class TestQuantileFitBundle:
         assert result.quantile_dependent == pytest.approx(rankit_quantile(y, 0.25))
         assert result.quasi_lr_stat > 0.0
         assert result.nobs == n
+
+    def test_rank_error_names_the_design_columns(self):
+        # the same collinear pair the panel estimators name; the bare solver
+        # falls back to positional names
+        rng = np.random.default_rng(69)
+        size = rng.normal(size=60)
+        X = np.column_stack([np.ones(60), size, 2.0 * size])
+        y = rng.normal(size=60)
+        with pytest.raises(RankDeficiencyError, match=r"columns \['size', 'size_twice'\]"):
+            PanelQuantile(tau=0.5).fit(pooled_design(X, y, ["const", "size", "size_twice"]))
+        with pytest.raises(RankDeficiencyError, match=r"columns \['x1', 'x2'\]"):
+            fit_quantile_coefficients(X, y, 0.5)
 
     def test_rankit_positions(self):
         p = rankit_positions(4)
