@@ -8,6 +8,7 @@ same inputs and seed are byte-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -18,7 +19,7 @@ from . import decentralization as dec
 from . import pipeline
 from .base import ConvergenceError
 from .estimators import COVARIANCES, EFFECTS, WEIGHTS, ModelSpec, estimator_for
-from .panel import load_panel, load_panel_csv, read_meta_csv, write_panel_csv
+from .panel import PanelLoadError, load_panel, load_panel_csv, read_meta_csv, write_panel_csv
 from .pipeline import (
     CONTROLS,
     SynthParams,
@@ -60,8 +61,21 @@ def _cmd_metrics(args):
 
 
 def _cmd_gini(args):
+    """One quantity per line; blank lines are skipped, and a line that is not
+    a finite number is an error at ``path:line``."""
+    values = []
     with open(args.dist) as handle:
-        values = [float(line) for line in handle if line.strip()]
+        for line, text in enumerate(handle, start=1):
+            text = text.strip()
+            if not text:
+                continue
+            try:
+                value = float(text)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise PanelLoadError(f"not a finite number: {text!r}", args.dist, line)
+            values.append(value)
     print(f"{dec.gini(values):.6f}")
     return 0
 

@@ -34,6 +34,8 @@ def gini(distribution):
     x = np.asarray(distribution, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("distribution must be a non-empty 1-d array")
+    if not np.isfinite(x).all():
+        raise ValueError("distribution entries must be finite")
     if np.any(x < 0):
         raise ValueError("distribution entries must be nonnegative")
     total = x.sum()

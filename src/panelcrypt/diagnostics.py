@@ -8,6 +8,9 @@ candidates, which are column prefixes of the longest one, all read their SSR
 off one factorisation.  Every pairwise correlation comes from Gram products
 of the row-centred, zero-filled data and its finiteness mask
 (``_pairwise_correlations``), with no loop over pairs.
+
+scipy is imported inside the functions that call it, so importing this
+module, as every CLI command does, does not load it.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as sla
-from scipy.special import ndtr
 
 from .estimators import chi2_survival
 
@@ -224,6 +225,8 @@ def _df_regression(dy, current, lagged, max_lag):
     ``p..t-1`` at the chosen p gives the t-ratio, its variance from R^-1.
     Returns (statistic, p, nobs).
     """
+    from scipy import linalg as sla
+
     t = len(dy)
     rows = np.arange(max_lag, t)
     _, kept, z, ssr = _inorder_qr(_df_columns(rows, current, lagged, max_lag), dy[rows])
@@ -402,6 +405,8 @@ def dependence_tests(panel_values, entity_labels=None):
     excluded and reported in that order; a pair whose overlap variance is
     zero to rounding raises ``ValueError`` naming the pair.
     """
+    from scipy.special import ndtr
+
     data = np.asarray(panel_values, dtype=float)
     if data.ndim != 2 or data.shape[0] < 2:
         raise ValueError("need an (N, T) array with at least 2 entities")

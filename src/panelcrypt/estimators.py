@@ -13,6 +13,9 @@ cross-section EGLS is the same estimator refitted with inverse-variance
 weights.  A dynamic fit is an ordinary fit whose design carries the
 response lag column (built by ``pipeline.build_design``).  Each fit keeps
 its classical covariance, and EGLS its stage-1 fit, for the Hausman test.
+
+scipy is imported inside the functions that call it, so the commands that
+fit nothing (``simulate``, ``ingest``, ``metrics``, ...) start without it.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy import linalg as sla
-from scipy import special
 
 from .base import BaseEstimator, RankDeficiencyError
 
@@ -218,6 +219,8 @@ def qr_solve(X, y, columns=None, rank_tol=RANK_TOL):
     Raises RankDeficiencyError naming the offending column combination when
     a pivot of R falls below ``rank_tol`` relative to the largest pivot.
     """
+    from scipy import linalg as sla
+
     n, k = X.shape
     if n < k:
         raise ValueError(f"need at least as many rows ({n}) as columns ({k})")
@@ -571,6 +574,8 @@ def estimator_for(spec):
 def chi2_survival(x, df):
     """P(chi-square with ``df`` dof exceeds ``x``), via the regularized
     upper incomplete gamma function."""
+    from scipy import special
+
     if df < 1:
         raise ValueError(f"df must be >= 1, got {df}")
     if x < 0:
@@ -584,6 +589,8 @@ def hausman(fe, re, columns=None):
     Uses the Moore-Penrose pseudo-inverse and clamps a negative quadratic
     form to zero (with flags) when V_FE - V_RE is not positive definite.
     """
+    from scipy import linalg as sla
+
     if columns is None:
         columns = [c for c in fe.columns if c in re.columns and c != "const"]
     if not columns:

@@ -295,7 +295,8 @@ def _parse_market_rows(numbered_rows, index, source):
 
 
 def _parse_meta_row(line, row, index, source):
-    """EntityMeta from the ``META_HEADER`` cells of one row."""
+    """EntityMeta from the ``META_HEADER`` cells of one row.  The symbol,
+    which names entity files, is stripped; the category is kept as written."""
     symbol = row[index["symbol"]].strip()
     if not symbol:
         raise PanelLoadError("empty symbol", source, line)
@@ -311,7 +312,7 @@ def _parse_meta_row(line, row, index, source):
     try:
         return EntityMeta(
             symbol=symbol,
-            category=row[index["category"]].strip(),
+            category=row[index["category"]],
             hyfi=hyfi,
             listing_date=listing_date,
             gini_components=tuple(components),

@@ -16,12 +16,17 @@ collapsed into two summed rows, and the small remaining problem is solved
 with the same interior point.  A sign check on the pinned rows proves the
 result optimal for the full problem; mis-pinned rows are released and the
 problem solved again.  Preprocessing runs while 2m <= n, in practice from
-n >= 8 (k+1)^2 rows; smaller designs are solved directly.  The iteration
-count of a fit is the sum over its subproblem solves.
+n >= 8 (k+1)^2 rows; smaller designs are solved directly, and so is a
+design whose subsample or reduced solve fails, under the fit flag
+``preprocessing_fallback``.  The iteration count of a fit is the sum over
+its subproblem solves that converged.
 
 Sparsity is estimated from residuals with an Epanechnikov kernel,
 Hall-Sheather bandwidth and Rankit plotting positions; coefficient
 covariances use the heteroskedasticity-robust (Huber-White) sandwich.
+
+scipy is imported inside the functions that call it, so importing this
+module, as every CLI command does, does not load it.
 """
 
 from __future__ import annotations
@@ -30,8 +35,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.special import ndtri
 
 from .base import (
     BaseEstimator,
@@ -75,6 +78,8 @@ def _epanechnikov(u):
 
 def hall_sheather_bandwidth(tau, n, size=0.05):
     """Plug-in bandwidth in probability units at significance ``size``."""
+    from scipy.special import ndtri
+
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must be in (0, 1), got {tau}")
     if n < 2:
@@ -260,55 +265,63 @@ def _solve_preprocessed(X, y, tau, max_iter, gap_tol):
     and no row pinned above a negative one is optimal for the full problem.
     Mis-pinned rows are released and the reduced problem solved again; more
     than 0.1 M of them, or an unusable subsample (``_sample_factor``), doubles
-    m and redraws.  Once 2m exceeds n the direct solve runs.  Returns the
-    coefficients and the iterations summed over every subproblem solve.
+    m and redraws.  Once 2m exceeds n the direct solve runs, and so it does,
+    flagged ``preprocessing_fallback``, when a sample or reduced solve raises
+    ``ConvergenceError``.  Returns the coefficients, the iterations summed
+    over every subproblem solve that converged, and the flags.
     """
+    import scipy.linalg as sla
+
     n, k = X.shape
     m = round(((k + 1) * n) ** (2.0 / 3.0))
     rng = np.random.default_rng(_PK_SEED)
     iterations = 0
-    while 2 * m <= n:
-        rows = np.sort(rng.choice(n, size=m, replace=False))
-        sample = X[rows]
-        chol = _sample_factor(sample)
-        if chol is None:
-            m *= 2
-            continue
-        beta, it = _solve_lp(sample, y[rows], tau, max_iter=max_iter, gap_tol=gap_tol)
-        iterations += it
-        band = np.sqrt(np.square(sla.solve_triangular(chol, X.T, lower=True)).sum(axis=0))
-        r = y - X @ beta
-        margin = _PK_MARGIN * m
-        lo_q = max(1.0 / n, tau - margin / (2.0 * n))
-        hi_q = min(tau + margin / (2.0 * n), (n - 1.0) / n)
-        kappa_lo, kappa_hi = np.quantile(r / np.maximum(_PK_BAND_FLOOR, band), [lo_q, hi_q])
-        below = r < band * kappa_lo
-        above = r > band * kappa_hi
-        while True:
-            free = ~(below | above)
-            parts_X, parts_y = [X[free]], [y[free]]
-            for pinned in (below, above):
-                if pinned.any():
-                    parts_X.append(X[pinned].sum(axis=0)[None, :])
-                    parts_y.append(y[pinned].sum(keepdims=True))
-            beta, it = _solve_lp(
-                np.concatenate(parts_X), np.concatenate(parts_y), tau,
-                max_iter=max_iter, gap_tol=gap_tol,
-            )
-            iterations += it
-            r = y - X @ beta
-            wrong_below = below & (r > 0.0)
-            wrong_above = above & (r < 0.0)
-            wrong = int(wrong_below.sum() + wrong_above.sum())
-            if not wrong:
-                return beta, iterations
-            if wrong > _PK_MAX_MISPINNED * margin:
+    flags = []
+    try:
+        while 2 * m <= n:
+            rows = np.sort(rng.choice(n, size=m, replace=False))
+            sample = X[rows]
+            chol = _sample_factor(sample)
+            if chol is None:
                 m *= 2
-                break
-            below &= ~wrong_below
-            above &= ~wrong_above
+                continue
+            beta, it = _solve_lp(sample, y[rows], tau, max_iter=max_iter, gap_tol=gap_tol)
+            iterations += it
+            band = np.sqrt(np.square(sla.solve_triangular(chol, X.T, lower=True)).sum(axis=0))
+            r = y - X @ beta
+            margin = _PK_MARGIN * m
+            lo_q = max(1.0 / n, tau - margin / (2.0 * n))
+            hi_q = min(tau + margin / (2.0 * n), (n - 1.0) / n)
+            kappa_lo, kappa_hi = np.quantile(r / np.maximum(_PK_BAND_FLOOR, band), [lo_q, hi_q])
+            below = r < band * kappa_lo
+            above = r > band * kappa_hi
+            while True:
+                free = ~(below | above)
+                parts_X, parts_y = [X[free]], [y[free]]
+                for pinned in (below, above):
+                    if pinned.any():
+                        parts_X.append(X[pinned].sum(axis=0)[None, :])
+                        parts_y.append(y[pinned].sum(keepdims=True))
+                beta, it = _solve_lp(
+                    np.concatenate(parts_X), np.concatenate(parts_y), tau,
+                    max_iter=max_iter, gap_tol=gap_tol,
+                )
+                iterations += it
+                r = y - X @ beta
+                wrong_below = below & (r > 0.0)
+                wrong_above = above & (r < 0.0)
+                wrong = int(wrong_below.sum() + wrong_above.sum())
+                if not wrong:
+                    return beta, iterations, flags
+                if wrong > _PK_MAX_MISPINNED * margin:
+                    m *= 2
+                    break
+                below &= ~wrong_below
+                above &= ~wrong_above
+    except ConvergenceError:
+        flags.append("preprocessing_fallback")
     beta, it = _solve_lp(X, y, tau, max_iter=max_iter, gap_tol=gap_tol)
-    return beta, iterations + it
+    return beta, iterations + it, flags
 
 
 def fit_quantile_coefficients(X, y, tau, max_iter=MAX_ITER, gap_tol=GAP_TOL, columns=None):
@@ -319,12 +332,19 @@ def fit_quantile_coefficients(X, y, tau, max_iter=MAX_ITER, gap_tol=GAP_TOL, col
     through Portnoy-Koenker preprocessing (``_solve_preprocessed``): the
     reduced problem's solution is returned only once no pinned row has a
     residual of the wrong sign, which proves it optimal for the full problem.
-    Smaller designs go to ``_solve_lp`` directly.  The iteration count is the
-    sum over every subproblem solved; ``max_iter`` and ``gap_tol`` apply to
-    each, and a ``ConvergenceError`` from any of them propagates.  A
+    Smaller designs, and designs whose sample or reduced solve fails, go to
+    ``_solve_lp`` directly.  The iteration count is the sum over every
+    subproblem that converged; ``max_iter`` and ``gap_tol`` apply to each,
+    and a ``ConvergenceError`` of the direct solve propagates.  A
     rank-deficient ``X`` raises ``RankDeficiencyError`` naming the collinear
     ``columns`` (``x0``, ``x1``, ... when none are given).
     """
+    beta, iterations, _ = _fit_with_flags(X, y, tau, max_iter, gap_tol, columns)
+    return beta, iterations
+
+
+def _fit_with_flags(X, y, tau, max_iter, gap_tol, columns):
+    """``fit_quantile_coefficients`` and the solver's flags."""
     X = as_float_array(X, "X", ndim=2)
     y = as_float_array(y, "y")
     check_consistent_length(X=X, y=y)
@@ -338,7 +358,7 @@ def fit_quantile_coefficients(X, y, tau, max_iter=MAX_ITER, gap_tol=GAP_TOL, col
         level = X[0, 0]
         if level == 0.0:
             raise ValueError("intercept-only design with a zero column")
-        return np.array([_median_interval_quantile(y, tau) / level]), 0
+        return np.array([_median_interval_quantile(y, tau) / level]), 0, []
     return _solve_preprocessed(X, y, tau, max_iter, gap_tol)
 
 
@@ -474,9 +494,8 @@ class PanelQuantile(BaseEstimator):
 
     def fit(self, design):
         X, y = design.matrix, design.response
-        params, iterations = fit_quantile_coefficients(
-            X, y, self.tau, max_iter=self.max_iter, gap_tol=self.gap_tol,
-            columns=design.columns,
+        params, iterations, flags = _fit_with_flags(
+            X, y, self.tau, self.max_iter, self.gap_tol, design.columns
         )
         residuals = y - X @ params
         loss = check_loss(residuals, self.tau)
@@ -496,7 +515,8 @@ class PanelQuantile(BaseEstimator):
 
         restricted_center = _median_interval_quantile(y, self.tau)
         restricted_loss = check_loss(y - restricted_center, self.tau)
-        flags = ["bandwidth_clamped"] if clamped else []
+        if clamped:
+            flags.append("bandwidth_clamped")
         if degenerate:
             flags.append("degenerate_residuals")
 

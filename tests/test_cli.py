@@ -1,13 +1,18 @@
 """End-to-end CLI coverage on small synthetic inputs."""
 
 import csv
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import panelcrypt
 from panelcrypt import pipeline
 from panelcrypt.base import ConvergenceError
 from panelcrypt.cli import _parse_model_spec, _parse_synth_params, main
@@ -19,12 +24,14 @@ from panelcrypt.quantreg import PanelQuantile
 from conftest import CELL_TEXTS, PROPERTY_SETTINGS, build_panel_files
 
 
+PANEL_SPECS = [("AAA", True, "2020-01-01", 120), ("BBB", False, "2020-01-01", 120),
+               ("CCC", False, "2020-01-15", 106), ("DDD", False, "2020-01-01", 120)]
+
+
 @pytest.fixture
 def panel_file(tmp_path):
     rng = np.random.default_rng(91)
-    specs = [("AAA", True, "2020-01-01", 120), ("BBB", False, "2020-01-01", 120),
-             ("CCC", False, "2020-01-15", 106), ("DDD", False, "2020-01-01", 120)]
-    entity_files, market_file, meta_file = build_panel_files(tmp_path, rng, specs)
+    entity_files, market_file, meta_file = build_panel_files(tmp_path, rng, PANEL_SPECS)
     out = tmp_path / "panel.csv"
     code = main([
         "ingest",
@@ -64,6 +71,63 @@ def test_gini_command(tmp_path, capsys):
     dist.write_text("1\n2\n3\n4\n")
     assert main(["gini", "--dist", str(dist)]) == 0
     assert capsys.readouterr().out.strip() == "0.250000"
+
+
+@pytest.mark.parametrize("text", ["abc", "nan", "inf", "-inf"])
+def test_gini_names_the_line_that_is_not_a_finite_number(tmp_path, capsys, text):
+    # the blank second line is skipped but still counted
+    dist = tmp_path / "dist.txt"
+    dist.write_text(f"1\n\n{text}\n3\n")
+    assert main(["gini", "--dist", str(dist)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: not a finite number: {text!r} [{dist}:3]\n"
+
+
+# Run in a fresh interpreter, because this test session has loaded scipy.
+FRESH_COMMANDS = """
+import sys
+
+import panelcrypt
+from panelcrypt import cli
+
+folder = sys.argv[1]
+
+
+def run(*argv):
+    assert cli.main(list(argv)) == 0, argv
+
+
+run("simulate", "--params", f"{folder}/params.cfg", "--seed", "3", "--out", f"{folder}/sim")
+run("ingest", "--meta", f"{folder}/meta.csv", "--market", f"{folder}/market.csv",
+    "--entities", f"{folder}/entities", "--out", f"{folder}/panel.csv")
+run("metrics", "--panel", f"{folder}/panel.csv", "--out", f"{folder}/metrics.csv")
+run("gini", "--dist", f"{folder}/dist.txt")
+run("decentralization", "--panel", f"{folder}/panel.csv", "--out", f"{folder}/dec.csv")
+print("loaded:", sorted({"scipy.linalg", "scipy.special"} & set(sys.modules)))
+run("fit", "--panel", f"{folder}/panel.csv", "--spec", f"{folder}/model.cfg",
+    "--out", f"{folder}/fit")
+"""
+
+
+def test_commands_that_fit_nothing_start_without_scipy(tmp_path):
+    build_panel_files(tmp_path, np.random.default_rng(91), PANEL_SPECS)
+    (tmp_path / "params.cfg").write_text(
+        "n_entities = 3\nn_periods = 60\nuse_benchmark_universe = false\n"
+    )
+    (tmp_path / "dist.txt").write_text("1\n2\n3\n")
+    (tmp_path / "model.cfg").write_text("effects = fixed\nweights = cross_section_egls\n")
+    src = str(Path(panelcrypt.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", FRESH_COMMANDS, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "loaded: []" in done.stdout.splitlines()
+    # the fit that follows loads scipy and writes what an in-session fit writes
+    assert main(["fit", "--panel", str(tmp_path / "panel.csv"), "--spec",
+                 str(tmp_path / "model.cfg"), "--out", str(tmp_path / "session")]) == 0
+    assert ((tmp_path / "fit" / "coefficients.csv").read_bytes()
+            == (tmp_path / "session" / "coefficients.csv").read_bytes())
 
 
 def test_decentralization_command(tmp_path, panel_file):

@@ -71,6 +71,9 @@ class TestGini:
             dec.gini([0.0, 0.0])
         with pytest.raises(ValueError):
             dec.gini([1.0, -0.5])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                dec.gini([1.0, bad])
 
 
 class TestCompositeIndex:

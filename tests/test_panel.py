@@ -611,6 +611,24 @@ class TestPanelWriter:
         reference_panel_file(panel, folder / "rows.csv")
         assert (folder / "blocks.csv").read_bytes() == (folder / "rows.csv").read_bytes()
 
+    @PROPERTY_SETTINGS
+    @given(categories=st.lists(CELL_TEXTS, min_size=1, max_size=3))
+    def test_categories_read_back_as_written(self, tmp_path_factory, categories):
+        # symbols name entity files and are stripped on reading; categories are not
+        metas, observations = [], {}
+        for i, category in enumerate(categories):
+            symbol = f"S{i}"
+            metas.append(ps.EntityMeta(symbol, category, False, DAY0, (0.5,) * 5))
+            observations[symbol] = ps.EntityRecords(
+                symbol, DAY0 + np.arange(2), {f: np.ones(2) for f in ps.ENTITY_FIELDS},
+                {f: np.zeros(2, dtype=bool) for f in ps.ENTITY_FIELDS},
+            )
+        market = ps.MarketSeries(DAY0 + np.arange(0), {f: np.ones(0) for f in ps.MARKET_FIELDS},
+                                 {f: np.zeros(0, dtype=bool) for f in ps.MARKET_FIELDS})
+        path = tmp_path_factory.mktemp("panel") / "panel.csv"
+        ps.write_panel_csv(ps.PanelDataset(tuple(metas), observations, market), path)
+        assert list(ps.load_panel_csv(path).entities) == metas
+
     @pytest.mark.parametrize(
         "symbol, column, value",
         [("BBB", "high", np.nan), ("CCC", "attention", np.inf),

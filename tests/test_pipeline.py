@@ -5,6 +5,7 @@ import io
 import math
 import os
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from panelcrypt.panel import (
     EntityMeta,
     PanelLoadError,
     format_meta_cells,
+    read_meta_csv,
 )
 from panelcrypt.pipeline import (
     BASELINE_JOBS,
@@ -568,6 +570,15 @@ class TestMetaWriter:
             for row in rows:
                 handle.write(csv_line(row, "\r\n").removesuffix("\r\n") + "\n")
         assert (folder / "table.csv").read_bytes() == (folder / "rows.csv").read_bytes()
+
+    @PROPERTY_SETTINGS
+    @given(metas=writer_metas())
+    def test_categories_read_back_as_written(self, tmp_path_factory, metas):
+        # symbols name entity files and are stripped on reading; categories are not
+        metas = [replace(meta, symbol=f"S{i}") for i, meta in enumerate(metas)]
+        path = tmp_path_factory.mktemp("meta") / "meta.csv"
+        write_meta_csv(metas, path)
+        assert read_meta_csv(path) == metas
 
 
 @pytest.fixture(scope="module")

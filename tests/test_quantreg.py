@@ -165,6 +165,17 @@ class TestSolver:
         assert all(a <= b + 1e-8 for a, b in zip(fitted, fitted[1:]))
 
 
+def dummy_draw():
+    """1,000 rows with a 200-row dummy; at tau 0.5 the subsample solve of its
+    preprocessing hits a singular Newton system."""
+    rng = np.random.default_rng(4)
+    n = 1000
+    X = np.column_stack([np.ones(n), rng.normal(size=n), rng.normal(size=n), np.zeros(n)])
+    X[rng.choice(n, 200, replace=False), 3] = 1.0
+    y = X @ np.array([1.0, 0.5, -0.3, 2.0]) + rng.standard_t(3, size=n)
+    return X, y
+
+
 class TestStoppingRule:
     def test_stalled_gap_stops_at_the_optimum(self):
         # the duality gap of this draw stalls a little above GAP_TOL; iterating
@@ -206,16 +217,34 @@ class TestStoppingRule:
         assert len(calls) == 3
 
 
-    def test_singular_newton_system_raises(self):
-        # a 200-row dummy: a reduced problem's Newton matrix turns singular,
-        # which numpy reported as a bare LinAlgError
-        rng = np.random.default_rng(4)
-        n = 1000
-        X = np.column_stack([np.ones(n), rng.normal(size=n), rng.normal(size=n), np.zeros(n)])
-        X[rng.choice(n, 200, replace=False), 3] = 1.0
-        y = X @ np.array([1.0, 0.5, -0.3, 2.0]) + rng.standard_t(3, size=n)
+    def test_singular_newton_system_raises(self, monkeypatch):
+        # the subsample of the 200-row dummy draw, whose Newton matrix turns
+        # singular, which numpy reported as a bare LinAlgError
+        X, y = dummy_draw()
+        solve = quantreg._solve_lp
+        failed = []
+
+        def recorded(X, y, tau, **kwargs):
+            try:
+                return solve(X, y, tau, **kwargs)
+            except ConvergenceError:
+                failed.append((X, y))
+                raise
+
+        monkeypatch.setattr(quantreg, "_solve_lp", recorded)
+        fit_quantile_coefficients(X, y, 0.5)
+        assert len(failed) == 1 and failed[0][0].shape[0] == round((5 * 1000) ** (2 / 3))
         with pytest.raises(ConvergenceError, match=r"singular Newton system at iteration \d+"):
-            fit_quantile_coefficients(X, y, 0.5)
+            _solve_lp(*failed[0], 0.5)
+
+    def test_failed_subproblem_falls_back_to_the_direct_solve(self):
+        X, y = dummy_draw()
+        fit = PanelQuantile(tau=0.5).fit(pooled_design(X, y)).result_
+        assert "preprocessing_fallback" in fit.flags
+        best = highs_loss(X, y, 0.5)
+        assert abs(fit.check_loss - best) <= 1e-9 * best
+        # the failed sample solve adds no iterations
+        assert fit.iterations == _solve_lp(X, y, 0.5)[1]
 
 
 class TestStepBound:
