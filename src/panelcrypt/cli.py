@@ -62,7 +62,7 @@ def _cmd_metrics(args):
 
 def _cmd_gini(args):
     """One quantity per line; blank lines are skipped, and a line that is not
-    a finite number is an error at ``path:line``."""
+    a finite, nonnegative number is an error at ``path:line``."""
     values = []
     with open(args.dist) as handle:
         for line, text in enumerate(handle, start=1):
@@ -75,6 +75,8 @@ def _cmd_gini(args):
                 value = math.nan
             if not math.isfinite(value):
                 raise PanelLoadError(f"not a finite number: {text!r}", args.dist, line)
+            if value < 0:
+                raise PanelLoadError(f"negative number: {text!r}", args.dist, line)
             values.append(value)
     print(f"{dec.gini(values):.6f}")
     return 0

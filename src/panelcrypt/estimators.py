@@ -20,6 +20,7 @@ fit nothing (``simulate``, ``ingest``, ``metrics``, ...) start without it.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -54,6 +55,8 @@ class DesignMatrix:
     dates: np.ndarray = None
     weights: np.ndarray = None
     response_name: str = "y"
+    # the within transform that the two stages of one EGLS fit share
+    within = None
 
     def __post_init__(self):
         self.response = np.asarray(self.response, dtype=float)
@@ -320,7 +323,10 @@ def _within(design):
     columns and response, and the entity means of every column and of the
     response.  ``X`` is a C-ordered copy, as the deviations of the column
     slice itself would be: a strided slice changes the products' last bits.
+    A design that carries the result as ``within`` returns it.
     """
+    if design.within is not None:
+        return design.within
     groups = design.groups
     xbar = groups.mean(design.matrix)
     ybar = groups.mean(design.response)
@@ -507,6 +513,16 @@ class CrossSectionEGLS(BaseEstimator):
         if self.effects not in ESTIMATORS:
             raise ValueError(f"unknown effects {self.effects!r}; expected one of {EFFECTS}")
         estimator = ESTIMATORS[self.effects]
+        if self.effects != "pooled":
+            # Both stages share one within transform: their rows, entities and
+            # matrix are the same, and weights constant within an entity do
+            # not change the demeaning.  A copy of the design carries it, so
+            # that it is freed with the fit.
+            design = copy.copy(design)
+            try:
+                design.within = _within(design)
+            except ValueError:
+                pass  # stage 1 raises it, after checks of its own
         stage1 = estimator(covariance=self.covariance).fit(design).result_
         groups = design.groups
         resid = stage1.residuals
@@ -523,6 +539,7 @@ class CrossSectionEGLS(BaseEstimator):
         weights = 1.0 / sigma2
         weighted = replace(design, weights=weights[groups.codes])
         weighted.groups = groups
+        weighted.within = design.within
         result = estimator(covariance=self.covariance).fit(weighted).result_
         result.method = f"{self.effects}_egls"
         result.flags = flags + result.flags

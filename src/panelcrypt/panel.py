@@ -5,11 +5,19 @@ market-wide file and a metadata file) or from a single consolidated CSV
 with an ``entity`` column.  Missing values are empty cells; every field
 carries an explicit boolean missing-mask downstream so that no estimator
 has to reason about NaN propagation.
+
+A file, or one entity's rows of a consolidated file, is parsed a column at a
+time: each distinct date text is parsed once per load, each numeric column
+is converted with ``float`` in one pass, and every row rule is a mask over
+the columns.  The first row in file order that any rule breaks fails, with
+the first rule it breaks: its date, then each field's cell in schema order,
+then the value rules (``_OBSERVATION_RULES``, ``_MARKET_RULES``).
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import operator
 import os
@@ -199,7 +207,7 @@ def _check_header(header, expected, source):
 
 
 def _read_rows(path, expected):
-    """Data rows of a CSV file numbered from line 2, and its header index.
+    """Data rows of a CSV file, the first being file line 2, and its header index.
 
     Every row must have as many fields as the header.
     """
@@ -208,96 +216,166 @@ def _read_rows(path, expected):
         rows = list(csv.reader(handle))
     if not rows:
         raise PanelLoadError("empty file", source)
-    index = _check_header(rows[0], expected, source)
-    width = len(rows[0])
-    for line, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise PanelLoadError(f"expected {width} fields, got {len(row)}", source, line)
-    return source, enumerate(rows[1:], start=2), index
+    header = rows.pop(0)
+    index = _check_header(header, expected, source)
+    widths = list(map(len, rows))
+    if widths.count(len(header)) != len(widths):
+        i = next(i for i, width in enumerate(widths) if width != len(header))
+        raise PanelLoadError(f"expected {len(header)} fields, got {widths[i]}", source, i + 2)
+    return source, rows, index
 
 
-def _validate_observation_row(values, missing, source, line):
-    """Invariants on one OHLCV row at file line ``line``."""
-    o, h, lo, c = (values[f] for f in ("open", "high", "low", "close"))
-    present = {f: not missing[f] for f in ENTITY_FIELDS}
-    for price_field in ("open", "high", "low", "close"):
-        if present[price_field] and values[price_field] <= 0:
-            raise PanelLoadError(
-                f"nonpositive {price_field} {values[price_field]}", source, line
-            )
-    if present["volume"] and values["volume"] <= 0:
-        raise PanelLoadError(f"nonpositive volume {values['volume']}", source, line)
-    if present["mcap"] and values["mcap"] <= 0:
-        raise PanelLoadError(f"nonpositive mcap {values['mcap']}", source, line)
-    if present["attention"] and not (0.0 <= values["attention"] <= 100.0):
-        raise PanelLoadError(
-            f"attention {values['attention']} outside [0, 100]", source, line
-        )
-    if all(present[f] for f in ("open", "high", "low", "close")):
-        if h < lo:
-            raise PanelLoadError(f"high {h} < low {lo}", source, line)
-        if lo > min(o, c):
-            raise PanelLoadError(f"low {lo} above min(open, close) {min(o, c)}", source, line)
-        if h < max(o, c):
-            raise PanelLoadError(f"high {h} below max(open, close) {max(o, c)}", source, line)
-    elif present["high"] and present["low"] and h < lo:
-        raise PanelLoadError(f"high {h} < low {lo}", source, line)
+def _columns(rows, index, names):
+    """``{name: [cell text per row]}`` of the ``names`` columns."""
+    return {name: [row[index[name]] for row in rows] for name in names}
 
 
-def _validate_market_row(values, missing, source, line):
-    """Invariants on one market row at file line ``line``."""
-    if not missing["index_level"] and values["index_level"] <= 0:
-        raise PanelLoadError(f"nonpositive index_level {values['index_level']}", source, line)
-    if not missing["shock_loss"] and values["shock_loss"] < 0:
-        raise PanelLoadError(f"negative shock_loss {values['shock_loss']}", source, line)
+def _all_prices(v):
+    return ~(np.isnan(v["open"]) | np.isnan(v["high"]) | np.isnan(v["low"])
+             | np.isnan(v["close"]))
 
 
-def _parse_dated_rows(numbered_rows, index, fields, validate, source):
-    """``(dates, values, missing)`` from ``(line, row)`` pairs in file order.
+# Row rules after the date and cell checks, in the order they are checked:
+# ``(test, message)``, where ``test`` maps the field columns (NaN at missing
+# cells, which fails every comparison) to a mask of breaking rows, and
+# ``message`` gives the error from one such row's ``{field: value}``.
+_OBSERVATION_RULES = tuple(
+    (lambda v, f=f: v[f] <= 0, lambda r, f=f: f"nonpositive {f} {r[f]}")
+    for f in ("open", "high", "low", "close", "volume", "mcap")
+) + (
+    (lambda v: (v["attention"] < 0.0) | (v["attention"] > 100.0),
+     lambda r: f"attention {r['attention']} outside [0, 100]"),
+    (lambda v: v["high"] < v["low"], lambda r: f"high {r['high']} < low {r['low']}"),
+    # these two hold only on rows where all four prices are present
+    (lambda v: _all_prices(v) & (v["low"] > np.minimum(v["open"], v["close"])),
+     lambda r: f"low {r['low']} above min(open, close) {min(r['open'], r['close'])}"),
+    (lambda v: _all_prices(v) & (v["high"] < np.maximum(v["open"], v["close"])),
+     lambda r: f"high {r['high']} below max(open, close) {max(r['open'], r['close'])}"),
+)
+_MARKET_RULES = (
+    (lambda v: v["index_level"] <= 0,
+     lambda r: f"nonpositive index_level {r['index_level']}"),
+    (lambda v: v["shock_loss"] < 0, lambda r: f"negative shock_loss {r['shock_loss']}"),
+)
 
-    ``validate(values, missing, source, line)`` checks each row; the dates
-    must be strictly increasing.
+
+def _parse_days(texts, days):
+    """datetime64[D] of date ``texts``, NaT where a text does not parse.
+
+    ``days`` maps date texts to days for a whole load, so each distinct text
+    is parsed once.
     """
-    lines, dates = [], []
-    values = {f: [] for f in fields}
-    missing = {f: [] for f in fields}
-    for line, row in numbered_rows:
-        lines.append(line)
-        dates.append(parse_date(row[index["date"]], source, line))
-        row_values, row_missing = {}, {}
-        for f in fields:
-            row_values[f], row_missing[f] = _parse_float(row[index[f]], f, source, line)
-            values[f].append(row_values[f])
-            missing[f].append(row_missing[f])
-        validate(row_values, row_missing, source, line)
-    dates = np.array(dates, dtype="datetime64[D]")
+    for text in set(texts).difference(days):
+        try:
+            days[text] = parse_date(text)
+        except PanelLoadError:
+            days[text] = np.datetime64("NaT", "D")
+    return np.array([days[text] for text in texts], dtype="datetime64[D]")
+
+
+def _float_or_none(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _parse_floats(cells):
+    """``(values, missing, unparseable)`` of stripped numeric cells.
+
+    An empty cell is missing; missing and unparseable cells hold NaN.
+    """
+    try:
+        parsed = [float(c) if c else math.nan for c in cells]
+        unparseable = np.zeros(len(cells), dtype=bool)
+    except ValueError:
+        parsed = [_float_or_none(c) if c else math.nan for c in cells]
+        unparseable = np.array([value is None for value in parsed], dtype=bool)
+        parsed = [math.nan if value is None else value for value in parsed]
+    values = np.array(parsed, dtype=float)
+    # an empty cell holds NaN, so only the NaN cells are tested for emptiness
+    missing = np.isnan(values)
+    missing[missing] = [not cells[i] for i in np.flatnonzero(missing)]
+    return values, missing, unparseable
+
+
+def _first_failure(checks):
+    """``(row, message)`` of the first row any check's mask sets, with the
+    first such check's message; None when no mask is set."""
+    hits = np.array([mask for mask, _ in checks], dtype=bool)
+    flagged = hits.any(axis=0)
+    if not flagged.any():
+        return None
+    i = int(flagged.argmax())
+    return i, checks[int(hits[:, i].argmax())][1](i)
+
+
+def _parse_dated_rows(lines, columns, fields, rules, source, days):
+    """``(dates, values, missing)`` from the ``date`` and ``fields`` columns of
+    cell texts, whose rows lie at file ``lines``.
+
+    Each check is a mask over the rows, in this order: the date parses; per
+    field, the cell parses and is finite; then ``rules``.  The first row in
+    file order that a check sets raises ``PanelLoadError`` with the first
+    check it fails.  Then the dates must be strictly increasing.  ``days`` is
+    the date-text cache of :func:`_parse_days`.
+    """
+    date_texts = columns["date"]
+    dates = _parse_days(date_texts, days)
+    checks = [(np.isnat(dates), lambda i: f"unparseable date {date_texts[i].strip()!r}")]
+    values, missing = {}, {}
+    for f in fields:
+        cells = list(map(str.strip, columns[f]))
+        values[f], missing[f], unparseable = _parse_floats(cells)
+        checks.append((unparseable, lambda i, f=f, cells=cells:
+                       f"unparseable numeric {cells[i]!r} in column {f!r}"))
+        checks.append((~(missing[f] | unparseable | np.isfinite(values[f])),
+                       lambda i, f=f, cells=cells:
+                       f"non-finite numeric {cells[i]!r} in column {f!r}"))
+    for test, message in rules:
+        checks.append((test(values), lambda i, message=message:
+                       message({f: values[f][i].item() for f in fields})))
+    failure = _first_failure(checks)
+    if failure:
+        raise PanelLoadError(failure[1], source, lines[failure[0]])
     if len(dates) > 1:
         bad = np.flatnonzero(np.diff(dates) <= np.timedelta64(0, "D"))
         if bad.size:
             raise PanelLoadError("dates not strictly increasing", source, lines[bad[0] + 1])
-    values = {f: np.array(v, dtype=float) for f, v in values.items()}
-    missing = {f: np.array(m, dtype=bool) for f, m in missing.items()}
     return dates, values, missing
 
 
-def _parse_entity_rows(symbol, numbered_rows, index, source):
+def _parse_entity_rows(symbol, lines, rows, index, source, days):
     dates, values, missing = _parse_dated_rows(
-        numbered_rows, index, ENTITY_FIELDS, _validate_observation_row, source
+        lines, _columns(rows, index, ENTITY_HEADER), ENTITY_FIELDS, _OBSERVATION_RULES,
+        source, days,
     )
     return EntityRecords(symbol=symbol, dates=dates, values=values, missing=missing)
 
 
-def _parse_market_rows(numbered_rows, index, source):
+def _parse_market_rows(lines, rows, index, source, days):
     dates, values, missing = _parse_dated_rows(
-        numbered_rows, index, MARKET_FIELDS, _validate_market_row, source
+        lines, _columns(rows, index, MARKET_HEADER), MARKET_FIELDS, _MARKET_RULES,
+        source, days,
     )
     return MarketSeries(dates=dates, values=values, missing=missing)
+
+
+def _new_text(text):
+    """An equal string that is a new object.
+
+    Meta texts live as long as the panel.  Were one the cell object itself,
+    it would keep resident the allocator arena it shares with thousands of
+    the file's other cells, long after those are freed: about 1 MiB per
+    entity of a consolidated file.
+    """
+    return text.encode("utf-8", "surrogatepass").decode("utf-8", "surrogatepass")
 
 
 def _parse_meta_row(line, row, index, source):
     """EntityMeta from the ``META_HEADER`` cells of one row.  The symbol,
     which names entity files, is stripped; the category is kept as written."""
-    symbol = row[index["symbol"]].strip()
+    symbol = _new_text(row[index["symbol"]].strip())
     if not symbol:
         raise PanelLoadError("empty symbol", source, line)
     components = []
@@ -312,7 +390,7 @@ def _parse_meta_row(line, row, index, source):
     try:
         return EntityMeta(
             symbol=symbol,
-            category=row[index["category"]],
+            category=_new_text(row[index["category"]]),
             hyfi=hyfi,
             listing_date=listing_date,
             gini_components=tuple(components),
@@ -334,24 +412,32 @@ def _check_listing(meta, rec, source, line):
 
 def read_entity_csv(path, symbol=None):
     """Read one entity file with schema ``date,open,high,low,close,volume,mcap,attention``."""
-    source, numbered_rows, index = _read_rows(path, ENTITY_HEADER)
+    return _read_entity_csv(path, symbol, {})
+
+
+def _read_entity_csv(path, symbol, days):
+    source, rows, index = _read_rows(path, ENTITY_HEADER)
     if symbol is None:
         symbol = os.path.splitext(os.path.basename(source))[0].upper()
-    return _parse_entity_rows(symbol, numbered_rows, index, source)
+    return _parse_entity_rows(symbol, range(2, len(rows) + 2), rows, index, source, days)
 
 
 def read_market_csv(path):
     """Read the market file with schema ``date,index_level,shock_loss``."""
-    source, numbered_rows, index = _read_rows(path, MARKET_HEADER)
-    return _parse_market_rows(numbered_rows, index, source)
+    return _read_market_csv(path, {})
+
+
+def _read_market_csv(path, days):
+    source, rows, index = _read_rows(path, MARKET_HEADER)
+    return _parse_market_rows(range(2, len(rows) + 2), rows, index, source, days)
 
 
 def read_meta_csv(path):
     """Read entity metadata: symbol, category, HyFi flag, listing date, gini components."""
-    source, numbered_rows, index = _read_rows(path, META_HEADER)
+    source, rows, index = _read_rows(path, META_HEADER)
     metas = []
     seen = set()
-    for line, row in numbered_rows:
+    for line, row in enumerate(rows, start=2):
         meta = _parse_meta_row(line, row, index, source)
         if meta.symbol in seen:
             raise PanelLoadError(f"duplicate symbol {meta.symbol!r}", source, line)
@@ -367,9 +453,10 @@ def load_panel(entity_files, market_file, meta_file):
     each entity's first observed date may not precede its listing date.
     """
     metas = read_meta_csv(meta_file)
+    days = {}
     by_symbol = {}
     for path in entity_files:
-        rec = read_entity_csv(path)
+        rec = _read_entity_csv(path, None, days)
         if rec.symbol in by_symbol:
             raise PanelLoadError(f"duplicate entity file for {rec.symbol}", os.fspath(path))
         by_symbol[rec.symbol] = (rec, os.fspath(path))
@@ -383,7 +470,7 @@ def load_panel(entity_files, market_file, meta_file):
     for meta in metas:
         rec, source = by_symbol[meta.symbol]
         _check_listing(meta, rec, source, 2)
-    market = read_market_csv(market_file)
+    market = _read_market_csv(market_file, days)
     observations = {meta.symbol: by_symbol[meta.symbol][0] for meta in metas}
     return PanelDataset(entities=tuple(metas), observations=observations, market=market)
 
@@ -492,32 +579,38 @@ def load_panel_csv(path):
 
     Rows are grouped by ``entity`` and checked by the same row rules as the
     per-file inputs; every row of an entity must repeat the meta cells of
-    its first row.
+    its first row.  The entity groups are checked in order of their first
+    row, then the MARKET rows.
     """
-    source, numbered_rows, index = _read_rows(path, PANEL_HEADER + META_HEADER[1:])
+    source, rows, index = _read_rows(path, PANEL_HEADER + META_HEADER[1:])
     index["symbol"] = index["entity"]  # the meta row parser reads the symbol here
     meta_cells = operator.itemgetter(*(index[c] for c in META_HEADER[1:]))
-    groups = {}
-    for line, row in numbered_rows:
-        groups.setdefault(row[index["entity"]].strip(), []).append((line, row))
-    market_rows = groups.pop(MARKET_SYMBOL, [])
+    groups = {}  # entity -> ([line], [row]), taken a run of equal entities at a time
+    start = 0
+    for symbol, run in itertools.groupby(row[index["entity"]].strip() for row in rows):
+        end = start + len(list(run))
+        lines, group = groups.setdefault(symbol, ([], []))
+        lines.extend(range(start + 2, end + 2))
+        group.extend(rows[start:end])
+        start = end
+    market_lines, market_rows = groups.pop(MARKET_SYMBOL, ([], []))
 
+    days = {}
     metas = []
     observations = {}
-    for symbol, rows in groups.items():
-        first_line, first_row = rows[0]
-        meta = _parse_meta_row(first_line, first_row, index, source)
-        expected = meta_cells(first_row)
-        for line, row in rows:
-            if meta_cells(row) != expected:
-                raise PanelLoadError(
-                    f"{symbol}: meta cells differ from line {first_line}", source, line
-                )
-        rec = _parse_entity_rows(symbol, rows, index, source)
-        _check_listing(meta, rec, source, first_line)
+    for symbol, (lines, group) in groups.items():
+        meta = _parse_meta_row(lines[0], group[0], index, source)
+        cells = list(map(meta_cells, group))
+        if cells.count(cells[0]) != len(cells):
+            i = next(i for i, row_cells in enumerate(cells) if row_cells != cells[0])
+            raise PanelLoadError(
+                f"{symbol}: meta cells differ from line {lines[0]}", source, lines[i]
+            )
+        rec = _parse_entity_rows(meta.symbol, lines, group, index, source, days)
+        _check_listing(meta, rec, source, lines[0])
         metas.append(meta)
-        observations[symbol] = rec
-    market = _parse_market_rows(market_rows, index, source)
+        observations[meta.symbol] = rec
+    market = _parse_market_rows(market_lines, market_rows, index, source, days)
     return PanelDataset(entities=tuple(metas), observations=observations, market=market)
 
 

@@ -996,6 +996,16 @@ def simulate_dgp(params, seed=None):
     rng = np.random.default_rng(seed)
     metas = _synthetic_metas(params, rng)
     start = np.datetime64(params.start, "D")
+    # an entity needs three listed days: its first return is missing, and
+    # standardizing its illiquidity takes two more
+    latest = max(metas, key=lambda meta: meta.listing_date)
+    shortest = int((latest.listing_date - start).astype(np.int64)) + 3
+    if params.n_periods < shortest:
+        raise ValueError(
+            f"n_periods = {params.n_periods} leaves {latest.symbol}, listed "
+            f"{latest.listing_date}, fewer than 3 days; the smallest n_periods "
+            f"that simulates is {shortest}"
+        )
     calendar = start + np.arange(params.n_periods)
     market_dates = start - params.market_warmup + np.arange(
         params.n_periods + params.market_warmup

@@ -84,6 +84,16 @@ def test_gini_names_the_line_that_is_not_a_finite_number(tmp_path, capsys, text)
     assert captured.err == f"error: not a finite number: {text!r} [{dist}:3]\n"
 
 
+@pytest.mark.parametrize("text", ["-2", "-1e-300"])
+def test_gini_names_the_line_of_a_negative_number(tmp_path, capsys, text):
+    dist = tmp_path / "dist.txt"
+    dist.write_text(f"1\n{text}\n3\n")
+    assert main(["gini", "--dist", str(dist)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: negative number: {text!r} [{dist}:2]\n"
+
+
 # Run in a fresh interpreter, because this test session has loaded scipy.
 FRESH_COMMANDS = """
 import sys

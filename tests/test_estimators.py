@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from panelcrypt import estimators
 from panelcrypt.base import RankDeficiencyError
 from panelcrypt.estimators import (
     CrossSectionEGLS,
@@ -300,6 +301,14 @@ class TestFixedEffects:
         with pytest.raises(ValueError, match="fewer than 2 rows"):
             FixedEffects().fit(design)
 
+    @pytest.mark.parametrize("estimator", [FixedEffects, lambda: CrossSectionEGLS("fixed")])
+    def test_thin_entity_named_before_absent_within_variation(self, estimator):
+        # x varies within no entity either; that error comes second
+        design = make_design([1.0, 2.0, 3.0], [[0.1], [0.1], [0.3]],
+                             ["x"], ["A", "A", "B"])
+        with pytest.raises(ValueError, match="fewer than 2 rows"):
+            estimator().fit(design)
+
 
 class TestRandomEffects:
     def test_zero_alpha_matches_pooled(self):
@@ -495,12 +504,18 @@ class TestCrossSectionEGLS:
         assert egls.cov == pytest.approx(cov, rel=1e-8, abs=1e-15)
 
     @pytest.mark.parametrize("effects", ["pooled", "fixed", "random"])
-    def test_equals_estimator_on_inverse_variance_weights(self, effects):
+    def test_equals_estimator_on_inverse_variance_weights(self, effects, monkeypatch):
         rng = np.random.default_rng(33)
         design, _ = random_panel(rng, 6, 30, beta=np.array([0.5, -0.2]), unbalanced=True)
         if effects != "fixed":
             design = self.with_const(design)
+        mean, calls = estimators._Groups.mean, []
+        monkeypatch.setattr(estimators._Groups, "mean",
+                            lambda groups, v: calls.append(v) or mean(groups, v))
         egls = CrossSectionEGLS(effects=effects).fit(design).result_
+        # one within transform, whose entity means are of the matrix and the
+        # response, serves both stages
+        assert len(calls) == (0 if effects == "pooled" else 2)
         weights = np.array([egls.entity_weights[e] for e in design.entities])
         plain = estimator_for(ModelSpec(effects=effects)).fit(
             replace(design, weights=weights)

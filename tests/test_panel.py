@@ -1,6 +1,8 @@
 """Loader validation, slicing, and round-trip fidelity of the panel store."""
 
 import csv
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -494,6 +496,161 @@ CORRUPTIONS = {
     "gini": ([f"gini_{dim}" for dim in ps.GINI_DIMENSIONS], ("1.5", "-0.1", "", "x", "nan")),
     "symbol": (("symbol",), ("", " ")),
 }
+BAD_DATES = ("2020-02-30", "1.1.20", "today", "")
+# cell texts that break the OHLC order when the row's other prices are present
+OHLC_BREAKS = {"open": "1e12", "high": "1e-9", "low": "1e12", "close": "1e-9"}
+
+
+def reference_row_error(row, index, fields):
+    """The first rule one row breaks, checked as a plain per-row loop, or None."""
+    text = row[index["date"]].strip()
+    try:
+        ps.parse_date(text)
+    except ps.PanelLoadError:
+        return f"unparseable date {text!r}"
+    v = {}
+    for f in fields:
+        cell = row[index[f]].strip()
+        if cell:
+            try:
+                v[f] = float(cell)
+            except ValueError:
+                return f"unparseable numeric {cell!r} in column {f!r}"
+            if not math.isfinite(v[f]):
+                return f"non-finite numeric {cell!r} in column {f!r}"
+    if fields == ps.MARKET_FIELDS:
+        if "index_level" in v and v["index_level"] <= 0:
+            return f"nonpositive index_level {v['index_level']}"
+        if "shock_loss" in v and v["shock_loss"] < 0:
+            return f"negative shock_loss {v['shock_loss']}"
+        return None
+    for f in ("open", "high", "low", "close", "volume", "mcap"):
+        if f in v and v[f] <= 0:
+            return f"nonpositive {f} {v[f]}"
+    if "attention" in v and not 0.0 <= v["attention"] <= 100.0:
+        return f"attention {v['attention']} outside [0, 100]"
+    if "high" in v and "low" in v and v["high"] < v["low"]:
+        return f"high {v['high']} < low {v['low']}"
+    if all(f in v for f in ("open", "high", "low", "close")):
+        o, h, lo, c = v["open"], v["high"], v["low"], v["close"]
+        if lo > min(o, c):
+            return f"low {lo} above min(open, close) {min(o, c)}"
+        if h < max(o, c):
+            return f"high {h} below max(open, close) {max(o, c)}"
+    return None
+
+
+def reference_rows_error(numbered_rows, index, fields):
+    """``(message, line)`` of the first bad row, then of the first date that
+    does not increase, or None."""
+    dates = []
+    for line, row in numbered_rows:
+        error = reference_row_error(row, index, fields)
+        if error:
+            return error, line
+        dates.append((ps.parse_date(row[index["date"]]), line))
+    for (before, _), (after, line) in zip(dates, dates[1:]):
+        if after <= before:
+            return "dates not strictly increasing", line
+    return None
+
+
+def numbered_file(path):
+    """``(line, row)`` pairs of a CSV file's data rows and its header index."""
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    return list(enumerate(rows[1:], start=2)), {name: k for k, name in enumerate(rows[0])}
+
+
+def reference_per_file_error(entity_files, market_file, meta_file):
+    """``(message, source, line)`` that ``load_panel`` raises, or None.
+
+    The meta file keeps its own row parser.  No corruption moves an entity's
+    first date, so the listing check never fires.
+    """
+    try:
+        ps.read_meta_csv(meta_file)
+    except ps.PanelLoadError as err:
+        return message(err), err.source, err.line
+    for path, fields in [(p, ps.ENTITY_FIELDS) for p in entity_files] + [
+            (market_file, ps.MARKET_FIELDS)]:
+        error = reference_rows_error(*numbered_file(path), fields)
+        if error:
+            return error[0], path, error[1]
+    return None
+
+
+def reference_consolidated_error(path):
+    """``(message, source, line)`` that ``load_panel_csv`` raises, or None:
+    entity groups in order of first appearance, then the MARKET rows."""
+    source = str(path)
+    numbered, index = numbered_file(path)
+    index["symbol"] = index["entity"]
+    groups = {}
+    for line, row in numbered:
+        groups.setdefault(row[index["entity"]].strip(), []).append((line, row))
+    market = groups.pop(ps.MARKET_SYMBOL, [])
+    meta_columns = [index[c] for c in ps.META_HEADER[1:]]
+    for symbol, rows in groups.items():
+        first_line, first_row = rows[0]
+        try:
+            ps._parse_meta_row(first_line, first_row, index, source)
+        except ps.PanelLoadError as err:
+            return message(err), err.source, err.line
+        for line, row in rows:
+            if [row[k] for k in meta_columns] != [first_row[k] for k in meta_columns]:
+                return f"{symbol}: meta cells differ from line {first_line}", source, line
+        error = reference_rows_error(rows, index, ps.ENTITY_FIELDS)
+        if error:
+            return error[0], source, error[1]
+    error = reference_rows_error(market, index, ps.MARKET_FIELDS)
+    return error and (error[0], source, error[1])
+
+
+def interleave(data, path):
+    """Reorder the data rows of a consolidated file, keeping the order of
+    each entity's rows."""
+    with open(path, newline="") as handle:
+        header, *rows = list(csv.reader(handle))
+    queues = {}
+    for row in rows:
+        queues.setdefault(row[0], []).append(row)
+    merged = []
+    while queues:
+        entity = data.draw(st.sampled_from(sorted(queues)))
+        merged.append(queues[entity].pop(0))
+        if not queues[entity]:
+            del queues[entity]
+    write_rows(path, header, merged)
+
+
+def draw_corruption(data, raw):
+    """``(meta, (symbol, j), column, text)`` of one bad cell: a meta cell of
+    ``symbol`` (whose first consolidated row is row 0), or a cell of its row
+    ``j``, the symbol being MARKET for market rows."""
+    metas, entities, market = raw
+    kind = data.draw(st.sampled_from(["ohlc", "date", "price", "volume", "nonfinite", "market",
+                                      "gini", "symbol"]))
+    if kind in ("gini", "symbol"):
+        symbol, j, rows = metas[data.draw(st.integers(0, len(metas) - 1))][0], 0, None
+    else:
+        if kind == "market" or (kind == "date" and data.draw(st.booleans())):
+            symbol, rows = ps.MARKET_SYMBOL, market
+        else:
+            symbol = metas[data.draw(st.integers(0, len(metas) - 1))][0]
+            rows = entities[symbol]
+        j = data.draw(st.integers(0, len(rows) - 1))
+    if kind == "date":
+        column = "date"
+        # an unparseable text, or the date of the row before
+        text = data.draw(st.sampled_from(BAD_DATES + ((rows[j - 1][0],) if j else ())))
+    elif kind == "ohlc":
+        column = data.draw(st.sampled_from(sorted(OHLC_BREAKS)))
+        text = OHLC_BREAKS[column]
+    else:
+        columns, texts = CORRUPTIONS[kind]
+        column, text = data.draw(st.sampled_from(columns)), data.draw(st.sampled_from(texts))
+    return rows is None, (symbol, j), column, text
 
 
 class TestPanelRowProperties:
@@ -551,6 +708,105 @@ class TestPanelRowProperties:
         assert message(per_file.value) == message(one_file.value)
         assert (per_file.value.source, per_file.value.line) == (path, line)
         assert (one_file.value.source, one_file.value.line) == (str(consolidated), panel_line)
+
+    @PROPERTY_SETTINGS
+    @given(raw=raw_panels(), data=st.data())
+    def test_bad_cells_error_as_a_row_loop(self, tmp_path_factory, raw, data):
+        # 1-3 bad cells in different columns, in one row or in several: each
+        # form raises the first error a plain per-row loop meets, with the
+        # same text and line.  The consolidated rows of different entities
+        # may interleave.
+        folder = tmp_path_factory.mktemp("panel")
+        files = write_raw(folder, raw)
+        consolidated = folder / "panel.csv"
+        ps.write_panel_csv(ps.load_panel(*files), consolidated)
+        if data.draw(st.booleans()):
+            interleave(data, consolidated)
+        metas, entities, market = raw
+        symbols = [meta[0] for meta in metas]
+        edits, columns = [], set()
+        for _ in range(data.draw(st.integers(1, 3))):
+            meta, (symbol, j), column, text = draw_corruption(data, raw)
+            if column in columns:
+                continue
+            columns.add(column)
+            if meta:
+                k = symbols.index(symbol)
+                edits.append((files[2], k + 2, column, text))
+                panel_line = line_of(consolidated, symbol)
+                column = "entity" if column == "symbol" else column
+            elif symbol == ps.MARKET_SYMBOL:
+                edits.append((files[1], j + 2, column, text))
+                panel_line = line_of(consolidated, symbol, market[j][0])
+            else:
+                edits.append((files[0][symbols.index(symbol)], j + 2, column, text))
+                panel_line = line_of(consolidated, symbol, entities[symbol][j][0])
+            edits.append((consolidated, panel_line, column, text))
+        for edit in edits:
+            rewrite_cell(*edit)
+
+        loaded = []
+        for load, args, expected in [
+            (ps.load_panel, files, reference_per_file_error(*files)),
+            (ps.load_panel_csv, (consolidated,), reference_consolidated_error(consolidated)),
+        ]:
+            if expected is None:
+                loaded.append(load(*args))
+                continue
+            with pytest.raises(ps.PanelLoadError) as err:
+                load(*args)
+            assert (message(err.value), err.value.source, err.value.line) == expected
+        if len(loaded) == 2:
+            per_file, one_file = loaded
+            assert one_file.entities == per_file.entities
+            for symbol, rec in per_file.observations.items():
+                same_records(rec, one_file.observations[symbol])
+            same_records(per_file.market, one_file.market)
+
+
+# one row's cells, and a bad text for each; every nonempty subset of the
+# bad texts goes into one row
+ROW_DEFECTS = [
+    (ps.read_entity_csv, ps.ENTITY_HEADER, ps.ENTITY_FIELDS,
+     ["2020-01-02", "2", "3", "1", "2.5", "10", "1e9", "50"],
+     {"date": "2020-02-30", "open": "x", "high": "1e-9", "volume": "inf", "mcap": "-1",
+      "attention": "200"}),
+    (ps.read_market_csv, ps.MARKET_HEADER, ps.MARKET_FIELDS, ["2020-01-02", "100", "5"],
+     {"date": "today", "index_level": "0", "shock_loss": "-5"}),
+]
+
+
+@pytest.mark.parametrize("read, header, fields, row, defects", ROW_DEFECTS,
+                         ids=["entity", "market"])
+def test_several_bad_cells_in_one_row_error_as_a_row_loop(tmp_path, read, header, fields,
+                                                         row, defects):
+    index = {name: k for k, name in enumerate(header)}
+    for n in range(1, len(defects) + 1):
+        for names in itertools.combinations(defects, n):
+            bad = list(row)
+            for name in names:
+                bad[index[name]] = defects[name]
+            path = write_rows(tmp_path / "rows.csv", header, [["2020-01-01"] + row[1:], bad])
+            with pytest.raises(ps.PanelLoadError) as err:
+                read(path)
+            expected = reference_row_error(bad, index, fields)
+            assert (message(err.value), err.value.line) == (expected, 3), names
+
+
+def test_each_date_text_parsed_once_per_load(monkeypatch, consolidated):
+    calls = []
+    parse_date = ps.parse_date
+
+    def counted(text, *args):
+        calls.append(text)
+        return parse_date(text, *args)
+
+    monkeypatch.setattr(ps, "parse_date", counted)
+    panel = ps.load_panel_csv(consolidated)
+    with open(consolidated, newline="") as handle:
+        texts = {row[1] for row in list(csv.reader(handle))[1:]}
+    # one parse per distinct observation date, plus each entity's listing date
+    assert len(calls) == len(texts) + len(panel.entities)
 
 
 def writer_columns(draw, fields):

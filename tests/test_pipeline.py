@@ -345,6 +345,20 @@ class TestSimulate:
         with pytest.raises(ValueError):
             SynthParams(n_entities=1)
 
+    @pytest.mark.parametrize("n_periods", [300, 418, 420])
+    def test_short_benchmark_calendar_names_the_late_listing(self, n_periods):
+        # RAY lists on 2021-02-22, day 418 of a calendar from 2020-01-01
+        with pytest.raises(ValueError) as info:
+            simulate_dgp(SynthParams(n_periods=n_periods))
+        assert str(info.value) == (
+            f"n_periods = {n_periods} leaves RAY, listed 2021-02-22, fewer than 3 days;"
+            " the smallest n_periods that simulates is 421"
+        )
+
+    def test_shortest_benchmark_calendar_simulates(self):
+        sim = simulate_dgp(SynthParams(n_periods=421))
+        assert len(sim.bundle["RAY"]["illiquidity"].dates) == 3
+
 
 # Metric-file properties.  Names may carry blanks, commas and quotes, so the
 # writer's quoting is exercised.  Dates span every four-digit year, as the
