@@ -116,18 +116,7 @@ def _parse_model_spec(path):
 
 
 def _write_fit_outputs(result, ledger, outdir):
-    os.makedirs(outdir, exist_ok=True)
     rows = pipeline._coefficient_rows(result)
-    pipeline._write_csv(
-        os.path.join(outdir, "coefficients.csv"),
-        ("term", "estimate", "se", "stars"),
-        rows,
-    )
-    pipeline._write_csv(
-        os.path.join(outdir, "covariance.csv"),
-        ("term",) + tuple(result.columns),
-        [(result.columns[i],) + tuple(result.cov[i]) for i in range(len(result.columns))],
-    )
     lines = [f"method: {result.method}"]
     for term, est, se, mark in rows:
         lines.append(f"{term:<28}{est:>12.4f}{mark:<4} ({se:.4f})")
@@ -147,8 +136,12 @@ def _write_fit_outputs(result, ledger, outdir):
         lines.append(
             f"rows_in={ledger.rows_in} rows_used={ledger.rows_used} dropped={ledger.dropped}"
         )
-    with open(os.path.join(outdir, "summary.txt"), "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    pipeline._write_tables(outdir, {
+        "coefficients.csv": (("term", "estimate", "se", "stars"), rows),
+        "covariance.csv": (("term",) + tuple(result.columns),
+                           [(term,) + tuple(row) for term, row in zip(result.columns, result.cov)]),
+        "summary.txt": "\n".join(lines) + "\n",
+    })
 
 
 def _cmd_fit(args):
@@ -171,24 +164,17 @@ def _cmd_quantile(args):
         spec = ModelSpec(effects="pooled", regressors=list(CONTROLS) + ["hyfi"])
     taus = tuple(float(t) for t in args.taus.split(","))
     design, ledger = build_design(list(panel.entities), bundle, spec)
-    os.makedirs(args.out, exist_ok=True)
-    path_rows = []
-    for tau in taus:
-        terms, stats = pipeline._quantile_rows(PanelQuantile(tau=tau).fit(design).result_)
+    # (tau, fit) pairs keep the order and repeats of --taus
+    fits = [(tau, PanelQuantile(tau=tau).fit(design).result_) for tau in taus]
+    files = {}
+    for tau, fit in fits:
+        terms, stats = pipeline._quantile_rows(fit)
         # the per-tau file carries the summary statistics, not the LR p-value or nobs
-        rows = terms + [(name, value, float("nan"), "") for name, value in stats
-                        if name not in ("quasi_lr_p", "nobs")]
-        pipeline._write_csv(
-            os.path.join(args.out, f"quantile_tau{tau:.2f}.csv"),
-            ("term", "estimate", "se", "stars"),
-            rows,
-        )
-        path_rows += [(float(tau),) + row[:3] for row in terms]
-    pipeline._write_csv(
-        os.path.join(args.out, "path.csv"),
-        ("tau", "term", "estimate", "se"),
-        path_rows,
-    )
+        files[f"quantile_tau{tau:.2f}.csv"] = (("term", "estimate", "se", "stars"), terms + [
+            (name, value, float("nan"), "") for name, value in stats
+            if name not in ("quasi_lr_p", "nobs")])
+    files["path.csv"] = (("tau", "term", "estimate", "se"), pipeline._path_rows(fits))
+    pipeline._write_tables(args.out, files)
     print(f"wrote {args.out}: {len(taus)} quantile fits, {design.nobs} observations")
     return 0
 
@@ -196,12 +182,11 @@ def _cmd_quantile(args):
 def _cmd_diagnose(args):
     panel = load_panel_csv(args.panel)
     bundle = pipeline.metrics_from_panel(panel, window=args.window)
-    os.makedirs(args.out, exist_ok=True)
     metas = list(panel.entities)
-    pipeline._emit_diagnostics(
-        metas, bundle, pipeline.design_table(metas, bundle), args.out,
+    pipeline._write_tables(args.out, pipeline._emit_diagnostics(
+        metas, bundle, pipeline.design_table(metas, bundle),
         extra_pooled={"attention_raw": pipeline.raw_attention_pooled(panel)},
-    )
+    ))
     print(f"wrote {args.out}: descriptives, correlations, unit roots, dependence tests")
     return 0
 

@@ -798,16 +798,15 @@ def figure5_rows(static_fit, dynamic_fit, scale=1.0):
     return rows
 
 
+def _path_rows(fits):
+    """``(tau, term, estimate, se)`` rows of ``(tau, QuantileFit)`` pairs, in
+    the pairs' order."""
+    return [(float(tau), term, est, se)
+            for tau, fit in fits for term, est, se, _ in _term_rows(fit)]
+
+
 def figure6_rows(quantile_fits):
-    rows = []
-    for tau in sorted(quantile_fits):
-        fit = quantile_fits[tau]
-        for term in fit.columns:
-            est = fit.coef(term)
-            se = fit.se_of(term)
-            lo, hi = _interval(est, se)
-            rows.append((float(tau), term, est, se, lo, hi))
-    return rows
+    return [row + _interval(*row[2:]) for row in _path_rows(sorted(quantile_fits.items()))]
 
 
 def figure7_rows(attenuation):
@@ -821,47 +820,34 @@ def figure7_rows(attenuation):
     return rows
 
 
-def emit_figures(figures_dir, config, baseline=None, quantiles=None, split=None,
-                 volatility_scale=1.0):
-    """Write figure-data CSVs for whichever fragments are available.
-
-    Returns the list of files written (report manifest bookkeeping).  The
-    volatility scale converts raw-volatility slopes to the standardized
-    axis used by the line and slope figures.
+def emit_figures(config, baseline=None, quantiles=None, split=None, volatility_scale=1.0):
+    """The figure-data files ``{name: (header, rows)}`` of whichever
+    fragments are available.  The volatility scale converts raw-volatility
+    slopes to the standardized axis used by the line and slope figures.
     """
-    os.makedirs(figures_dir, exist_ok=True)
-    written = []
-
+    files = {}
     if baseline is not None:
         dynamic_fit = baseline.fits["dynamic_fixed"]
         non, hyfi = _slope_pairs(dynamic_fit, volatility_scale)
-        fig4 = figure4_rows(
+        files["fig4.csv"] = (FIG4_HEADER, figure4_rows(
             dynamic_fit.intercept if dynamic_fit.intercept is not None else 0.0,
             non[0],
             hyfi[0],
             dynamic_fit.phi if dynamic_fit.phi is not None else 0.0,
-        )
-        _write_csv(os.path.join(figures_dir, "fig4.csv"), FIG4_HEADER, fig4)
-        fig5 = figure5_rows(baseline.fits["static_fixed"], dynamic_fit, volatility_scale)
-        _write_csv(os.path.join(figures_dir, "fig5.csv"), FIG5_HEADER, fig5)
-        written += ["fig4.csv", "fig5.csv"]
+        ))
+        files["fig5.csv"] = (FIG5_HEADER, figure5_rows(
+            baseline.fits["static_fixed"], dynamic_fit, volatility_scale))
     if quantiles is not None and quantiles.fits:
-        _write_csv(os.path.join(figures_dir, "fig6.csv"), FIG6_HEADER,
-                   figure6_rows(quantiles.fits))
-        written.append("fig6.csv")
+        files["fig6.csv"] = (FIG6_HEADER, figure6_rows(quantiles.fits))
     if split is not None:
-        _write_csv(os.path.join(figures_dir, "fig7.csv"), FIG7_HEADER,
-                   figure7_rows(split.attenuation))
-        written.append("fig7.csv")
+        files["fig7.csv"] = (FIG7_HEADER, figure7_rows(split.attenuation))
 
     if config.with_reference_figures:
         reference = reference_figures()
         for name, header in (("fig4", FIG4_HEADER), ("fig5", FIG5_HEADER),
                              ("fig6", FIG6_HEADER), ("fig7", FIG7_HEADER)):
-            _write_csv(os.path.join(figures_dir, f"reference_{name}.csv"),
-                       header, reference[name])
-            written.append(f"reference_{name}.csv")
-    return written
+            files[f"reference_{name}.csv"] = (header, reference[name])
+    return files
 
 
 def reference_figures():
@@ -1145,6 +1131,20 @@ def _write_csv(path, header, rows):
             ) + "\n")
 
 
+def _write_tables(directory, files):
+    """The one bundle writer: ``files`` maps a file name under ``directory``,
+    which is created, to text, written as it is, or to ``(header, rows)``,
+    written by ``_write_csv``."""
+    os.makedirs(directory, exist_ok=True)
+    for name, content in files.items():
+        path = os.path.join(directory, name)
+        if isinstance(content, str):
+            with open(path, "w") as handle:
+                handle.write(content)
+        else:
+            _write_csv(path, *content)
+
+
 def write_meta_csv(metas, path):
     _write_csv(path, META_HEADER, ([meta.symbol] + format_meta_cells(meta) for meta in metas))
 
@@ -1320,14 +1320,58 @@ def raw_attention_pooled(panel):
     return np.concatenate(parts) if parts else np.array([])
 
 
-def run_report(config):
-    """Execute every requested fragment and write the report bundle."""
-    outdir = config.out
-    tables = os.path.join(outdir, "tables")
-    figures = os.path.join(outdir, "figures")
-    os.makedirs(tables, exist_ok=True)
-    os.makedirs(figures, exist_ok=True)
+def _ledger_line(job, ledger):
+    return (f"job {job}: rows_in={ledger.rows_in} rows_used={ledger.rows_used}"
+            f" dropped={ledger.dropped}" + (f" notes={ledger.notes}" if ledger.notes else ""))
 
+
+def _baseline_tables(fragment):
+    coefficient_rows, fitstat_rows = [], []
+    for job, coefficients, fitstats in _job_rows(fragment):
+        coefficient_rows += [(job,) + row for row in coefficients]
+        fitstat_rows += fitstats
+    for job, per_column in sorted(fragment.long_run.items()):
+        for name, (est, se) in per_column.items():
+            coefficient_rows.append((f"{job}_long_run", name, est, se, stars(est, se)))
+    return {
+        "baseline_coefficients.csv": (("fit", "term", "estimate", "se", "stars"),
+                                      coefficient_rows),
+        "baseline_fitstats.csv": (("fit", "statistic", "value"), fitstat_rows),
+        "baseline_summary.txt": _summary_block(fragment),
+    }
+
+
+def _quantile_tables(fragment):
+    fits = sorted(fragment.fits.items())
+    rows, fitstats = [], []
+    for tau, fit in fits:
+        terms, stats = _quantile_rows(fit)
+        rows += [(float(tau),) + row for row in terms]
+        fitstats += [(float(tau),) + row for row in stats]
+    return {
+        "quantile_coefficients.csv": (("tau", "term", "estimate", "se", "stars"), rows),
+        "quantile_fitstats.csv": (("tau", "statistic", "value"), fitstats),
+        "quantile_path.csv": (("tau", "term", "estimate", "se"), _path_rows(fits)),
+    }
+
+
+def _split_tables(split):
+    rows, fitstats = [], []
+    for period, fragment in (("pre", split.pre), ("post", split.post)):
+        for job, coefficients, job_stats in _job_rows(fragment):
+            rows += [(period, job) + row for row in coefficients]
+            fitstats += [(period,) + row for row in job_stats]
+            fitstats.append((period, job, "n_days", float(fragment.n_days[job])))
+    return {
+        "split_coefficients.csv": (("period", "fit", "term", "estimate", "se", "stars"), rows),
+        "split_fitstats.csv": (("period", "fit", "statistic", "value"), fitstats),
+    }
+
+
+def run_report(config):
+    """Run every requested battery, then write the report bundle: ``tables/``,
+    ``figures/`` and ``manifest.txt``.  A battery that fails raises before
+    anything is written."""
     metas, bundle, panel = load_inputs(config)
     manifest = [
         "panelcrypt report",
@@ -1345,94 +1389,32 @@ def run_report(config):
 
     # the diagnostics and every design below read this one table
     table = design_table(metas, bundle)
+    tables = {}
     if config.with_diagnostics:
         extra = {"attention_raw": raw_attention_pooled(panel)} if panel else None
-        _emit_diagnostics(metas, bundle, table, tables, extra_pooled=extra)
-        manifest.append("job diagnostics: tables/descriptives.csv,"
-                        " tables/correlations.csv, tables/unit_roots.csv,"
-                        " tables/dependence.csv")
+        diagnostics = _emit_diagnostics(metas, bundle, table, extra_pooled=extra)
+        tables.update(diagnostics)
+        manifest.append("job diagnostics: " + ", ".join(f"tables/{name}" for name in diagnostics))
 
     baseline = None
     if config.with_baseline:
         baseline = run_baseline(metas, table, config)
-        coefficient_rows, fitstat_rows = [], []
-        for job, coefficients, fitstats in _job_rows(baseline):
-            coefficient_rows += [(job,) + row for row in coefficients]
-            fitstat_rows += fitstats
-        for job, per_column in sorted(baseline.long_run.items()):
-            for name, (est, se) in per_column.items():
-                coefficient_rows.append((f"{job}_long_run", name, est, se, stars(est, se)))
-        _write_csv(
-            os.path.join(tables, "baseline_coefficients.csv"),
-            ("fit", "term", "estimate", "se", "stars"),
-            coefficient_rows,
-        )
-        _write_csv(
-            os.path.join(tables, "baseline_fitstats.csv"),
-            ("fit", "statistic", "value"),
-            fitstat_rows,
-        )
-        with open(os.path.join(tables, "baseline_summary.txt"), "w") as handle:
-            handle.write(_summary_block(baseline))
-        for job in BASELINE_JOBS:
-            ledger = baseline.ledgers[job]
-            manifest.append(
-                f"job baseline/{job}: rows_in={ledger.rows_in}"
-                f" rows_used={ledger.rows_used} dropped={ledger.dropped}"
-                + (f" notes={ledger.notes}" if ledger.notes else "")
-            )
+        tables.update(_baseline_tables(baseline))
+        manifest += [_ledger_line(f"baseline/{job}", baseline.ledgers[job])
+                     for job in BASELINE_JOBS]
 
     quantiles = None
     if config.with_quantiles:
         quantiles = run_quantiles(metas, table, config)
-        rows, fitstats, path_rows = [], [], []
-        for tau in sorted(quantiles.fits):
-            terms, stats = _quantile_rows(quantiles.fits[tau])
-            rows += [(float(tau),) + row for row in terms]
-            path_rows += [(float(tau),) + row[:3] for row in terms]
-            fitstats += [(float(tau),) + row for row in stats]
-        _write_csv(
-            os.path.join(tables, "quantile_coefficients.csv"),
-            ("tau", "term", "estimate", "se", "stars"),
-            rows,
-        )
-        _write_csv(
-            os.path.join(tables, "quantile_fitstats.csv"),
-            ("tau", "statistic", "value"),
-            fitstats,
-        )
-        _write_csv(
-            os.path.join(tables, "quantile_path.csv"),
-            ("tau", "term", "estimate", "se"),
-            path_rows,
-        )
-        ledger = quantiles.ledger
-        manifest.append(
-            f"job quantiles: rows_in={ledger.rows_in} rows_used={ledger.rows_used}"
-            f" dropped={ledger.dropped}"
-        )
+        tables.update(_quantile_tables(quantiles))
+        manifest.append(_ledger_line("quantiles", quantiles.ledger))
         for tau, message in sorted(quantiles.errors.items()):
             manifest.append(f"job quantiles tau={tau}: FAILED {message}")
 
     split = None
     if config.with_split:
         split = run_split(metas, table, config)
-        rows, fitstats = [], []
-        for period, fragment in (("pre", split.pre), ("post", split.post)):
-            for job, coefficients, job_stats in _job_rows(fragment):
-                rows += [(period, job) + row for row in coefficients]
-                fitstats += [(period,) + row for row in job_stats]
-                fitstats.append((period, job, "n_days", float(fragment.n_days[job])))
-        _write_csv(
-            os.path.join(tables, "split_coefficients.csv"),
-            ("period", "fit", "term", "estimate", "se", "stars"),
-            rows,
-        )
-        _write_csv(
-            os.path.join(tables, "split_fitstats.csv"),
-            ("period", "fit", "statistic", "value"),
-            fitstats,
-        )
+        tables.update(_split_tables(split))
         manifest.append(
             f"job split: split_date={split.split_date}"
             f" pre_days={split.pre.n_days['static_fixed']}"
@@ -1443,19 +1425,22 @@ def run_report(config):
     if baseline is not None and config.standardize_figures and config.raw_volatility_in_fits:
         design, _ = build_design(metas, table, _baseline_specs(config)["static_fixed"])
         scale = _volatility_scale(design)
-    written = emit_figures(figures, config, baseline=baseline, quantiles=quantiles,
-                           split=split, volatility_scale=scale)
-    manifest.append(f"job figures: volatility_scale={scale!r} files={written}")
+    figures = emit_figures(config, baseline=baseline, quantiles=quantiles, split=split,
+                           volatility_scale=scale)
+    manifest.append(f"job figures: volatility_scale={scale!r} files={list(figures)}")
 
-    with open(os.path.join(outdir, "manifest.txt"), "w") as handle:
-        handle.write("\n".join(manifest) + "\n")
+    outdir = config.out
+    _write_tables(os.path.join(outdir, "tables"), tables)
+    _write_tables(os.path.join(outdir, "figures"), figures)
+    _write_tables(outdir, {"manifest.txt": "\n".join(manifest) + "\n"})
     return outdir
 
 
-def _emit_diagnostics(metas, bundle, table, tables, extra_pooled=None):
-    """Descriptives, correlations, unit roots and dependence tests, written
-    under ``tables``.  ``table`` is the ``design_table`` of ``metas`` in
-    ``bundle``; the correlations and hyfi read its entity-day rows.
+def _emit_diagnostics(metas, bundle, table, extra_pooled=None):
+    """The descriptives, correlations, unit-root and dependence tables,
+    ``{name: (header, rows)}``.  ``table`` is the ``design_table`` of
+    ``metas`` in ``bundle``; the correlations and hyfi read its entity-day
+    rows.
 
     ``extra_pooled`` optionally appends raw-valued variables (for example
     untransformed attention) to the descriptive table.
@@ -1484,39 +1469,16 @@ def _emit_diagnostics(metas, bundle, table, tables, extra_pooled=None):
             if len(values):
                 pooled[name] = values
 
-    rows = []
+    descriptives = []
     order = ["price_risk"] + list(CONTROLS) + ["hyfi"]
     order += [name for name in (extra_pooled or {}) if name in pooled]
     for name in order:
         row = diag.describe(pooled[name])
-        rows.append(
-            (
-                name,
-                row.mean,
-                row.median,
-                row.maximum,
-                row.minimum,
-                row.std_dev,
-                row.skewness,
-                row.kurtosis,
-                float(row.nobs),
-            )
-        )
-    _write_csv(
-        os.path.join(tables, "descriptives.csv"),
-        ("variable", "mean", "median", "maximum", "minimum", "std_dev",
-         "skewness", "kurtosis", "nobs"),
-        rows,
-    )
+        descriptives.append((name, row.mean, row.median, row.maximum, row.minimum,
+                             row.std_dev, row.skewness, row.kurtosis, float(row.nobs)))
 
     matrix, labels = diag.correlation_matrix(
         [table.columns[name][0] for name in CONTROLS], list(CONTROLS)
-    )
-    rows = [(label, *row) for label, row in zip(labels, matrix)]
-    _write_csv(
-        os.path.join(tables, "correlations.csv"),
-        ("variable",) + tuple(labels),
-        rows,
     )
 
     unit_rows = []
@@ -1535,17 +1497,18 @@ def _emit_diagnostics(metas, bundle, table, tables, extra_pooled=None):
         unit_rows.append(
             (name, "adf", result.statistic, float("nan"), result.stars, float(result.nobs))
         )
-    _write_csv(
-        os.path.join(tables, "unit_roots.csv"),
-        ("variable", "test", "statistic", "truncated", "stars", "nobs"),
-        unit_rows,
-    )
 
     dep_results = diag.dependence_tests(
         per_entity_matrix["price_risk"], entity_labels=[m.symbol for m in metas]
     )
-    _write_csv(
-        os.path.join(tables, "dependence.csv"),
-        ("test", "statistic", "p_value", "pairs"),
-        [(r.name, r.statistic, r.p_value, float(r.pair_count)) for r in dep_results],
-    )
+    return {
+        "descriptives.csv": (("variable", "mean", "median", "maximum", "minimum", "std_dev",
+                              "skewness", "kurtosis", "nobs"), descriptives),
+        "correlations.csv": (("variable",) + tuple(labels),
+                             [(label, *row) for label, row in zip(labels, matrix)]),
+        "unit_roots.csv": (("variable", "test", "statistic", "truncated", "stars", "nobs"),
+                           unit_rows),
+        "dependence.csv": (("test", "statistic", "p_value", "pairs"),
+                           [(r.name, r.statistic, r.p_value, float(r.pair_count))
+                            for r in dep_results]),
+    }

@@ -457,6 +457,25 @@ def pseudo_r2(fit_loss, restricted_loss):
     return 1.0 - fit_loss / restricted_loss
 
 
+def _quasi_lr(tau, loss, restricted_loss, sparsity, df):
+    """Quasi-likelihood-ratio statistic and p-value of a fit with check loss
+    ``loss`` against a nested fit with ``df`` fewer columns."""
+    if df < 0:
+        raise ValueError("restricted model must not have more columns than the full model")
+    excess = restricted_loss - loss
+    if excess < -1e-8 * max(1.0, abs(loss)):
+        raise ValueError(
+            "restricted loss below full loss: models do not appear to be nested"
+        )
+    excess = max(excess, 0.0)
+    stat = 2.0 * excess / (tau * (1.0 - tau) * sparsity)
+    if df == 0:
+        if stat > 1e-8:
+            raise ValueError("models share a column count but differ in fit")
+        return 0.0, 1.0
+    return stat, chi2_survival(stat, df)
+
+
 def quasi_lr(full, restricted):
     """Quasi-likelihood-ratio test of a nested quantile fit.
 
@@ -466,21 +485,8 @@ def quasi_lr(full, restricted):
     """
     if abs(full.tau - restricted.tau) > 1e-12 or full.nobs != restricted.nobs:
         raise ValueError("fits must share tau and data")
-    df = len(full.columns) - len(restricted.columns)
-    if df < 0:
-        raise ValueError("restricted model must not have more columns than the full model")
-    excess = restricted.check_loss - full.check_loss
-    if excess < -1e-8 * max(1.0, abs(full.check_loss)):
-        raise ValueError(
-            "restricted loss below full loss: models do not appear to be nested"
-        )
-    excess = max(excess, 0.0)
-    stat = 2.0 * excess / (full.tau * (1.0 - full.tau) * full.sparsity)
-    if df == 0:
-        if stat > 1e-8:
-            raise ValueError("models share a column count but differ in fit")
-        return 0.0, 1.0
-    return stat, chi2_survival(stat, df)
+    return _quasi_lr(full.tau, full.check_loss, restricted.check_loss, full.sparsity,
+                     len(full.columns) - len(restricted.columns))
 
 
 class PanelQuantile(BaseEstimator):
@@ -539,24 +545,9 @@ class PanelQuantile(BaseEstimator):
             flags=flags,
         )
         if len(design.columns) > 1 and not degenerate:
-            restricted = QuantileFit(
-                tau=self.tau,
-                columns=["const"],
-                params=np.array([restricted_center]),
-                cov=np.zeros((1, 1)),
-                nobs=design.nobs,
-                check_loss=restricted_loss,
-                restricted_loss=restricted_loss,
-                pseudo_r2=0.0,
-                sparsity=sparsity,
-                hall_sheather_bw=bw,
-                quantile_dependent=restricted_center,
-                quasi_lr_stat=0.0,
-                quasi_lr_pvalue=1.0,
-                residuals=y - restricted_center,
-                iterations=0,
-            )
-            result.quasi_lr_stat, result.quasi_lr_pvalue = quasi_lr(result, restricted)
+            # against the intercept-only fit at the restricted center
+            result.quasi_lr_stat, result.quasi_lr_pvalue = _quasi_lr(
+                self.tau, loss, restricted_loss, sparsity, len(design.columns) - 1)
         self.result_ = result
         self.coef_ = params
         self.cov_ = cov

@@ -233,6 +233,29 @@ def test_quantile_command(tmp_path, panel_file):
     assert len(per_tau) == 8
 
 
+def test_quantile_path_keeps_the_order_and_repeats_of_taus(tmp_path, panel_file):
+    out = tmp_path / "quantiles"
+    assert main(["quantile", "--panel", str(panel_file), "--taus", "0.75,0.25,0.75",
+                 "--out", str(out)]) == 0
+    taus = [row[0] for row in read_csv_rows(out / "path.csv")[1:]]
+    assert taus == ["0.75"] * 8 + ["0.25"] * 8 + ["0.75"] * 8
+
+
+def test_diagnose_and_quantile_write_the_report_tables(tmp_path, panel_file):
+    # the panel ends before the default split date, so the split is off
+    report = tmp_path / "report"
+    config = tmp_path / "report.cfg"
+    config.write_text(f"panel = {panel_file}\nout = {report}\n"
+                      "with_baseline = false\nwith_split = false\n")
+    assert main(["report", "--config", str(config)]) == 0
+    tables = report / "tables"
+    assert main(["diagnose", "--panel", str(panel_file), "--out", str(tmp_path / "d")]) == 0
+    for name in ("descriptives.csv", "correlations.csv", "unit_roots.csv", "dependence.csv"):
+        assert (tmp_path / "d" / name).read_bytes() == (tables / name).read_bytes(), name
+    assert main(["quantile", "--panel", str(panel_file), "--out", str(tmp_path / "q")]) == 0
+    assert (tmp_path / "q" / "path.csv").read_bytes() == (tables / "quantile_path.csv").read_bytes()
+
+
 def test_quantile_rank_error_names_the_spec_columns(tmp_path, panel_file, capsys):
     # hyfi * hyfi equals hyfi for a 0/1 dummy
     spec = tmp_path / "collinear.cfg"

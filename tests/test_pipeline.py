@@ -1,5 +1,6 @@
 """Design assembly, synthetic generation, batteries and figure identities."""
 
+import ast
 import csv
 import io
 import math
@@ -970,6 +971,60 @@ class TestReport:
         assert first.keys() == second.keys()
         for name in first:
             assert first[name] == second[name], f"{name} differs between runs"
+
+    def test_failed_battery_leaves_no_bundle(self, tmp_path, monkeypatch):
+        # a split on the first entity day is refused by run_split, after the
+        # diagnostics, baseline and quantile batteries have run
+        data_dir = self.write_inputs(tmp_path)
+        out = tmp_path / "report"
+        config = parse_config(self.write_config(tmp_path, data_dir, out))
+        metas, bundle, _ = pipeline.load_inputs(config)
+        config = replace(config, split_date=str(design_table(metas, bundle).dates.min()))
+        ran, run_quantiles = [], pipeline.run_quantiles
+
+        def counting(*args):
+            ran.append(args)
+            return run_quantiles(*args)
+
+        monkeypatch.setattr(pipeline, "run_quantiles", counting)
+        with pytest.raises(ValueError, match="outside panel range"):
+            run_report(config)
+        assert len(ran) == 1
+        assert self.snapshot(out) == {}
+
+    @pytest.mark.parametrize("on", [
+        {"with_diagnostics", "with_baseline", "with_quantiles", "with_split",
+         "with_reference_figures"},
+        {"with_diagnostics", "with_reference_figures"},
+        {"with_baseline", "with_split"},
+        {"with_quantiles"},
+        set(),
+    ])
+    def test_manifest_names_the_files_written(self, tmp_path, on):
+        data_dir = self.write_inputs(tmp_path)
+        out = tmp_path / "report"
+        config = parse_config(self.write_config(tmp_path, data_dir, out))
+        owners = {"with_baseline": "baseline_", "with_quantiles": "quantile_",
+                  "with_split": "split_"}
+        for flag in ("with_diagnostics", "with_reference_figures", *owners):
+            setattr(config, flag, flag in on)
+        run_report(config)
+        lines = (out / "manifest.txt").read_text().splitlines()
+        diagnostics = [line.split(": ", 1)[1].split(", ") for line in lines
+                       if line.startswith("job diagnostics: ")]
+        listed = set(diagnostics[0]) if diagnostics else set()
+        assert len(listed) == (4 if "with_diagnostics" in on else 0)
+        figures = [ast.literal_eval(line.split(" files=", 1)[1]) for line in lines
+                   if line.startswith("job figures: ")]
+        assert len(figures) == 1
+        assert sorted(figures[0]) == sorted(os.listdir(out / "figures"))
+        tables = {f"tables/{name}" for name in os.listdir(out / "tables")}
+        assert listed <= tables
+        # every other table belongs to a battery that is on
+        rest = {name.split("/")[1] for name in tables - listed}
+        assert {flag for flag, prefix in owners.items()
+                if any(name.startswith(prefix) for name in rest)} == on & set(owners)
+        assert all(name.startswith(tuple(owners.values())) for name in rest)
 
     def aligned_names(self, tmp_path, monkeypatch, diagnostics):
         """How often a report aligns each metric, by name."""

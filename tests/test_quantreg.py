@@ -554,6 +554,21 @@ class TestQuasiLR:
         rate = rejections / reps
         assert abs(rate - 0.05) < 0.03
 
+    @pytest.mark.parametrize("tau", [0.1, 0.25, 0.5, 0.9])
+    def test_fit_statistic_is_the_test_against_an_intercept_only_fit(self, tau):
+        rng = np.random.default_rng(70)
+        n = 301
+        x, z = rng.normal(size=n), rng.normal(size=n)
+        y = 1.0 + 0.5 * x + rng.standard_t(4, size=n)
+        full = PanelQuantile(tau=tau).fit(
+            pooled_design(np.column_stack([np.ones(n), x, z]), y, ["const", "x", "z"])
+        ).result_
+        restricted = PanelQuantile(tau=tau).fit(
+            pooled_design(np.ones((n, 1)), y, ["const"])
+        ).result_
+        assert full.quasi_lr_stat > 0.0
+        assert (full.quasi_lr_stat, full.quasi_lr_pvalue) == quasi_lr(full, restricted)
+
 
 class TestQuantileFitBundle:
     def test_bundle_fields(self):
