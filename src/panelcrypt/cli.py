@@ -155,14 +155,23 @@ def _cmd_fit(args):
     return 0
 
 
+def _quantile_file(tau):
+    return f"quantile_tau{tau:.2f}.csv"
+
+
 def _cmd_quantile(args):
+    taus = tuple(float(t) for t in args.taus.split(","))
+    named = {}
+    for tau in taus:
+        other = named.setdefault(_quantile_file(tau), tau)
+        if other != tau:
+            raise ValueError(f"--taus {other} and {tau} would both write {_quantile_file(tau)}")
     panel = load_panel_csv(args.panel)
     bundle = pipeline.metrics_from_panel(panel, window=args.window)
     if args.spec:
         spec = _parse_model_spec(args.spec)
     else:
         spec = ModelSpec(effects="pooled", regressors=list(CONTROLS) + ["hyfi"])
-    taus = tuple(float(t) for t in args.taus.split(","))
     design, ledger = build_design(list(panel.entities), bundle, spec)
     # (tau, fit) pairs keep the order and repeats of --taus
     fits = [(tau, PanelQuantile(tau=tau).fit(design).result_) for tau in taus]
@@ -170,7 +179,7 @@ def _cmd_quantile(args):
     for tau, fit in fits:
         terms, stats = pipeline._quantile_rows(fit)
         # the per-tau file carries the summary statistics, not the LR p-value or nobs
-        files[f"quantile_tau{tau:.2f}.csv"] = (("term", "estimate", "se", "stars"), terms + [
+        files[_quantile_file(tau)] = (("term", "estimate", "se", "stars"), terms + [
             (name, value, float("nan"), "") for name, value in stats
             if name not in ("quasi_lr_p", "nobs")])
     files["path.csv"] = (("tau", "term", "estimate", "se"), pipeline._path_rows(fits))

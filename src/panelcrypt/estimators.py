@@ -383,7 +383,9 @@ class FixedEffects(_LeastSquares):
     Time-invariant columns are absorbed by the entity effects; they are
     reported on ``result_.absorbed`` rather than silently dropped.  Row
     weights must be constant within each entity: demeaning and weighting
-    then commute, and the weighted within fit equals weighted LSDV.
+    then commute, and the weighted within fit equals weighted LSDV.  A
+    design without residual degrees of freedom is refused: its fit is exact,
+    and its standard errors would be rounding noise.
     """
 
     def fit(self, design):
@@ -400,12 +402,15 @@ class FixedEffects(_LeastSquares):
             raise ValueError("fixed effects need row weights constant within each entity")
         n, k = X.shape
         df_resid = n - k - groups.n_groups
+        if df_resid <= 0:
+            raise ValueError(f"no residual degrees of freedom ({n} rows, {k} slopes, "
+                             f"{groups.n_groups} entities)")
         beta, resid, covs = _wls(X, y, design.weights, columns, self.covariance, df_resid)
 
         xbar = np.ascontiguousarray(xbar[:, varying])
         alpha = ybar - xbar @ beta
         fitted = alpha[groups.codes] + design.matrix[:, varying] @ beta
-        sigma2 = float(resid @ resid) / max(df_resid, 1)
+        sigma2 = float(resid @ resid) / df_resid
         xbar_mean = xbar.mean(axis=0)
         # delta-method approximation; ignores the (small) slope/mean cross term.
         # An entity's mean error has variance sigma2 / (w_i T_i).

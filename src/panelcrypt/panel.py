@@ -6,16 +6,20 @@ with an ``entity`` column.  Missing values are empty cells; every field
 carries an explicit boolean missing-mask downstream so that no estimator
 has to reason about NaN propagation.
 
-A file, or one entity's rows of a consolidated file, is parsed a column at a
-time: each distinct date text is parsed once per load, each numeric column
-is converted with ``float`` in one pass, and every row rule is a mask over
-the columns.  The first row in file order that any rule breaks fails, with
-the first rule it breaks: its date, then each field's cell in schema order,
-then the value rules (``_OBSERVATION_RULES``, ``_MARKET_RULES``).
+A file is read ``_BLOCK_ROWS`` rows at a time.  A block's rows of one series
+(a per-file input, or one entity or the MARKET rows of a consolidated file)
+are parsed a column at a time: each distinct date text is parsed once per
+load, each numeric column is converted with ``float`` in one pass, and every
+row rule is a mask over the columns.  The first row in file order that any
+rule breaks fails, with the first rule it breaks: its date, then each
+field's cell in schema order, then the value rules (``_OBSERVATION_RULES``,
+``_MARKET_RULES``).  A series keeps its first failure until the end of the
+file, so that a row of the wrong width anywhere in it is reported first.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
@@ -49,6 +53,10 @@ GINI_DIMENSIONS = ("network", "wealth", "node", "code", "information")
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _DOTTED_DATE = re.compile(r"([0-9]{1,2})\.([0-9]{1,2})\.([0-9]{4})")
+
+# Data rows parsed at a time.  A row's cells take about seven times its
+# bytes as Python strings, so a loader holds only this many rows' cells.
+_BLOCK_ROWS = 1024
 
 
 class PanelLoadError(ValueError):
@@ -206,28 +214,38 @@ def _check_header(header, expected, source):
     return {col: header.index(col) for col in expected}
 
 
-def _read_rows(path, expected):
-    """Data rows of a CSV file, the first being file line 2, and its header index.
+@contextlib.contextmanager
+def _row_source(path, expected):
+    """``(source, index, rows)`` of a CSV file: its path text, its header
+    index and an iterator of ``(line, row)`` over its data rows, the first
+    being file line 2.
 
-    Every row must have as many fields as the header.
+    A row with another width than the header raises as soon as it is read.
+    Every loader reads on to the end of the file before it raises any other
+    error, so the first such row is the file's first error.
     """
     source = os.fspath(path)
     with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows:
-        raise PanelLoadError("empty file", source)
-    header = rows.pop(0)
-    index = _check_header(header, expected, source)
-    widths = list(map(len, rows))
-    if widths.count(len(header)) != len(widths):
-        i = next(i for i, width in enumerate(widths) if width != len(header))
-        raise PanelLoadError(f"expected {len(header)} fields, got {widths[i]}", source, i + 2)
-    return source, rows, index
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise PanelLoadError("empty file", source)
+        index = _check_header(header, expected, source)
+
+        def rows():
+            for line, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise PanelLoadError(
+                        f"expected {len(header)} fields, got {len(row)}", source, line
+                    )
+                yield line, row
+
+        yield source, index, rows()
 
 
-def _columns(rows, index, names):
-    """``{name: [cell text per row]}`` of the ``names`` columns."""
-    return {name: [row[index[name]] for row in rows] for name in names}
+def _blocks(rows):
+    """Lists of up to ``_BLOCK_ROWS`` consecutive items of ``rows``."""
+    return iter(lambda: list(itertools.islice(rows, _BLOCK_ROWS)), [])
 
 
 def _all_prices(v):
@@ -310,15 +328,15 @@ def _first_failure(checks):
     return i, checks[int(hits[:, i].argmax())][1](i)
 
 
-def _parse_dated_rows(lines, columns, fields, rules, source, days):
-    """``(dates, values, missing)`` from the ``date`` and ``fields`` columns of
-    cell texts, whose rows lie at file ``lines``.
+def _parse_dated_rows(columns, fields, rules, days):
+    """``(dates, values, missing, failure)`` from the ``date`` and ``fields``
+    columns of cell texts.
 
     Each check is a mask over the rows, in this order: the date parses; per
-    field, the cell parses and is finite; then ``rules``.  The first row in
-    file order that a check sets raises ``PanelLoadError`` with the first
-    check it fails.  Then the dates must be strictly increasing.  ``days`` is
-    the date-text cache of :func:`_parse_days`.
+    field, the cell parses and is finite; then ``rules``.  ``failure`` is
+    ``(row, message)`` of the first row that a check sets, with the first
+    check it fails, or None.  ``days`` is the date-text cache of
+    :func:`_parse_days`.
     """
     date_texts = columns["date"]
     dates = _parse_days(date_texts, days)
@@ -335,30 +353,63 @@ def _parse_dated_rows(lines, columns, fields, rules, source, days):
     for test, message in rules:
         checks.append((test(values), lambda i, message=message:
                        message({f: values[f][i].item() for f in fields})))
-    failure = _first_failure(checks)
-    if failure:
-        raise PanelLoadError(failure[1], source, lines[failure[0]])
-    if len(dates) > 1:
+    return dates, values, missing, _first_failure(checks)
+
+
+class _Series:
+    """One dated series of a file, parsed a block of rows at a time.
+
+    ``add`` parses the ``date`` and ``fields`` cells of a block into arrays
+    and keeps the first row found so far that fails a check, as ``(line,
+    message)``; it keeps none of the block's cells.  ``finish`` raises that
+    failure, then joins the blocks and checks that the dates strictly
+    increase.
+    """
+
+    def __init__(self, index, fields, rules, source, days):
+        self.index = index
+        self.fields = fields
+        self.rules = rules
+        self.source = source
+        self.days = days  # the date-text cache of _parse_days
+        self.parts = []
+        self.failure = None
+
+    def add(self, block):
+        """Parse ``block``, a list of ``(line, row)`` in file order."""
+        columns = {name: [row[self.index[name]] for _, row in block]
+                   for name in ("date",) + self.fields}
+        dates, values, missing, failure = _parse_dated_rows(
+            columns, self.fields, self.rules, self.days
+        )
+        lines = np.array([line for line, _ in block], dtype=np.int64)
+        if failure and self.failure is None:
+            self.failure = int(lines[failure[0]]), failure[1]
+        self.parts.append((lines, dates, values, missing))
+
+    def finish(self):
+        """``(dates, values, missing)`` of every row added."""
+        if self.failure:
+            raise PanelLoadError(self.failure[1], self.source, self.failure[0])
+        if not self.parts:
+            self.add([])
+        lines, dates, values, missing = zip(*self.parts)
+        lines, dates = np.concatenate(lines), np.concatenate(dates)
         bad = np.flatnonzero(np.diff(dates) <= np.timedelta64(0, "D"))
         if bad.size:
-            raise PanelLoadError("dates not strictly increasing", source, lines[bad[0] + 1])
-    return dates, values, missing
+            raise PanelLoadError("dates not strictly increasing", self.source,
+                                 int(lines[bad[0] + 1]))
+        return (dates, {f: np.concatenate([v[f] for v in values]) for f in self.fields},
+                {f: np.concatenate([m[f] for m in missing]) for f in self.fields})
 
 
-def _parse_entity_rows(symbol, lines, rows, index, source, days):
-    dates, values, missing = _parse_dated_rows(
-        lines, _columns(rows, index, ENTITY_HEADER), ENTITY_FIELDS, _OBSERVATION_RULES,
-        source, days,
-    )
-    return EntityRecords(symbol=symbol, dates=dates, values=values, missing=missing)
-
-
-def _parse_market_rows(lines, rows, index, source, days):
-    dates, values, missing = _parse_dated_rows(
-        lines, _columns(rows, index, MARKET_HEADER), MARKET_FIELDS, _MARKET_RULES,
-        source, days,
-    )
-    return MarketSeries(dates=dates, values=values, missing=missing)
+def _read_series(path, header, fields, rules, days):
+    """``(source, (dates, values, missing))`` of a per-file input."""
+    with _row_source(path, header) as (source, index, rows):
+        series = _Series(index, fields, rules, source, days)
+        for block in _blocks(rows):
+            series.add(block)
+    return source, series.finish()
 
 
 def _new_text(text):
@@ -416,10 +467,10 @@ def read_entity_csv(path, symbol=None):
 
 
 def _read_entity_csv(path, symbol, days):
-    source, rows, index = _read_rows(path, ENTITY_HEADER)
+    source, parsed = _read_series(path, ENTITY_HEADER, ENTITY_FIELDS, _OBSERVATION_RULES, days)
     if symbol is None:
         symbol = os.path.splitext(os.path.basename(source))[0].upper()
-    return _parse_entity_rows(symbol, range(2, len(rows) + 2), rows, index, source, days)
+    return EntityRecords(symbol, *parsed)
 
 
 def read_market_csv(path):
@@ -428,21 +479,29 @@ def read_market_csv(path):
 
 
 def _read_market_csv(path, days):
-    source, rows, index = _read_rows(path, MARKET_HEADER)
-    return _parse_market_rows(range(2, len(rows) + 2), rows, index, source, days)
+    return MarketSeries(*_read_series(path, MARKET_HEADER, MARKET_FIELDS, _MARKET_RULES, days)[1])
 
 
 def read_meta_csv(path):
     """Read entity metadata: symbol, category, HyFi flag, listing date, gini components."""
-    source, rows, index = _read_rows(path, META_HEADER)
     metas = []
     seen = set()
-    for line, row in enumerate(rows, start=2):
-        meta = _parse_meta_row(line, row, index, source)
-        if meta.symbol in seen:
-            raise PanelLoadError(f"duplicate symbol {meta.symbol!r}", source, line)
-        seen.add(meta.symbol)
-        metas.append(meta)
+    failure = None
+    with _row_source(path, META_HEADER) as (source, index, rows):
+        for line, row in rows:
+            if failure:
+                continue  # read on: a row of the wrong width comes first
+            try:
+                meta = _parse_meta_row(line, row, index, source)
+                if meta.symbol in seen:
+                    raise PanelLoadError(f"duplicate symbol {meta.symbol!r}", source, line)
+            except PanelLoadError as err:
+                failure = err
+                continue
+            seen.add(meta.symbol)
+            metas.append(meta)
+    if failure:
+        raise failure
     return metas
 
 
@@ -574,6 +633,47 @@ def _panel_blocks(panel):
     yield "".join([f"{head}{day}{gap}{row}{tail}" for day, row in zip(dates, rows)])
 
 
+class _EntityGroup(_Series):
+    """One entity's rows of a consolidated file.
+
+    Its meta row is parsed from its first row, and each later row's meta
+    cells must be the same texts; the first row that differs is kept until
+    ``finish``, as is a meta row that does not parse.
+    """
+
+    def __init__(self, symbol, first, index, source, days):
+        super().__init__(index, ENTITY_FIELDS, _OBSERVATION_RULES, source, days)
+        self.symbol = symbol
+        self.first_line, row = first
+        self.meta_cells = operator.itemgetter(*(index[c] for c in META_HEADER[1:]))
+        self.first_cells = self.meta_cells(row)
+        try:
+            self.meta = _parse_meta_row(self.first_line, row, index, source)
+        except PanelLoadError as err:
+            self.meta = err
+        self.differs = None  # file line of the first row whose meta cells differ
+
+    def add(self, block):
+        if self.differs is None:
+            cells = [self.meta_cells(row) for _, row in block]
+            if cells.count(self.first_cells) != len(cells):
+                self.differs = next(line for (line, _), row_cells in zip(block, cells)
+                                    if row_cells != self.first_cells)
+        super().add(block)
+
+    def finish(self):
+        """``(meta, records)``; raises the group's first error in the order
+        meta row, meta cells, row checks, dates, listing date."""
+        if isinstance(self.meta, PanelLoadError):
+            raise self.meta
+        if self.differs is not None:
+            raise PanelLoadError(f"{self.symbol}: meta cells differ from line {self.first_line}",
+                                 self.source, self.differs)
+        rec = EntityRecords(self.meta.symbol, *super().finish())
+        _check_listing(self.meta, rec, self.source, self.first_line)
+        return self.meta, rec
+
+
 def load_panel_csv(path):
     """Load a consolidated panel CSV produced by :func:`write_panel_csv`.
 
@@ -581,37 +681,37 @@ def load_panel_csv(path):
     per-file inputs; every row of an entity must repeat the meta cells of
     its first row.  The entity groups are checked in order of their first
     row, then the MARKET rows.
-    """
-    source, rows, index = _read_rows(path, PANEL_HEADER + META_HEADER[1:])
-    index["symbol"] = index["entity"]  # the meta row parser reads the symbol here
-    meta_cells = operator.itemgetter(*(index[c] for c in META_HEADER[1:]))
-    groups = {}  # entity -> ([line], [row]), taken a run of equal entities at a time
-    start = 0
-    for symbol, run in itertools.groupby(row[index["entity"]].strip() for row in rows):
-        end = start + len(list(run))
-        lines, group = groups.setdefault(symbol, ([], []))
-        lines.extend(range(start + 2, end + 2))
-        group.extend(rows[start:end])
-        start = end
-    market_lines, market_rows = groups.pop(MARKET_SYMBOL, ([], []))
 
+    The file is read a block of rows at a time, and each block's rows of
+    one entity are parsed together, so the cells of only one block are held
+    at once; each group keeps its first error until the end of the file.
+    Rows of different entities may interleave.
+    """
     days = {}
+    groups = {}  # entity -> _EntityGroup, in order of first row; MARKET -> _Series
+    with _row_source(path, PANEL_HEADER + META_HEADER[1:]) as (source, index, rows):
+        index["symbol"] = index["entity"]  # the meta row parser reads the symbol here
+        market = groups[MARKET_SYMBOL] = _Series(index, MARKET_FIELDS, _MARKET_RULES,
+                                                 source, days)
+        for block in _blocks(rows):
+            runs = {}  # entity -> its rows of this block
+            for item in block:
+                runs.setdefault(item[1][index["entity"]].strip(), []).append(item)
+            for symbol, run in runs.items():
+                group = groups.get(symbol)
+                if group is None:
+                    group = groups[symbol] = _EntityGroup(symbol, run[0], index, source, days)
+                group.add(run)
+            del block, runs  # before the next block is read
+    del groups[MARKET_SYMBOL]
     metas = []
     observations = {}
-    for symbol, (lines, group) in groups.items():
-        meta = _parse_meta_row(lines[0], group[0], index, source)
-        cells = list(map(meta_cells, group))
-        if cells.count(cells[0]) != len(cells):
-            i = next(i for i, row_cells in enumerate(cells) if row_cells != cells[0])
-            raise PanelLoadError(
-                f"{symbol}: meta cells differ from line {lines[0]}", source, lines[i]
-            )
-        rec = _parse_entity_rows(meta.symbol, lines, group, index, source, days)
-        _check_listing(meta, rec, source, lines[0])
+    while groups:  # each group's parsed blocks are freed once joined
+        meta, rec = groups.pop(next(iter(groups))).finish()
         metas.append(meta)
         observations[meta.symbol] = rec
-    market = _parse_market_rows(market_lines, market_rows, index, source, days)
-    return PanelDataset(entities=tuple(metas), observations=observations, market=market)
+    return PanelDataset(entities=tuple(metas), observations=observations,
+                        market=MarketSeries(*market.finish()))
 
 
 def subsample(panel, start, end):

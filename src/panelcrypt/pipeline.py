@@ -12,6 +12,7 @@ import csv
 import itertools
 import math
 import os
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -312,13 +313,14 @@ def read_metrics_csv(path):
     Entities and metrics keep the order of their first row.
 
     A row keeps only its float value and a day number shared with every row
-    of the same date text, so each distinct date text is parsed once.  No line
-    number is kept per row; the duplicate check runs per series after a
-    stable sort on the date, and only that error path reads the file again
-    for the lines (``_metric_rows``).
+    of the same date text, so each distinct date text is parsed once; both
+    go into typed arrays, not Python objects.  No line number is kept per
+    row; the duplicate check runs per series after a stable sort on the
+    date, and only that error path reads the file again for the lines
+    (``_metric_rows``).
     """
     source = os.fspath(path)
-    collected = {}  # (entity, metric) -> ([day], [value])
+    collected = {}  # (entity, metric) -> (array("q") of days, array("d") of values)
     days = {}  # date text -> day number
     isfinite = math.isfinite
     with open(path, newline="") as handle:
@@ -345,7 +347,7 @@ def read_metrics_csv(path):
                 day = days[date_text] = int(parse_date(date_text, source, lineno).view(np.int64))
             series = collected.get((entity, name))
             if series is None:
-                series = collected[entity, name] = ([], [])
+                series = collected[entity, name] = (array("q"), array("d"))
             series[0].append(day)
             series[1].append(value)
     # series are checked and built entity by entity, in first-row order
@@ -356,7 +358,7 @@ def read_metrics_csv(path):
     for entity, by_name in by_entity.items():
         bundle[entity] = {}
         for name, (series_days, series_values) in by_name.items():
-            dates = np.array(series_days, dtype=np.int64).view("datetime64[D]")
+            dates = np.frombuffer(series_days, dtype=np.int64).view("datetime64[D]")
             order = np.argsort(dates, kind="stable")
             dates = dates[order]
             repeats = np.flatnonzero(dates[1:] == dates[:-1])
@@ -368,7 +370,7 @@ def read_metrics_csv(path):
                     source,
                     again,
                 )
-            values = np.array(series_values, dtype=float)[order]
+            values = np.frombuffer(series_values, dtype=float)[order]
             bundle[entity][name] = mx.MetricSeries(
                 entity, name, dates, values, np.zeros(len(values), dtype=bool)
             )
@@ -610,7 +612,10 @@ def run_baseline(metas, bundle, config, window=None):
     fits, ledgers, n_days = {}, {}, {}
     for job in BASELINE_JOBS:
         design, ledgers[job] = build_design(metas, table, specs[job], window=window)
-        fits[job] = estimator_for(specs[job]).fit(design).result_
+        try:
+            fits[job] = estimator_for(specs[job]).fit(design).result_
+        except ValueError as exc:
+            raise ValueError(f"baseline/{job}: {exc}") from exc
         n_days[job] = len(np.unique(design.dates))
 
     tests = {}

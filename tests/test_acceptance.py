@@ -169,15 +169,23 @@ def test_c03_composite_table_reproduction():
 def test_c04_fixed_effects_equals_lsdv():
     rng = np.random.default_rng(104)
     worst = 0.0
+    exact = 0
     for _ in range(200):
         n_entities = int(rng.integers(2, 6))
         t = int(rng.integers(2, 9))
         k = int(rng.integers(1, 3))
         design, _ = random_panel(rng, n_entities, t, beta=rng.normal(size=k),
                                  unbalanced=True)
+        if design.nobs - k - n_entities == 0:
+            # an exact fit has no residual degrees of freedom, and is refused
+            with pytest.raises(ValueError, match="no residual degrees of freedom"):
+                FixedEffects().fit(design)
+            exact += 1
+            continue
         fe = FixedEffects().fit(design).result_
         worst = max(worst, float(np.max(np.abs(fe.params - lsdv_oracle(design)))))
-    emit(4, worst <= 1e-8, f"(worst abs {worst:.2e} over 200 panels)")
+    emit(4, worst <= 1e-8,
+         f"(worst abs {worst:.2e} over {200 - exact} panels; {exact} exact fits refused)")
 
 
 def test_c05_coefficient_recovery_and_egls_efficiency():

@@ -241,6 +241,17 @@ def test_quantile_path_keeps_the_order_and_repeats_of_taus(tmp_path, panel_file)
     assert taus == ["0.75"] * 8 + ["0.25"] * 8 + ["0.75"] * 8
 
 
+def test_quantile_taus_sharing_a_file_name_refused(tmp_path, panel_file, capsys, monkeypatch):
+    fits = []
+    monkeypatch.setattr(PanelQuantile, "fit", lambda self, design: fits.append(self.tau))
+    out = tmp_path / "quantiles"
+    assert main(["quantile", "--panel", str(panel_file), "--taus", "0.25,0.251,0.252",
+                 "--out", str(out)]) == 1
+    assert ("error: --taus 0.25 and 0.251 would both write quantile_tau0.25.csv"
+            in capsys.readouterr().err)
+    assert fits == [] and not out.exists()
+
+
 def test_diagnose_and_quantile_write_the_report_tables(tmp_path, panel_file):
     # the panel ends before the default split date, so the split is off
     report = tmp_path / "report"

@@ -309,6 +309,16 @@ class TestFixedEffects:
         with pytest.raises(ValueError, match="fewer than 2 rows"):
             estimator().fit(design)
 
+    @pytest.mark.parametrize("covariance", ["white", "classical"])
+    def test_exact_fit_refused(self, covariance):
+        # two entities of two rows and two slopes: the fit interpolates, and
+        # its standard errors would be rounding noise
+        design = make_design([1.0, 2.0, 4.0, 3.0], [[0.1, 1.0], [0.5, 0.2], [0.3, 0.7], [0.9, 0.4]],
+                             ["x", "z"], ["A", "A", "B", "B"])
+        with pytest.raises(ValueError) as err:
+            FixedEffects(covariance=covariance).fit(design)
+        assert str(err.value) == "no residual degrees of freedom (4 rows, 2 slopes, 2 entities)"
+
 
 class TestRandomEffects:
     def test_zero_alpha_matches_pooled(self):

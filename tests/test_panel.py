@@ -3,6 +3,7 @@
 import csv
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -807,6 +808,70 @@ def test_each_date_text_parsed_once_per_load(monkeypatch, consolidated):
         texts = {row[1] for row in list(csv.reader(handle))[1:]}
     # one parse per distinct observation date, plus each entity's listing date
     assert len(calls) == len(texts) + len(panel.entities)
+
+
+def test_consolidated_load_holds_less_than_the_file(tmp_path):
+    # a row's cells take several times its bytes as Python strings
+    specs = [(f"E{i:02d}", i % 3 == 0, "2020-01-01", 2000) for i in range(20)]
+    files = build_panel_files(tmp_path, np.random.default_rng(19), specs)
+    path = tmp_path / "panel.csv"
+    ps.write_panel_csv(ps.load_panel(*files), path)
+    tracemalloc.start()
+    try:
+        panel = ps.load_panel_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert panel.n_observations() == 40_000
+    assert peak < path.stat().st_size
+
+
+def read_body(path):
+    with open(path, newline="") as handle:
+        return list(csv.reader(handle))
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_interleaved_file_loads_as_the_contiguous_one(tmp_path, consolidated, monkeypatch,
+                                                      block):
+    if block:
+        monkeypatch.setattr(ps, "_BLOCK_ROWS", block)
+    header, *rows = read_body(consolidated)
+    # a stable sort on the date keeps the order of each entity's rows
+    path = write_rows(tmp_path / "by_date.csv", header, sorted(rows, key=lambda row: row[1]))
+    contiguous, interleaved = ps.load_panel_csv(consolidated), ps.load_panel_csv(path)
+    assert interleaved.entities == contiguous.entities
+    assert list(interleaved.observations) == list(contiguous.observations)
+    for symbol, rec in contiguous.observations.items():
+        same_records(rec, interleaved.observations[symbol])
+    same_records(contiguous.market, interleaved.market)
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_first_entity_error_raised_though_a_later_run_fails_first(tmp_path, consolidated,
+                                                                  monkeypatch, block):
+    # AAA's rows come in two runs around BBB's; BBB's run and AAA's second run
+    # each hold a bad cell, and AAA's error is raised, being AAA's group first
+    if block:
+        monkeypatch.setattr(ps, "_BLOCK_ROWS", block)
+    header, *rows = read_body(consolidated)
+    aaa = [row for row in rows if row[0] == "AAA"]
+    bbb = [row for row in rows if row[0] == "BBB"]
+    rest = [row for row in rows if row[0] not in ("AAA", "BBB")]
+    bbb[3][header.index("volume")] = "-1"
+    aaa[40][header.index("high")] = "x"
+    path = write_rows(tmp_path / "runs.csv", header, aaa[:30] + bbb + aaa[30:] + rest)
+    with pytest.raises(ps.PanelLoadError) as err:
+        ps.load_panel_csv(path)
+    assert message(err.value) == "unparseable numeric 'x' in column 'high'"
+    assert err.value.line == 2 + len(bbb) + 40
+    # a row of the wrong width anywhere in the file is still the first error
+    with open(path, "a", newline="") as handle:
+        csv.writer(handle).writerow(["AAA"])
+    with pytest.raises(ps.PanelLoadError) as err:
+        ps.load_panel_csv(path)
+    assert (message(err.value), err.value.line) == (f"expected {len(header)} fields, got 1",
+                                                     len(rows) + 2)
 
 
 def writer_columns(draw, fields):
