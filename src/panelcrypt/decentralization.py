@@ -2,27 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .panel import GINI_DIMENSIONS
-
-
-@dataclass(frozen=True)
-class DecentralizationScore:
-    """Composite decentralization for one token."""
-
-    components: tuple          # five coefficients in [0, 1]
-    composite: float           # equal-weighted mean of the components
-
-    def __post_init__(self):
-        expected = float(np.mean(self.components))
-        if abs(self.composite - expected) > 1e-12:
-            raise ValueError(
-                f"composite {self.composite} is not the mean of the components "
-                f"({expected})"
-            )
 
 
 def gini(distribution):
@@ -61,27 +43,19 @@ def composite_index(components):
     return float(comp.mean())
 
 
-def score(components):
-    return DecentralizationScore(
-        components=tuple(float(c) for c in components),
-        composite=composite_index(components),
-    )
-
-
-def orthogonalize(decentralization, log_mcap, missing=None):
+def orthogonalize(decentralization, log_mcap):
     """Residuals of a pooled OLS of decentralization on a constant and ln(mcap).
 
-    Returns ``(residuals, missing_mask)`` where the residuals are defined on
-    the joint non-missing sample, have mean zero, and are orthogonal to
-    ln(mcap).  Everything else stays masked.
+    A missing value is NaN in either series.  Returns ``(residuals,
+    missing_mask)`` where the residuals are defined on the joint non-missing
+    sample, have mean zero, and are orthogonal to ln(mcap).  Everything else
+    stays masked.
     """
     y = np.asarray(decentralization, dtype=float)
     x = np.asarray(log_mcap, dtype=float)
     if y.shape != x.shape or y.ndim != 1:
         raise ValueError("decentralization and log_mcap must be aligned 1-d series")
-    if missing is None:
-        missing = np.zeros(y.shape, dtype=bool)
-    ok = ~np.asarray(missing, dtype=bool) & np.isfinite(y) & np.isfinite(x)
+    ok = np.isfinite(y) & np.isfinite(x)
     if ok.sum() < 3:
         raise ValueError("need at least 3 joint non-missing points")
     xs = x[ok]

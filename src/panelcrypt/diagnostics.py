@@ -169,11 +169,11 @@ def _orthogonalise(basis, v):
     return r - basis @ extra, coef + extra
 
 
-def _inorder_qr(columns, response, tol=1e-8):
+def _inorder_qr(columns, response):
     """Gram-Schmidt QR of ``columns`` in column order, dropping collinear ones.
 
     A column is kept when its residual on the columns kept before it exceeds
-    ``tol * max(|col|, 1)``; a later column that fails is dropped, while the
+    ``1e-8 * max(|col|, 1)``; a later column that fails is dropped, while the
     first two (constant and lagged level) must pass, else ``ValueError``.
     ``ValueError`` is also raised when the kept columns leave no residual
     degrees of freedom.  Returns the triangular factor R of the kept
@@ -189,7 +189,7 @@ def _inorder_qr(columns, response, tol=1e-8):
         k = len(kept)
         v, coef = _orthogonalise(Q[:, :k], col)
         norm = math.sqrt(float(v @ v))
-        if norm > tol * max(math.sqrt(float(col @ col)), 1.0):
+        if norm > 1e-8 * max(math.sqrt(float(col @ col)), 1.0):
             Q[:, k] = v / norm
             R[:k, k] = coef
             R[k, k] = norm
@@ -282,8 +282,8 @@ def _cadf_stat(y, ybar_lag, dybar, max_lag):
     return _df_regression(dy, [y, ybar_lag, dybar], [dybar, dy], max_lag)
 
 
-def truncate_cadf(statistic, lower=CADF_LOWER, upper=CADF_UPPER):
-    return float(min(max(statistic, lower), upper))
+def truncate_cadf(statistic):
+    return float(min(max(statistic, CADF_LOWER), CADF_UPPER))
 
 
 def cips(panel_values, max_lag=4, entity_labels=None):
@@ -453,12 +453,11 @@ def dependence_tests(panel_values, entity_labels=None):
     return results
 
 
-def describe(values, missing=None):
-    """Moment summary with population (n-divisor) skewness and non-excess
+def describe(values):
+    """Moment summary of the finite entries of ``values`` (NaN marks a
+    missing one) with population (n-divisor) skewness and non-excess
     kurtosis; the standard deviation uses the sample (n-1) divisor."""
     x = np.asarray(values, dtype=float)
-    if missing is not None:
-        x = x[~np.asarray(missing, dtype=bool)]
     x = x[np.isfinite(x)]
     n = len(x)
     if n < 2:

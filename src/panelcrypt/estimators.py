@@ -177,7 +177,7 @@ class FitResult:
     flags: list = field(default_factory=list)
     lag_column: str = None
     entity_weights: dict = None    # EGLS: entity label -> 1/sigma_i^2
-    classical_cov: np.ndarray = None  # of the same solve; None if df_resid <= 0
+    classical_cov: np.ndarray = None  # of the same solve
     stage1: FitResult = None       # EGLS: the unweighted stage-1 fit
 
     def __post_init__(self):
@@ -216,11 +216,11 @@ class HausmanResult:
 # linear algebra core
 
 
-def qr_solve(X, y, columns=None, rank_tol=RANK_TOL):
+def qr_solve(X, y, columns=None):
     """Least-squares solve via pivoted QR with a deterministic rank check.
 
     Raises RankDeficiencyError naming the offending column combination when
-    a pivot of R falls below ``rank_tol`` relative to the largest pivot.
+    a pivot of R falls below ``RANK_TOL`` relative to the largest pivot.
     """
     from scipy import linalg as sla
 
@@ -232,7 +232,7 @@ def qr_solve(X, y, columns=None, rank_tol=RANK_TOL):
     ref = diag[0] if diag.size else 0.0
     if ref == 0.0:
         raise RankDeficiencyError("design matrix is identically zero", columns or [])
-    deficient = np.flatnonzero(diag <= rank_tol * ref)
+    deficient = np.flatnonzero(diag <= RANK_TOL * ref)
     if deficient.size:
         j = int(deficient[0])
         names = columns if columns is not None else [f"x{i}" for i in range(k)]
@@ -272,34 +272,31 @@ def white_cov(X, residuals):
     return (cov + cov.T) / 2.0
 
 
-def _covariance(X, residuals, df_resid, kind):
-    if kind == "white":
-        return white_cov(X, residuals)
-    if kind == "classical":
-        return classical_cov(X, residuals, df_resid)
-    raise ValueError(f"unknown covariance {kind!r}; expected one of {COVARIANCES}")
-
-
 def _wls(X, y, weights, columns, covariance, df_resid):
     """Weighted least squares: scale the rows by ``sqrt(weights)`` and solve.
 
     Returns ``(beta, scaled residuals, covariances)``, the last being the
     ``FitResult`` fields ``cov`` and ``classical_cov`` of the scaled rows.
+    A design without residual degrees of freedom is refused: its fit is
+    exact, and its standard errors would be rounding noise.
     """
+    if df_resid <= 0:
+        raise ValueError(f"no residual degrees of freedom ({len(X)} rows, {X.shape[1]} columns)")
     root = np.sqrt(weights)
     X, y = X * root[:, None], y * root
     beta = qr_solve(X, y, columns)
     resid = y - X @ beta
-    classical = classical_cov(X, resid, df_resid) if df_resid > 0 else None
-    if covariance != "classical" or classical is None:
-        return beta, resid, dict(cov=_covariance(X, resid, df_resid, covariance),
-                                 classical_cov=classical)
-    return beta, resid, dict(cov=classical, classical_cov=classical)
+    classical = classical_cov(X, resid, df_resid)
+    if covariance == "classical":
+        cov = classical
+    elif covariance == "white":
+        cov = white_cov(X, resid)
+    else:
+        raise ValueError(f"unknown covariance {covariance!r}; expected one of {COVARIANCES}")
+    return beta, resid, dict(cov=cov, classical_cov=classical)
 
 
 def _adj_r2(r2, nobs, n_params):
-    if nobs - n_params <= 0:
-        return float("nan")
     return 1.0 - (1.0 - r2) * (nobs - 1) / (nobs - n_params)
 
 
@@ -441,10 +438,13 @@ def _swamy_arora(design):
     groups = design.groups
     flags = []
     varying, _, Xw, yw, xbar, ybar = _within(design)
+    df_within = design.nobs - varying.size - groups.n_groups
+    if df_within <= 0:
+        raise ValueError(f"no residual degrees of freedom ({design.nobs} rows, "
+                         f"{varying.size + groups.n_groups} columns)")
     beta_w = qr_solve(Xw, yw, [design.columns[j] for j in varying])
     resid_w = yw - Xw @ beta_w
-    df_within = design.nobs - varying.size - groups.n_groups
-    sigma2_eps = float(resid_w @ resid_w) / max(df_within, 1)
+    sigma2_eps = float(resid_w @ resid_w) / df_within
 
     Xb = xbar
     if not any(np.allclose(Xb[:, j], Xb[0, j]) and Xb[0, j] == 1.0 for j in range(Xb.shape[1])):

@@ -72,10 +72,13 @@ def log_return(p_now, p_prev):
 
 
 def amihud(abs_return, volume):
-    """Price-impact proxy |return| / volume for one day."""
-    if volume <= 0:
+    """Price-impact proxy |return| / volume; accepts scalars or aligned arrays."""
+    abs_return = np.asarray(abs_return, dtype=float)
+    volume = np.asarray(volume, dtype=float)
+    if np.any(volume <= 0):
         raise ValueError("volume must be strictly positive")
-    return abs(abs_return) / volume
+    out = np.abs(abs_return) / volume
+    return out if out.ndim else float(out)
 
 
 def log1p_metric(raw):
@@ -118,7 +121,7 @@ def log_return_series(entity, dates, close, missing_close):
     miss = missing_close | prev_missing
     values = np.full(len(dates), np.nan)
     ok = ~miss
-    values[ok] = np.log(close[ok] / prev[ok])
+    values[ok] = log_return(close[ok], prev[ok])
     return MetricSeries(entity, "log_return", dates, values, miss)
 
 
@@ -134,7 +137,7 @@ def amihud_series(entity, dates, returns, volume, missing_volume):
     miss |= bad_volume
     values = np.full(len(dates), np.nan)
     ok = ~miss
-    values[ok] = np.abs(returns.values[ok]) / volume[ok]
+    values[ok] = amihud(returns.values[ok], volume[ok])
     series = MetricSeries(entity, "amihud", dates, values, miss)
     if masked_volume_days:
         series.flags.append(f"masked_volume_days={masked_volume_days}")
@@ -168,7 +171,7 @@ def zscore_per_entity(series):
     )
 
 
-def realized_volatility(dates, index_levels, window=30, entity=MARKET_SYMBOL):
+def realized_volatility(dates, index_levels, window=30):
     """Rolling sample standard deviation of the last ``window`` log returns.
 
     The market index series is assumed gap-free daily; the first ``window``
@@ -194,7 +197,7 @@ def realized_volatility(dates, index_levels, window=30, entity=MARKET_SYMBOL):
         var = (s2 - s * s / window) / (window - 1)
         values[t] = math.sqrt(max(var, 0.0))
         miss[t] = False
-    return MetricSeries(entity, "market_volatility", np.asarray(dates), values, miss)
+    return MetricSeries(MARKET_SYMBOL, "market_volatility", np.asarray(dates), values, miss)
 
 
 def size_change(entity, dates, mcap, missing_mcap):

@@ -461,16 +461,15 @@ def _check_listing(meta, rec, source, line):
         )
 
 
-def read_entity_csv(path, symbol=None):
-    """Read one entity file with schema ``date,open,high,low,close,volume,mcap,attention``."""
-    return _read_entity_csv(path, symbol, {})
+def read_entity_csv(path):
+    """Read one entity file with schema ``date,open,high,low,close,volume,mcap,attention``;
+    the symbol is the file's base name in upper case."""
+    return _read_entity_csv(path, {})
 
 
-def _read_entity_csv(path, symbol, days):
+def _read_entity_csv(path, days):
     source, parsed = _read_series(path, ENTITY_HEADER, ENTITY_FIELDS, _OBSERVATION_RULES, days)
-    if symbol is None:
-        symbol = os.path.splitext(os.path.basename(source))[0].upper()
-    return EntityRecords(symbol, *parsed)
+    return EntityRecords(os.path.splitext(os.path.basename(source))[0].upper(), *parsed)
 
 
 def read_market_csv(path):
@@ -515,7 +514,7 @@ def load_panel(entity_files, market_file, meta_file):
     days = {}
     by_symbol = {}
     for path in entity_files:
-        rec = _read_entity_csv(path, None, days)
+        rec = _read_entity_csv(path, days)
         if rec.symbol in by_symbol:
             raise PanelLoadError(f"duplicate entity file for {rec.symbol}", os.fspath(path))
         by_symbol[rec.symbol] = (rec, os.fspath(path))

@@ -90,8 +90,6 @@ class RunConfig:
     weights: str = "cross_section_egls"
     covariance: str = "white"
     volatility_window: int = 30
-    standardize_figures: bool = True
-    raw_volatility_in_fits: bool = True
     with_baseline: bool = True
     with_quantiles: bool = True
     with_split: bool = True
@@ -125,8 +123,6 @@ _CONFIG_KEYS = {
     "weights": ("weights", WEIGHTS),
     "covariance": ("covariance", COVARIANCES),
     "volatility_window": ("volatility_window", int),
-    "standardize_figures": ("standardize_figures", "bool"),
-    "raw_volatility_in_fits": ("raw_volatility_in_fits", "bool"),
     "with_baseline": ("with_baseline", "bool"),
     "with_quantiles": ("with_quantiles", "bool"),
     "with_split": ("with_split", "bool"),
@@ -256,15 +252,6 @@ def add_decentralization_metric(bundle, metas, panel):
         log_mcap.append(values)
     for symbol, series in purified_decentralization(metas, dates, log_mcap).items():
         bundle[symbol]["decentralization"] = series
-    return bundle
-
-
-def standardize_market_volatility(bundle):
-    """Replace the market volatility series with its z-scored version."""
-    series = bundle[MARKET_SYMBOL]["market_volatility"]
-    z = mx.zscore_per_entity(series)
-    z.name = "market_volatility"
-    bundle[MARKET_SYMBOL]["market_volatility"] = z
     return bundle
 
 
@@ -591,13 +578,6 @@ class BaselineFragment:
     n_days: dict               # job name -> number of distinct dates used
 
 
-def _classical(fit, job):
-    if fit.classical_cov is None:
-        raise ValueError(f"baseline/{job}: no residual degrees of freedom for the"
-                         " classical covariance of the Hausman test")
-    return replace(fit, cov=fit.classical_cov)
-
-
 def run_baseline(metas, bundle, config, window=None):
     """Static and dynamic RE/FE fits with Hausman tests and long-run effects.
 
@@ -620,9 +600,10 @@ def run_baseline(metas, bundle, config, window=None):
 
     tests = {}
     for label in ("static", "dynamic"):
-        fe_job, re_job = f"{label}_fixed", f"{label}_random"
-        fe = fits[fe_job].stage1 or fits[fe_job]
-        tests[label] = hausman(_classical(fe, fe_job), _classical(fits[re_job], re_job))
+        fe = fits[f"{label}_fixed"].stage1 or fits[f"{label}_fixed"]
+        re = fits[f"{label}_random"]
+        tests[label] = hausman(replace(fe, cov=fe.classical_cov),
+                               replace(re, cov=re.classical_cov))
     long_run = {}
     for job in ("dynamic_random", "dynamic_fixed"):
         fit = fits[job]
@@ -720,8 +701,8 @@ def run_split(metas, bundle, config):
 FIG4_GRID = np.round(np.linspace(-1.0, 5.0, 61), 10)
 
 
-def figure4_rows(intercept, slope_nonhyfi, slope_hyfi, phi, grid=FIG4_GRID):
-    """Predicted-line data over a (standardized) volatility grid.
+def figure4_rows(intercept, slope_nonhyfi, slope_hyfi, phi):
+    """Predicted-line data over the standardized volatility grid ``FIG4_GRID``.
 
     Long-run lines share the intercept and divide slopes by (1 - phi); the
     long-run columns are the dashed analogues of the short-run lines.
@@ -729,7 +710,7 @@ def figure4_rows(intercept, slope_nonhyfi, slope_hyfi, phi, grid=FIG4_GRID):
     lr_non = long_run_effect(slope_nonhyfi, phi)
     lr_hyfi = long_run_effect(slope_hyfi, phi)
     rows = []
-    for x in grid:
+    for x in FIG4_GRID:
         short_non = intercept + slope_nonhyfi * x
         short_hyfi = intercept + slope_hyfi * x
         long_non = intercept + lr_non * x
@@ -1311,8 +1292,6 @@ def load_inputs(config):
         missing = [m.symbol for m in metas if m.symbol not in bundle]
         if missing:
             raise ValueError(f"metrics file lacks entities {missing}")
-    if not config.raw_volatility_in_fits:
-        standardize_market_volatility(bundle)
     return metas, bundle, panel
 
 
@@ -1427,7 +1406,7 @@ def run_report(config):
         )
 
     scale = 1.0
-    if baseline is not None and config.standardize_figures and config.raw_volatility_in_fits:
+    if baseline is not None:
         design, _ = build_design(metas, table, _baseline_specs(config)["static_fixed"])
         scale = _volatility_scale(design)
     figures = emit_figures(config, baseline=baseline, quantiles=quantiles, split=split,

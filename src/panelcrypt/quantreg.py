@@ -25,6 +25,12 @@ Sparsity is estimated from residuals with an Epanechnikov kernel,
 Hall-Sheather bandwidth and Rankit plotting positions; coefficient
 covariances use the heteroskedasticity-robust (Huber-White) sandwich.
 
+The design is fixed, so these are module constants, not parameters:
+``MAX_ITER`` (the iteration budget of each interior-point solve),
+``GAP_TOL`` (its duality-gap tolerance) and ``HS_SIZE``
+(the significance level of the Hall-Sheather bandwidth, 0.05 as in Koenker,
+*Quantile Regression*, 2005, section 3.4).
+
 scipy is imported inside the functions that call it, so importing this
 module, as every CLI command does, does not load it.
 """
@@ -47,6 +53,7 @@ from .estimators import chi2_survival, qr_solve
 GAP_TOL = 1e-9
 GAP_RTOL = 1e-9
 MAX_ITER = 200
+HS_SIZE = 0.05
 _STEP_DAMP = 0.9995
 # Portnoy-Koenker preprocessing, with the constants of quantreg's rq.fit.pfn
 _PK_MARGIN = 0.8          # M = 0.8 m rows left free around the quantile
@@ -76,15 +83,15 @@ def _epanechnikov(u):
     return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u**2), 0.0)
 
 
-def hall_sheather_bandwidth(tau, n, size=0.05):
-    """Plug-in bandwidth in probability units at significance ``size``."""
+def hall_sheather_bandwidth(tau, n):
+    """Plug-in bandwidth in probability units at significance ``HS_SIZE``."""
     from scipy.special import ndtri
 
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must be in (0, 1), got {tau}")
     if n < 2:
         raise ValueError("need n >= 2")
-    z_alpha = ndtri(1.0 - size / 2.0)
+    z_alpha = ndtri(1.0 - HS_SIZE / 2.0)
     z_tau = ndtri(tau)
     density = math.exp(-0.5 * z_tau**2) / math.sqrt(2.0 * math.pi)
     return float(
@@ -94,9 +101,9 @@ def hall_sheather_bandwidth(tau, n, size=0.05):
     )
 
 
-def _clamped_bandwidth(tau, n, size):
+def _clamped_bandwidth(tau, n):
     """Hall-Sheather bandwidth, shrunk so [tau-h, tau+h] stays inside (0, 1)."""
-    h = hall_sheather_bandwidth(tau, n, size)
+    h = hall_sheather_bandwidth(tau, n)
     clamped = False
     limit = min(tau, 1.0 - tau)
     if h >= limit:
@@ -148,19 +155,19 @@ def _newton_step(M, rhs, it):
         ) from None
 
 
-def _solve_lp(X, y, tau, max_iter=MAX_ITER, gap_tol=GAP_TOL):
+def _solve_lp(X, y, tau):
     """Frisch-Newton interior point on the bounded dual of the check-loss LP.
 
     Dual: max y'a subject to X'a = (1 - tau) X'1 and a in [0, 1]^n; the
     equality multipliers at the optimum are the negative regression
     coefficients.
 
-    The iteration stops when the duality gap is at most ``gap_tol``, or when
+    The iteration stops when the duality gap is at most ``GAP_TOL``, or when
     a step fails to halve a gap that is already within ``GAP_RTOL`` of the
     objective: the gap is a difference of terms of the objective's size, so
     below that floor its rounding, not the iterate, decides whether it falls
     further, and iterating on drives the iterates toward underflow.  A
-    non-finite gap, a singular Newton system, or an exhausted ``max_iter``
+    non-finite gap, a singular Newton system, or an exhausted ``MAX_ITER``
     with the gap above both thresholds, raises ``ConvergenceError``.
     """
     n, k = X.shape
@@ -180,7 +187,7 @@ def _solve_lp(X, y, tau, max_iter=MAX_ITER, gap_tol=GAP_TOL):
     floor = GAP_RTOL * max(1.0, abs(objective))
 
     it = 0
-    while math.isfinite(gap) and gap > gap_tol and it < max_iter:
+    while math.isfinite(gap) and gap > GAP_TOL and it < MAX_ITER:
         it += 1
         q = 1.0 / (z / x + w / s)
         r = z - w
@@ -230,9 +237,9 @@ def _solve_lp(X, y, tau, max_iter=MAX_ITER, gap_tol=GAP_TOL):
             f"interior-point solver produced a non-finite iterate at iteration {it} "
             f"(gap {gap:.3e})"
         )
-    if gap > gap_tol and gap > floor:
+    if gap > GAP_TOL and gap > floor:
         raise ConvergenceError(
-            f"interior-point solver did not converge in {max_iter} iterations "
+            f"interior-point solver did not converge in {MAX_ITER} iterations "
             f"(gap {gap:.3e})"
         )
     return -yy, it
@@ -251,7 +258,7 @@ def _sample_factor(sample):
         return None
 
 
-def _solve_preprocessed(X, y, tau, max_iter, gap_tol):
+def _solve_preprocessed(X, y, tau):
     """Portnoy-Koenker (1997) preprocessing around ``_solve_lp``.
 
     A subsample of m = round(((k+1) n)^(2/3)) rows gives a first fit.  Rows
@@ -285,7 +292,7 @@ def _solve_preprocessed(X, y, tau, max_iter, gap_tol):
             if chol is None:
                 m *= 2
                 continue
-            beta, it = _solve_lp(sample, y[rows], tau, max_iter=max_iter, gap_tol=gap_tol)
+            beta, it = _solve_lp(sample, y[rows], tau)
             iterations += it
             band = np.sqrt(np.square(sla.solve_triangular(chol, X.T, lower=True)).sum(axis=0))
             r = y - X @ beta
@@ -302,10 +309,7 @@ def _solve_preprocessed(X, y, tau, max_iter, gap_tol):
                     if pinned.any():
                         parts_X.append(X[pinned].sum(axis=0)[None, :])
                         parts_y.append(y[pinned].sum(keepdims=True))
-                beta, it = _solve_lp(
-                    np.concatenate(parts_X), np.concatenate(parts_y), tau,
-                    max_iter=max_iter, gap_tol=gap_tol,
-                )
+                beta, it = _solve_lp(np.concatenate(parts_X), np.concatenate(parts_y), tau)
                 iterations += it
                 r = y - X @ beta
                 wrong_below = below & (r > 0.0)
@@ -320,11 +324,11 @@ def _solve_preprocessed(X, y, tau, max_iter, gap_tol):
                 above &= ~wrong_above
     except ConvergenceError:
         flags.append("preprocessing_fallback")
-    beta, it = _solve_lp(X, y, tau, max_iter=max_iter, gap_tol=gap_tol)
+    beta, it = _solve_lp(X, y, tau)
     return beta, iterations + it, flags
 
 
-def fit_quantile_coefficients(X, y, tau, max_iter=MAX_ITER, gap_tol=GAP_TOL, columns=None):
+def fit_quantile_coefficients(X, y, tau, columns=None):
     """Coefficients minimizing the check loss, and the solver's iteration count.
 
     An intercept-only fit takes the midpoint convention on a flat optimum.
@@ -334,16 +338,16 @@ def fit_quantile_coefficients(X, y, tau, max_iter=MAX_ITER, gap_tol=GAP_TOL, col
     residual of the wrong sign, which proves it optimal for the full problem.
     Smaller designs, and designs whose sample or reduced solve fails, go to
     ``_solve_lp`` directly.  The iteration count is the sum over every
-    subproblem that converged; ``max_iter`` and ``gap_tol`` apply to each,
+    subproblem that converged; ``MAX_ITER`` and ``GAP_TOL`` apply to each,
     and a ``ConvergenceError`` of the direct solve propagates.  A
     rank-deficient ``X`` raises ``RankDeficiencyError`` naming the collinear
     ``columns`` (``x0``, ``x1``, ... when none are given).
     """
-    beta, iterations, _ = _fit_with_flags(X, y, tau, max_iter, gap_tol, columns)
+    beta, iterations, _ = _fit_with_flags(X, y, tau, columns)
     return beta, iterations
 
 
-def _fit_with_flags(X, y, tau, max_iter, gap_tol, columns):
+def _fit_with_flags(X, y, tau, columns):
     """``fit_quantile_coefficients`` and the solver's flags."""
     X = as_float_array(X, "X", ndim=2)
     y = as_float_array(y, "y")
@@ -359,14 +363,14 @@ def _fit_with_flags(X, y, tau, max_iter, gap_tol, columns):
         if level == 0.0:
             raise ValueError("intercept-only design with a zero column")
         return np.array([_median_interval_quantile(y, tau) / level]), 0, []
-    return _solve_preprocessed(X, y, tau, max_iter, gap_tol)
+    return _solve_preprocessed(X, y, tau)
 
 
 # ---------------------------------------------------------------------------
 # inference
 
 
-def sparsity_hall_sheather(residuals, tau, size=0.05):
+def sparsity_hall_sheather(residuals, tau):
     """Kernel-smoothed derivative of the residual quantile function at ``tau``.
 
     Epanechnikov kernel over Rankit plotting positions with the Hall-Sheather
@@ -376,7 +380,7 @@ def sparsity_hall_sheather(residuals, tau, size=0.05):
     n = len(u)
     if n < 10:
         raise ValueError(f"need at least 10 residuals, got {n}")
-    h, clamped = _clamped_bandwidth(tau, n, size)
+    h, clamped = _clamped_bandwidth(tau, n)
     p = rankit_positions(n)
     midpoints = 0.5 * (p[:-1] + p[1:])
     spacings = np.diff(u)
@@ -394,13 +398,13 @@ def sparsity_hall_sheather(residuals, tau, size=0.05):
     return sparsity, h, clamped
 
 
-def sandwich_cov(X, residuals, tau, size=0.05):
+def sandwich_cov(X, residuals, tau):
     """Huber-White sandwich tau(1-tau) B^-1 (X'X) B^-1 with a kernel
     density-weighted bread B = sum f_i x_i x_i'."""
     X = np.asarray(X, dtype=float)
     u = np.asarray(residuals, dtype=float)
     n = len(u)
-    h, _ = _clamped_bandwidth(tau, n, size)
+    h, _ = _clamped_bandwidth(tau, n)
     lo = rankit_quantile(u, tau - h)
     hi = rankit_quantile(u, tau + h)
     c = hi - lo
@@ -492,17 +496,12 @@ def quasi_lr(full, restricted):
 class PanelQuantile(BaseEstimator):
     """Pooled quantile regression estimator for one tau level."""
 
-    def __init__(self, tau=0.5, size=0.05, max_iter=MAX_ITER, gap_tol=GAP_TOL):
+    def __init__(self, tau=0.5):
         self.tau = tau
-        self.size = size
-        self.max_iter = max_iter
-        self.gap_tol = gap_tol
 
     def fit(self, design):
         X, y = design.matrix, design.response
-        params, iterations, flags = _fit_with_flags(
-            X, y, self.tau, self.max_iter, self.gap_tol, design.columns
-        )
+        params, iterations, flags = _fit_with_flags(X, y, self.tau, design.columns)
         residuals = y - X @ params
         loss = check_loss(residuals, self.tau)
         spread = float(np.ptp(residuals))
@@ -512,12 +511,12 @@ class PanelQuantile(BaseEstimator):
             # residuals carry no dispersion (for example an exact fit);
             # report the point estimates without a covariance
             sparsity = float("nan")
-            bw, _ = _clamped_bandwidth(self.tau, design.nobs, self.size)
+            bw, _ = _clamped_bandwidth(self.tau, design.nobs)
             clamped = False
             cov = np.zeros((X.shape[1], X.shape[1]))
         else:
-            sparsity, bw, clamped = sparsity_hall_sheather(residuals, self.tau, self.size)
-            cov = sandwich_cov(X, residuals, self.tau, self.size)
+            sparsity, bw, clamped = sparsity_hall_sheather(residuals, self.tau)
+            cov = sandwich_cov(X, residuals, self.tau)
 
         restricted_center = _median_interval_quantile(y, self.tau)
         restricted_loss = check_loss(y - restricted_center, self.tau)

@@ -92,12 +92,6 @@ class TestCompositeIndex:
         with pytest.raises(ValueError):
             dec.composite_index((0.5, 0.5, 0.5, -0.1, 0.5))
 
-    def test_score_invariant(self):
-        s = dec.score((0.1, 0.2, 0.3, 0.4, 0.5))
-        assert s.composite == pytest.approx(0.3, abs=1e-12)
-        with pytest.raises(ValueError):
-            dec.DecentralizationScore(components=(0.1, 0.2, 0.3, 0.4, 0.5), composite=0.9)
-
 
 def ols_residual_oracle(y, x):
     """Independent two-column least-squares residuals via lstsq."""

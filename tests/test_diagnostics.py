@@ -473,13 +473,13 @@ class TestDescribe:
         assert row.minimum <= row.median <= row.maximum
 
     def test_missing_mask_respected(self):
-        row = describe([1.0, 2.0, 3.0, 99.0], missing=[False, False, False, True])
+        row = describe([1.0, 2.0, 3.0, np.nan])
         assert row.nobs == 3
         assert row.maximum == 3.0
 
     def test_all_missing_rejected(self):
         with pytest.raises(ValueError):
-            describe([1.0, 2.0], missing=[True, True])
+            describe([np.nan, np.nan])
 
 
 class TestCorrelationMatrix:

@@ -102,10 +102,22 @@ class TestGroups:
 
 class TestPooledOLS:
     def test_two_point_exact(self):
+        # two rows, two columns: the line interpolates, and is refused
         design = make_design([1.0, 3.0], [[1.0, 0.0], [1.0, 1.0]],
                              ["const", "x"], ["A", "A"])
-        fit = PooledOLS().fit(design).result_
-        assert fit.params == pytest.approx([1.0, 2.0], abs=1e-12)
+        with pytest.raises(ValueError) as err:
+            PooledOLS().fit(design)
+        assert str(err.value) == "no residual degrees of freedom (2 rows, 2 columns)"
+
+    @pytest.mark.parametrize("covariance", ["white", "classical"])
+    def test_exact_fit_refused(self, covariance):
+        # three rows, three columns: under either covariance the standard
+        # errors of an exact fit would be rounding noise
+        design = make_design([1.0, 3.0, 2.0], [[1.0, 0.0, 0.2], [1.0, 1.0, 0.5], [1.0, 0.4, 0.9]],
+                             ["const", "x", "z"], ["A", "A", "B"])
+        with pytest.raises(ValueError) as err:
+            PooledOLS(covariance=covariance).fit(design)
+        assert str(err.value) == "no residual degrees of freedom (3 rows, 3 columns)"
 
     def test_exact_fit_r2_one(self):
         rng = np.random.default_rng(2)
@@ -321,6 +333,17 @@ class TestFixedEffects:
 
 
 class TestRandomEffects:
+    def test_within_exact_fit_refused(self):
+        # three entities of two rows and three varying slopes: the within
+        # regression interpolates, so sigma_eps would be rounding noise
+        rng = np.random.default_rng(21)
+        X = np.column_stack([np.ones(6), rng.normal(size=(6, 3))])
+        design = make_design(rng.normal(size=6), X, ["const", "a", "b", "c"],
+                             ["A", "A", "B", "B", "C", "C"])
+        with pytest.raises(ValueError) as err:
+            RandomEffects().fit(design)
+        assert str(err.value) == "no residual degrees of freedom (6 rows, 6 columns)"
+
     def test_zero_alpha_matches_pooled(self):
         rng = np.random.default_rng(13)
         # pooled DGP: no entity effects at all

@@ -6,7 +6,8 @@ import io
 import math
 import os
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1111,6 +1112,25 @@ class TestReport:
         bad.write_text("nonsense = 1\n")
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config(bad)
+
+    @pytest.mark.parametrize("key", ["standardize_figures", "raw_volatility_in_fits"])
+    def test_config_rejects_removed_figure_keys(self, tmp_path, key):
+        # fits use raw volatility and figures the z-scored axis, always
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"metrics = m.csv\nmeta = m.csv\n{key} = true\n")
+        with pytest.raises(ValueError, match=rf"bad\.cfg:3: unknown config key '{key}'"):
+            parse_config(bad)
+
+    def test_config_keys_match_readme_and_run_config(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Report config keys", 1)[1].split("```")[1]
+        documented = set()
+        for line in block.splitlines():
+            names = line.split("  ", 1)[0].strip()
+            documented.update(name.strip() for name in names.split("/") if name.strip())
+        assert documented == set(pipeline._CONFIG_KEYS)
+        targets = {target for target, _ in pipeline._CONFIG_KEYS.values()}
+        assert {f.name for f in fields(RunConfig)} == targets
 
     def test_config_rejects_repeated_key(self, tmp_path):
         bad = tmp_path / "bad.cfg"

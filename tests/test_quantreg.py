@@ -190,14 +190,18 @@ class TestStoppingRule:
         best = highs_loss(X, y, 0.93)
         assert abs(check_loss(y - X @ beta, 0.93) - best) <= 1e-9 * best
 
-    def test_exhausted_budget_raises(self):
+    def test_solver_settings_are_constants(self):
+        assert PanelQuantile().get_params() == {"tau": 0.5}
+
+    def test_exhausted_budget_raises(self, monkeypatch):
         rng = np.random.default_rng(70)
         X = np.column_stack([np.ones(200), rng.normal(size=(200, 2))])
         y = X @ np.array([1.0, 0.5, -0.3]) + rng.standard_t(3, size=200)
+        monkeypatch.setattr(quantreg, "MAX_ITER", 2)
         with pytest.raises(ConvergenceError, match="did not converge in 2 iterations"):
-            fit_quantile_coefficients(X, y, 0.3, max_iter=2)
+            fit_quantile_coefficients(X, y, 0.3)
         with pytest.raises(ConvergenceError):
-            PanelQuantile(tau=0.3, max_iter=2).fit(pooled_design(X, y))
+            PanelQuantile(tau=0.3).fit(pooled_design(X, y))
 
     def test_non_finite_iterate_raises(self, monkeypatch):
         rng = np.random.default_rng(71)
@@ -367,10 +371,11 @@ class TestPreprocessing:
                 best = highs_loss(X, y, tau)
                 assert abs(check_loss(y - X @ beta, tau) - best) <= 1e-9 * best
 
-    def test_subproblem_failure_propagates(self):
+    def test_subproblem_failure_propagates(self, monkeypatch):
         X, y = heavy_tailed_design(107, 2000, 3)
+        monkeypatch.setattr(quantreg, "MAX_ITER", 2)
         with pytest.raises(ConvergenceError, match="did not converge in 2 iterations"):
-            fit_quantile_coefficients(X, y, 0.3, max_iter=2)
+            fit_quantile_coefficients(X, y, 0.3)
 
 
 class TestHallSheather:
