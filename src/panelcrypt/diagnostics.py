@@ -378,10 +378,11 @@ def _pairwise_correlations(data):
     x[~ok] = 0.0
     counts = mask @ mask.T
     sums = x @ mask.T                      # sums[i, j]: row i over its overlap with j
-    squares = (x * x) @ mask.T
+    cross = x @ x.T
+    squares = np.square(x, out=x) @ mask.T
     n = np.maximum(counts, 1.0)
     var = squares - sums * sums / n
-    cross = x @ x.T - sums * sums.T / n
+    cross -= sums * sums.T / n
     i, j = np.triu_indices(len(data), 1)
     counts = counts[i, j]
     var_i, var_j = var[i, j], var[j, i]

@@ -10,7 +10,12 @@ deterministic pure functions of the design matrix.
 Row weights are the one weighting mechanism: pooled, fixed and random
 effects each solve weighted least squares on their transformed rows, and
 cross-section EGLS is the same estimator refitted with inverse-variance
-weights.  A dynamic fit is an ordinary fit whose design carries the
+weights.  Each fit builds its transform (within deviations, RE
+quasi-demeaning, or a copy of the pooled matrix) once, in Fortran order, and
+``_wls`` scales it by the square roots of the weights and factors it in
+place with one pivoted QR: the coefficients, residuals and both covariances
+come from R and Q, so a fit holds one working copy of its design and never
+forms X'X.  A dynamic fit is an ordinary fit whose design carries the
 response lag column (built by ``pipeline.build_design``).  Each fit keeps
 its classical covariance, and EGLS its stage-1 fit, for the Hausman test.
 
@@ -20,7 +25,6 @@ fit nothing (``simulate``, ``ingest``, ``metrics``, ...) start without it.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -55,8 +59,7 @@ class DesignMatrix:
     dates: np.ndarray = None
     weights: np.ndarray = None
     response_name: str = "y"
-    # the within transform that the two stages of one EGLS fit share
-    within = None
+    _full_rank = False  # set by check_rank
 
     def __post_init__(self):
         self.response = np.asarray(self.response, dtype=float)
@@ -103,6 +106,14 @@ class DesignMatrix:
     def column(self, name):
         return self.matrix[:, self.columns.index(name)]
 
+    def check_rank(self):
+        """Raise ``RankDeficiencyError`` naming the collinear columns unless
+        the matrix has full column rank.  The pivoted QR of a copy runs once
+        per design: every tau of a quantile battery fits the same matrix."""
+        if not self._full_rank:
+            pivoted_qr(np.array(self.matrix, order="F"), self.columns)
+            self._full_rank = True
+
     @cached_property
     def groups(self):
         """The entity grouping of the rows, built on first use.  Every fit
@@ -110,6 +121,25 @@ class DesignMatrix:
         own, unless the caller assigns the grouping of a design with the same
         entities, as EGLS stage 2 does."""
         return _Groups(self.entities)
+
+    @cached_property
+    def within(self):
+        """``(varying, invariant, xbar, ybar)``: the indices of the columns
+        with and without within-entity variation, and the entity means of
+        every column and of the response.  Built on first use, a column at a
+        time; the fixed- and random-effects transforms read it, and EGLS
+        stage 2 assigns stage 1's, its matrix and entities being the same."""
+        groups = self.groups
+        xbar = groups.mean(self.matrix)
+        ybar = groups.mean(self.response)
+        varying = np.array([
+            np.abs(self.matrix[:, j] - xbar[groups.codes, j]).max()
+            > RANK_TOL * max(np.abs(self.matrix[:, j]).max(), 1.0)
+            for j in range(self.matrix.shape[1])
+        ], dtype=bool)
+        if not varying.any():
+            raise ValueError("no within-entity variation in any regressor")
+        return np.flatnonzero(varying), np.flatnonzero(~varying), xbar, ybar
 
 
 class _Groups:
@@ -216,18 +246,24 @@ class HausmanResult:
 # linear algebra core
 
 
-def qr_solve(X, y, columns=None):
-    """Least-squares solve via pivoted QR with a deterministic rank check.
+def pivoted_qr(X, columns=None):
+    """Pivoted QR ``X[:, piv] = Q R`` with a deterministic rank check.
 
-    Raises RankDeficiencyError naming the offending column combination when
-    a pivot of R falls below ``RANK_TOL`` relative to the largest pivot.
+    LAPACK factors ``X`` in its own buffer when it is a Fortran-ordered
+    float array, and ``Q`` then takes that buffer: pass a copy to keep
+    ``X``.  Raises RankDeficiencyError naming the offending column
+    combination when a pivot of R falls below ``RANK_TOL`` relative to the
+    largest pivot.  The combination is the least-squares fit of that
+    column on the columns pivoted before it, read from R: with
+    ``X[:, piv[:j]] = Q[:, :j] R[:j, :j]``, its coefficients solve
+    ``R[:j, :j] c = R[:j, j]``.
     """
     from scipy import linalg as sla
 
     n, k = X.shape
     if n < k:
         raise ValueError(f"need at least as many rows ({n}) as columns ({k})")
-    Q, R, piv = sla.qr(X, mode="economic", pivoting=True)
+    Q, R, piv = sla.qr(X, mode="economic", pivoting=True, overwrite_a=True)
     diag = np.abs(np.diag(R))
     ref = diag[0] if diag.size else 0.0
     if ref == 0.0:
@@ -236,11 +272,9 @@ def qr_solve(X, y, columns=None):
     if deficient.size:
         j = int(deficient[0])
         names = columns if columns is not None else [f"x{i}" for i in range(k)]
-        offender = names[piv[j]]
-        involved = [offender]
+        involved = [names[piv[j]]]
         if j > 0:
-            basis = X[:, piv[:j]]
-            coef, *_ = np.linalg.lstsq(basis, X[:, piv[j]], rcond=None)
+            coef = sla.solve_triangular(R[:j, :j], R[:j, j])
             scale = max(1.0, float(np.abs(coef).max()))
             for idx, c in zip(piv[:j], coef):
                 if abs(c) > 1e-8 * scale:
@@ -249,15 +283,7 @@ def qr_solve(X, y, columns=None):
             f"rank-deficient design: columns {sorted(involved)} are collinear",
             sorted(involved),
         )
-    beta = np.empty(k)
-    beta[piv] = sla.solve_triangular(R, Q.T @ y)
-    return beta
-
-
-def classical_cov(X, residuals, df_resid):
-    XtX_inv = np.linalg.inv(X.T @ X)
-    sigma2 = float(residuals @ residuals) / df_resid
-    return sigma2 * XtX_inv
+    return Q, R, piv
 
 
 def white_cov(X, residuals):
@@ -272,25 +298,49 @@ def white_cov(X, residuals):
     return (cov + cov.T) / 2.0
 
 
+def _unpivoted(cov, piv):
+    """The symmetric part of a covariance of the pivoted columns, in the
+    columns' own order."""
+    out = np.empty_like(cov)
+    out[np.ix_(piv, piv)] = (cov + cov.T) / 2.0
+    return out
+
+
 def _wls(X, y, weights, columns, covariance, df_resid):
-    """Weighted least squares: scale the rows by ``sqrt(weights)`` and solve.
+    """Weighted least squares on a transform that the fit owns.
+
+    ``X`` must be a Fortran-ordered float array: its rows are scaled by
+    ``sqrt(weights)`` (unless ``weights`` is None) and LAPACK factors it in
+    place, so it is overwritten.  From ``X[:, piv] = Q R`` come the
+    coefficients ``R^-1 Q'y``, the residuals ``y - Q Q'y``, the classical
+    covariance ``sigma^2 R^-1 R^-T`` and the White covariance
+    ``R^-1 (Q o e)'(Q o e) R^-T``, each un-pivoted; X'X is never formed.
 
     Returns ``(beta, scaled residuals, covariances)``, the last being the
     ``FitResult`` fields ``cov`` and ``classical_cov`` of the scaled rows.
     A design without residual degrees of freedom is refused: its fit is
     exact, and its standard errors would be rounding noise.
     """
+    from scipy import linalg as sla
+
     if df_resid <= 0:
         raise ValueError(f"no residual degrees of freedom ({len(X)} rows, {X.shape[1]} columns)")
-    root = np.sqrt(weights)
-    X, y = X * root[:, None], y * root
-    beta = qr_solve(X, y, columns)
-    resid = y - X @ beta
-    classical = classical_cov(X, resid, df_resid)
+    if weights is not None:
+        root = np.sqrt(weights)
+        X *= root[:, None]
+        y = y * root
+    Q, R, piv = pivoted_qr(X, columns)
+    qty = Q.T @ y
+    beta = np.empty(len(qty))
+    beta[piv] = sla.solve_triangular(R, qty)
+    resid = y - Q @ qty
+    R_inv = sla.solve_triangular(R, np.eye(len(qty)))
+    classical = _unpivoted(float(resid @ resid) / df_resid * (R_inv @ R_inv.T), piv)
     if covariance == "classical":
         cov = classical
     elif covariance == "white":
-        cov = white_cov(X, resid)
+        Q *= resid[:, None]
+        cov = _unpivoted(R_inv @ (Q.T @ Q) @ R_inv.T, piv)
     else:
         raise ValueError(f"unknown covariance {covariance!r}; expected one of {COVARIANCES}")
     return beta, resid, dict(cov=cov, classical_cov=classical)
@@ -312,29 +362,23 @@ def _r2_original(y, fitted):
 # estimators
 
 
-def _within(design):
-    """Within-entity deviations of a design, and its entity means.
-
-    Returns ``(varying, invariant, X, y, xbar, ybar)``: the indices of the
-    columns with and without within-entity variation, the demeaned varying
-    columns and response, and the entity means of every column and of the
-    response.  ``X`` is a C-ordered copy, as the deviations of the column
-    slice itself would be: a strided slice changes the products' last bits.
-    A design that carries the result as ``within`` returns it.
-    """
-    if design.within is not None:
-        return design.within
-    groups = design.groups
-    xbar = groups.mean(design.matrix)
-    ybar = groups.mean(design.response)
-    deviations = design.matrix - xbar[groups.codes]
-    scale = np.maximum(np.abs(design.matrix).max(axis=0), 1.0)
-    varying = np.abs(deviations).max(axis=0) > RANK_TOL * scale
-    if not varying.any():
-        raise ValueError("no within-entity variation in any regressor")
-    X = np.ascontiguousarray(deviations[:, varying])
-    y = design.response - ybar[groups.codes]
-    return np.flatnonzero(varying), np.flatnonzero(~varying), X, y, xbar, ybar
+def _demeaned(design, columns, scale=None):
+    """Deviations of ``columns`` and of the response from ``scale`` times
+    their entity means (the whole means when ``scale`` is None), built a
+    column at a time into a new Fortran-ordered matrix that the fit owns and
+    ``_wls`` factors in place."""
+    _, _, xbar, ybar = design.within
+    codes = design.groups.codes
+    X = np.empty((design.nobs, len(columns)), order="F")
+    for out, j in zip(X.T, columns):
+        means = xbar[codes, j]
+        if scale is not None:
+            means *= scale
+        np.subtract(design.matrix[:, j], means, out=out)
+    means = ybar[codes]
+    if scale is not None:
+        means *= scale
+    return X, design.response - means
 
 
 class _LeastSquares(BaseEstimator):
@@ -367,8 +411,8 @@ class PooledOLS(_LeastSquares):
 
     def fit(self, design):
         n, k = design.matrix.shape
-        beta, _, covs = _wls(design.matrix, design.response, design.weights,
-                             design.columns, self.covariance, n - k)
+        beta, _, covs = _wls(np.array(design.matrix, order="F"), design.response,
+                             design.weights, design.columns, self.covariance, n - k)
         return self._finish(design, design.matrix @ beta, k, method="pooled",
                             columns=list(design.columns), params=beta, df_resid=n - k,
                             **covs)
@@ -390,23 +434,26 @@ class FixedEffects(_LeastSquares):
         if np.any(groups.counts < 2):
             thin = groups.labels[groups.counts < 2].tolist()
             raise ValueError(f"entities with fewer than 2 rows under fixed effects: {thin}")
-        varying, invariant, X, y, xbar, ybar = _within(design)
+        varying, invariant, xbar, ybar = design.within
         absorbed = [design.columns[j] for j in invariant]
         columns = [design.columns[j] for j in varying]
         weights = np.empty(groups.n_groups)
         weights[groups.codes] = design.weights
         if np.any(weights[groups.codes] != design.weights):
             raise ValueError("fixed effects need row weights constant within each entity")
-        n, k = X.shape
+        n, k = design.nobs, varying.size
         df_resid = n - k - groups.n_groups
         if df_resid <= 0:
             raise ValueError(f"no residual degrees of freedom ({n} rows, {k} slopes, "
                              f"{groups.n_groups} entities)")
+        X, y = _demeaned(design, varying)
         beta, resid, covs = _wls(X, y, design.weights, columns, self.covariance, df_resid)
 
         xbar = np.ascontiguousarray(xbar[:, varying])
         alpha = ybar - xbar @ beta
-        fitted = alpha[groups.codes] + design.matrix[:, varying] @ beta
+        slopes = np.zeros(len(design.columns))  # absorbed columns take 0
+        slopes[varying] = beta
+        fitted = alpha[groups.codes] + design.matrix @ slopes
         sigma2 = float(resid @ resid) / df_resid
         xbar_mean = xbar.mean(axis=0)
         # delta-method approximation; ignores the (small) slope/mean cross term.
@@ -432,18 +479,18 @@ class FixedEffects(_LeastSquares):
 def _swamy_arora(design):
     """Variance components from the within and between regressions.
 
-    Returns ``(components, theta per entity code, flags, xbar, ybar)``, the
-    last two being the entity means of the columns and of the response.
+    Returns ``(components, theta per entity code, flags)``.
     """
     groups = design.groups
     flags = []
-    varying, _, Xw, yw, xbar, ybar = _within(design)
+    varying, _, xbar, ybar = design.within
     df_within = design.nobs - varying.size - groups.n_groups
     if df_within <= 0:
         raise ValueError(f"no residual degrees of freedom ({design.nobs} rows, "
                          f"{varying.size + groups.n_groups} columns)")
-    beta_w = qr_solve(Xw, yw, [design.columns[j] for j in varying])
-    resid_w = yw - Xw @ beta_w
+    Xw, yw = _demeaned(design, varying)
+    _, resid_w, _ = _wls(Xw, yw, None, [design.columns[j] for j in varying], "classical",
+                         df_within)
     sigma2_eps = float(resid_w @ resid_w) / df_within
 
     Xb = xbar
@@ -473,7 +520,7 @@ def _swamy_arora(design):
         theta=dict(zip(groups.labels.tolist(), theta)),
         clamped=clamped,
     )
-    return components, theta, flags, xbar, ybar
+    return components, theta, flags
 
 
 class RandomEffects(_LeastSquares):
@@ -484,12 +531,9 @@ class RandomEffects(_LeastSquares):
     """
 
     def fit(self, design):
-        codes = design.groups.codes
-        components, theta, flags, xbar, ybar = _swamy_arora(design)
-        scale = theta[codes]
-        X = design.matrix - scale[:, None] * xbar[codes]
-        y = design.response - scale * ybar[codes]
-        n, k = X.shape
+        components, theta, flags = _swamy_arora(design)
+        n, k = design.matrix.shape
+        X, y = _demeaned(design, range(k), theta[design.groups.codes])
         beta, _, covs = _wls(X, y, design.weights, design.columns, self.covariance, n - k)
         return self._finish(design, design.matrix @ beta, k, method="random",
                             columns=list(design.columns), params=beta, df_resid=n - k,
@@ -518,16 +562,6 @@ class CrossSectionEGLS(BaseEstimator):
         if self.effects not in ESTIMATORS:
             raise ValueError(f"unknown effects {self.effects!r}; expected one of {EFFECTS}")
         estimator = ESTIMATORS[self.effects]
-        if self.effects != "pooled":
-            # Both stages share one within transform: their rows, entities and
-            # matrix are the same, and weights constant within an entity do
-            # not change the demeaning.  A copy of the design carries it, so
-            # that it is freed with the fit.
-            design = copy.copy(design)
-            try:
-                design.within = _within(design)
-            except ValueError:
-                pass  # stage 1 raises it, after checks of its own
         stage1 = estimator(covariance=self.covariance).fit(design).result_
         groups = design.groups
         resid = stage1.residuals
@@ -544,7 +578,10 @@ class CrossSectionEGLS(BaseEstimator):
         weights = 1.0 / sigma2
         weighted = replace(design, weights=weights[groups.codes])
         weighted.groups = groups
-        weighted.within = design.within
+        if self.effects != "pooled":
+            # the entity means serve both stages: their rows, entities and
+            # matrix are the same; each stage builds its own deviations
+            weighted.within = design.within
         result = estimator(covariance=self.covariance).fit(weighted).result_
         result.method = f"{self.effects}_egls"
         result.flags = flags + result.flags

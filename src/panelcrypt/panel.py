@@ -6,9 +6,9 @@ with an ``entity`` column.  Missing values are empty cells; every field
 carries an explicit boolean missing-mask downstream so that no estimator
 has to reason about NaN propagation.
 
-A file is read ``_BLOCK_ROWS`` rows at a time.  A block's rows of one series
-(a per-file input, or one entity or the MARKET rows of a consolidated file)
-are parsed a column at a time: each distinct date text is parsed once per
+A file is read ``_BLOCK_ROWS`` rows at a time.  A block's rows of a per-file
+input, and the MARKET rows and the entity rows of a block of a consolidated
+file, are parsed a column at a time: each distinct date text is parsed once per
 load, each numeric column is converted with ``float`` in one pass, and every
 row rule is a mask over the columns.  The first row in file order that any
 rule breaks fails, with the first rule it breaks: its date, then each
@@ -317,27 +317,17 @@ def _parse_floats(cells):
     return values, missing, unparseable
 
 
-def _first_failure(checks):
-    """``(row, message)`` of the first row any check's mask sets, with the
-    first such check's message; None when no mask is set."""
-    hits = np.array([mask for mask, _ in checks], dtype=bool)
-    flagged = hits.any(axis=0)
-    if not flagged.any():
-        return None
-    i = int(flagged.argmax())
-    return i, checks[int(hits[:, i].argmax())][1](i)
-
-
-def _parse_dated_rows(columns, fields, rules, days):
-    """``(dates, values, missing, failure)`` from the ``date`` and ``fields``
-    columns of cell texts.
+def _parse_dated_rows(block, index, fields, rules, days):
+    """``(dates, values, missing, flagged, failure)`` from the ``date`` and
+    ``fields`` cells of ``block``, a list of ``(line, row)``.
 
     Each check is a mask over the rows, in this order: the date parses; per
-    field, the cell parses and is finite; then ``rules``.  ``failure`` is
-    ``(row, message)`` of the first row that a check sets, with the first
-    check it fails, or None.  ``days`` is the date-text cache of
+    field, the cell parses and is finite; then ``rules``.  ``flagged`` marks
+    the rows that a check sets, and ``failure(i)`` is the message of the
+    first check that row ``i`` fails.  ``days`` is the date-text cache of
     :func:`_parse_days`.
     """
+    columns = {name: [row[index[name]] for _, row in block] for name in ("date",) + fields}
     date_texts = columns["date"]
     dates = _parse_days(date_texts, days)
     checks = [(np.isnat(dates), lambda i: f"unparseable date {date_texts[i].strip()!r}")]
@@ -353,17 +343,19 @@ def _parse_dated_rows(columns, fields, rules, days):
     for test, message in rules:
         checks.append((test(values), lambda i, message=message:
                        message({f: values[f][i].item() for f in fields})))
-    return dates, values, missing, _first_failure(checks)
+    hits = np.array([mask for mask, _ in checks], dtype=bool)
+    return (dates, values, missing, hits.any(axis=0),
+            lambda i: checks[int(hits[:, i].argmax())][1](i))
 
 
 class _Series:
     """One dated series of a file, parsed a block of rows at a time.
 
     ``add`` parses the ``date`` and ``fields`` cells of a block into arrays
-    and keeps the first row found so far that fails a check, as ``(line,
-    message)``; it keeps none of the block's cells.  ``finish`` raises that
-    failure, then joins the blocks and checks that the dates strictly
-    increase.
+    and ``keep`` keeps them and the first row found so far that fails a
+    check, as ``(line, message)``, but none of the block's cells.
+    ``finish`` raises that failure, then joins the blocks and checks that
+    the dates strictly increase.
     """
 
     def __init__(self, index, fields, rules, source, days):
@@ -377,15 +369,21 @@ class _Series:
 
     def add(self, block):
         """Parse ``block``, a list of ``(line, row)`` in file order."""
-        columns = {name: [row[self.index[name]] for _, row in block]
-                   for name in ("date",) + self.fields}
-        dates, values, missing, failure = _parse_dated_rows(
-            columns, self.fields, self.rules, self.days
-        )
+        self.keep(block, _parse_dated_rows(block, self.index, self.fields, self.rules,
+                                           self.days), 0)
+
+    def keep(self, block, parsed, start):
+        """Keep ``block``'s rows, which are the rows from ``start`` on of
+        ``parsed``, the ``_parse_dated_rows`` of a list of rows."""
+        dates, values, missing, flagged, failure = parsed
+        rows = slice(start, start + len(block))
         lines = np.array([line for line, _ in block], dtype=np.int64)
-        if failure and self.failure is None:
-            self.failure = int(lines[failure[0]]), failure[1]
-        self.parts.append((lines, dates, values, missing))
+        bad = flagged[rows]
+        if self.failure is None and bad.any():
+            i = int(bad.argmax())
+            self.failure = int(lines[i]), failure(start + i)
+        self.parts.append((lines, dates[rows], {f: values[f][rows] for f in self.fields},
+                           {f: missing[f][rows] for f in self.fields}))
 
     def finish(self):
         """``(dates, values, missing)`` of every row added."""
@@ -652,13 +650,13 @@ class _EntityGroup(_Series):
             self.meta = err
         self.differs = None  # file line of the first row whose meta cells differ
 
-    def add(self, block):
+    def keep(self, block, parsed, start):
         if self.differs is None:
             cells = [self.meta_cells(row) for _, row in block]
             if cells.count(self.first_cells) != len(cells):
                 self.differs = next(line for (line, _), row_cells in zip(block, cells)
                                     if row_cells != self.first_cells)
-        super().add(block)
+        super().keep(block, parsed, start)
 
     def finish(self):
         """``(meta, records)``; raises the group's first error in the order
@@ -681,10 +679,12 @@ def load_panel_csv(path):
     its first row.  The entity groups are checked in order of their first
     row, then the MARKET rows.
 
-    The file is read a block of rows at a time, and each block's rows of
-    one entity are parsed together, so the cells of only one block are held
-    at once; each group keeps its first error until the end of the file.
-    Rows of different entities may interleave.
+    The file is read a block of rows at a time, and each block's entity
+    rows are parsed together, grouped by entity, so the cells of only one
+    block are held at once: a file sorted by date, whose blocks hold a few
+    rows of every entity, parses in as few calls as one grouped by entity.
+    Each group keeps its first error until the end of the file.  Rows of
+    different entities may interleave.
     """
     days = {}
     groups = {}  # entity -> _EntityGroup, in order of first row; MARKET -> _Series
@@ -693,15 +693,22 @@ def load_panel_csv(path):
         market = groups[MARKET_SYMBOL] = _Series(index, MARKET_FIELDS, _MARKET_RULES,
                                                  source, days)
         for block in _blocks(rows):
-            runs = {}  # entity -> its rows of this block
+            runs = {}  # entity -> its rows of this block, in file order
             for item in block:
                 runs.setdefault(item[1][index["entity"]].strip(), []).append(item)
+            if MARKET_SYMBOL in runs:
+                market.add(runs.pop(MARKET_SYMBOL))
+            # one parse of the block's entity rows, grouped by entity
+            grouped = [item for run in runs.values() for item in run]
+            parsed = _parse_dated_rows(grouped, index, ENTITY_FIELDS, _OBSERVATION_RULES, days)
+            start = 0
             for symbol, run in runs.items():
                 group = groups.get(symbol)
                 if group is None:
                     group = groups[symbol] = _EntityGroup(symbol, run[0], index, source, days)
-                group.add(run)
-            del block, runs  # before the next block is read
+                group.keep(run, parsed, start)
+                start += len(run)
+            del block, runs, grouped, parsed  # before the next block is read
     del groups[MARKET_SYMBOL]
     metas = []
     observations = {}

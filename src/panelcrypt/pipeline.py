@@ -518,12 +518,13 @@ def build_design(metas, bundle, spec, window=None):
     if not complete.any():
         raise ValueError("design matrix is empty after dropping incomplete rows")
 
-    n = int(complete.sum())
+    # filled a column at a time, so that one column's selection is held
+    matrix = np.empty((int(complete.sum()), len(columns)))
+    for j, name in enumerate(columns):
+        matrix[:, j] = 1.0 if name == "const" else values[name][0][complete]
     design = DesignMatrix(
         response=values[RESPONSE][0][complete],
-        matrix=np.column_stack(
-            [np.ones(n) if name == "const" else values[name][0][complete] for name in columns]
-        ),
+        matrix=matrix,
         columns=columns,
         entities=table.entities[complete],
         dates=table.dates[complete],
@@ -1379,6 +1380,7 @@ def run_report(config):
         diagnostics = _emit_diagnostics(metas, bundle, table, extra_pooled=extra)
         tables.update(diagnostics)
         manifest.append("job diagnostics: " + ", ".join(f"tables/{name}" for name in diagnostics))
+    del bundle, panel  # every battery below reads ``table``
 
     baseline = None
     if config.with_baseline:
@@ -1434,30 +1436,26 @@ def _emit_diagnostics(metas, bundle, table, extra_pooled=None):
     )
 
     variables = ["price_risk"] + [c for c in CONTROLS if c not in MARKET_METRICS]
-    pooled = {}
-    per_entity_matrix = {}
-    for name in variables:
-        per_entity_matrix[name] = np.vstack(
-            [_aligned(bundle[meta.symbol][name], calendar)[0] for meta in metas]
-        )
-        pooled[name] = np.concatenate(
-            [bundle[meta.symbol][name].present_values() for meta in metas]
-        )
-    for name in MARKET_METRICS:
-        series = bundle[MARKET_SYMBOL][name]
-        pooled[name] = series.present_values()
-    pooled["hyfi"] = table.columns["hyfi"][0]
+    per_entity_matrix = {
+        name: np.vstack([_aligned(bundle[meta.symbol][name], calendar)[0] for meta in metas])
+        for name in variables
+    }
+    extra = {name: values for name, values in (extra_pooled or {}).items() if len(values)}
 
-    if extra_pooled:
-        for name, values in extra_pooled.items():
-            if len(values):
-                pooled[name] = values
+    def pooled(name):
+        """The pooled values of one variable, built when ``describe`` reads
+        them, so that one variable's copy is held at a time."""
+        if name in extra:
+            return extra[name]
+        if name in MARKET_METRICS:
+            return bundle[MARKET_SYMBOL][name].present_values()
+        if name == "hyfi":
+            return table.columns["hyfi"][0]
+        return np.concatenate([bundle[meta.symbol][name].present_values() for meta in metas])
 
     descriptives = []
-    order = ["price_risk"] + list(CONTROLS) + ["hyfi"]
-    order += [name for name in (extra_pooled or {}) if name in pooled]
-    for name in order:
-        row = diag.describe(pooled[name])
+    for name in ["price_risk"] + list(CONTROLS) + ["hyfi"] + list(extra):
+        row = diag.describe(pooled(name))
         descriptives.append((name, row.mean, row.median, row.maximum, row.minimum,
                              row.std_dev, row.skewness, row.kurtosis, float(row.nobs)))
 

@@ -48,7 +48,7 @@ from .base import (
     as_float_array,
     check_consistent_length,
 )
-from .estimators import chi2_survival, qr_solve
+from .estimators import chi2_survival, pivoted_qr
 
 GAP_TOL = 1e-9
 GAP_RTOL = 1e-9
@@ -294,7 +294,8 @@ def _solve_preprocessed(X, y, tau):
                 continue
             beta, it = _solve_lp(sample, y[rows], tau)
             iterations += it
-            band = np.sqrt(np.square(sla.solve_triangular(chol, X.T, lower=True)).sum(axis=0))
+            band = sla.solve_triangular(chol, X.T, lower=True)
+            band = np.sqrt(np.square(band, out=band).sum(axis=0))
             r = y - X @ beta
             margin = _PK_MARGIN * m
             lo_q = max(1.0 / n, tau - margin / (2.0 * n))
@@ -307,7 +308,8 @@ def _solve_preprocessed(X, y, tau):
                 parts_X, parts_y = [X[free]], [y[free]]
                 for pinned in (below, above):
                     if pinned.any():
-                        parts_X.append(X[pinned].sum(axis=0)[None, :])
+                        # equal to X[pinned].sum(axis=0), without the copy
+                        parts_X.append(np.add.reduce(X, axis=0, where=pinned[:, None])[None, :])
                         parts_y.append(y[pinned].sum(keepdims=True))
                 beta, it = _solve_lp(np.concatenate(parts_X), np.concatenate(parts_y), tau)
                 iterations += it
@@ -347,8 +349,10 @@ def fit_quantile_coefficients(X, y, tau, columns=None):
     return beta, iterations
 
 
-def _fit_with_flags(X, y, tau, columns):
-    """``fit_quantile_coefficients`` and the solver's flags."""
+def _fit_with_flags(X, y, tau, columns, design=None):
+    """``fit_quantile_coefficients`` and the solver's flags.  The rank check
+    of a ``design`` (whose matrix ``X`` is) runs once per design, however
+    many taus fit it; bare arrays are checked on every call."""
     X = as_float_array(X, "X", ndim=2)
     y = as_float_array(y, "y")
     check_consistent_length(X=X, y=y)
@@ -357,7 +361,10 @@ def _fit_with_flags(X, y, tau, columns):
     n, k = X.shape
     if n <= k:
         raise ValueError(f"need more rows ({n}) than columns ({k})")
-    qr_solve(X, y, columns)  # full-column-rank check
+    if design is None:
+        pivoted_qr(np.array(X, order="F"), columns)  # full-column-rank check
+    else:
+        design.check_rank()
     if k == 1 and np.ptp(X[:, 0]) == 0.0:
         level = X[0, 0]
         if level == 0.0:
@@ -501,7 +508,7 @@ class PanelQuantile(BaseEstimator):
 
     def fit(self, design):
         X, y = design.matrix, design.response
-        params, iterations, flags = _fit_with_flags(X, y, self.tau, design.columns)
+        params, iterations, flags = _fit_with_flags(X, y, self.tau, design.columns, design)
         residuals = y - X @ params
         loss = check_loss(residuals, self.tau)
         spread = float(np.ptp(residuals))

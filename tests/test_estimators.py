@@ -2,6 +2,7 @@
 efficiency, Hausman arithmetic and the chi-square tail."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -248,6 +249,76 @@ class TestWhiteCovariance:
             white_cov(np.ones((5, 2)), np.ones(4))
 
 
+class TestQRCore:
+    """``_wls`` takes every result from one pivoted QR of its input."""
+
+    @staticmethod
+    def same_cov(cov, oracle):
+        # relative to the oracle's own scale: its correlation-scaled entries
+        scale = np.sqrt(np.diag(oracle))
+        assert np.abs((cov - oracle) / np.outer(scale, scale)).max() < 1e-10
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("big", [None, 2])
+    def test_covariances_match_the_normal_equation_oracles(self, weighted, big):
+        rng = np.random.default_rng(41)
+        X = np.column_stack([np.ones(80), rng.normal(size=(80, 3))])
+        y = X @ np.array([0.5, 1.0, -2.0, 0.3]) + rng.normal(size=80) * (1 + X[:, 1] ** 2)
+        if big is not None:
+            X[:, big] *= 1e6  # its coefficient becomes -2e-6
+        weights = rng.uniform(0.2, 5.0, size=80) if weighted else None
+        _, _, piv = estimators.pivoted_qr(np.array(X, order="F"))
+        # the scaled column has the largest norm, so the pivoting moves it first
+        assert (piv[0] == big) if big is not None else list(piv) != [0, 1, 2, 3]
+        columns = ["const", "a", "b", "c"]
+        results = {cov: estimators._wls(np.array(X, order="F"), y, weights, columns, cov, 76)
+                   for cov in ("classical", "white")}
+        root = np.sqrt(weights) if weighted else np.ones(80)
+        # the oracles solve on unit-norm columns, which QR's accuracy does
+        # not need but the normal equations do, and scale back
+        Xw, yw = X * root[:, None], y * root
+        norms = np.linalg.norm(Xw, axis=0)
+        Xs = Xw / norms
+        beta_s, *_ = np.linalg.lstsq(Xs, yw, rcond=None)
+        e = yw - Xs @ beta_s
+        classical = float(e @ e) / 76 * np.linalg.inv(Xs.T @ Xs) / np.outer(norms, norms)
+        white = white_cov(Xs, e) / np.outer(norms, norms)
+        for cov, (params, resid, covs) in results.items():
+            assert params == pytest.approx(beta_s / norms, rel=1e-10)
+            assert np.abs(resid - e).max() < 1e-10 * np.abs(yw).max()
+            self.same_cov(covs["classical_cov"], classical)
+        self.same_cov(results["classical"][2]["cov"], classical)
+        self.same_cov(results["white"][2]["cov"], white)
+
+    @staticmethod
+    def design(n_entities=100, t=200, k=8):
+        rng = np.random.default_rng(43)
+        entities = np.repeat(np.array([f"E{i:03d}" for i in range(n_entities)], dtype=object), t)
+        X = rng.normal(size=(n_entities * t, k))
+        X[:, 0] = 1.0
+        y = (X @ rng.normal(size=k) + np.repeat(rng.normal(size=n_entities), t)
+             + rng.normal(size=n_entities * t))
+        return make_design(y, X, [f"x{j}" for j in range(k)], entities)
+
+    @pytest.mark.parametrize("estimator", [PooledOLS(), FixedEffects(), RandomEffects(),
+                                           CrossSectionEGLS(effects="fixed")],
+                             ids=["pooled", "fixed", "random", "egls"])
+    def test_fit_holds_one_working_copy_of_the_design(self, estimator):
+        # 20,000 x 8: the fit's traced peak above the design, in matrix sizes.
+        # One working copy plus row vectors stays under 2.5; each further
+        # whole-design temporary adds 1.
+        PooledOLS().fit(self.design(20, 10))  # imports scipy outside the trace
+        design = self.design()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            estimator.fit(design)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / design.matrix.nbytes < 2.5
+
+
 class TestFixedEffects:
     def test_single_entity_equals_pooled_with_intercept(self):
         rng = np.random.default_rng(8)
@@ -344,21 +415,33 @@ class TestRandomEffects:
             RandomEffects().fit(design)
         assert str(err.value) == "no residual degrees of freedom (6 rows, 6 columns)"
 
-    def test_zero_alpha_matches_pooled(self):
-        rng = np.random.default_rng(13)
-        # pooled DGP: no entity effects at all
+    @staticmethod
+    def pooled_dgp_fits(seed):
+        """RE and pooled OLS fits of a DGP without entity effects."""
+        rng = np.random.default_rng(seed)
         design, _ = random_panel(rng, 6, 50, beta=np.array([0.4, -0.9]), sigma_alpha=0.0)
         X = np.column_stack([np.ones(design.nobs), design.matrix])
         with_const = make_design(design.response, X, ["const", "x0", "x1"],
                                  design.entities, design.dates)
-        re = RandomEffects().fit(with_const).result_
-        pooled = PooledOLS().fit(with_const).result_
-        if re.variance_components.sd_alpha == 0.0:
-            assert re.params == pytest.approx(pooled.params, abs=1e-8)
-            assert re.variance_components.clamped or True
-        else:
-            # tiny positive estimate still keeps RE close to pooled
-            assert re.params == pytest.approx(pooled.params, abs=0.05)
+        return RandomEffects().fit(with_const).result_, PooledOLS().fit(with_const).result_
+
+    def test_zero_alpha_matches_pooled(self):
+        # this draw's between variance falls below sigma_eps^2 / T, so the
+        # estimate of sigma_alpha^2 is negative and clamped to 0: theta is 0
+        # and RE is pooled OLS
+        re, pooled = self.pooled_dgp_fits(13)
+        assert re.variance_components.sd_alpha == 0.0
+        assert re.variance_components.clamped
+        assert re.flags == ["sigma_alpha_clamped"]
+        assert re.params == pytest.approx(pooled.params, abs=1e-8)
+
+    def test_small_alpha_stays_near_pooled(self):
+        # this draw keeps a small positive sigma_alpha, unclamped
+        re, pooled = self.pooled_dgp_fits(12)
+        assert 0.0 < re.variance_components.sd_alpha < 0.1
+        assert not re.variance_components.clamped
+        assert re.flags == []
+        assert re.params == pytest.approx(pooled.params, abs=0.05)
 
     def test_quasi_demeaning_oracle_balanced(self):
         rng = np.random.default_rng(14)

@@ -847,6 +847,19 @@ def test_interleaved_file_loads_as_the_contiguous_one(tmp_path, consolidated, mo
     same_records(contiguous.market, interleaved.market)
 
 
+def test_date_sorted_file_parses_each_block_in_two_calls(tmp_path, consolidated, monkeypatch):
+    # every block of a file sorted by date holds a few rows of each entity;
+    # its entity rows are parsed in one call and its MARKET rows in another
+    monkeypatch.setattr(ps, "_BLOCK_ROWS", 16)
+    header, *rows = read_body(consolidated)
+    path = write_rows(tmp_path / "by_date.csv", header, sorted(rows, key=lambda row: row[1]))
+    calls, parse = [], ps._parse_dated_rows
+    monkeypatch.setattr(ps, "_parse_dated_rows", lambda *args: calls.append(1) or parse(*args))
+    ps.load_panel_csv(path)
+    assert len({row[0] for row in rows}) > 2
+    assert len(calls) <= 2 * math.ceil(len(rows) / 16)
+
+
 @pytest.mark.parametrize("block", [1, 7, None])
 def test_first_entity_error_raised_though_a_later_run_fails_first(tmp_path, consolidated,
                                                                   monkeypatch, block):

@@ -681,7 +681,8 @@ class TestBaseline:
 
     def test_hausman_reads_the_battery_fits(self, monkeypatch):
         # per label: the RE fit and its Swamy-Arora within regression, and
-        # the EGLS stage-1 and stage-2 FE fits; nothing is refitted
+        # the EGLS stage-1 and stage-2 FE fits, each one factorization;
+        # nothing is refitted
         sim = simulate_dgp(small_params(n_entities=4, n_periods=120), seed=5)
         config = RunConfig(metrics_file="unused", meta="unused", out="unused")
         calls = []
@@ -695,11 +696,11 @@ class TestBaseline:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        counting(estimators, "qr_solve")
+        counting(estimators, "pivoted_qr")
         counting(FixedEffects, "fit")
         counting(RandomEffects, "fit")
         run_baseline(sim.metas, sim.bundle, config)
-        assert calls.count("qr_solve") == 8
+        assert calls.count("pivoted_qr") == 8
         assert calls.count("FixedEffects") == 4
         assert calls.count("RandomEffects") == 2
 

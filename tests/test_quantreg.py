@@ -605,6 +605,32 @@ class TestQuantileFitBundle:
         with pytest.raises(RankDeficiencyError, match=r"columns \['x1', 'x2'\]"):
             fit_quantile_coefficients(X, y, 0.5)
 
+    def test_rank_checked_once_per_design(self, monkeypatch):
+        # the taus of one design share its rank check; a rank error is raised
+        # at every tau, and bare arrays are checked on every call
+        from panelcrypt import estimators
+
+        calls = []
+        factor = estimators.pivoted_qr
+        monkeypatch.setattr(estimators, "pivoted_qr",
+                            lambda *args: calls.append(1) or factor(*args))
+        monkeypatch.setattr(quantreg, "pivoted_qr", estimators.pivoted_qr)
+        rng = np.random.default_rng(70)
+        X = np.column_stack([np.ones(60), rng.normal(size=60)])
+        y = rng.normal(size=60)
+        design = pooled_design(X, y, ["const", "x"])
+        for tau in (0.25, 0.5, 0.75):
+            PanelQuantile(tau=tau).fit(design)
+        assert len(calls) == 1
+        for tau in (0.25, 0.5):
+            fit_quantile_coefficients(X, y, tau)
+        assert len(calls) == 3
+        collinear = pooled_design(np.column_stack([X, 2.0 * X[:, 1]]), y,
+                                  ["const", "x", "x_twice"])
+        for tau in (0.25, 0.5):
+            with pytest.raises(RankDeficiencyError, match=r"columns \['x', 'x_twice'\]"):
+                PanelQuantile(tau=tau).fit(collinear)
+
     def test_rankit_positions(self):
         p = rankit_positions(4)
         assert p == pytest.approx((np.arange(1, 5) - 0.375) / 4.25)
