@@ -3,7 +3,9 @@
 All functions are pure and mask-aware: a metric is missing wherever any of
 its inputs is missing, wherever a required lag crosses a calendar gap, and
 wherever a rule below maps an undefined value (for example zero trading
-volume) to a masked slot.  Masks only ever grow.
+volume) to a masked slot.  Masks only ever grow.  Each series constructor
+states its mask and its formula; ``_masked`` applies the one masking rule,
+NaN on every masked day and the formula on the present days only.
 """
 
 from __future__ import annotations
@@ -105,40 +107,39 @@ def lagged(values, missing, dates):
     return out, out_missing
 
 
+def _masked(entity, name, dates, miss, formula, *columns):
+    """The series ``name`` of ``entity``: NaN where ``miss`` is True and
+    ``formula(*columns[~miss])`` elsewhere; ``miss`` becomes its mask."""
+    values = np.full(len(dates), np.nan)
+    ok = ~miss
+    values[ok] = formula(*(column[ok] for column in columns))
+    return MetricSeries(entity, name, dates, values, miss)
+
+
 def price_risk_series(entity, dates, high, low, close, missing):
     """Per-day range volatility with the combined input mask."""
     miss = missing["high"] | missing["low"] | missing["close"]
-    values = np.full(len(dates), np.nan)
-    ok = ~miss
-    if ok.any():
-        values[ok] = parkinson(high[ok], low[ok], close[ok])
-    return MetricSeries(entity, "price_risk", dates, values, miss)
+    return _masked(entity, "price_risk", dates, miss, parkinson, high, low, close)
 
 
 def log_return_series(entity, dates, close, missing_close):
     """Gap-aware one-day log return of the close price."""
     prev, prev_missing = lagged(close, missing_close, dates)
     miss = missing_close | prev_missing
-    values = np.full(len(dates), np.nan)
-    ok = ~miss
-    values[ok] = log_return(close[ok], prev[ok])
-    return MetricSeries(entity, "log_return", dates, values, miss)
+    return _masked(entity, "log_return", dates, miss, log_return, close, prev)
 
 
 def amihud_series(entity, dates, returns, volume, missing_volume):
     """|return| / volume; zero or missing volume yields a masked value.
 
-    Returns the series together with the count of days masked because the
-    reported volume was zero or negative.
+    The series carries the count of days with a return that are masked
+    because their volume is missing, zero or negative, as the flag
+    ``masked_volume_days``.
     """
-    miss = returns.missing.copy()
     bad_volume = missing_volume | (volume <= 0)
     masked_volume_days = int(np.sum(~returns.missing & bad_volume))
-    miss |= bad_volume
-    values = np.full(len(dates), np.nan)
-    ok = ~miss
-    values[ok] = amihud(returns.values[ok], volume[ok])
-    series = MetricSeries(entity, "amihud", dates, values, miss)
+    miss = returns.missing | bad_volume
+    series = _masked(entity, "amihud", dates, miss, amihud, returns.values, volume)
     if masked_volume_days:
         series.flags.append(f"masked_volume_days={masked_volume_days}")
     return series
@@ -159,16 +160,14 @@ def zscore_per_entity(series):
     data = series.values[ok]
     mean = data.mean()
     sd = data.std(ddof=1)
-    values = np.full(len(series), np.nan)
-    flags = list(series.flags)
     if sd == 0.0:
-        values[ok] = 0.0
-        flags.append("degenerate")
+        standardize, flags = np.zeros_like, ["degenerate"]
     else:
-        values[ok] = (data - mean) / sd
-    return MetricSeries(
-        series.entity, f"z_{series.name}", series.dates, values, series.missing.copy(), flags
-    )
+        standardize, flags = (lambda x: (x - mean) / sd), []
+    z = _masked(series.entity, f"z_{series.name}", series.dates, series.missing.copy(),
+                standardize, series.values)
+    z.flags = list(series.flags) + flags
+    return z
 
 
 def realized_volatility(dates, index_levels, window=30):
@@ -206,64 +205,56 @@ def size_change(entity, dates, mcap, missing_mcap):
         raise ValueError(f"{entity}: mcap must be strictly positive where present")
     prev, prev_missing = lagged(mcap, missing_mcap, dates)
     miss = missing_mcap | prev_missing
-    values = np.full(len(dates), np.nan)
-    ok = ~miss
-    values[ok] = np.log(mcap[ok]) - np.log(prev[ok])
-    return MetricSeries(entity, "size", dates, values, miss)
+    return _masked(entity, "size", dates, miss,
+                   lambda now, before: np.log(now) - np.log(before), mcap, prev)
 
 
 def attractiveness_series(entity, dates, attention, missing_attention):
     """ln(1 + search interest); zero interest maps to exactly zero."""
-    values = np.full(len(dates), np.nan)
-    ok = ~missing_attention
-    values[ok] = log1p_metric(attention[ok])
-    return MetricSeries(entity, "attractiveness", dates, values, missing_attention.copy())
+    return _masked(entity, "attractiveness", dates, missing_attention.copy(),
+                   log1p_metric, attention)
 
 
 def market_shocks_series(dates, shock_loss, missing_loss):
     """ln(1 + fraud/scam loss amount) for the market series."""
-    values = np.full(len(dates), np.nan)
-    ok = ~missing_loss
-    values[ok] = log1p_metric(shock_loss[ok])
-    return MetricSeries(MARKET_SYMBOL, "market_shocks", dates, values, missing_loss.copy())
+    return _masked(MARKET_SYMBOL, "market_shocks", dates, missing_loss.copy(),
+                   log1p_metric, shock_loss)
 
 
 def compute_entity_metrics(rec):
     """All per-entity metric series for one EntityRecords block."""
-    out = {}
-    out["price_risk"] = price_risk_series(
-        rec.symbol, rec.dates, rec.values["high"], rec.values["low"],
-        rec.values["close"], rec.missing,
+    symbol, dates, values, missing = rec.symbol, rec.dates, rec.values, rec.missing
+    price_risk = price_risk_series(
+        symbol, dates, values["high"], values["low"], values["close"], missing
     )
-    returns = log_return_series(rec.symbol, rec.dates, rec.values["close"], rec.missing["close"])
-    out["log_return"] = returns
-    raw_amihud = amihud_series(
-        rec.symbol, rec.dates, returns, rec.values["volume"], rec.missing["volume"]
-    )
-    out["amihud"] = raw_amihud
-    illiq = zscore_per_entity(raw_amihud)
-    illiq.name = "illiquidity"
-    out["illiquidity"] = illiq
-    out["size"] = size_change(rec.symbol, rec.dates, rec.values["mcap"], rec.missing["mcap"])
-    out["attractiveness"] = attractiveness_series(
-        rec.symbol, rec.dates, rec.values["attention"], rec.missing["attention"]
-    )
-    return out
+    returns = log_return_series(symbol, dates, values["close"], missing["close"])
+    raw_amihud = amihud_series(symbol, dates, returns, values["volume"], missing["volume"])
+    illiquidity = zscore_per_entity(raw_amihud)
+    illiquidity.name = "illiquidity"
+    return {
+        "price_risk": price_risk,
+        "log_return": returns,
+        "amihud": raw_amihud,
+        "illiquidity": illiquidity,
+        "size": size_change(symbol, dates, values["mcap"], missing["mcap"]),
+        "attractiveness": attractiveness_series(
+            symbol, dates, values["attention"], missing["attention"]
+        ),
+    }
 
 
 def compute_market_metrics(market, window=30):
     """Market-wide volatility and shock metrics."""
-    ok = ~market.missing["index_level"]
-    if not ok.all():
+    if market.missing["index_level"].any():
         raise ValueError("market index_level has missing values; series must be gap-free")
-    out = {}
-    out["market_volatility"] = realized_volatility(
-        market.dates, market.values["index_level"], window=window
-    )
-    out["market_shocks"] = market_shocks_series(
-        market.dates, market.values["shock_loss"], market.missing["shock_loss"]
-    )
-    return out
+    return {
+        "market_volatility": realized_volatility(
+            market.dates, market.values["index_level"], window=window
+        ),
+        "market_shocks": market_shocks_series(
+            market.dates, market.values["shock_loss"], market.missing["shock_loss"]
+        ),
+    }
 
 
 def compute_all_metrics(panel, window=30):
@@ -271,8 +262,7 @@ def compute_all_metrics(panel, window=30):
 
     Market metrics appear under the MARKET pseudo-entity.
     """
-    bundle = {}
-    for meta in panel.entities:
-        bundle[meta.symbol] = compute_entity_metrics(panel.observations[meta.symbol])
+    bundle = {meta.symbol: compute_entity_metrics(panel.observations[meta.symbol])
+              for meta in panel.entities}
     bundle[MARKET_SYMBOL] = compute_market_metrics(panel.market, window=window)
     return bundle

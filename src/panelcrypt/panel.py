@@ -4,7 +4,9 @@ The panel is ingested from flat CSV files (one per entity, plus a
 market-wide file and a metadata file) or from a single consolidated CSV
 with an ``entity`` column.  Missing values are empty cells; every field
 carries an explicit boolean missing-mask downstream so that no estimator
-has to reason about NaN propagation.
+has to reason about NaN propagation.  Every dated series is an
+``EntityRecords``: an entity's holds ``ENTITY_FIELDS``, and the market's,
+under the pseudo-symbol ``MARKET``, holds ``MARKET_FIELDS``.
 
 A file is read ``_BLOCK_ROWS`` rows at a time.  A block's rows of a per-file
 input, and the MARKET rows and the entity rows of a block of a consolidated
@@ -115,34 +117,18 @@ class EntityRecords:
 
 
 @dataclass(frozen=True)
-class MarketSeries:
-    """Market-wide daily series: index level and fraud/scam loss amounts."""
-
-    dates: np.ndarray
-    values: dict
-    missing: dict
-
-    def __len__(self):
-        return len(self.dates)
-
-
-@dataclass(frozen=True)
 class PanelDataset:
     """Validated, immutable entity-by-calendar panel."""
 
     entities: tuple            # EntityMeta, ordered as loaded
     observations: dict         # symbol -> EntityRecords
-    market: MarketSeries
+    market: EntityRecords      # symbol MARKET, fields MARKET_FIELDS
     calendar: np.ndarray = field(default=None)
 
     def __post_init__(self):
         if self.calendar is None:
-            dates = [rec.dates for rec in self.observations.values()]
-            dates.append(self.market.dates)
-            merged = (
-                np.unique(np.concatenate(dates)) if dates else np.array([], "datetime64[D]")
-            )
-            object.__setattr__(self, "calendar", merged)
+            records = [*self.observations.values(), self.market]
+            object.__setattr__(self, "calendar", date_union([rec.dates for rec in records]))
 
     @property
     def symbols(self):
@@ -158,6 +144,20 @@ class PanelDataset:
         if symbol is not None:
             return len(self.observations[symbol])
         return sum(len(rec) for rec in self.observations.values())
+
+
+def date_union(dates):
+    """The distinct days of the ``datetime64[D]`` arrays in ``dates``, sorted:
+    ``np.unique(np.concatenate(dates))`` without the concatenation.  Each
+    array marks its days in one presence mask over the span they cover."""
+    days = [d.astype("datetime64[D]", copy=False).view(np.int64) for d in dates if len(d)]
+    if not days:
+        return np.array([], "datetime64[D]")
+    first = min(d.min() for d in days)
+    present = np.zeros(max(d.max() for d in days) - first + 1, dtype=bool)
+    for d in days:
+        present[d - first] = True
+    return np.datetime64(int(first), "D") + np.flatnonzero(present)
 
 
 def parse_date(text, source=None, line=None):
@@ -385,8 +385,8 @@ class _Series:
         self.parts.append((lines, dates[rows], {f: values[f][rows] for f in self.fields},
                            {f: missing[f][rows] for f in self.fields}))
 
-    def finish(self):
-        """``(dates, values, missing)`` of every row added."""
+    def finish(self, symbol):
+        """The ``EntityRecords`` named ``symbol`` of every row added."""
         if self.failure:
             raise PanelLoadError(self.failure[1], self.source, self.failure[0])
         if not self.parts:
@@ -397,17 +397,18 @@ class _Series:
         if bad.size:
             raise PanelLoadError("dates not strictly increasing", self.source,
                                  int(lines[bad[0] + 1]))
-        return (dates, {f: np.concatenate([v[f] for v in values]) for f in self.fields},
-                {f: np.concatenate([m[f] for m in missing]) for f in self.fields})
+        return EntityRecords(symbol, dates,
+                             {f: np.concatenate([v[f] for v in values]) for f in self.fields},
+                             {f: np.concatenate([m[f] for m in missing]) for f in self.fields})
 
 
-def _read_series(path, header, fields, rules, days):
-    """``(source, (dates, values, missing))`` of a per-file input."""
+def _read_records(path, symbol, header, fields, rules, days):
+    """The ``EntityRecords`` named ``symbol`` of a per-file input."""
     with _row_source(path, header) as (source, index, rows):
         series = _Series(index, fields, rules, source, days)
         for block in _blocks(rows):
             series.add(block)
-    return source, series.finish()
+    return series.finish(symbol)
 
 
 def _new_text(text):
@@ -466,8 +467,8 @@ def read_entity_csv(path):
 
 
 def _read_entity_csv(path, days):
-    source, parsed = _read_series(path, ENTITY_HEADER, ENTITY_FIELDS, _OBSERVATION_RULES, days)
-    return EntityRecords(os.path.splitext(os.path.basename(source))[0].upper(), *parsed)
+    symbol = os.path.splitext(os.path.basename(os.fspath(path)))[0].upper()
+    return _read_records(path, symbol, ENTITY_HEADER, ENTITY_FIELDS, _OBSERVATION_RULES, days)
 
 
 def read_market_csv(path):
@@ -476,7 +477,7 @@ def read_market_csv(path):
 
 
 def _read_market_csv(path, days):
-    return MarketSeries(*_read_series(path, MARKET_HEADER, MARKET_FIELDS, _MARKET_RULES, days)[1])
+    return _read_records(path, MARKET_SYMBOL, MARKET_HEADER, MARKET_FIELDS, _MARKET_RULES, days)
 
 
 def read_meta_csv(path):
@@ -666,7 +667,7 @@ class _EntityGroup(_Series):
         if self.differs is not None:
             raise PanelLoadError(f"{self.symbol}: meta cells differ from line {self.first_line}",
                                  self.source, self.differs)
-        rec = EntityRecords(self.meta.symbol, *super().finish())
+        rec = super().finish(self.meta.symbol)
         _check_listing(self.meta, rec, self.source, self.first_line)
         return self.meta, rec
 
@@ -717,7 +718,14 @@ def load_panel_csv(path):
         metas.append(meta)
         observations[meta.symbol] = rec
     return PanelDataset(entities=tuple(metas), observations=observations,
-                        market=MarketSeries(*market.finish()))
+                        market=market.finish(MARKET_SYMBOL))
+
+
+def _window(rec, start, end):
+    """The records of ``rec`` dated ``start`` to ``end``, both included."""
+    keep = (rec.dates >= start) & (rec.dates <= end)
+    return EntityRecords(rec.symbol, rec.dates[keep], {f: v[keep] for f, v in rec.values.items()},
+                         {f: m[keep] for f, m in rec.missing.items()})
 
 
 def subsample(panel, start, end):
@@ -734,37 +742,20 @@ def subsample(panel, start, end):
     metas = []
     observations = {}
     for meta in panel.entities:
-        rec = panel.observations[meta.symbol]
-        keep = (rec.dates >= start) & (rec.dates <= end)
-        if not keep.any():
-            continue
-        metas.append(meta)
-        observations[meta.symbol] = EntityRecords(
-            symbol=meta.symbol,
-            dates=rec.dates[keep],
-            values={f: v[keep] for f, v in rec.values.items()},
-            missing={f: m[keep] for f, m in rec.missing.items()},
-        )
-    market = panel.market
-    keep = (market.dates >= start) & (market.dates <= end)
-    market = MarketSeries(
-        dates=market.dates[keep],
-        values={f: v[keep] for f, v in market.values.items()},
-        missing={f: m[keep] for f, m in market.missing.items()},
-    )
+        rec = _window(panel.observations[meta.symbol], start, end)
+        if len(rec):
+            metas.append(meta)
+            observations[meta.symbol] = rec
+    market = _window(panel.market, start, end)
     return PanelDataset(entities=tuple(metas), observations=observations, market=market)
 
 
 def series(panel, entity, field_name):
     """Return ``(dates, values, missing)`` for one entity field, in calendar order."""
-    if entity == MARKET_SYMBOL:
-        rec = panel.market
-        valid = MARKET_FIELDS
-    else:
-        if entity not in panel.observations:
-            raise ValueError(f"unknown entity {entity!r}")
-        rec = panel.observations[entity]
-        valid = ENTITY_FIELDS
+    rec = panel.market if entity == MARKET_SYMBOL else panel.observations.get(entity)
+    if rec is None:
+        raise ValueError(f"unknown entity {entity!r}")
+    valid = tuple(rec.values)
     if field_name not in valid:
         raise ValueError(f"unknown field {field_name!r}; expected one of {valid}")
     return rec.dates, rec.values[field_name].copy(), rec.missing[field_name].copy()

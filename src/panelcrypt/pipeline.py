@@ -38,6 +38,7 @@ from .panel import (
     EntityMeta,
     PanelLoadError,
     csv_cell,
+    date_union,
     day_texts,
     format_meta_cells,
     load_panel_csv,
@@ -876,7 +877,9 @@ class SynthParams:
 
     Defaults mirror the benchmark fixed-effects estimates; the per-entity
     noise scale runs linearly from sigma_low to sigma_high, which makes the
-    cross-section-weighted GLS strictly more efficient than OLS.
+    cross-section-weighted GLS strictly more efficient than OLS.  With
+    ``use_benchmark_universe`` the entities are the 18 tokens of
+    ``refdata.BENCHMARK_UNIVERSE``, and ``n_entities`` must be 18.
     """
 
     n_entities: int = 18
@@ -902,6 +905,13 @@ class SynthParams:
             raise ValueError("sigma_low and sigma_high must be positive")
         if self.n_entities < 2 or self.n_periods < 40:
             raise ValueError("need at least 2 entities and 40 periods")
+        universe = len(refdata.BENCHMARK_UNIVERSE)
+        if self.use_benchmark_universe and self.n_entities != universe:
+            raise ValueError(
+                f"use_benchmark_universe = true simulates the {universe} benchmark tokens, but "
+                f"n_entities = {self.n_entities}; set use_benchmark_universe = false for "
+                "synthetic tokens"
+            )
         if self.market_warmup < 31:
             raise ValueError("market warmup must cover the volatility window")
 
@@ -931,23 +941,16 @@ class SimulatedPanel:
 
 
 def _synthetic_metas(params, rng):
-    if params.use_benchmark_universe and params.n_entities == 18:
+    if params.use_benchmark_universe:
         return refdata.benchmark_metas()
-    metas = []
     start = np.datetime64(params.start, "D")
     n_hyfi = max(1, round(0.22 * params.n_entities))
-    for i in range(params.n_entities):
-        components = tuple(np.round(rng.uniform(0.2, 0.95, size=5), 4))
-        metas.append(
-            EntityMeta(
-                symbol=f"TOK{i:02d}",
-                category="synthetic",
-                hyfi=i < n_hyfi,
-                listing_date=start,
-                gini_components=components,
-            )
-        )
-    return metas
+    return [
+        EntityMeta(symbol=f"TOK{i:02d}", category="synthetic", hyfi=i < n_hyfi,
+                   listing_date=start,
+                   gini_components=tuple(np.round(rng.uniform(0.2, 0.95, size=5), 4)))
+        for i in range(params.n_entities)
+    ]
 
 
 def simulate_dgp(params, seed=None):
@@ -961,6 +964,9 @@ def simulate_dgp(params, seed=None):
       illiquidity        per-entity z-score of |return| / lognormal volume;
       attractiveness     ln(1 + capped exponential attention);
       decentralization   static composite purified against pooled ln(mcap).
+    The market series, illiquidity and attractiveness come from the
+    constructors of ``metrics``, which define the loaded panels' series too.
+    Size, illiquidity and price risk are missing on each entity's first day.
     The response adds entity effects alpha_i ~ N(0, sigma_alpha^2) and
     heteroskedastic Gaussian noise with per-entity scales.
     """
@@ -980,9 +986,7 @@ def simulate_dgp(params, seed=None):
             f"that simulates is {shortest}"
         )
     calendar = start + np.arange(params.n_periods)
-    market_dates = start - params.market_warmup + np.arange(
-        params.n_periods + params.market_warmup
-    )
+    market_dates = start + np.arange(-params.market_warmup, params.n_periods)
 
     # market index with persistent log-volatility
     n_market = len(market_dates)
@@ -999,110 +1003,76 @@ def simulate_dgp(params, seed=None):
 
     occurs = rng.random(n_market) < 0.35
     losses = np.where(occurs, np.exp(rng.normal(12.0, 2.5, size=n_market)), 0.0)
-    market_shocks = mx.market_shocks_series(
-        market_dates, losses, np.zeros(n_market, dtype=bool)
-    )
+    market_shocks = mx.market_shocks_series(market_dates, losses, np.zeros(n_market, dtype=bool))
 
     bundle = {MARKET_SYMBOL: {"market_volatility": market_vol, "market_shocks": market_shocks}}
 
     sigma_i = np.linspace(params.sigma_low, params.sigma_high, params.n_entities)
     alphas = rng.normal(0.0, params.sigma_alpha, size=params.n_entities)
 
-    entity_frames = []
-    for i, meta in enumerate(metas):
+    dates_by_entity, log_mcaps = [], []
+    for meta in metas:
         dates = calendar[calendar >= meta.listing_date]
         n = len(dates)
+        none_missing = np.zeros(n, dtype=bool)
+        first_day = np.concatenate(([True], none_missing[1:]))
         log_mcap = math.log(1e9) + rng.normal(0.0, 1.0) + np.concatenate(
             ([0.0], np.cumsum(rng.normal(0.0, 0.06, size=n - 1)))
         )
-        size = mx.MetricSeries(
-            meta.symbol,
-            "size",
-            dates,
-            np.concatenate(([np.nan], np.diff(log_mcap))),
-            np.concatenate(([True], np.zeros(n - 1, dtype=bool))),
-        )
-        returns = np.concatenate(([np.nan], rng.normal(0.0, 0.05, size=n - 1)))
+        # mx.size_change would log exp(log_mcap) and change the last bits
+        size = mx.MetricSeries(meta.symbol, "size", dates,
+                               np.concatenate(([np.nan], np.diff(log_mcap))), first_day)
+        returns = mx.MetricSeries(meta.symbol, "log_return", dates,
+                                  np.concatenate(([np.nan], rng.normal(0.0, 0.05, size=n - 1))),
+                                  first_day)
         volume = np.exp(rng.normal(16.0, 1.0, size=n))
-        amihud_values = np.abs(returns) / volume
-        amihud_series = mx.MetricSeries(
-            meta.symbol,
-            "amihud",
-            dates,
-            amihud_values,
-            np.concatenate(([True], np.zeros(n - 1, dtype=bool))),
-        )
-        illiquidity = mx.zscore_per_entity(amihud_series)
+        amihud = mx.amihud_series(meta.symbol, dates, returns, volume, none_missing)
+        illiquidity = mx.zscore_per_entity(amihud)
         illiquidity.name = "illiquidity"
         attention = np.minimum(rng.exponential(12.0, size=n), 100.0)
-        attractiveness = mx.MetricSeries(
-            meta.symbol, "attractiveness", dates, np.log1p(attention),
-            np.zeros(n, dtype=bool),
-        )
-        entity_frames.append(
-            {
-                "meta": meta,
-                "dates": dates,
-                "log_mcap": log_mcap,
-                "size": size,
-                "illiquidity": illiquidity,
-                "attractiveness": attractiveness,
-                "alpha": alphas[i],
-                "sigma": sigma_i[i],
-            }
-        )
+        attractiveness = mx.attractiveness_series(meta.symbol, dates, attention, none_missing)
+        bundle[meta.symbol] = {
+            "attractiveness": attractiveness, "size": size, "illiquidity": illiquidity
+        }
+        dates_by_entity.append(dates)
+        log_mcaps.append(log_mcap)
 
-    purified = purified_decentralization(
-        metas, [f["dates"] for f in entity_frames], [f["log_mcap"] for f in entity_frames]
-    )
-    for f in entity_frames:
-        meta = f["meta"]
-        dates = f["dates"]
+    purified = purified_decentralization(metas, dates_by_entity, log_mcaps)
+    beta = params.beta
+    for i, (meta, dates) in enumerate(zip(metas, dates_by_entity)):
+        per = bundle[meta.symbol]
         n = len(dates)
-        dec_series = purified[meta.symbol]
+        per["decentralization"] = dec_series = purified[meta.symbol]
         mv = _aligned(market_vol, dates)[0]
         shocks = _aligned(market_shocks, dates)[0]
         hyfi = 1.0 if meta.hyfi else 0.0
-        beta = params.beta
         regression_part = (
             beta["const"]
             + beta["decentralization"] * dec_series.values
-            + beta["attractiveness"] * f["attractiveness"].values
-            + beta["size"] * f["size"].values
-            + beta["illiquidity"] * f["illiquidity"].values
+            + beta["attractiveness"] * per["attractiveness"].values
+            + beta["size"] * per["size"].values
+            + beta["illiquidity"] * per["illiquidity"].values
             + beta["market_volatility"] * mv
             + beta["market_shocks"] * shocks
             + beta["hyfi"] * hyfi
             + beta["hyfi_x_market_volatility"] * hyfi * mv
-            + f["alpha"]
+            + alphas[i]
         )
-        noise = rng.normal(0.0, f["sigma"], size=n)
+        noise = rng.normal(0.0, sigma_i[i], size=n)
         missing = ~np.isfinite(regression_part)
         pr = np.full(n, np.nan)
         defined = np.flatnonzero(~missing)
         if params.phi == 0.0:
             pr[defined] = regression_part[defined] + noise[defined]
         else:
-            steady = regression_part[defined] / (1.0 - params.phi)
-            previous = steady[0] if defined.size else 0.0
-            for pos, t in enumerate(defined):
-                value = regression_part[t] + params.phi * previous + noise[t]
-                pr[t] = value
-                previous = value
-        price_risk = mx.MetricSeries(meta.symbol, "price_risk", dates, pr, missing)
+            # the chain starts from the first defined day's steady state
+            previous = regression_part[defined[0]] / (1.0 - params.phi) if defined.size else 0.0
+            for t in defined:
+                pr[t] = previous = regression_part[t] + params.phi * previous + noise[t]
+        per["price_risk"] = mx.MetricSeries(meta.symbol, "price_risk", dates, pr, missing)
 
-        bundle[meta.symbol] = {
-            "price_risk": price_risk,
-            "decentralization": dec_series,
-            "attractiveness": f["attractiveness"],
-            "size": f["size"],
-            "illiquidity": f["illiquidity"],
-        }
-
-    truth = dict(params.beta)
-    truth["phi"] = params.phi
-    truth["sigma_alpha"] = params.sigma_alpha
-    truth["sigma_i"] = sigma_i
+    truth = {**params.beta, "phi": params.phi, "sigma_alpha": params.sigma_alpha,
+             "sigma_i": sigma_i}
     return SimulatedPanel(metas=metas, bundle=bundle, truth=truth, params=params)
 
 
@@ -1431,9 +1401,7 @@ def _emit_diagnostics(metas, bundle, table, extra_pooled=None):
     ``extra_pooled`` optionally appends raw-valued variables (for example
     untransformed attention) to the descriptive table.
     """
-    calendar = np.unique(
-        np.concatenate([s.dates for per in bundle.values() for s in per.values()])
-    )
+    calendar = date_union([s.dates for per in bundle.values() for s in per.values()])
 
     variables = ["price_risk"] + [c for c in CONTROLS if c not in MARKET_METRICS]
     per_entity_matrix = {

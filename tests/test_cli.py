@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import panelcrypt
-from panelcrypt import pipeline
+from panelcrypt import cli, pipeline
 from panelcrypt.base import ConvergenceError
 from panelcrypt.cli import _parse_model_spec, _parse_synth_params, main
 from panelcrypt.decentralization import composite_index
@@ -380,6 +380,29 @@ def test_synth_params_reject_unknown_coefficient(tmp_path):
         _parse_synth_params(params)
     params.write_text("n_periods = 160\nbeta_size = 0.5\n")
     assert _parse_synth_params(params).beta["size"] == 0.5
+
+
+def test_simulate_refuses_a_benchmark_universe_of_another_size(tmp_path, capsys):
+    params = tmp_path / "params.cfg"
+    params.write_text("n_entities = 20\nn_periods = 160\n")
+    assert main(["simulate", "--params", str(params), "--out", str(tmp_path / "sim")]) == 1
+    err = capsys.readouterr().err
+    assert "use_benchmark_universe = true simulates the 18 benchmark tokens" in err
+    assert "n_entities = 20" in err
+    assert not (tmp_path / "sim").exists()
+
+
+def test_simulation_keys_match_readme_and_default_truth():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = readme.split("Simulation parameter keys:", 1)[1].split("\n\n", 1)[0]
+    keys, coefficients = sentence.split("(", 1)
+    keys = keys.split("`")[1::2]
+    coefficients = coefficients.split("`")[1::2]
+    assert "beta_<name>" in keys
+    documented = {key for key in keys if key != "beta_<name>"}
+    documented |= {f"beta_{name}" for name in coefficients}
+    assert documented == set(cli._SYNTH_KEYS)
+    assert coefficients == list(pipeline.default_truth())
 
 
 @pytest.mark.parametrize("token", ["hyfi", "hyfi*", "*market_volatility", "a*b*c"])

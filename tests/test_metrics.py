@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from panelcrypt import metrics as mx
+from panelcrypt.panel import ENTITY_FIELDS, MARKET_FIELDS, MARKET_SYMBOL, EntityRecords
 
 
 class TestParkinson:
@@ -260,3 +261,45 @@ def test_masks_only_grow_and_alignment():
     present = ~returns.missing
     expected = np.log(close[1:] / close[:-1])
     assert returns.values[present] == pytest.approx(expected[present[1:]], rel=1e-12)
+
+
+def gapped_records(rng, symbol, fields, n, columns):
+    """Records on ``n`` days with two calendar gaps, about 10% empty cells
+    per field, and NaN in every empty cell, as the loaders give them."""
+    days = np.concatenate([np.arange(0, 20), np.arange(23, 40), np.arange(50, 50 + n - 37)])
+    dates = np.datetime64("2021-01-01", "D") + days
+    values, missing = {}, {}
+    for name in fields:
+        missing[name] = rng.random(n) < 0.1
+        values[name] = np.where(missing[name], np.nan, columns[name])
+    return EntityRecords(symbol, dates, values, missing)
+
+
+def test_every_metric_is_nan_exactly_where_masked():
+    rng = np.random.default_rng(23)
+    n = 80
+    close = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.03, size=n)))
+    volume = np.exp(rng.normal(15.0, 1.0, size=n))
+    volume[[9, 30]] = 0.0  # zero volume is masked, not a division by zero
+    entity = gapped_records(rng, "GAP", ENTITY_FIELDS, n, {
+        "open": close, "high": close * 1.02, "low": close * 0.98, "close": close,
+        "volume": volume, "mcap": 1e9 * close, "attention": rng.uniform(0, 100, size=n),
+    })
+    market = gapped_records(rng, MARKET_SYMBOL, MARKET_FIELDS, n, {
+        "index_level": 1000.0 * close, "shock_loss": rng.exponential(1e5, size=n),
+    })
+    market.missing["index_level"][:] = False  # the index must be gap-free
+    market.values["index_level"][:] = 1000.0 * close
+    bundle = {**mx.compute_entity_metrics(entity), **mx.compute_market_metrics(market)}
+    assert set(bundle) == {"price_risk", "log_return", "amihud", "illiquidity", "size",
+                           "attractiveness", "market_volatility", "market_shocks"}
+    for name, series in bundle.items():
+        assert 0 < series.missing.sum() < n, name
+        assert np.array_equal(np.isnan(series.values), series.missing), name
+        assert np.isfinite(series.present_values()).all(), name
+    # days with a return whose volume is empty or zero
+    bad_volume = entity.missing["volume"] | (volume <= 0)
+    masked = int(np.sum(~bundle["log_return"].missing & bad_volume))
+    assert masked >= 2 and bundle["amihud"].flags == [f"masked_volume_days={masked}"]
+    # a lag across a calendar gap is missing: 2021-01-24 follows 2021-01-20
+    assert bundle["log_return"].missing[20] and bundle["size"].missing[20]

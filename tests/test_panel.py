@@ -251,6 +251,63 @@ class TestSeries:
             ps.series(panel, "AAA", "sentiment")
 
 
+    def test_unknown_market_field_lists_market_fields(self, small_panel_files):
+        panel = ps.load_panel(*small_panel_files)
+        with pytest.raises(ValueError) as info:
+            ps.series(panel, ps.MARKET_SYMBOL, "close")
+        assert str(info.value) == (
+            "unknown field 'close'; expected one of ('index_level', 'shock_loss')"
+        )
+
+
+def assert_market_record(market, dates):
+    assert isinstance(market, ps.EntityRecords)
+    assert market.symbol == ps.MARKET_SYMBOL
+    assert tuple(market.values) == tuple(market.missing) == ps.MARKET_FIELDS
+    assert np.array_equal(market.dates, dates)
+
+
+def test_market_is_a_record_named_market_in_every_loader(tmp_path, small_panel_files):
+    panel = ps.load_panel(*small_panel_files)
+    assert_market_record(panel.market, panel.market.dates)
+    ps.write_panel_csv(panel, tmp_path / "panel.csv")
+    assert_market_record(ps.load_panel_csv(tmp_path / "panel.csv").market, panel.market.dates)
+    start, end = np.datetime64("2020-01-10"), np.datetime64("2020-02-10")
+    window = ps.subsample(panel, start, end).market
+    inside = (panel.market.dates >= start) & (panel.market.dates <= end)
+    assert_market_record(window, panel.market.dates[inside])
+    assert str(window.dates[0]) == "2020-01-10" and str(window.dates[-1]) == "2020-02-10"
+    for f in ps.MARKET_FIELDS:
+        assert np.array_equal(window.values[f], panel.market.values[f][inside])
+        assert np.array_equal(window.missing[f], panel.market.missing[f][inside])
+
+
+class TestDateUnion:
+    def test_equals_unique_of_the_concatenation(self):
+        rng = np.random.default_rng(5)
+        day0 = np.datetime64("2020-01-01", "D")
+        market = day0 - 31 + np.arange(120)  # warm-up before every entity
+        series = [market]
+        for start in (0, 3, 40):
+            days = start + np.flatnonzero(rng.random(80) < 0.7)  # interior gaps
+            series.append(day0 + days)
+        series.append(day0 + np.array([200, 150], dtype=np.int64))  # beyond the market, unsorted
+        series.append(day0 + np.arange(0))
+        union = ps.date_union(series)
+        assert union.dtype == np.dtype("datetime64[D]")
+        assert np.array_equal(union, np.unique(np.concatenate(series)))
+
+    @pytest.mark.parametrize("series", [[], [np.array([], "datetime64[D]")]])
+    def test_empty_input_gives_an_empty_day_array(self, series):
+        union = ps.date_union(series)
+        assert union.dtype == np.dtype("datetime64[D]") and union.size == 0
+
+    def test_panel_calendar_is_the_union(self, small_panel_files):
+        panel = ps.load_panel(*small_panel_files)
+        dates = [rec.dates for rec in panel.observations.values()] + [panel.market.dates]
+        assert np.array_equal(panel.calendar, np.unique(np.concatenate(dates)))
+
+
 def test_round_trip_bitwise(tmp_path, small_panel_files):
     entity_files, market_file, meta_file = small_panel_files
     panel = ps.load_panel(entity_files, market_file, meta_file)
@@ -910,7 +967,7 @@ def writer_panels(draw):
         metas.append(ps.EntityMeta(symbol, draw(CELL_TEXTS), draw(st.booleans()),
                                    DAY0 + draw(st.integers(0, 10)), gini))
         observations[symbol] = ps.EntityRecords(symbol, *writer_columns(draw, ps.ENTITY_FIELDS))
-    market = ps.MarketSeries(*writer_columns(draw, ps.MARKET_FIELDS))
+    market = ps.EntityRecords(ps.MARKET_SYMBOL, *writer_columns(draw, ps.MARKET_FIELDS))
     return ps.PanelDataset(tuple(metas), observations, market)
 
 
@@ -957,8 +1014,9 @@ class TestPanelWriter:
                 symbol, DAY0 + np.arange(2), {f: np.ones(2) for f in ps.ENTITY_FIELDS},
                 {f: np.zeros(2, dtype=bool) for f in ps.ENTITY_FIELDS},
             )
-        market = ps.MarketSeries(DAY0 + np.arange(0), {f: np.ones(0) for f in ps.MARKET_FIELDS},
-                                 {f: np.zeros(0, dtype=bool) for f in ps.MARKET_FIELDS})
+        market = ps.EntityRecords(ps.MARKET_SYMBOL, DAY0 + np.arange(0),
+                                  {f: np.ones(0) for f in ps.MARKET_FIELDS},
+                                  {f: np.zeros(0, dtype=bool) for f in ps.MARKET_FIELDS})
         path = tmp_path_factory.mktemp("panel") / "panel.csv"
         ps.write_panel_csv(ps.PanelDataset(tuple(metas), observations, market), path)
         assert list(ps.load_panel_csv(path).entities) == metas

@@ -361,6 +361,33 @@ class TestSimulate:
         sim = simulate_dgp(SynthParams(n_periods=421))
         assert len(sim.bundle["RAY"]["illiquidity"].dates) == 3
 
+    @pytest.mark.parametrize("n_entities", [2, 17, 20])
+    def test_benchmark_universe_needs_its_18_tokens(self, n_entities):
+        with pytest.raises(ValueError) as info:
+            SynthParams(n_entities=n_entities)
+        assert str(info.value) == (
+            "use_benchmark_universe = true simulates the 18 benchmark tokens, but "
+            f"n_entities = {n_entities}; set use_benchmark_universe = false for synthetic tokens"
+        )
+        assert SynthParams(n_entities=n_entities, use_benchmark_universe=False)
+
+    @pytest.mark.parametrize("phi", [0.0, 0.4])
+    def test_regressors_follow_the_metric_definitions(self, phi):
+        sim = simulate_dgp(small_params(n_entities=4, n_periods=80, phi=phi), seed=3)
+        first_day = np.zeros(80, dtype=bool)
+        first_day[0] = True
+        for meta in sim.metas:
+            per = sim.bundle[meta.symbol]
+            for name in ("size", "illiquidity", "price_risk"):
+                assert np.array_equal(per[name].missing, first_day), name
+                assert np.array_equal(np.isnan(per[name].values), first_day), name
+            z = per["illiquidity"].present_values()
+            assert abs(z.mean()) < 1e-12 and abs(z.std(ddof=1) - 1.0) < 1e-12
+            attractiveness = per["attractiveness"]
+            assert not attractiveness.missing.any()
+            assert 0.0 <= attractiveness.values.min()
+            assert attractiveness.values.max() <= math.log(101.0)
+
 
 # Metric-file properties.  Names may carry blanks, commas and quotes, so the
 # writer's quoting is exercised.  Dates span every four-digit year, as the
