@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__
 from . import decentralization as dec
+from . import metrics as mx
 from . import pipeline
 from .base import ConvergenceError
 from .estimators import COVARIANCES, EFFECTS, WEIGHTS, ModelSpec, estimator_for
@@ -53,7 +54,7 @@ def _cmd_ingest(args):
 
 def _cmd_metrics(args):
     panel = load_panel_csv(args.panel)
-    bundle = pipeline.metrics_from_panel(panel, window=args.window)
+    bundle = mx.compute_all_metrics(panel)
     write_metrics_csv(bundle, args.out)
     n_series = sum(len(per) for per in bundle.values())
     print(f"wrote {args.out}: {n_series} metric series")
@@ -85,12 +86,14 @@ def _cmd_gini(args):
 def _cmd_decentralization(args):
     panel = load_panel_csv(args.panel)
     metas = read_meta_csv(args.meta) if args.meta else list(panel.entities)
-    bundle = {meta.symbol: {} for meta in metas}
-    pipeline.add_decentralization_metric(bundle, metas, panel)
+    absent = [meta.symbol for meta in metas if meta.symbol not in panel.observations]
+    if absent:
+        raise ValueError(f"{args.meta}: tokens {absent} have no rows in {args.panel}")
+    purified = mx.decentralization_series(metas, panel)
     rows = []
     for meta in metas:
         composite = dec.composite_index(meta.gini_components)
-        series = bundle[meta.symbol]["decentralization"]
+        series = purified[meta.symbol]
         rows += [(meta.symbol, str(series.dates[i]), composite, series.values[i])
                  for i in np.flatnonzero(~series.missing)]
     pipeline._write_csv(args.out, ("entity", "date", "composite", "orthogonalized"), rows)
@@ -146,7 +149,7 @@ def _write_fit_outputs(result, ledger, outdir):
 
 def _cmd_fit(args):
     panel = load_panel_csv(args.panel)
-    bundle = pipeline.metrics_from_panel(panel, window=args.window)
+    bundle = mx.compute_all_metrics(panel)
     spec = _parse_model_spec(args.spec)
     design, ledger = build_design(list(panel.entities), bundle, spec)
     result = estimator_for(spec).fit(design).result_
@@ -167,7 +170,7 @@ def _cmd_quantile(args):
         if other != tau:
             raise ValueError(f"--taus {other} and {tau} would both write {_quantile_file(tau)}")
     panel = load_panel_csv(args.panel)
-    bundle = pipeline.metrics_from_panel(panel, window=args.window)
+    bundle = mx.compute_all_metrics(panel)
     if args.spec:
         spec = _parse_model_spec(args.spec)
     else:
@@ -190,12 +193,10 @@ def _cmd_quantile(args):
 
 def _cmd_diagnose(args):
     panel = load_panel_csv(args.panel)
-    bundle = pipeline.metrics_from_panel(panel, window=args.window)
+    bundle = mx.compute_all_metrics(panel)
     metas = list(panel.entities)
     pipeline._write_tables(args.out, pipeline._emit_diagnostics(
-        metas, bundle, pipeline.design_table(metas, bundle),
-        extra_pooled={"attention_raw": pipeline.raw_attention_pooled(panel)},
-    ))
+        metas, bundle, pipeline.design_table(metas, bundle), panel))
     print(f"wrote {args.out}: descriptives, correlations, unit roots, dependence tests")
     return 0
 
@@ -211,7 +212,6 @@ _SYNTH_KEYS = {
     "n_entities": int,
     "n_periods": int,
     "start": str,
-    "market_warmup": int,
     "phi": float,
     "sigma_alpha": float,
     "sigma_low": float,
@@ -263,7 +263,6 @@ def build_parser():
     p = sub.add_parser("metrics", help="compute all metric series from a panel file")
     p.add_argument("--panel", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, default=30)
     p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("gini", help="Gini coefficient of a share distribution file")
@@ -282,7 +281,6 @@ def build_parser():
     p.add_argument("--panel", required=True)
     p.add_argument("--spec", required=True, help="flat key=value model spec file")
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, default=30)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("quantile", help="quantile regression battery")
@@ -290,13 +288,11 @@ def build_parser():
     p.add_argument("--spec", default=None)
     p.add_argument("--taus", default="0.10,0.25,0.50,0.75,0.90")
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, default=30)
     p.set_defaults(func=_cmd_quantile)
 
     p = sub.add_parser("diagnose", help="descriptives, correlations, unit roots, dependence")
     p.add_argument("--panel", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, default=30)
     p.set_defaults(func=_cmd_diagnose)
 
     p = sub.add_parser("report", help="run the full study from a config file")

@@ -1,5 +1,7 @@
 """Dependent-variable and regressor construction for the daily panel.
 
+``compute_all_metrics`` builds every series of a raw panel: the response,
+the entity controls with purified decentralization, and the market series.
 All functions are pure and mask-aware: a metric is missing wherever any of
 its inputs is missing, wherever a required lag crosses a calendar gap, and
 wherever a rule below maps an undefined value (for example zero trading
@@ -15,9 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import decentralization as dec
 from .panel import MARKET_SYMBOL
 
 ROOT_TWO_LOG_TWO = math.sqrt(2.0 * math.log(2.0))
+
+# days of index log returns behind each market volatility value
+VOLATILITY_WINDOW = 30
 
 DAY = np.timedelta64(1, "D")
 
@@ -170,12 +176,14 @@ def zscore_per_entity(series):
     return z
 
 
-def realized_volatility(dates, index_levels, window=30):
+def realized_volatility(dates, index_levels, window=VOLATILITY_WINDOW):
     """Rolling sample standard deviation of the last ``window`` log returns.
 
     The market index series is assumed gap-free daily; the first ``window``
     dates have no full return window and stay masked.
     """
+    if window < 2:
+        raise ValueError(f"volatility window {window}: need at least 2 returns")
     levels = np.asarray(index_levels, dtype=float)
     if np.any(levels <= 0):
         raise ValueError("index levels must be strictly positive")
@@ -243,26 +251,56 @@ def compute_entity_metrics(rec):
     }
 
 
-def compute_market_metrics(market, window=30):
+def purified_decentralization(metas, dates, log_mcap):
+    """Composite decentralization per token, purified against pooled ln(mcap).
+
+    ``dates`` and ``log_mcap`` hold one array per entry of ``metas`` (NaN
+    where ln(mcap) is missing).  Returns ``{symbol: MetricSeries}``.
+    """
+    composite = [
+        np.full(len(d), dec.composite_index(meta.gini_components))
+        for meta, d in zip(metas, dates)
+    ]
+    residuals, missing = dec.orthogonalize(np.concatenate(composite), np.concatenate(log_mcap))
+    series, offset = {}, 0
+    for meta, d in zip(metas, dates):
+        end = offset + len(d)
+        series[meta.symbol] = MetricSeries(
+            meta.symbol, "decentralization", d, residuals[offset:end], missing[offset:end]
+        )
+        offset = end
+    return series
+
+
+def decentralization_series(metas, panel):
+    """``purified_decentralization`` of the tokens of ``metas`` against the
+    ln(mcap) of their ``panel`` rows, missing where mcap is."""
+    records = [panel.observations[meta.symbol] for meta in metas]
+    log_mcap = [_masked(rec.symbol, "log_mcap", rec.dates, rec.missing["mcap"], np.log,
+                        rec.values["mcap"]).values for rec in records]
+    return purified_decentralization(metas, [rec.dates for rec in records], log_mcap)
+
+
+def compute_market_metrics(market):
     """Market-wide volatility and shock metrics."""
     if market.missing["index_level"].any():
         raise ValueError("market index_level has missing values; series must be gap-free")
     return {
-        "market_volatility": realized_volatility(
-            market.dates, market.values["index_level"], window=window
-        ),
+        "market_volatility": realized_volatility(market.dates, market.values["index_level"]),
         "market_shocks": market_shocks_series(
             market.dates, market.values["shock_loss"], market.missing["shock_loss"]
         ),
     }
 
 
-def compute_all_metrics(panel, window=30):
+def compute_all_metrics(panel):
     """Metric bundle for a whole panel: {entity: {name: MetricSeries}}.
 
     Market metrics appear under the MARKET pseudo-entity.
     """
     bundle = {meta.symbol: compute_entity_metrics(panel.observations[meta.symbol])
               for meta in panel.entities}
-    bundle[MARKET_SYMBOL] = compute_market_metrics(panel.market, window=window)
+    bundle[MARKET_SYMBOL] = compute_market_metrics(panel.market)
+    for symbol, series in decentralization_series(panel.entities, panel).items():
+        bundle[symbol]["decentralization"] = series
     return bundle

@@ -19,7 +19,6 @@ import numpy as np
 import scipy
 
 from . import __version__
-from . import decentralization as dec
 from . import diagnostics as diag
 from . import metrics as mx
 from . import refdata
@@ -61,6 +60,7 @@ CONTROLS = (
 MARKET_METRICS = ("market_volatility", "market_shocks")
 INTERACTION = ("hyfi", "market_volatility")
 RESPONSE = "price_risk"
+ENTITY_METRICS = (RESPONSE,) + tuple(c for c in CONTROLS if c not in MARKET_METRICS)
 
 Z_STARS = ((2.5758293035489004, "***"), (1.959963984540054, "**"), (1.6448536269514722, "*"))
 
@@ -90,7 +90,6 @@ class RunConfig:
     taus: tuple = (0.10, 0.25, 0.50, 0.75, 0.90)
     weights: str = "cross_section_egls"
     covariance: str = "white"
-    volatility_window: int = 30
     with_baseline: bool = True
     with_quantiles: bool = True
     with_split: bool = True
@@ -123,7 +122,6 @@ _CONFIG_KEYS = {
     "taus": ("taus", "floats"),
     "weights": ("weights", WEIGHTS),
     "covariance": ("covariance", COVARIANCES),
-    "volatility_window": ("volatility_window", int),
     "with_baseline": ("with_baseline", "bool"),
     "with_quantiles": ("with_quantiles", "bool"),
     "with_split": ("with_split", "bool"),
@@ -210,50 +208,6 @@ def parse_config(path):
 
 # ---------------------------------------------------------------------------
 # metric bundle plumbing
-
-
-def metrics_from_panel(panel, window=30):
-    """Compute all metric series plus the orthogonalized decentralization
-    regressor from a raw panel."""
-    bundle = mx.compute_all_metrics(panel, window=window)
-    add_decentralization_metric(bundle, panel.entities, panel)
-    return bundle
-
-
-def purified_decentralization(metas, dates, log_mcap):
-    """Composite decentralization per token, purified against pooled ln(mcap).
-
-    ``dates`` and ``log_mcap`` hold one array per entry of ``metas`` (NaN
-    where ln(mcap) is missing).  Returns ``{symbol: MetricSeries}``.
-    """
-    composite = [
-        np.full(len(d), dec.composite_index(meta.gini_components))
-        for meta, d in zip(metas, dates)
-    ]
-    residuals, missing = dec.orthogonalize(np.concatenate(composite), np.concatenate(log_mcap))
-    series, offset = {}, 0
-    for meta, d in zip(metas, dates):
-        end = offset + len(d)
-        series[meta.symbol] = mx.MetricSeries(
-            meta.symbol, "decentralization", d, residuals[offset:end], missing[offset:end]
-        )
-        offset = end
-    return series
-
-
-def add_decentralization_metric(bundle, metas, panel):
-    """Add each token's purified decentralization series to ``bundle``."""
-    dates, log_mcap = [], []
-    for meta in metas:
-        rec = panel.observations[meta.symbol]
-        ok = ~rec.missing["mcap"]
-        values = np.full(len(rec), np.nan)
-        values[ok] = np.log(rec.values["mcap"][ok])
-        dates.append(rec.dates)
-        log_mcap.append(values)
-    for symbol, series in purified_decentralization(metas, dates, log_mcap).items():
-        bundle[symbol]["decentralization"] = series
-    return bundle
 
 
 def write_metrics_csv(bundle, path):
@@ -885,7 +839,6 @@ class SynthParams:
     n_entities: int = 18
     n_periods: int = 1790
     start: str = "2020-01-01"
-    market_warmup: int = 31
     beta: dict = None
     phi: float = 0.0
     sigma_alpha: float = 0.01
@@ -912,8 +865,6 @@ class SynthParams:
                 f"n_entities = {self.n_entities}; set use_benchmark_universe = false for "
                 "synthetic tokens"
             )
-        if self.market_warmup < 31:
-            raise ValueError("market warmup must cover the volatility window")
 
 
 def default_truth():
@@ -986,7 +937,8 @@ def simulate_dgp(params, seed=None):
             f"that simulates is {shortest}"
         )
     calendar = start + np.arange(params.n_periods)
-    market_dates = start + np.arange(-params.market_warmup, params.n_periods)
+    # VOLATILITY_WINDOW + 1 warm-up days: market volatility is present from start - 1 on
+    market_dates = start + np.arange(-(mx.VOLATILITY_WINDOW + 1), params.n_periods)
 
     # market index with persistent log-volatility
     n_market = len(market_dates)
@@ -999,7 +951,7 @@ def simulate_dgp(params, seed=None):
     sigma_m = np.exp(log_sigma)
     index_returns = sigma_m * rng.standard_normal(n_market)
     index_levels = 100.0 * np.exp(np.cumsum(index_returns))
-    market_vol = mx.realized_volatility(market_dates, index_levels, window=30)
+    market_vol = mx.realized_volatility(market_dates, index_levels)
 
     occurs = rng.random(n_market) < 0.35
     losses = np.where(occurs, np.exp(rng.normal(12.0, 2.5, size=n_market)), 0.0)
@@ -1037,7 +989,7 @@ def simulate_dgp(params, seed=None):
         dates_by_entity.append(dates)
         log_mcaps.append(log_mcap)
 
-    purified = purified_decentralization(metas, dates_by_entity, log_mcaps)
+    purified = mx.purified_decentralization(metas, dates_by_entity, log_mcaps)
     beta = params.beta
     for i, (meta, dates) in enumerate(zip(metas, dates_by_entity)):
         per = bundle[meta.symbol]
@@ -1125,7 +1077,7 @@ def write_simulation(sim, outdir):
     lines += [f"  {k} = {v}" for k, v in sorted(sim.truth.items()) if np.isscalar(v)]
     lines += [
         "processes:",
-        "  market_volatility: 30-day rolling sd of index log returns,"
+        f"  market_volatility: {mx.VOLATILITY_WINDOW}-day rolling sd of index log returns,"
         " AR(1) log-volatility state",
         "  market_shocks: ln(1+loss), zero-inflated lognormal",
         "  size: one-day diff of a log market-cap random walk",
@@ -1251,28 +1203,23 @@ def _volatility_scale(design):
 
 
 def load_inputs(config):
-    """Panel mode computes metrics from raw data; metrics mode loads them."""
+    """Panel mode computes metrics from raw data; metrics mode loads them and
+    refuses a meta entity without ``ENTITY_METRICS`` or a market without ``MARKET_METRICS``."""
     panel = None
     if config.panel:
         panel = load_panel_csv(config.panel)
-        bundle = metrics_from_panel(panel, window=config.volatility_window)
+        bundle = mx.compute_all_metrics(panel)
         metas = list(panel.entities)
     else:
         bundle = read_metrics_csv(config.metrics_file)
         metas = read_meta_csv(config.meta)
-        missing = [m.symbol for m in metas if m.symbol not in bundle]
-        if missing:
-            raise ValueError(f"metrics file lacks entities {missing}")
+        required = [(meta.symbol, ENTITY_METRICS) for meta in metas]
+        for symbol, names in required + [(MARKET_SYMBOL, MARKET_METRICS)]:
+            for name in names:
+                if name not in bundle.get(symbol, {}):
+                    raise ValueError(
+                        f"{config.metrics_file}: entity {symbol} has no {name} rows")
     return metas, bundle, panel
-
-
-def raw_attention_pooled(panel):
-    """Untransformed search-interest values, for descriptive tables."""
-    parts = []
-    for meta in panel.entities:
-        rec = panel.observations[meta.symbol]
-        parts.append(rec.values["attention"][~rec.missing["attention"]])
-    return np.concatenate(parts) if parts else np.array([])
 
 
 def _ledger_line(job, ledger):
@@ -1346,8 +1293,7 @@ def run_report(config):
     table = design_table(metas, bundle)
     tables = {}
     if config.with_diagnostics:
-        extra = {"attention_raw": raw_attention_pooled(panel)} if panel else None
-        diagnostics = _emit_diagnostics(metas, bundle, table, extra_pooled=extra)
+        diagnostics = _emit_diagnostics(metas, bundle, table, panel)
         tables.update(diagnostics)
         manifest.append("job diagnostics: " + ", ".join(f"tables/{name}" for name in diagnostics))
     del bundle, panel  # every battery below reads ``table``
@@ -1392,23 +1338,28 @@ def run_report(config):
     return outdir
 
 
-def _emit_diagnostics(metas, bundle, table, extra_pooled=None):
+def _emit_diagnostics(metas, bundle, table, panel=None):
     """The descriptives, correlations, unit-root and dependence tables,
     ``{name: (header, rows)}``.  ``table`` is the ``design_table`` of
     ``metas`` in ``bundle``; the correlations and hyfi read its entity-day
     rows.
 
-    ``extra_pooled`` optionally appends raw-valued variables (for example
-    untransformed attention) to the descriptive table.
+    With the raw ``panel``, the descriptives add ``attention_raw``, the
+    present untransformed search interest, if any value is present.
     """
     calendar = date_union([s.dates for per in bundle.values() for s in per.values()])
 
-    variables = ["price_risk"] + [c for c in CONTROLS if c not in MARKET_METRICS]
     per_entity_matrix = {
         name: np.vstack([_aligned(bundle[meta.symbol][name], calendar)[0] for meta in metas])
-        for name in variables
+        for name in ENTITY_METRICS
     }
-    extra = {name: values for name, values in (extra_pooled or {}).items() if len(values)}
+    extra = {}
+    if panel is not None:
+        records = [panel.observations[meta.symbol] for meta in metas]
+        attention = np.concatenate([rec.values["attention"][~rec.missing["attention"]]
+                                    for rec in records])
+        if len(attention):
+            extra["attention_raw"] = attention
 
     def pooled(name):
         """The pooled values of one variable, built when ``describe`` reads
@@ -1432,7 +1383,7 @@ def _emit_diagnostics(metas, bundle, table, extra_pooled=None):
     )
 
     unit_rows = []
-    for name in variables:
+    for name in ENTITY_METRICS:
         try:
             result = diag.cips(per_entity_matrix[name], entity_labels=[m.symbol for m in metas])
             unit_rows.append(

@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 
 import panelcrypt
 from panelcrypt import cli, pipeline
+from panelcrypt import metrics as mx
 from panelcrypt.base import ConvergenceError
 from panelcrypt.cli import _parse_model_spec, _parse_synth_params, main
 from panelcrypt.decentralization import composite_index
 from panelcrypt.panel import load_panel, load_panel_csv, read_meta_csv, write_panel_csv
-from panelcrypt.pipeline import write_meta_csv
+from panelcrypt.pipeline import parse_config, write_meta_csv
 from panelcrypt.quantreg import PanelQuantile
 
 from conftest import CELL_TEXTS, PROPERTY_SETTINGS, build_panel_files
@@ -172,14 +173,13 @@ def test_decentralization_bytes_equal_a_csv_writer_row_loop(tmp_path_factory, aw
     write_meta_csv(metas, folder / "meta.csv")
     assert main(["decentralization", "--panel", str(panel_path),
                  "--meta", str(folder / "meta.csv"), "--out", str(folder / "table.csv")]) == 0
-    bundle = {meta.symbol: {} for meta in metas}
-    pipeline.add_decentralization_metric(bundle, metas, load_panel_csv(panel_path))
+    purified = mx.decentralization_series(metas, load_panel_csv(panel_path))
     with open(folder / "rows.csv", "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(("entity", "date", "composite", "orthogonalized"))
         for meta in metas:
             composite = composite_index(meta.gini_components)
-            series = bundle[meta.symbol]["decentralization"]
+            series = purified[meta.symbol]
             for i in np.flatnonzero(~series.missing):
                 writer.writerow((meta.symbol, str(series.dates[i]), repr(float(composite)),
                                  repr(float(series.values[i]))))
@@ -321,10 +321,84 @@ def test_simulate_determinism(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_error_reporting(tmp_path, capsys):
-    code = main(["report", "--config", str(tmp_path / "missing.cfg")])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+@pytest.fixture(scope="module")
+def small_simulation(tmp_path_factory):
+    """The metrics and meta files of a three-token simulation."""
+    folder = tmp_path_factory.mktemp("small_simulation")
+    (folder / "params.cfg").write_text(
+        "n_entities = 3\nn_periods = 60\nuse_benchmark_universe = false\n")
+    assert main(["simulate", "--params", str(folder / "params.cfg"),
+                 "--out", str(folder / "sim")]) == 0
+    return folder / "sim"
+
+
+def missing_config(tmp_path, sim, awkward):
+    return ["report", "--config", str(tmp_path / "missing.cfg")], "missing.cfg"
+
+
+def meta_token_absent_from_panel(tmp_path, sim, awkward):
+    panel_path, metas = awkward
+    meta = tmp_path / "meta.csv"
+    write_meta_csv(metas + [replace(metas[0], symbol="ZZZ")], meta)
+    return (["decentralization", "--panel", str(panel_path), "--meta", str(meta),
+             "--out", str(tmp_path / "dec.csv")],
+            f"{meta}: tokens ['ZZZ'] have no rows in {panel_path}")
+
+
+def report_lacking(entity, metric, config=""):
+    """A report whose metrics file lacks ``entity``'s ``metric`` rows, or
+    all of its rows when ``metric`` is None."""
+    def case(tmp_path, sim, awkward):
+        rows = read_csv_rows(sim / "metrics.csv")
+        metrics = tmp_path / "metrics.csv"
+        with open(metrics, "w", newline="") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(
+                row for row in rows if not (row[0] == entity and metric in (None, row[2])))
+        (tmp_path / "report.cfg").write_text(
+            f"metrics = {metrics}\nmeta = {sim / 'meta.csv'}\nout = {tmp_path / 'out'}\n"
+            + config)
+        return (["report", "--config", str(tmp_path / "report.cfg")],
+                f"{metrics}: entity {entity} has no {metric or 'market_volatility'} rows")
+    return case
+
+
+BAD_INPUTS = [
+    missing_config,
+    meta_token_absent_from_panel,
+    report_lacking("TOK00", "size"),
+    report_lacking("MARKET", None),
+    report_lacking("TOK01", "price_risk", "with_diagnostics = false\n"),
+]
+
+
+def test_error_reporting(tmp_path, capsys, small_simulation, awkward_panel):
+    # bad input is one error line and exit status 1, never a traceback
+    for i, case in enumerate(BAD_INPUTS):
+        folder = tmp_path / str(i)
+        folder.mkdir()
+        argv, message = case(folder, small_simulation, awkward_panel)
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert message in err[0]
+        assert not (folder / "out").exists()
+
+
+def test_volatility_window_is_not_a_setting(tmp_path):
+    config = tmp_path / "report.cfg"
+    config.write_text("panel = panel.csv\nvolatility_window = 30\n")
+    with pytest.raises(ValueError, match=r"report\.cfg:2: unknown config key 'volatility_window'"):
+        parse_config(config)
+    params = tmp_path / "params.cfg"
+    params.write_text("n_periods = 160\nmarket_warmup = 31\n")
+    with pytest.raises(ValueError, match=r"params\.cfg:2: unknown parameter 'market_warmup'"):
+        _parse_synth_params(params)
+    for command, required in [("metrics", []), ("fit", ["--spec", "spec.cfg"]),
+                              ("quantile", []), ("diagnose", [])]:
+        with pytest.raises(SystemExit) as info:
+            cli.build_parser().parse_args(
+                [command, "--panel", "panel.csv", "--out", "out", *required, "--window", "30"])
+        assert info.value.code == 2
 
 
 def test_solver_failure_reported(tmp_path, panel_file, capsys, monkeypatch):

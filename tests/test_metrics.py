@@ -5,8 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from panelcrypt import decentralization as dec
 from panelcrypt import metrics as mx
-from panelcrypt.panel import ENTITY_FIELDS, MARKET_FIELDS, MARKET_SYMBOL, EntityRecords
+from panelcrypt.panel import (
+    ENTITY_FIELDS,
+    MARKET_FIELDS,
+    MARKET_SYMBOL,
+    EntityMeta,
+    EntityRecords,
+    PanelDataset,
+)
 
 
 class TestParkinson:
@@ -167,6 +175,12 @@ class TestRealizedVolatility:
         ok = ~base.missing
         assert scaled.values[ok] == pytest.approx(base.values[ok], rel=1e-12)
 
+    @pytest.mark.parametrize("window", [1, 0, -2])
+    def test_window_below_two_refused(self, window):
+        dates = np.datetime64("2021-01-01", "D") + np.arange(10)
+        with pytest.raises(ValueError, match=rf"volatility window {window}: need at least 2"):
+            mx.realized_volatility(dates, np.full(10, 1.0), window=window)
+
     def test_window_too_large(self):
         dates = np.datetime64("2021-01-01", "D") + np.arange(10)
         with pytest.raises(ValueError):
@@ -275,6 +289,18 @@ def gapped_records(rng, symbol, fields, n, columns):
     return EntityRecords(symbol, dates, values, missing)
 
 
+def gapped_market(rng, close):
+    """Market records on the days of ``gapped_records`` with an index
+    level on every day, as the market metrics require."""
+    n = len(close)
+    market = gapped_records(rng, MARKET_SYMBOL, MARKET_FIELDS, n, {
+        "index_level": 1000.0 * close, "shock_loss": rng.exponential(1e5, size=n),
+    })
+    market.missing["index_level"][:] = False
+    market.values["index_level"][:] = 1000.0 * close
+    return market
+
+
 def test_every_metric_is_nan_exactly_where_masked():
     rng = np.random.default_rng(23)
     n = 80
@@ -285,11 +311,7 @@ def test_every_metric_is_nan_exactly_where_masked():
         "open": close, "high": close * 1.02, "low": close * 0.98, "close": close,
         "volume": volume, "mcap": 1e9 * close, "attention": rng.uniform(0, 100, size=n),
     })
-    market = gapped_records(rng, MARKET_SYMBOL, MARKET_FIELDS, n, {
-        "index_level": 1000.0 * close, "shock_loss": rng.exponential(1e5, size=n),
-    })
-    market.missing["index_level"][:] = False  # the index must be gap-free
-    market.values["index_level"][:] = 1000.0 * close
+    market = gapped_market(rng, close)
     bundle = {**mx.compute_entity_metrics(entity), **mx.compute_market_metrics(market)}
     assert set(bundle) == {"price_risk", "log_return", "amihud", "illiquidity", "size",
                            "attractiveness", "market_volatility", "market_shocks"}
@@ -303,3 +325,32 @@ def test_every_metric_is_nan_exactly_where_masked():
     assert masked >= 2 and bundle["amihud"].flags == [f"masked_volume_days={masked}"]
     # a lag across a calendar gap is missing: 2021-01-24 follows 2021-01-20
     assert bundle["log_return"].missing[20] and bundle["size"].missing[20]
+
+
+def test_decentralization_is_the_pooled_orthogonalization_of_ln_mcap():
+    rng = np.random.default_rng(29)
+    n = 80
+    metas, records = [], {}
+    for i, symbol in enumerate(["AAA", "BBB", "CCC"]):
+        close = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.03, size=n)))
+        records[symbol] = gapped_records(rng, symbol, ENTITY_FIELDS, n, {
+            "open": close, "high": close * 1.02, "low": close * 0.98, "close": close,
+            "volume": np.exp(rng.normal(15.0, 1.0, size=n)),
+            "mcap": 1e9 * (i + 1) * np.exp(np.cumsum(rng.normal(0, 0.05, size=n))),
+            "attention": rng.uniform(0, 100, size=n),
+        })
+        metas.append(EntityMeta(symbol, "test", i == 0, records[symbol].dates[0],
+                                tuple(rng.uniform(0.2, 0.9, size=5))))
+    panel = PanelDataset(tuple(metas), records, gapped_market(rng, close))
+    bundle = mx.compute_all_metrics(panel)
+    composites = np.concatenate([np.full(n, dec.composite_index(meta.gini_components))
+                                 for meta in metas])
+    log_mcap = np.log(np.concatenate([records[meta.symbol].values["mcap"] for meta in metas]))
+    expected, _ = dec.orthogonalize(composites, log_mcap)
+    for i, meta in enumerate(metas):
+        series = bundle[meta.symbol]["decentralization"]
+        mcap_missing = records[meta.symbol].missing["mcap"]
+        assert mcap_missing.any() and np.array_equal(series.missing, mcap_missing)
+        assert np.array_equal(np.isnan(series.values), mcap_missing)
+        assert np.array_equal(series.values, expected[i * n:(i + 1) * n], equal_nan=True)
+        assert np.array_equal(series.dates, records[meta.symbol].dates)

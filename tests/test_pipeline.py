@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from panelcrypt import estimators, pipeline
+from panelcrypt import metrics as mx
 from panelcrypt.estimators import FixedEffects, ModelSpec, RandomEffects, hausman
 from panelcrypt.metrics import MetricSeries
 from panelcrypt.panel import (
@@ -356,6 +357,13 @@ class TestSimulate:
             f"n_periods = {n_periods} leaves RAY, listed 2021-02-22, fewer than 3 days;"
             " the smallest n_periods that simulates is 421"
         )
+
+    def test_market_starts_one_window_and_a_day_before_start(self, small_sim):
+        start = np.datetime64(small_sim.params.start, "D")
+        for series in small_sim.bundle[MARKET_SYMBOL].values():
+            assert series.dates[0] == start - (mx.VOLATILITY_WINDOW + 1) * DAY
+        volatility = small_sim.bundle[MARKET_SYMBOL]["market_volatility"]
+        assert not volatility.missing[volatility.dates >= start].any()
 
     def test_shortest_benchmark_calendar_simulates(self):
         sim = simulate_dgp(SynthParams(n_periods=421))
