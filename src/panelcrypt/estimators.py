@@ -496,10 +496,10 @@ def _swamy_arora(design):
     Xb = xbar
     if not any(np.allclose(Xb[:, j], Xb[0, j]) and Xb[0, j] == 1.0 for j in range(Xb.shape[1])):
         Xb = np.column_stack([np.ones(groups.n_groups), Xb])
-    rank = np.linalg.matrix_rank(Xb)
+    # lstsq's rank uses matrix_rank's cut-off, max(M, N) * eps * sigma_max
+    beta_b, _, rank, _ = np.linalg.lstsq(Xb, ybar, rcond=None)
     t_bar = float(groups.counts.mean())
     if groups.n_groups > rank:
-        beta_b, *_ = np.linalg.lstsq(Xb, ybar, rcond=None)
         resid_b = ybar - Xb @ beta_b
         sigma2_between = float(resid_b @ resid_b) / (groups.n_groups - rank)
         sigma2_alpha = sigma2_between - sigma2_eps / t_bar

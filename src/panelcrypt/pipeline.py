@@ -13,7 +13,7 @@ import itertools
 import math
 import os
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy
@@ -90,11 +90,6 @@ class RunConfig:
     taus: tuple = (0.10, 0.25, 0.50, 0.75, 0.90)
     weights: str = "cross_section_egls"
     covariance: str = "white"
-    with_baseline: bool = True
-    with_quantiles: bool = True
-    with_split: bool = True
-    with_diagnostics: bool = True
-    with_reference_figures: bool = True
 
     def __post_init__(self):
         for tau in self.taus:
@@ -122,11 +117,6 @@ _CONFIG_KEYS = {
     "taus": ("taus", "floats"),
     "weights": ("weights", WEIGHTS),
     "covariance": ("covariance", COVARIANCES),
-    "with_baseline": ("with_baseline", "bool"),
-    "with_quantiles": ("with_quantiles", "bool"),
-    "with_split": ("with_split", "bool"),
-    "with_diagnostics": ("with_diagnostics", "bool"),
-    "with_reference_figures": ("with_reference_figures", "bool"),
 }
 
 
@@ -346,7 +336,6 @@ class DropLedger:
     rows_in: int
     rows_used: int
     dropped: dict
-    notes: list = field(default_factory=list)
 
     def conserved(self):
         return self.rows_in == self.rows_used + sum(self.dropped.values())
@@ -430,8 +419,7 @@ def build_design(metas, bundle, spec, window=None):
 
     Selects columns and rows of ``design_table(metas, bundle)``.  Rows with
     any missing value are excluded and tallied by the first missing column
-    in a fixed priority order; under fixed effects a requested HyFi main
-    effect is absorbed (noted, not fitted).  A regressor or interaction name
+    in a fixed priority order.  A regressor or interaction name
     that the bundle does not carry for every entity raises ``ValueError``
     listing the available names.
     """
@@ -443,10 +431,6 @@ def build_design(metas, bundle, spec, window=None):
                 + ", ".join(sorted(table.columns))
             )
     regressors = list(spec.regressors)
-    notes = []
-    if spec.effects == "fixed" and "hyfi" in regressors:
-        regressors.remove("hyfi")
-        notes.append("hyfi main effect absorbed by entity effects")
     values = {name: table.columns[name] for name in [RESPONSE, *regressors]}
     interaction_names = [f"{a}_x_{b}" for a, b in spec.interactions]
     for (a, b), name in zip(spec.interactions, interaction_names):
@@ -489,7 +473,6 @@ def build_design(metas, bundle, spec, window=None):
         rows_in=rows_in,
         rows_used=design.nobs,
         dropped=dict(sorted(dropped.items())),
-        notes=notes,
     )
     return design, ledger
 
@@ -762,33 +745,33 @@ def figure7_rows(attenuation):
     return rows
 
 
-def emit_figures(config, baseline=None, quantiles=None, split=None, volatility_scale=1.0):
-    """The figure-data files ``{name: (header, rows)}`` of whichever
-    fragments are available.  The volatility scale converts raw-volatility
-    slopes to the standardized axis used by the line and slope figures.
+def emit_figures(baseline, quantiles, split, volatility_scale):
+    """The figure-data files ``{name: (header, rows)}`` of the baseline,
+    quantile and split fragments, then the reference figures; no
+    ``fig6.csv`` when every tau failed.  The volatility scale converts
+    raw-volatility slopes to the standardized axis used by the line and
+    slope figures.
     """
-    files = {}
-    if baseline is not None:
-        dynamic_fit = baseline.fits["dynamic_fixed"]
-        non, hyfi = _slope_pairs(dynamic_fit, volatility_scale)
-        files["fig4.csv"] = (FIG4_HEADER, figure4_rows(
+    dynamic_fit = baseline.fits["dynamic_fixed"]
+    non, hyfi = _slope_pairs(dynamic_fit, volatility_scale)
+    files = {
+        "fig4.csv": (FIG4_HEADER, figure4_rows(
             dynamic_fit.intercept if dynamic_fit.intercept is not None else 0.0,
             non[0],
             hyfi[0],
             dynamic_fit.phi if dynamic_fit.phi is not None else 0.0,
-        ))
-        files["fig5.csv"] = (FIG5_HEADER, figure5_rows(
-            baseline.fits["static_fixed"], dynamic_fit, volatility_scale))
-    if quantiles is not None and quantiles.fits:
+        )),
+        "fig5.csv": (FIG5_HEADER, figure5_rows(
+            baseline.fits["static_fixed"], dynamic_fit, volatility_scale)),
+    }
+    if quantiles.fits:
         files["fig6.csv"] = (FIG6_HEADER, figure6_rows(quantiles.fits))
-    if split is not None:
-        files["fig7.csv"] = (FIG7_HEADER, figure7_rows(split.attenuation))
+    files["fig7.csv"] = (FIG7_HEADER, figure7_rows(split.attenuation))
 
-    if config.with_reference_figures:
-        reference = reference_figures()
-        for name, header in (("fig4", FIG4_HEADER), ("fig5", FIG5_HEADER),
-                             ("fig6", FIG6_HEADER), ("fig7", FIG7_HEADER)):
-            files[f"reference_{name}.csv"] = (header, reference[name])
+    reference = reference_figures()
+    for name, header in (("fig4", FIG4_HEADER), ("fig5", FIG5_HEADER),
+                         ("fig6", FIG6_HEADER), ("fig7", FIG7_HEADER)):
+        files[f"reference_{name}.csv"] = (header, reference[name])
     return files
 
 
@@ -1224,7 +1207,7 @@ def load_inputs(config):
 
 def _ledger_line(job, ledger):
     return (f"job {job}: rows_in={ledger.rows_in} rows_used={ledger.rows_used}"
-            f" dropped={ledger.dropped}" + (f" notes={ledger.notes}" if ledger.notes else ""))
+            f" dropped={ledger.dropped}")
 
 
 def _baseline_tables(fragment):
@@ -1271,7 +1254,7 @@ def _split_tables(split):
 
 
 def run_report(config):
-    """Run every requested battery, then write the report bundle: ``tables/``,
+    """Run every battery, then write the report bundle: ``tables/``,
     ``figures/`` and ``manifest.txt``.  A battery that fails raises before
     anything is written."""
     metas, bundle, panel = load_inputs(config)
@@ -1291,44 +1274,31 @@ def run_report(config):
 
     # the diagnostics and every design below read this one table
     table = design_table(metas, bundle)
-    tables = {}
-    if config.with_diagnostics:
-        diagnostics = _emit_diagnostics(metas, bundle, table, panel)
-        tables.update(diagnostics)
-        manifest.append("job diagnostics: " + ", ".join(f"tables/{name}" for name in diagnostics))
+    tables = _emit_diagnostics(metas, bundle, table, panel)
+    manifest.append("job diagnostics: " + ", ".join(f"tables/{name}" for name in tables))
     del bundle, panel  # every battery below reads ``table``
 
-    baseline = None
-    if config.with_baseline:
-        baseline = run_baseline(metas, table, config)
-        tables.update(_baseline_tables(baseline))
-        manifest += [_ledger_line(f"baseline/{job}", baseline.ledgers[job])
-                     for job in BASELINE_JOBS]
+    baseline = run_baseline(metas, table, config)
+    tables.update(_baseline_tables(baseline))
+    manifest += [_ledger_line(f"baseline/{job}", baseline.ledgers[job]) for job in BASELINE_JOBS]
 
-    quantiles = None
-    if config.with_quantiles:
-        quantiles = run_quantiles(metas, table, config)
-        tables.update(_quantile_tables(quantiles))
-        manifest.append(_ledger_line("quantiles", quantiles.ledger))
-        for tau, message in sorted(quantiles.errors.items()):
-            manifest.append(f"job quantiles tau={tau}: FAILED {message}")
+    quantiles = run_quantiles(metas, table, config)
+    tables.update(_quantile_tables(quantiles))
+    manifest.append(_ledger_line("quantiles", quantiles.ledger))
+    for tau, message in sorted(quantiles.errors.items()):
+        manifest.append(f"job quantiles tau={tau}: FAILED {message}")
 
-    split = None
-    if config.with_split:
-        split = run_split(metas, table, config)
-        tables.update(_split_tables(split))
-        manifest.append(
-            f"job split: split_date={split.split_date}"
-            f" pre_days={split.pre.n_days['static_fixed']}"
-            f" post_days={split.post.n_days['static_fixed']}"
-        )
+    split = run_split(metas, table, config)
+    tables.update(_split_tables(split))
+    manifest.append(
+        f"job split: split_date={split.split_date}"
+        f" pre_days={split.pre.n_days['static_fixed']}"
+        f" post_days={split.post.n_days['static_fixed']}"
+    )
 
-    scale = 1.0
-    if baseline is not None:
-        design, _ = build_design(metas, table, _baseline_specs(config)["static_fixed"])
-        scale = _volatility_scale(design)
-    figures = emit_figures(config, baseline=baseline, quantiles=quantiles, split=split,
-                           volatility_scale=scale)
+    design, _ = build_design(metas, table, _baseline_specs(config)["static_fixed"])
+    scale = _volatility_scale(design)
+    figures = emit_figures(baseline, quantiles, split, scale)
     manifest.append(f"job figures: volatility_scale={scale!r} files={list(figures)}")
 
     outdir = config.out
@@ -1345,7 +1315,9 @@ def _emit_diagnostics(metas, bundle, table, panel=None):
     rows.
 
     With the raw ``panel``, the descriptives add ``attention_raw``, the
-    present untransformed search interest, if any value is present.
+    present untransformed search interest, if any value is present.  A
+    variable that cannot be described raises, naming it; a failed CIPS or
+    ADF test is a ``cips_error`` or ``adf_error`` row.
     """
     calendar = date_union([s.dates for per in bundle.values() for s in per.values()])
 
@@ -1374,7 +1346,10 @@ def _emit_diagnostics(metas, bundle, table, panel=None):
 
     descriptives = []
     for name in ["price_risk"] + list(CONTROLS) + ["hyfi"] + list(extra):
-        row = diag.describe(pooled(name))
+        try:
+            row = diag.describe(pooled(name))
+        except ValueError as exc:
+            raise ValueError(f"descriptives: {name}: {exc}") from None
         descriptives.append((name, row.mean, row.median, row.maximum, row.minimum,
                              row.std_dev, row.skewness, row.kurtosis, float(row.nobs)))
 
@@ -1393,11 +1368,13 @@ def _emit_diagnostics(metas, bundle, table, panel=None):
         except ValueError as exc:
             unit_rows.append((name, "cips_error", float("nan"), float("nan"), str(exc), 0.0))
     for name in MARKET_METRICS:
-        series = bundle[MARKET_SYMBOL][name]
-        result = diag.adf(series.present_values())
-        unit_rows.append(
-            (name, "adf", result.statistic, float("nan"), result.stars, float(result.nobs))
-        )
+        try:
+            result = diag.adf(bundle[MARKET_SYMBOL][name].present_values())
+            unit_rows.append(
+                (name, "adf", result.statistic, float("nan"), result.stars, float(result.nobs))
+            )
+        except ValueError as exc:
+            unit_rows.append((name, "adf_error", float("nan"), float("nan"), str(exc), 0.0))
 
     dep_results = diag.dependence_tests(
         per_entity_matrix["price_risk"], entity_labels=[m.symbol for m in metas]

@@ -205,6 +205,19 @@ def test_fit_command(tmp_path, panel_file):
     assert "rows_in=" in summary
 
 
+@pytest.mark.parametrize("weights", ["none", "cross_section_egls"])
+def test_fit_fixed_effects_absorbs_hyfi(tmp_path, panel_file, weights):
+    spec = tmp_path / "model.cfg"
+    spec.write_text(f"effects = fixed\nweights = {weights}\n"
+                    "regressors = size,illiquidity,hyfi\n")
+    out = tmp_path / "fit"
+    assert main(["fit", "--panel", str(panel_file), "--spec", str(spec),
+                 "--out", str(out)]) == 0
+    terms = [row[0] for row in read_csv_rows(out / "coefficients.csv")[1:]]
+    assert "hyfi" not in terms and "size" in terms
+    assert "absorbed: hyfi" in (out / "summary.txt").read_text().splitlines()
+
+
 def test_fit_dynamic_random(tmp_path, panel_file):
     spec = tmp_path / "dyn.cfg"
     spec.write_text("effects = random\ndynamic = true\nregressors = "
@@ -253,11 +266,10 @@ def test_quantile_taus_sharing_a_file_name_refused(tmp_path, panel_file, capsys,
 
 
 def test_diagnose_and_quantile_write_the_report_tables(tmp_path, panel_file):
-    # the panel ends before the default split date, so the split is off
+    # the panel ends before the default split date, so the config sets one
     report = tmp_path / "report"
     config = tmp_path / "report.cfg"
-    config.write_text(f"panel = {panel_file}\nout = {report}\n"
-                      "with_baseline = false\nwith_split = false\n")
+    config.write_text(f"panel = {panel_file}\nout = {report}\nsplit_date = 2020-03-01\n")
     assert main(["report", "--config", str(config)]) == 0
     tables = report / "tables"
     assert main(["diagnose", "--panel", str(panel_file), "--out", str(tmp_path / "d")]) == 0
@@ -345,21 +357,35 @@ def meta_token_absent_from_panel(tmp_path, sim, awkward):
             f"{meta}: tokens ['ZZZ'] have no rows in {panel_path}")
 
 
-def report_lacking(entity, metric, config=""):
+def report_on(tmp_path, sim, select):
+    """The argv of a report on the metrics rows that ``select`` keeps of
+    ``sim``'s, and the path of the metrics file it reads."""
+    metrics = tmp_path / "metrics.csv"
+    with open(metrics, "w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(
+            select(read_csv_rows(sim / "metrics.csv")))
+    (tmp_path / "report.cfg").write_text(
+        f"metrics = {metrics}\nmeta = {sim / 'meta.csv'}\nout = {tmp_path / 'out'}\n")
+    return ["report", "--config", str(tmp_path / "report.cfg")], metrics
+
+
+def report_lacking(entity, metric):
     """A report whose metrics file lacks ``entity``'s ``metric`` rows, or
     all of its rows when ``metric`` is None."""
     def case(tmp_path, sim, awkward):
-        rows = read_csv_rows(sim / "metrics.csv")
-        metrics = tmp_path / "metrics.csv"
-        with open(metrics, "w", newline="") as handle:
-            csv.writer(handle, lineterminator="\n").writerows(
-                row for row in rows if not (row[0] == entity and metric in (None, row[2])))
-        (tmp_path / "report.cfg").write_text(
-            f"metrics = {metrics}\nmeta = {sim / 'meta.csv'}\nout = {tmp_path / 'out'}\n"
-            + config)
-        return (["report", "--config", str(tmp_path / "report.cfg")],
-                f"{metrics}: entity {entity} has no {metric or 'market_volatility'} rows")
+        argv, metrics = report_on(tmp_path, sim, lambda rows: [
+            row for row in rows if not (row[0] == entity and metric in (None, row[2]))])
+        return argv, f"{metrics}: entity {entity} has no {metric or 'market_volatility'} rows"
     return case
+
+
+def one_market_shock(tmp_path, sim, awkward):
+    # a single value cannot be described; the error names the variable
+    def select(rows):
+        shocks = [row for row in rows if row[0] == "MARKET" and row[2] == "market_shocks"]
+        return [row for row in rows if row not in shocks[1:]]
+    argv, _ = report_on(tmp_path, sim, select)
+    return argv, "descriptives: market_shocks: need at least 2 non-missing values"
 
 
 BAD_INPUTS = [
@@ -367,7 +393,8 @@ BAD_INPUTS = [
     meta_token_absent_from_panel,
     report_lacking("TOK00", "size"),
     report_lacking("MARKET", None),
-    report_lacking("TOK01", "price_risk", "with_diagnostics = false\n"),
+    report_lacking("TOK01", "price_risk"),
+    one_market_shock,
 ]
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import fnmatch
 import io
 import math
 import os
@@ -160,12 +161,14 @@ class TestBuildDesign:
             build_design([], small_sim.bundle, spec)
 
     def test_fe_excludes_hyfi_main_effect(self, small_sim):
+        # the design keeps hyfi; the fixed-effects fit absorbs it
         spec = ModelSpec(effects="fixed", regressors=list(CONTROLS) + ["hyfi"],
                          interactions=[("hyfi", "market_volatility")])
-        design, ledger = build_design(small_sim.metas, small_sim.bundle, spec)
-        assert "hyfi" not in design.columns
-        assert "hyfi_x_market_volatility" in design.columns
-        assert any("absorbed" in note for note in ledger.notes)
+        design, _ = build_design(small_sim.metas, small_sim.bundle, spec)
+        fit = FixedEffects().fit(design).result_
+        assert "hyfi" not in fit.columns
+        assert "hyfi_x_market_volatility" in fit.columns
+        assert fit.absorbed == ["hyfi"]
 
     def test_random_effects_design_includes_const_and_hyfi(self, small_sim):
         spec = ModelSpec(effects="random", regressors=list(CONTROLS) + ["hyfi"])
@@ -1029,45 +1032,52 @@ class TestReport:
         assert len(ran) == 1
         assert self.snapshot(out) == {}
 
-    @pytest.mark.parametrize("on", [
-        {"with_diagnostics", "with_baseline", "with_quantiles", "with_split",
-         "with_reference_figures"},
-        {"with_diagnostics", "with_reference_figures"},
-        {"with_baseline", "with_split"},
-        {"with_quantiles"},
-        set(),
-    ])
-    def test_manifest_names_the_files_written(self, tmp_path, on):
+    def test_manifest_names_the_files_written(self, tmp_path):
         data_dir = self.write_inputs(tmp_path)
         out = tmp_path / "report"
-        config = parse_config(self.write_config(tmp_path, data_dir, out))
-        owners = {"with_baseline": "baseline_", "with_quantiles": "quantile_",
-                  "with_split": "split_"}
-        for flag in ("with_diagnostics", "with_reference_figures", *owners):
-            setattr(config, flag, flag in on)
-        run_report(config)
+        run_report(parse_config(self.write_config(tmp_path, data_dir, out)))
         lines = (out / "manifest.txt").read_text().splitlines()
         diagnostics = [line.split(": ", 1)[1].split(", ") for line in lines
                        if line.startswith("job diagnostics: ")]
-        listed = set(diagnostics[0]) if diagnostics else set()
-        assert len(listed) == (4 if "with_diagnostics" in on else 0)
+        assert len(diagnostics) == 1 and len(diagnostics[0]) == 4
         figures = [ast.literal_eval(line.split(" files=", 1)[1]) for line in lines
                    if line.startswith("job figures: ")]
         assert len(figures) == 1
         assert sorted(figures[0]) == sorted(os.listdir(out / "figures"))
         tables = {f"tables/{name}" for name in os.listdir(out / "tables")}
-        assert listed <= tables
-        # every other table belongs to a battery that is on
-        rest = {name.split("/")[1] for name in tables - listed}
-        assert {flag for flag, prefix in owners.items()
-                if any(name.startswith(prefix) for name in rest)} == on & set(owners)
-        assert all(name.startswith(tuple(owners.values())) for name in rest)
+        assert set(diagnostics[0]) <= tables
+        # every other table belongs to the baseline, quantile or split battery
+        rest = {name.split("/")[1] for name in tables - set(diagnostics[0])}
+        for prefix in ("baseline_", "quantile_", "split_"):
+            assert any(name.startswith(prefix) for name in rest), prefix
+        assert all(name.startswith(("baseline_", "quantile_", "split_")) for name in rest)
+        assert not any(line.startswith("  with_") for line in lines)
 
-    def aligned_names(self, tmp_path, monkeypatch, diagnostics):
-        """How often a report aligns each metric, by name."""
+    def test_bundle_matches_the_readme_layout(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Report bundle layout", 1)[1].split("```")[1]
+        documented, folder = [], ""
+        for line in block.splitlines():
+            name = line.split()[0] if line.strip() else ""
+            if name.endswith("/"):
+                folder = "" if name == "report/" else name
+            elif "." in name:
+                documented.append(folder + name)
+        data_dir = self.write_inputs(tmp_path)
+        out = tmp_path / "report"
+        run_report(parse_config(self.write_config(tmp_path, data_dir, out)))
+        written = [path.relative_to(out).as_posix() for path in out.rglob("*") if path.is_file()]
+        for path in written:
+            assert len([p for p in documented if fnmatch.fnmatchcase(path, p)]) == 1, path
+        for pattern in documented:
+            assert any(fnmatch.fnmatchcase(path, pattern) for path in written), pattern
+
+    def test_diagnostics_read_the_report_table(self, tmp_path, monkeypatch):
+        # one design table serves every design of the report; the diagnostics
+        # align each per-entity variable once more, onto the bundle's
+        # calendar, and take everything else from the report's table
         data_dir = self.write_inputs(tmp_path)
         config = parse_config(self.write_config(tmp_path, data_dir, tmp_path / "report"))
-        config.with_diagnostics = diagnostics
         names, aligned = [], pipeline._aligned
 
         def counting(series, dates):
@@ -1076,26 +1086,31 @@ class TestReport:
 
         monkeypatch.setattr(pipeline, "_aligned", counting)
         run_report(config)
-        return Counter(names)
-
-    def test_report_aligns_each_entity_column_once(self, tmp_path, monkeypatch):
-        # one design table serves every design of the report
-        columns = ["price_risk", *CONTROLS]
-        assert self.aligned_names(tmp_path, monkeypatch, False) == dict.fromkeys(columns, 5)
-
-    def test_diagnostics_read_the_report_table(self, tmp_path, monkeypatch):
-        # the diagnostics align each per-entity variable once more, onto the
-        # bundle's calendar, and take everything else from the report's table
         per_entity = ["price_risk", *(c for c in CONTROLS if c not in MARKET_METRICS)]
         expected = {**dict.fromkeys(per_entity, 10), **dict.fromkeys(MARKET_METRICS, 5)}
-        assert self.aligned_names(tmp_path, monkeypatch, True) == expected
+        assert Counter(names) == expected
+
+    def test_failed_adf_is_an_error_row(self):
+        # like a failed CIPS, a failed ADF is isolated to its own row
+        sim = simulate_dgp(small_params(n_entities=3, n_periods=120), seed=52)
+        bundle = dict(sim.bundle)
+        market = dict(bundle[MARKET_SYMBOL])
+        shocks = market["market_shocks"]
+        market["market_shocks"] = replace(shocks, dates=shocks.dates[-6:],
+                                          values=shocks.values[-6:],
+                                          missing=shocks.missing[-6:])
+        bundle[MARKET_SYMBOL] = market
+        tables = pipeline._emit_diagnostics(sim.metas, bundle, design_table(sim.metas, bundle))
+        rows = {row[:2]: row for row in tables["unit_roots.csv"][1]}
+        error = rows[("market_shocks", "adf_error")]
+        assert math.isnan(error[2]) and math.isnan(error[3])
+        assert error[4:] == ("series too short (6) for max_lag=4", 0.0)
+        assert ("market_volatility", "adf") in rows
 
     def test_summary_renders_the_coefficient_and_fitstat_rows(self, tmp_path):
         data_dir = self.write_inputs(tmp_path)
         out = tmp_path / "report"
-        config = parse_config(self.write_config(tmp_path, data_dir, out))
-        config.with_diagnostics = config.with_quantiles = config.with_split = False
-        run_report(config)
+        run_report(parse_config(self.write_config(tmp_path, data_dir, out)))
         tables = out / "tables"
         lines = (tables / "baseline_summary.txt").read_text().splitlines()
         width = 24
@@ -1149,6 +1164,15 @@ class TestReport:
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config(bad)
 
+    @pytest.mark.parametrize("key", ["with_baseline", "with_quantiles", "with_split",
+                                     "with_diagnostics", "with_reference_figures"])
+    def test_config_rejects_removed_battery_toggles(self, tmp_path, key):
+        # a report always runs every battery
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"metrics = m.csv\nmeta = m.csv\n{key} = false\n")
+        with pytest.raises(ValueError, match=rf"bad\.cfg:3: unknown config key '{key}'"):
+            parse_config(bad)
+
     @pytest.mark.parametrize("key", ["standardize_figures", "raw_volatility_in_fits"])
     def test_config_rejects_removed_figure_keys(self, tmp_path, key):
         # fits use raw volatility and figures the z-scored axis, always
@@ -1189,10 +1213,9 @@ class TestReport:
 
     @pytest.mark.parametrize("key, value", [("weights", "bogus"), ("covariance", "hc3")])
     def test_config_rejects_unknown_choice_at_parse_time(self, tmp_path, key, value):
-        # rejected even when no battery that reads the key would run
+        # rejected when the config is read, before any input is loaded
         bad = tmp_path / "bad.cfg"
-        bad.write_text("metrics = m.csv\nmeta = m.csv\nwith_baseline = false\n"
-                       f"with_split = false\n{key} = {value}\n")
+        bad.write_text(f"metrics = m.csv\nmeta = m.csv\n{key} = {value}\n")
         with pytest.raises(ValueError, match=f"{key} must be one of"):
             parse_config(bad)
 
@@ -1200,7 +1223,6 @@ class TestReport:
         ("seed = seven", r"bad\.cfg:3: seed: invalid literal for int\(\)"),
         ("taus = 0.1,x", r"bad\.cfg:3: taus: could not convert string to float: 'x'"),
         ("weights = bogus", r"bad\.cfg:3: weights must be one of .*, got 'bogus'"),
-        ("with_split = ture", r"bad\.cfg:3: with_split: boolean expected, got 'ture'"),
     ])
     def test_config_bad_value_named_at_its_line(self, tmp_path, line, message):
         bad = tmp_path / "bad.cfg"
