@@ -1,12 +1,15 @@
 """Unit-root tests, cross-sectional dependence tests, descriptive moments
 and pairwise-complete correlation matrices for the unbalanced panel.
 
-Two kernels carry the work.  Every (C)ADF regression comes from an in-order
-Gram-Schmidt QR (``_inorder_qr``): its columns are orthogonalised in order
-and a column collinear with those kept before it is dropped, so the AIC lag
-candidates, which are column prefixes of the longest one, all read their SSR
-off one factorisation.  Every pairwise correlation comes from Gram products
-of the row-centred, zero-filled data and its finiteness mask
+Two kernels carry the work.  Every (C)ADF regression comes from one
+Householder QR of its design and response, ``[constant, current...,
+lagged..., response]`` (``_kept_factor``): |R[j, j]| is column j's residual
+on the columns before it, so a collinear column is found and dropped in
+column order, and the AIC lag candidates, which are column prefixes of the
+longest one, all read their SSR off R's last column.  The chosen lag's fit
+adds its few extra rows to that factor instead of factoring its design
+again.  Every pairwise correlation comes from Gram products of the
+row-centred, zero-filled data and its finiteness mask
 (``_pairwise_correlations``), with no loop over pairs.
 
 scipy is imported inside the functions that call it, so importing this
@@ -160,60 +163,74 @@ class DescribeRow:
     flags: list = field(default_factory=list)
 
 
-def _orthogonalise(basis, v):
-    """Residual of ``v`` on the orthonormal ``basis`` and its coefficients,
-    with one reorthogonalisation pass (classical Gram-Schmidt twice)."""
-    coef = basis.T @ v
-    r = v - basis @ coef
-    extra = basis.T @ r
-    return r - basis @ extra, coef + extra
+def _df_design(p, stop, current, lagged, response):
+    """The Fortran-ordered array ``[constant, current..., lagged at 1..p
+    (lag by lag)..., response]`` on rows ``p..stop-1``."""
+    columns = [s[p:stop] for s in current]
+    for j in range(1, p + 1):
+        columns += [s[p - j:stop - j] for s in lagged]
+    design = np.empty((stop - p, len(columns) + 2), order="F")
+    design[:, 0] = 1.0
+    for j, column in enumerate(columns, 1):
+        design[:, j] = column
+    design[:, -1] = response[p:stop]
+    return design
 
 
-def _inorder_qr(columns, response):
-    """Gram-Schmidt QR of ``columns`` in column order, dropping collinear ones.
+def _r_factor(a):
+    """R of the Householder QR of ``a`` (LAPACK, column order), factored in
+    ``a``'s own buffer when it is Fortran-ordered."""
+    from scipy import linalg as sla
 
-    A column is kept when its residual on the columns kept before it exceeds
-    ``1e-8 * max(|col|, 1)``; a later column that fails is dropped, while the
-    first two (constant and lagged level) must pass, else ``ValueError``.
-    ``ValueError`` is also raised when the kept columns leave no residual
-    degrees of freedom.  Returns the triangular factor R of the kept
-    columns, their indices, the response's coordinates z on the kept basis
-    and its squared residual.  The fit on the kept columns among the first m
-    therefore has SSR ``ssr + |z[k_m:]|^2``, k_m being how many they are.
+    return sla.qr(a, mode="raw", overwrite_a=True, check_finite=False)[1]
+
+
+def _keeps(R, squares):
+    """Whether each regressor's residual on the regressors before it,
+    |R[j, j]|, exceeds ``1e-8 * max(|col_j|, 1)``; ``squares`` are the
+    regressors' sums of squares."""
+    diagonal = np.abs(np.diagonal(R))[:len(squares)]
+    return diagonal > 1e-8 * np.maximum(np.sqrt(squares[:len(diagonal)]), 1.0)
+
+
+def _kept_factor(build):
+    """R factor of the design ``build()`` returns, ``[regressors |
+    response]`` in Fortran order, after dropping, in column order, each
+    regressor collinear with those before it.
+
+    One Householder QR (LAPACK, column order) of the design, in its own
+    buffer, gives every regressor's residual norm on the regressors before
+    it as |R[j, j]|.  While one fails ``_keeps``, the first that fails is
+    removed and the rest factored again.  A failing constant or lagged level
+    (column 0 or 1) raises ``ValueError``, and so do kept regressors that
+    leave no residual degrees of freedom.  Returns the (k+1) x (k+1) factor
+    of the k kept regressors and the response, the kept indices and the
+    regressors' sums of squares.  The fit on the kept regressors among the
+    first m therefore has SSR ``R[k, k]^2 + |R[k_m:k, k]|^2``, k_m being how
+    many they are.
     """
-    n = len(response)
-    Q = np.empty((n, len(columns)))
-    R = np.zeros((len(columns), len(columns)))
-    kept = []
-    for j, col in enumerate(columns):
-        k = len(kept)
-        v, coef = _orthogonalise(Q[:, :k], col)
-        norm = math.sqrt(float(v @ v))
-        if norm > 1e-8 * max(math.sqrt(float(col @ col)), 1.0):
-            Q[:, k] = v / norm
-            R[:k, k] = coef
-            R[k, k] = norm
-            kept.append(j)
-        elif j < 2:
+    design = build()
+    n, width = design.shape
+    squares = np.einsum("ij,ij->j", design[:, :-1], design[:, :-1])
+    kept = np.arange(width - 1)
+    while True:
+        R = _r_factor(design)
+        fails = np.flatnonzero(~_keeps(R, squares[kept]))
+        if not fails.size:
+            break
+        if kept[fails[0]] < 2:
             raise ValueError("the lagged level is constant on the sample")
+        kept = np.delete(kept, fails[0])
+        design = np.asfortranarray(build()[:, np.append(kept, width - 1)])
     k = len(kept)
     if k >= n:
-        raise ValueError(f"no residual degrees of freedom ({n} rows, {k} regressors)")
-    resid, z = _orthogonalise(Q[:, :k], response)
-    return R[:k, :k], kept, z, float(resid @ resid)
+        # the first n regressors passed, so the rest have no residual left
+        raise ValueError(f"no residual degrees of freedom ({n} rows, {n} regressors)")
+    return R[:k + 1, :k + 1], kept, squares
 
 
 def _aic(ssr, nobs, n_params):
     return nobs * math.log(ssr / nobs) + 2.0 * n_params
-
-
-def _df_columns(rows, current, lagged, p):
-    """Constant, each of ``current`` on ``rows``, then each of ``lagged`` at
-    lags 1..p (lag by lag)."""
-    cols = [np.ones(len(rows))] + [s[rows] for s in current]
-    for j in range(1, p + 1):
-        cols += [s[rows - j] for s in lagged]
-    return cols
 
 
 def _df_regression(dy, current, lagged, max_lag):
@@ -221,28 +238,51 @@ def _df_regression(dy, current, lagged, max_lag):
 
     Every candidate p = 0..max_lag is fitted on the common rows
     ``max_lag..t-1``; its columns are a prefix of the p = max_lag columns, so
-    one in-order QR gives all their SSRs.  A second in-order QR on rows
-    ``p..t-1`` at the chosen p gives the t-ratio, its variance from R^-1.
-    Returns (statistic, p, nobs).
+    one factor of that design (``_kept_factor``) gives all their SSRs.  The
+    chosen p's rows ``p..t-1`` are the common rows and max_lag - p more, so
+    its factor is the QR of ``[[R_pp, z_p], [0, rho_p]]`` (the common rows'
+    factor of its columns and the response) stacked on those rows: the two
+    have the same X'X.  When a column was dropped, or the stacked factor
+    fails the keep rule, the chosen design is factored in full instead.  The
+    t-ratio's variance comes from R^-1.  Returns (statistic, p, nobs).
     """
     from scipy import linalg as sla
 
     t = len(dy)
-    rows = np.arange(max_lag, t)
-    _, kept, z, ssr = _inorder_qr(_df_columns(rows, current, lagged, max_lag), dy[rows])
+    width = 1 + len(current) + len(lagged) * max_lag
+    R, kept, squares = _kept_factor(lambda: _df_design(max_lag, t, current, lagged, dy))
+    k = len(kept)
+    z, ssr = R[:k, k], R[k, k] ** 2
     best_p, best_aic = 0, np.inf
     for p in range(0, max_lag + 1):
-        k = bisect_left(kept, 1 + len(current) + len(lagged) * p)
-        aic = _aic(ssr + float(z[k:] @ z[k:]), len(rows), k)
+        k_p = bisect_left(kept, 1 + len(current) + len(lagged) * p)
+        aic = _aic(ssr + float(z[k_p:] @ z[k_p:]), t - max_lag, k_p)
         if aic < best_aic - 1e-12:
             best_aic, best_p = aic, p
 
-    rows = np.arange(best_p, t)
-    R, kept, z, ssr = _inorder_qr(_df_columns(rows, current, lagged, best_p), dy[rows])
-    n, k = len(rows), len(kept)
+    n = t - best_p
+    factor = None
+    if k == width:
+        m = 1 + len(current) + len(lagged) * best_p
+        factor = np.zeros((m + 1 + max_lag - best_p, m + 1), order="F")
+        factor[:m, :m] = R[:m, :m]
+        factor[:m, m] = z[:m]
+        factor[m, m] = math.sqrt(ssr + float(z[m:] @ z[m:]))
+        if best_p < max_lag:
+            extra = _df_design(best_p, max_lag, current, lagged, dy)
+            factor[m + 1:] = extra
+            squares = squares[:m] + np.einsum("ij,ij->j", extra[:, :m], extra[:, :m])
+            factor = _r_factor(factor)
+            if not _keeps(factor, squares).all():
+                factor = None
+        k = m
+    if factor is None:
+        factor, kept, _ = _kept_factor(lambda: _df_design(best_p, t, current, lagged, dy))
+        k = len(kept)
     # row 1 of R^-1: the lagged level's coefficient is w @ z, its variance
     # sigma^2 |w|^2
-    w = sla.solve_triangular(R, np.eye(k)[1], trans="T")
+    w = sla.solve_triangular(factor[:k, :k], np.eye(k)[1], trans="T")
+    z, ssr = factor[:k, k], factor[k, k] ** 2
     stat = float(w @ z) / math.sqrt(ssr / (n - k) * float(w @ w))
     return stat, best_p, n
 
@@ -253,7 +293,7 @@ def adf(series, max_lag=4):
     The statistic is the t-ratio on the lagged level in
     Dy_t = a + rho y_{t-1} + sum_j phi_j Dy_{t-j} + e_t; stars use the
     MacKinnon (2010) response-surface critical values.  The fits come from
-    the same in-order QR as the CADF regressions.
+    the same QR kernel as the CADF regressions (``_df_regression``).
     """
     y = np.asarray(series, dtype=float)
     y = y[np.isfinite(y)]
@@ -295,12 +335,13 @@ def cips(panel_values, max_lag=4, entity_labels=None):
     CADF statistic to [-6.19, 2.61] before averaging.
 
     Each entity's CADF regression has the columns constant, y_{t-1},
-    ybar_{t-1}, Dybar_t, then Dybar_{t-j}, Dy_{t-j} for j = 1..p.  One
-    in-order QR of the p = max_lag design on the common rows gives the SSR
-    of every p for the AIC choice; a column collinear with the columns before
-    it is dropped in that order (tolerance 1e-8 relative to the column's
-    norm, or absolute below norm 1).  A second in-order QR at the chosen p
-    gives the t-ratio, its variance from R^-1.
+    ybar_{t-1}, Dybar_t, then Dybar_{t-j}, Dy_{t-j} for j = 1..p.  One QR
+    of the p = max_lag design on the common rows gives the SSR of every p
+    for the AIC choice; a column collinear with the columns before it is
+    dropped in that order (tolerance 1e-8 relative to the column's norm, or
+    absolute below norm 1).  The chosen p's factor, that QR updated with the
+    rows it adds, gives the t-ratio, its variance from R^-1
+    (``_df_regression``).
     """
     data = np.asarray(panel_values, dtype=float)
     if data.ndim != 2 or data.shape[0] < 2:
@@ -465,15 +506,18 @@ def describe(values):
         raise ValueError("need at least 2 non-missing values")
     mean = float(x.mean())
     centered = x - mean
-    m2 = float(np.mean(centered**2))
+    # products, not powers: ``**3`` and ``**4`` go through libm's pow, about
+    # 100 times slower than a multiplication
+    squared = centered * centered
+    m2 = float(np.mean(squared))
     flags = []
     if m2 == 0.0:
         skew = float("nan")
         kurt = float("nan")
         flags.append("degenerate")
     else:
-        skew = float(np.mean(centered**3) / m2**1.5)
-        kurt = float(np.mean(centered**4) / m2**2)
+        skew = float(np.mean(squared * centered) / m2**1.5)
+        kurt = float(np.mean(np.multiply(squared, squared, out=squared)) / m2**2)
     return DescribeRow(
         mean=mean,
         median=float(np.median(x)),

@@ -25,6 +25,7 @@ fit nothing (``simulate``, ``ingest``, ``metrics``, ...) start without it.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -59,7 +60,7 @@ class DesignMatrix:
     dates: np.ndarray = None
     weights: np.ndarray = None
     response_name: str = "y"
-    _full_rank = False  # set by check_rank
+    _quantile_work = None  # what every tau of a quantile fit shares, set by quantreg
 
     def __post_init__(self):
         self.response = np.asarray(self.response, dtype=float)
@@ -106,20 +107,13 @@ class DesignMatrix:
     def column(self, name):
         return self.matrix[:, self.columns.index(name)]
 
-    def check_rank(self):
-        """Raise ``RankDeficiencyError`` naming the collinear columns unless
-        the matrix has full column rank.  The pivoted QR of a copy runs once
-        per design: every tau of a quantile battery fits the same matrix."""
-        if not self._full_rank:
-            pivoted_qr(np.array(self.matrix, order="F"), self.columns)
-            self._full_rank = True
-
     @cached_property
     def groups(self):
         """The entity grouping of the rows, built on first use.  Every fit
         of this design reads it; ``replace`` makes a design that builds its
         own, unless the caller assigns the grouping of a design with the same
-        entities, as EGLS stage 2 does."""
+        entities, as EGLS stage 2 does, or a ``_Groups.subset`` for rows it
+        selected, as ``pipeline.build_design`` does."""
         return _Groups(self.entities)
 
     @cached_property
@@ -132,11 +126,16 @@ class DesignMatrix:
         groups = self.groups
         xbar = groups.mean(self.matrix)
         ybar = groups.mean(self.response)
-        varying = np.array([
-            np.abs(self.matrix[:, j] - xbar[groups.codes, j]).max()
-            > RANK_TOL * max(np.abs(self.matrix[:, j]).max(), 1.0)
-            for j in range(self.matrix.shape[1])
-        ], dtype=bool)
+        # a column at a time in two reused n-length buffers; max |v| is
+        # max(v.max(), -v.min()), which needs no copy for the abs
+        column, deviation = np.empty(self.nobs), np.empty(self.nobs)
+        varying = np.empty(self.matrix.shape[1], dtype=bool)
+        for j, means in enumerate(np.ascontiguousarray(xbar.T)):
+            np.copyto(column, self.matrix[:, j])
+            np.take(means, groups.codes, out=deviation, mode="clip")
+            np.subtract(column, deviation, out=deviation)
+            size = max(column.max(), -column.min(), 1.0)
+            varying[j] = max(deviation.max(), -deviation.min()) > RANK_TOL * size
         if not varying.any():
             raise ValueError("no within-entity variation in any regressor")
         return np.flatnonzero(varying), np.flatnonzero(~varying), xbar, ybar
@@ -148,7 +147,9 @@ class _Groups:
     ``labels`` and ``codes`` equal ``np.unique(entities, return_inverse=True)``
     in values and dtype.  They come from a set and a dict lookup per row
     instead: ``np.unique`` sorts the whole object array of labels, which on
-    a long panel costs far more than hashing each row once.
+    a long panel costs far more than hashing each row once.  A report hashes
+    its rows once, for its design table, and each design takes the
+    ``subset`` of the rows it selects.
     """
 
     def __init__(self, entities):
@@ -159,6 +160,21 @@ class _Groups:
         self.codes = np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
         self.n_groups = len(self.labels)
         self.counts = np.bincount(self.codes, minlength=self.n_groups)
+
+    def subset(self, rows):
+        """The grouping of ``entities[rows]``, from this one's codes: an
+        entity left without a row loses its label, and the codes after it
+        close up."""
+        sub = copy.copy(self)
+        sub.codes = self.codes[rows]
+        sub.counts = np.bincount(sub.codes, minlength=self.n_groups)
+        present = sub.counts > 0
+        if not present.all():
+            sub.labels = self.labels[present]
+            sub.codes = (np.cumsum(present) - 1)[sub.codes]
+            sub.counts = sub.counts[present]
+            sub.n_groups = len(sub.labels)
+        return sub
 
     def mean(self, v):
         if v.ndim == 1:
@@ -369,9 +385,10 @@ def _demeaned(design, columns, scale=None):
     ``_wls`` factors in place."""
     _, _, xbar, ybar = design.within
     codes = design.groups.codes
+    xbar = np.ascontiguousarray(xbar.T)  # row j: column j's entity means
     X = np.empty((design.nobs, len(columns)), order="F")
     for out, j in zip(X.T, columns):
-        means = xbar[codes, j]
+        means = np.take(xbar[j], codes, out=out, mode="clip")
         if scale is not None:
             means *= scale
         np.subtract(design.matrix[:, j], means, out=out)

@@ -14,6 +14,7 @@ import math
 import os
 from array import array
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy
@@ -27,6 +28,7 @@ from .estimators import (
     WEIGHTS,
     DesignMatrix,
     ModelSpec,
+    _Groups,
     estimator_for,
     hausman,
     long_run_effect,
@@ -368,12 +370,18 @@ class DesignTable:
     """The entity-day rows (``metas`` order, response dates) that a report's
     designs select from.  ``columns``: name -> ``(values, missing)`` of the
     response, the metrics all entities carry, the market metrics and hyfi.
-    ``lag``: the gap-aware response lag of each whole series."""
+    ``lag``: the gap-aware response lag of each whole series.  ``groups``:
+    the entity grouping of the rows, built once, of which each design takes
+    the subset for its rows."""
 
     entities: np.ndarray
     dates: np.ndarray
     columns: dict
     lag: tuple
+
+    @cached_property
+    def groups(self):
+        return _Groups(self.entities)
 
 
 def _stacked(pairs):
@@ -417,7 +425,8 @@ def design_table(metas, bundle):
 def build_design(metas, bundle, spec, window=None):
     """Entity-day design matrix with interactions and gap-aware lags.
 
-    Selects columns and rows of ``design_table(metas, bundle)``.  Rows with
+    Selects columns and rows of ``design_table(metas, bundle)``, and the
+    table's entity grouping for those rows.  Rows with
     any missing value are excluded and tallied by the first missing column
     in a fixed priority order.  A regressor or interaction name
     that the bundle does not carry for every entity raises ``ValueError``
@@ -469,6 +478,7 @@ def build_design(metas, bundle, spec, window=None):
         dates=table.dates[complete],
         response_name=RESPONSE,
     )
+    design.groups = table.groups.subset(complete)
     ledger = DropLedger(
         rows_in=rows_in,
         rows_used=design.nobs,
@@ -535,7 +545,7 @@ def run_baseline(metas, bundle, config, window=None):
             fits[job] = estimator_for(specs[job]).fit(design).result_
         except ValueError as exc:
             raise ValueError(f"baseline/{job}: {exc}") from exc
-        n_days[job] = len(np.unique(design.dates))
+        n_days[job] = len(date_union([design.dates]))
 
     tests = {}
     for label in ("static", "dynamic"):
@@ -1256,7 +1266,13 @@ def _split_tables(split):
 def run_report(config):
     """Run every battery, then write the report bundle: ``tables/``,
     ``figures/`` and ``manifest.txt``.  A battery that fails raises before
-    anything is written."""
+    anything is written.
+
+    scipy's solvers are loaded first, so that their import is charged to the
+    report itself and not to whichever battery solves first."""
+    import scipy.linalg  # noqa: F401
+    import scipy.special  # noqa: F401
+
     metas, bundle, panel = load_inputs(config)
     manifest = [
         "panelcrypt report",
@@ -1316,8 +1332,10 @@ def _emit_diagnostics(metas, bundle, table, panel=None):
 
     With the raw ``panel``, the descriptives add ``attention_raw``, the
     present untransformed search interest, if any value is present.  A
-    variable that cannot be described raises, naming it; a failed CIPS or
-    ADF test is a ``cips_error`` or ``adf_error`` row.
+    variable that cannot be described raises, naming it; a descriptives
+    row's ``flags`` cell holds ``describe``'s flags joined by ``;`` (for
+    example ``degenerate`` where skewness and kurtosis are NaN).  A failed
+    CIPS or ADF test is a ``cips_error`` or ``adf_error`` row.
     """
     calendar = date_union([s.dates for per in bundle.values() for s in per.values()])
 
@@ -1351,7 +1369,8 @@ def _emit_diagnostics(metas, bundle, table, panel=None):
         except ValueError as exc:
             raise ValueError(f"descriptives: {name}: {exc}") from None
         descriptives.append((name, row.mean, row.median, row.maximum, row.minimum,
-                             row.std_dev, row.skewness, row.kurtosis, float(row.nobs)))
+                             row.std_dev, row.skewness, row.kurtosis, float(row.nobs),
+                             ";".join(row.flags)))
 
     matrix, labels = diag.correlation_matrix(
         [table.columns[name][0] for name in CONTROLS], list(CONTROLS)
@@ -1381,7 +1400,7 @@ def _emit_diagnostics(metas, bundle, table, panel=None):
     )
     return {
         "descriptives.csv": (("variable", "mean", "median", "maximum", "minimum", "std_dev",
-                              "skewness", "kurtosis", "nobs"), descriptives),
+                              "skewness", "kurtosis", "nobs", "flags"), descriptives),
         "correlations.csv": (("variable",) + tuple(labels),
                              [(label, *row) for label, row in zip(labels, matrix)]),
         "unit_roots.csv": (("variable", "test", "statistic", "truncated", "stars", "nobs"),

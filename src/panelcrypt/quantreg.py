@@ -21,6 +21,13 @@ design whose subsample or reduced solve fails, under the fit flag
 ``preprocessing_fallback``.  The iteration count of a fit is the sum over
 its subproblem solves that converged.
 
+A design's tau-independent work is done once per design, however many taus
+fit it (``_Work``): the rank check, the sorted response, X'X and, per
+subsample size, the pilot: the subsample, its Cholesky factor, the band of
+every row and the subsample's interior-point start.  Each tau still draws
+its subsample rows, so the random stream is the same at every tau and in
+every order, and the fits equal those of a fresh design bit for bit.
+
 Sparsity is estimated from residuals with an Epanechnikov kernel,
 Hall-Sheather bandwidth and Rankit plotting positions; coefficient
 covariances use the heteroskedasticity-robust (Huber-White) sandwich.
@@ -39,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -75,7 +83,11 @@ def rankit_positions(n):
 
 def rankit_quantile(values, tau):
     """Empirical quantile interpolated at Rankit plotting positions."""
-    xs = np.sort(np.asarray(values, dtype=float))
+    return _rankit_sorted(np.sort(np.asarray(values, dtype=float)), tau)
+
+
+def _rankit_sorted(xs, tau):
+    """``rankit_quantile`` of the sorted values ``xs``."""
     return float(np.interp(tau, rankit_positions(len(xs)), xs))
 
 
@@ -112,9 +124,9 @@ def _clamped_bandwidth(tau, n):
     return h, clamped
 
 
-def _median_interval_quantile(y, tau):
-    """Check-loss minimizer with the midpoint convention on flat optima."""
-    ys = np.sort(np.asarray(y, dtype=float))
+def _median_interval_quantile(ys, tau):
+    """Check-loss minimizer of the sorted values ``ys``, with the midpoint
+    convention on flat optima."""
     n = len(ys)
     m = n * tau
     j = round(m)
@@ -155,12 +167,14 @@ def _newton_step(M, rhs, it):
         ) from None
 
 
-def _solve_lp(X, y, tau):
+def _solve_lp(X, y, tau, start=None):
     """Frisch-Newton interior point on the bounded dual of the check-loss LP.
 
     Dual: max y'a subject to X'a = (1 - tau) X'1 and a in [0, 1]^n; the
     equality multipliers at the optimum are the negative regression
-    coefficients.
+    coefficients.  They start from the least-squares fit of -y on X, which
+    a caller that solves the same (X, y) at several taus passes as
+    ``start``.
 
     The iteration stops when the duality gap is at most ``GAP_TOL``, or when
     a step fails to halve a gap that is already within ``GAP_RTOL`` of the
@@ -177,7 +191,7 @@ def _solve_lp(X, y, tau):
     s = 1.0 - x
     b = A @ x
 
-    yy = np.linalg.lstsq(A.T, c, rcond=None)[0]
+    yy = np.linalg.lstsq(A.T, c, rcond=None)[0] if start is None else start
     r = c - A.T @ yy
     r = r + 0.001 * (r == 0.0)
     z = np.where(r > 0, r, 0.0)
@@ -258,8 +272,82 @@ def _sample_factor(sample):
         return None
 
 
-def _solve_preprocessed(X, y, tau):
-    """Portnoy-Koenker (1997) preprocessing around ``_solve_lp``.
+@dataclass
+class _Pilot:
+    """A usable Portnoy-Koenker subsample and what every tau reads of it."""
+
+    sample: np.ndarray      # X[rows]
+    response: np.ndarray    # y[rows]
+    start: np.ndarray       # the interior point's start on the subsample
+    band: np.ndarray        # ||L^-1 x_i|| of every row, L from _sample_factor
+    scale: np.ndarray       # the band, floored at _PK_BAND_FLOOR
+
+
+class _Work:
+    """The tau-independent work of quantile fits on one ``(X, y)``, each
+    part done on first use: the checks of X and its rank, the sorted
+    response, X'X and, per subsample size m, the Portnoy-Koenker pilot.
+    ``PanelQuantile.fit`` keeps one per design, so every tau of a battery
+    shares it; a bare-array fit makes its own."""
+
+    _BAND_ROWS = 8192   # rows per block of the band, so no k x n temporary
+
+    def __init__(self, X, y, columns=None):
+        self.X = as_float_array(X, "X", ndim=2)
+        self.y = as_float_array(y, "y")
+        check_consistent_length(X=self.X, y=self.y)
+        self.columns = columns
+        self._full_rank = False
+        self._pilots = {}
+
+    def check_rank(self):
+        """Refuse a design with no more rows than columns, and raise
+        ``RankDeficiencyError`` naming the collinear columns unless X has
+        full column rank (one pivoted QR of a copy)."""
+        n, k = self.X.shape
+        if n <= k:
+            raise ValueError(f"need more rows ({n}) than columns ({k})")
+        if not self._full_rank:
+            pivoted_qr(np.array(self.X, order="F"), self.columns)
+            self._full_rank = True
+
+    @cached_property
+    def sorted_response(self):
+        return np.sort(self.y)
+
+    @cached_property
+    def gram(self):
+        """X'X, the middle of every tau's sandwich."""
+        return self.X.T @ self.X
+
+    def pilot(self, m, rows):
+        """The ``_Pilot`` of the m sorted ``rows`` drawn for it, or None when
+        the subsample is unusable (``_sample_factor``).  Every tau draws the
+        same rows for a given m, so it is built on the first draw only."""
+        if m not in self._pilots:
+            self._pilots[m] = self._make_pilot(rows)
+        return self._pilots[m]
+
+    def _make_pilot(self, rows):
+        import scipy.linalg as sla
+
+        sample = self.X[rows]
+        chol = _sample_factor(sample)
+        if chol is None:
+            return None
+        response = self.y[rows]
+        band = np.empty(len(self.X))
+        for lo in range(0, len(band), self._BAND_ROWS):
+            block = self.X[lo:lo + self._BAND_ROWS]
+            part = sla.solve_triangular(chol, block.T, lower=True)
+            band[lo:lo + len(block)] = np.sqrt(np.square(part, out=part).sum(axis=0))
+        start = np.linalg.lstsq(sample, -response, rcond=None)[0]
+        return _Pilot(sample, response, start, band, np.maximum(_PK_BAND_FLOOR, band))
+
+
+def _solve_preprocessed(work, tau):
+    """Portnoy-Koenker (1997) preprocessing around ``_solve_lp``, on the
+    ``_Work`` of a design.
 
     A subsample of m = round(((k+1) n)^(2/3)) rows gives a first fit.  Rows
     whose residuals, scaled by the band ||L^-1 x_i|| (L the Cholesky factor
@@ -274,11 +362,12 @@ def _solve_preprocessed(X, y, tau):
     than 0.1 M of them, or an unusable subsample (``_sample_factor``), doubles
     m and redraws.  Once 2m exceeds n the direct solve runs, and so it does,
     flagged ``preprocessing_fallback``, when a sample or reduced solve raises
-    ``ConvergenceError``.  Returns the coefficients, the iterations summed
-    over every subproblem solve that converged, and the flags.
+    ``ConvergenceError``.  The subsample and its band and start, which do not
+    depend on tau, come from ``work.pilot``.  Returns the coefficients, the
+    iterations summed over every subproblem solve that converged, and the
+    flags.
     """
-    import scipy.linalg as sla
-
+    X, y = work.X, work.y
     n, k = X.shape
     m = round(((k + 1) * n) ** (2.0 / 3.0))
     rng = np.random.default_rng(_PK_SEED)
@@ -286,21 +375,18 @@ def _solve_preprocessed(X, y, tau):
     flags = []
     try:
         while 2 * m <= n:
-            rows = np.sort(rng.choice(n, size=m, replace=False))
-            sample = X[rows]
-            chol = _sample_factor(sample)
-            if chol is None:
+            pilot = work.pilot(m, np.sort(rng.choice(n, size=m, replace=False)))
+            if pilot is None:
                 m *= 2
                 continue
-            beta, it = _solve_lp(sample, y[rows], tau)
+            beta, it = _solve_lp(pilot.sample, pilot.response, tau, start=pilot.start)
             iterations += it
-            band = sla.solve_triangular(chol, X.T, lower=True)
-            band = np.sqrt(np.square(band, out=band).sum(axis=0))
+            band = pilot.band
             r = y - X @ beta
             margin = _PK_MARGIN * m
             lo_q = max(1.0 / n, tau - margin / (2.0 * n))
             hi_q = min(tau + margin / (2.0 * n), (n - 1.0) / n)
-            kappa_lo, kappa_hi = np.quantile(r / np.maximum(_PK_BAND_FLOOR, band), [lo_q, hi_q])
+            kappa_lo, kappa_hi = np.quantile(r / pilot.scale, [lo_q, hi_q])
             below = r < band * kappa_lo
             above = r > band * kappa_hi
             while True:
@@ -345,32 +431,23 @@ def fit_quantile_coefficients(X, y, tau, columns=None):
     rank-deficient ``X`` raises ``RankDeficiencyError`` naming the collinear
     ``columns`` (``x0``, ``x1``, ... when none are given).
     """
-    beta, iterations, _ = _fit_with_flags(X, y, tau, columns)
+    beta, iterations, _ = _fit_with_flags(_Work(X, y, columns), tau)
     return beta, iterations
 
 
-def _fit_with_flags(X, y, tau, columns, design=None):
-    """``fit_quantile_coefficients`` and the solver's flags.  The rank check
-    of a ``design`` (whose matrix ``X`` is) runs once per design, however
-    many taus fit it; bare arrays are checked on every call."""
-    X = as_float_array(X, "X", ndim=2)
-    y = as_float_array(y, "y")
-    check_consistent_length(X=X, y=y)
+def _fit_with_flags(work, tau):
+    """``fit_quantile_coefficients`` on the ``_Work`` of a design, and the
+    solver's flags."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must be in (0, 1), got {tau}")
-    n, k = X.shape
-    if n <= k:
-        raise ValueError(f"need more rows ({n}) than columns ({k})")
-    if design is None:
-        pivoted_qr(np.array(X, order="F"), columns)  # full-column-rank check
-    else:
-        design.check_rank()
-    if k == 1 and np.ptp(X[:, 0]) == 0.0:
+    work.check_rank()
+    X = work.X
+    if X.shape[1] == 1 and np.ptp(X[:, 0]) == 0.0:
         level = X[0, 0]
         if level == 0.0:
             raise ValueError("intercept-only design with a zero column")
-        return np.array([_median_interval_quantile(y, tau) / level]), 0, []
-    return _solve_preprocessed(X, y, tau)
+        return np.array([_median_interval_quantile(work.sorted_response, tau) / level]), 0, []
+    return _solve_preprocessed(work, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +460,11 @@ def sparsity_hall_sheather(residuals, tau):
     Epanechnikov kernel over Rankit plotting positions with the Hall-Sheather
     bandwidth; returns ``(sparsity, bandwidth, clamped)``.
     """
-    u = np.sort(np.asarray(residuals, dtype=float))
+    return _sparsity(np.sort(np.asarray(residuals, dtype=float)), tau)
+
+
+def _sparsity(u, tau):
+    """``sparsity_hall_sheather`` of the sorted residuals ``u``."""
     n = len(u)
     if n < 10:
         raise ValueError(f"need at least 10 residuals, got {n}")
@@ -410,10 +491,14 @@ def sandwich_cov(X, residuals, tau):
     density-weighted bread B = sum f_i x_i x_i'."""
     X = np.asarray(X, dtype=float)
     u = np.asarray(residuals, dtype=float)
-    n = len(u)
-    h, _ = _clamped_bandwidth(tau, n)
-    lo = rankit_quantile(u, tau - h)
-    hi = rankit_quantile(u, tau + h)
+    return _sandwich(X, u, np.sort(u), tau, X.T @ X)
+
+
+def _sandwich(X, u, u_sorted, tau, gram):
+    """``sandwich_cov`` given the sorted residuals and ``gram`` = X'X."""
+    h, _ = _clamped_bandwidth(tau, len(u))
+    lo = _rankit_sorted(u_sorted, tau - h)
+    hi = _rankit_sorted(u_sorted, tau + h)
     c = hi - lo
     if c <= 0.0:
         raise ValueError("degenerate residuals: zero bandwidth in residual units")
@@ -423,7 +508,7 @@ def sandwich_cov(X, residuals, tau):
         bread_inv = np.linalg.inv(bread)
     except np.linalg.LinAlgError:
         raise ValueError("singular bread matrix in the quantile sandwich") from None
-    cov = tau * (1.0 - tau) * bread_inv @ (X.T @ X) @ bread_inv
+    cov = tau * (1.0 - tau) * bread_inv @ gram @ bread_inv
     return (cov + cov.T) / 2.0
 
 
@@ -500,6 +585,15 @@ def quasi_lr(full, restricted):
                      len(full.columns) - len(restricted.columns))
 
 
+def _work_of(design):
+    """The ``_Work`` of a ``DesignMatrix``, made on its first quantile fit
+    and kept on the design for the next tau."""
+    work = design._quantile_work
+    if work is None or work.X is not design.matrix or work.y is not design.response:
+        work = design._quantile_work = _Work(design.matrix, design.response, design.columns)
+    return work
+
+
 class PanelQuantile(BaseEstimator):
     """Pooled quantile regression estimator for one tau level."""
 
@@ -507,8 +601,9 @@ class PanelQuantile(BaseEstimator):
         self.tau = tau
 
     def fit(self, design):
-        X, y = design.matrix, design.response
-        params, iterations, flags = _fit_with_flags(X, y, self.tau, design.columns, design)
+        work = _work_of(design)
+        X, y, ys = work.X, work.y, work.sorted_response
+        params, iterations, flags = _fit_with_flags(work, self.tau)
         residuals = y - X @ params
         loss = check_loss(residuals, self.tau)
         spread = float(np.ptp(residuals))
@@ -522,10 +617,11 @@ class PanelQuantile(BaseEstimator):
             clamped = False
             cov = np.zeros((X.shape[1], X.shape[1]))
         else:
-            sparsity, bw, clamped = sparsity_hall_sheather(residuals, self.tau)
-            cov = sandwich_cov(X, residuals, self.tau)
+            u_sorted = np.sort(residuals)
+            sparsity, bw, clamped = _sparsity(u_sorted, self.tau)
+            cov = _sandwich(X, residuals, u_sorted, self.tau, work.gram)
 
-        restricted_center = _median_interval_quantile(y, self.tau)
+        restricted_center = _median_interval_quantile(ys, self.tau)
         restricted_loss = check_loss(y - restricted_center, self.tau)
         if clamped:
             flags.append("bandwidth_clamped")
@@ -543,7 +639,7 @@ class PanelQuantile(BaseEstimator):
             pseudo_r2=pseudo_r2(loss, restricted_loss),
             sparsity=sparsity,
             hall_sheather_bw=bw,
-            quantile_dependent=rankit_quantile(y, self.tau),
+            quantile_dependent=_rankit_sorted(ys, self.tau),
             quasi_lr_stat=0.0,
             quasi_lr_pvalue=1.0,
             residuals=residuals,

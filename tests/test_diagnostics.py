@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from panelcrypt import diagnostics
 from panelcrypt.diagnostics import (
     CADF_LOWER,
     _cadf_stat,
@@ -259,6 +260,78 @@ class TestCIPS:
         assert lag >= 2 and k == 4 + lag
         assert stat == pytest.approx(ref_stat, rel=1e-9)
 
+    def test_unbalanced_panel_matches_reference(self):
+        # entities list on different days (leading NaNs): the cross-section
+        # mean averages whoever is present, and each CADF runs on its own span
+        rng = np.random.default_rng(91)
+        data = np.vstack([
+            _ar_difference_walk(rng, 240, (0.5, -0.2)),
+            _ar_difference_walk(rng, 240, ()),
+            _ar_difference_walk(rng, 240, (0.0, 0.4)),
+            _ar_difference_walk(rng, 240, (-0.4,)),
+        ])
+        starts = (0, 17, 60, 101)
+        for i, start in enumerate(starts):
+            data[i, :start] = np.nan
+        result = cips(data, max_lag=4)
+        ybar = np.nanmean(data, axis=0)
+        lags = []
+        for i, start in enumerate(starts):
+            seg, ybar_seg = data[i, start:], ybar[start:]
+            stat, lag, nobs, _ = _reference_cadf(seg, ybar_seg[:-1], np.diff(ybar_seg), 4)
+            lags.append(lag)
+            assert result.lags[i] == lag
+            assert result.cadf_stats[i] == pytest.approx(stat, rel=1e-9)
+            assert nobs == 240 - start - 1 - lag
+        assert result.nobs == sum(240 - start - 1 - lag for start, lag in zip(starts, lags))
+
+    def test_collinear_column_refactors_the_aic_factor(self, monkeypatch):
+        # ybar_{t-1} = 2 y_{t-1}: column 2 fails the keep rule on the common
+        # rows, so the AIC factor is redone without it, and the chosen lag,
+        # whose design lost a column, is factored in full
+        rng = np.random.default_rng(90)
+        y = _ar_difference_walk(rng, 300, (0.4,))
+        ybar_lag = 2.0 * y[:-1]
+        dybar = rng.normal(size=len(y) - 1)
+        widths = self.record_factors(monkeypatch)
+        stat, lag, nobs = _cadf_stat(y, ybar_lag, dybar, 4)
+        ref_stat, ref_lag, ref_nobs, k = _reference_cadf(y, ybar_lag, dybar, 4)
+        assert widths[:2] == [13, 12]            # the AIC factor, then its refactor
+        assert len(widths) == 4                  # the chosen lag in full, twice
+        assert (lag, nobs) == (ref_lag, ref_nobs) and k == 3 + 2 * lag
+        assert stat == pytest.approx(ref_stat, rel=1e-9)
+
+    def test_stacked_factor_failing_the_keep_rule_falls_back(self, monkeypatch):
+        # Dybar_t tracks ybar_{t-1} to 2.5e-6 on the common rows, enough to
+        # be kept there, and equals it on the first rows, where both are of
+        # order 1e6: on the chosen lag's rows its residual falls below the
+        # keep rule's tolerance, so the stacked factor is refused and the
+        # chosen design factored in full, where the column is dropped
+        rng = np.random.default_rng(91)
+        y = np.cumsum(rng.normal(size=300))
+        ybar_lag = np.cumsum(rng.normal(size=299))
+        ybar_lag[:4] = 1e6 * np.array([1.0, -2.0, 1.5, 3.0])
+        dybar = ybar_lag + 2.5e-6 * rng.normal(size=299)
+        dybar[:4] = ybar_lag[:4]
+        widths = self.record_factors(monkeypatch)
+        stat, lag, nobs = _cadf_stat(y, ybar_lag, dybar, 4)
+        ref_stat, ref_lag, ref_nobs, k = _reference_cadf(y, ybar_lag, dybar, 4)
+        assert lag == 0 and widths == [13, 5, 5, 4]
+        assert (lag, nobs, k) == (ref_lag, ref_nobs, 3)
+        assert stat == pytest.approx(ref_stat, rel=1e-9)
+
+    @staticmethod
+    def record_factors(monkeypatch):
+        """Record the column count of every QR the CADF kernel runs."""
+        widths, factor = [], diagnostics._r_factor
+
+        def recorded(a):
+            widths.append(a.shape[1])
+            return factor(a)
+
+        monkeypatch.setattr(diagnostics, "_r_factor", recorded)
+        return widths
+
     def test_entity_equal_to_cross_section_mean(self):
         rng = np.random.default_rng(87)
         a = _ar_difference_walk(rng, 200, (0.4,))
@@ -446,6 +519,23 @@ class TestDescribe:
         # published benchmark row: 1.724 and 3.972, within 0.5%
         assert row.skewness == pytest.approx(1.724, rel=5e-3)
         assert row.kurtosis == pytest.approx(3.972, rel=5e-3)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_moments_match_an_exact_sum_oracle(self, offset):
+        # the moments are products of the centred values, not powers; an
+        # offset of 1e6 tests the centring.  The oracle centres on the mean
+        # that describe reports, so it checks the moments, not the float mean
+        rng = np.random.default_rng(83)
+        x = offset + rng.standard_t(4, size=5001) * rng.uniform(0.5, 2.0, size=5001)
+        row = describe(x)
+        n = len(x)
+        assert row.mean == pytest.approx(math.fsum(x) / n, rel=1e-13)
+        c = [v - row.mean for v in x]
+        m2 = math.fsum(v * v for v in c) / n
+        m3 = math.fsum(v * v * v for v in c) / n
+        m4 = math.fsum(v * v * v * v for v in c) / n
+        assert row.skewness == pytest.approx(m3 / m2**1.5, rel=1e-12)
+        assert row.kurtosis == pytest.approx(m4 / m2**2, rel=1e-12)
 
     def test_constant_series_flagged(self):
         row = describe([4.0, 4.0, 4.0])

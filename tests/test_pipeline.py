@@ -683,21 +683,48 @@ class TestBaseline:
         truth = default_truth()["hyfi_x_market_volatility"]
         assert abs(estimates.mean() - truth) <= 3 * mc_se + 1e-9
 
-    def test_entity_groups_built_once_per_design(self, monkeypatch):
-        # per label: the RE design and the EGLS stage-1 design, whose fits
-        # the Hausman test reads; the reweighted EGLS stage-2 design reuses
-        # stage 1's
+    def test_entity_groups_built_once_per_table(self, monkeypatch):
+        # the design table hashes its rows once; every design, the RE fits,
+        # both EGLS stages and the Hausman inputs take subsets of it
         sim = simulate_dgp(small_params(n_entities=4, n_periods=120), seed=5)
         config = RunConfig(metrics_file="unused", meta="unused", out="unused")
-        built, groups = [], estimators._Groups
+        built, init = [], estimators._Groups.__init__
 
-        def counting(entities):
+        def counting(groups, entities):
             built.append(len(entities))
-            return groups(entities)
+            init(groups, entities)
 
-        monkeypatch.setattr(estimators, "_Groups", counting)
-        run_baseline(sim.metas, sim.bundle, config)
-        assert len(built) == 4
+        monkeypatch.setattr(estimators._Groups, "__init__", counting)
+        table = design_table(sim.metas, sim.bundle)
+        run_baseline(sim.metas, table, config)
+        run_quantiles(sim.metas, table, config)
+        assert built == [len(table.entities)]
+        run_baseline(sim.metas, sim.bundle, config)  # a table of its own
+        assert built == [len(table.entities)] * 2
+
+    def test_window_without_an_entity_groups_like_np_unique(self):
+        sim = simulate_dgp(small_params(n_entities=4, n_periods=120), seed=5)
+        metas = sorted(sim.metas, key=lambda meta: meta.symbol)
+        # the first entity in label order lists after the window ends
+        first = sim.bundle[metas[0].symbol]
+        late = {name: MetricSeries(metas[0].symbol, name, series.dates[60:],
+                                   series.values[60:], series.missing[60:])
+                for name, series in first.items()}
+        bundle = {**sim.bundle, metas[0].symbol: late}
+        table = design_table(sim.metas, bundle)
+        window = (table.dates.min(), table.dates.min() + 40 * DAY)
+        config = RunConfig(metrics_file="unused", meta="unused", out="unused")
+        for spec in _baseline_specs(config).values():
+            design, _ = build_design(sim.metas, table, spec, window=window)
+            assert metas[0].symbol not in set(design.entities)
+            labels, codes = np.unique(design.entities, return_inverse=True)
+            groups = design.groups
+            assert groups.labels.dtype == labels.dtype
+            assert groups.labels.tolist() == labels.tolist()
+            assert groups.codes.dtype == codes.dtype
+            assert np.array_equal(groups.codes, codes)
+            assert np.array_equal(groups.counts, np.bincount(codes))
+            assert groups.n_groups == len(labels) == len(sim.metas) - 1
 
     @pytest.mark.parametrize("weights", ["none", "cross_section_egls"])
     @pytest.mark.parametrize("covariance", ["white", "classical"])
@@ -1106,6 +1133,20 @@ class TestReport:
         assert math.isnan(error[2]) and math.isnan(error[3])
         assert error[4:] == ("series too short (6) for max_lag=4", 0.0)
         assert ("market_volatility", "adf") in rows
+
+    def test_descriptives_flag_says_why_a_moment_is_nan(self):
+        # no token is HyFi, so the hyfi column is constant: describe flags it
+        # degenerate, and the row carries the flag next to its NaN moments
+        sim = simulate_dgp(small_params(n_entities=3, n_periods=120), seed=53)
+        metas = [replace(meta, hyfi=False) for meta in sim.metas]
+        tables = pipeline._emit_diagnostics(metas, sim.bundle, design_table(metas, sim.bundle))
+        header, rows = tables["descriptives.csv"]
+        assert header[-2:] == ("nobs", "flags")
+        by_name = {row[0]: row for row in rows}
+        hyfi = by_name["hyfi"]
+        assert math.isnan(hyfi[6]) and math.isnan(hyfi[7])
+        assert hyfi[-1] == "degenerate"
+        assert all(row[-1] == "" for name, row in by_name.items() if name != "hyfi")
 
     def test_summary_renders_the_coefficient_and_fitstat_rows(self, tmp_path):
         data_dir = self.write_inputs(tmp_path)

@@ -327,6 +327,23 @@ class TestPreprocessing:
             want = check_loss(y - X @ direct, tau)
             assert abs(check_loss(y - X @ beta, tau) - want) <= 1e-12 * want
 
+    def test_tau_order_does_not_change_a_design_fit(self):
+        # one design's pilot, sorted response and X'X serve every tau: fits in
+        # any order equal, bit for bit, fits on fresh designs and on bare arrays
+        X, y = heavy_tailed_design(108, 3000, 5)
+        shared = pooled_design(X, y)
+        for tau in (0.9, 0.1, 0.5):
+            fit = PanelQuantile(tau=tau).fit(shared).result_
+            fresh = PanelQuantile(tau=tau).fit(pooled_design(X, y)).result_
+            bare, iterations = fit_quantile_coefficients(X, y, tau)
+            assert fit.params.tobytes() == fresh.params.tobytes() == bare.tobytes()
+            assert fit.cov.tobytes() == fresh.cov.tobytes()
+            assert fit.iterations == fresh.iterations == iterations
+            assert (fit.check_loss, fit.restricted_loss, fit.sparsity, fit.quantile_dependent) \
+                == (fresh.check_loss, fresh.restricted_loss, fresh.sparsity,
+                    fresh.quantile_dependent)
+        assert shared._quantile_work is not None
+
     def test_small_designs_solve_directly(self, monkeypatch):
         # 2m > n: 120 rows and 4 columns give m = 71
         X, y = heavy_tailed_design(106, 120, 4)
