@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -101,19 +102,15 @@ def _cmd_decentralization(args):
     return 0
 
 
-_MODEL_SPEC_KEYS = {
-    "effects": EFFECTS,
-    "weights": WEIGHTS,
-    "dynamic": "bool",
-    "covariance": COVARIANCES,
-    "regressors": "names",
-    "interactions": "pairs",
-}
+# a quantile fit is pooled, unweighted and has its own covariance: it reads the design keys
+_QUANTILE_SPEC_KEYS = {"dynamic": "bool", "regressors": "names", "interactions": "pairs"}
+_MODEL_SPEC_KEYS = {"effects": EFFECTS, "weights": WEIGHTS, "covariance": COVARIANCES,
+                    **_QUANTILE_SPEC_KEYS}
 
 
 def _parse_model_spec(path):
-    """A model spec settings file; unset keys keep ``ModelSpec``'s defaults,
-    except that the regressors default to the study's controls."""
+    """A ``fit`` model spec settings file; unset keys keep ``ModelSpec``'s
+    defaults, except that the regressors default to the study's controls."""
     keys = pipeline.read_settings(path, _MODEL_SPEC_KEYS, "model spec key")
     return ModelSpec(**{"regressors": list(CONTROLS), **keys})
 
@@ -163,7 +160,10 @@ def _quantile_file(tau):
 
 
 def _cmd_quantile(args):
-    taus = tuple(float(t) for t in args.taus.split(","))
+    try:
+        taus = pipeline.parse_taus(args.taus)
+    except ValueError as exc:
+        raise ValueError(f"--taus: {exc}") from None
     named = {}
     for tau in taus:
         other = named.setdefault(_quantile_file(tau), tau)
@@ -171,10 +171,10 @@ def _cmd_quantile(args):
             raise ValueError(f"--taus {other} and {tau} would both write {_quantile_file(tau)}")
     panel = load_panel_csv(args.panel)
     bundle = mx.compute_all_metrics(panel)
+    spec = pipeline.QUANTILE_SPEC  # the report's design, unless --spec sets a key of it
     if args.spec:
-        spec = _parse_model_spec(args.spec)
-    else:
-        spec = ModelSpec(effects="pooled", regressors=list(CONTROLS) + ["hyfi"])
+        keys = pipeline.read_settings(args.spec, _QUANTILE_SPEC_KEYS, "quantile spec key")
+        spec = replace(spec, **keys)
     design, ledger = build_design(list(panel.entities), bundle, spec)
     # (tau, fit) pairs keep the order and repeats of --taus
     fits = [(tau, PanelQuantile(tau=tau).fit(design).result_) for tau in taus]
@@ -217,7 +217,6 @@ _SYNTH_KEYS = {
     "sigma_low": float,
     "sigma_high": float,
     "use_benchmark_universe": "bool",
-    "seed": int,
     **{f"beta_{name}": float for name in pipeline.default_truth()},
 }
 
@@ -234,13 +233,11 @@ def _parse_synth_params(path):
 
 def _cmd_simulate(args):
     params = _parse_synth_params(args.params) if args.params else SynthParams()
-    if args.seed is not None:
-        params.seed = args.seed
-    sim = simulate_dgp(params, seed=params.seed)
+    sim = simulate_dgp(params, seed=args.seed)
     write_simulation(sim, args.out)
     print(
         f"wrote {args.out}: {params.n_entities} entities x {params.n_periods} periods"
-        f" (seed {params.seed})"
+        f" (seed {args.seed})"
     )
     return 0
 
@@ -301,7 +298,7 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="generate a seeded synthetic panel")
     p.add_argument("--params", default=None, help="flat key=value parameter file")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 

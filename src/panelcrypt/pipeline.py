@@ -24,8 +24,6 @@ from . import diagnostics as diag
 from . import metrics as mx
 from . import refdata
 from .estimators import (
-    COVARIANCES,
-    WEIGHTS,
     DesignMatrix,
     ModelSpec,
     _Groups,
@@ -90,23 +88,34 @@ class RunConfig:
     seed: int = 0
     split_date: str = "2022-05-07"
     taus: tuple = (0.10, 0.25, 0.50, 0.75, 0.90)
-    weights: str = "cross_section_egls"
-    covariance: str = "white"
 
     def __post_init__(self):
-        for tau in self.taus:
-            if not 0.0 < tau < 1.0:
-                raise ValueError(f"tau {tau} outside (0, 1)")
+        _check_taus(self.taus)
         if self.panel is None and (self.metrics_file is None or self.meta is None):
             raise ValueError("config needs either panel=, or metrics= plus meta=")
-        if self.weights not in WEIGHTS:
-            raise ValueError(f"weights must be one of {WEIGHTS}, got {self.weights!r}")
-        if self.covariance not in COVARIANCES:
-            raise ValueError(f"covariance must be one of {COVARIANCES}, got {self.covariance!r}")
+        if self.panel is not None and (self.metrics_file is not None or self.meta is not None):
+            raise ValueError("config sets panel= and metrics=/meta=; a report reads one of them")
         try:
             parse_date(self.split_date)
         except PanelLoadError as exc:
             raise ValueError(f"split_date: {exc}") from None
+
+
+def _check_taus(taus):
+    """``taus`` if it holds at least one tau and each lies in (0, 1)."""
+    if not taus:
+        raise ValueError("at least one tau is needed")
+    for tau in taus:
+        if not 0.0 < tau < 1.0:
+            raise ValueError(f"tau {tau} outside (0, 1)")
+    return taus
+
+
+def parse_taus(text):
+    """The taus of a comma list, in its order and with its repeats, checked
+    by ``_check_taus``: the one rule of the report's ``taus`` key and of
+    ``quantile --taus``.  An empty item is not a number."""
+    return _check_taus(tuple(float(t) for t in text.split(",")) if text.strip() else ())
 
 
 _CONFIG_KEYS = {
@@ -116,9 +125,7 @@ _CONFIG_KEYS = {
     "out": ("out", str),
     "seed": ("seed", int),
     "split_date": ("split_date", "date"),
-    "taus": ("taus", "floats"),
-    "weights": ("weights", WEIGHTS),
-    "covariance": ("covariance", COVARIANCES),
+    "taus": ("taus", parse_taus),
 }
 
 
@@ -128,12 +135,12 @@ _TRUE, _FALSE = ("true", "1", "yes"), ("false", "0", "no")
 def parse_setting(text, kind, where, key):
     """Convert the value text of one ``key = value`` line.
 
-    ``kind`` is ``str``, ``int``, ``float``, ``"bool"`` (true/false, 1/0,
-    yes/no, any case), ``"floats"`` (a comma list), ``"names"`` (a comma
-    list of names), ``"pairs"`` (a comma list of ``left*right`` name pairs),
-    ``"date"`` (checked by ``parse_date``, kept as text) or a tuple of
-    allowed strings.  A bad value raises ``ValueError`` naming ``where``
-    (``path:line``) and the key.
+    ``kind`` is ``"bool"`` (true/false, 1/0, yes/no, any case), ``"names"``
+    (a comma list of names), ``"pairs"`` (a comma list of ``left*right``
+    name pairs), ``"date"`` (checked by ``parse_date``, kept as text), a
+    tuple of allowed strings, or a converter of the text such as ``str``,
+    ``int``, ``float`` or ``parse_taus``.  A bad value raises ``ValueError``
+    naming ``where`` (``path:line``) and the key.
     """
     if isinstance(kind, tuple):
         if text not in kind:
@@ -144,8 +151,6 @@ def parse_setting(text, kind, where, key):
             if text.lower() not in _TRUE + _FALSE:
                 raise ValueError(f"boolean expected, got {text!r}")
             return text.lower() in _TRUE
-        if kind == "floats":
-            return tuple(float(t) for t in text.split(",") if t.strip())
         if kind == "names":
             return [t.strip() for t in text.split(",") if t.strip()]
         if kind == "pairs":
@@ -494,28 +499,17 @@ def build_design(metas, bundle, spec, window=None):
 BASELINE_JOBS = ("static_random", "static_fixed", "dynamic_random", "dynamic_fixed")
 
 
-def _baseline_specs(config):
-    re_static = ModelSpec(
-        effects="random",
-        weights="none",
-        dynamic=False,
-        covariance=config.covariance,
-        regressors=list(CONTROLS) + ["hyfi"],
-    )
-    fe_static = ModelSpec(
-        effects="fixed",
-        weights=config.weights,
-        dynamic=False,
-        covariance=config.covariance,
-        regressors=list(CONTROLS),
-        interactions=[INTERACTION],
-    )
-    return {
-        "static_random": re_static,
-        "static_fixed": fe_static,
-        "dynamic_random": replace(re_static, dynamic=True),
-        "dynamic_fixed": replace(fe_static, dynamic=True),
-    }
+# The study's one specification: cross-section EGLS for the FE fits, White
+# covariances for every panel fit.
+_RANDOM_STATIC = ModelSpec(effects="random", regressors=(*CONTROLS, "hyfi"))
+_FIXED_STATIC = ModelSpec(effects="fixed", weights="cross_section_egls",
+                          regressors=CONTROLS, interactions=(INTERACTION,))
+BASELINE_SPECS = {
+    "static_random": _RANDOM_STATIC,
+    "static_fixed": _FIXED_STATIC,
+    "dynamic_random": replace(_RANDOM_STATIC, dynamic=True),
+    "dynamic_fixed": replace(_FIXED_STATIC, dynamic=True),
+}
 
 
 @dataclass
@@ -527,29 +521,30 @@ class BaselineFragment:
     n_days: dict               # job name -> number of distinct dates used
 
 
-def run_baseline(metas, bundle, config, window=None):
-    """Static and dynamic RE/FE fits with Hausman tests and long-run effects.
+def run_baseline(metas, bundle, window=None):
+    """Static and dynamic RE/FE fits of ``BASELINE_SPECS`` with Hausman tests
+    and long-run effects.
 
-    The displayed fits use the configured weights and covariance; the
-    Hausman statistics compare unweighted fits (EGLS stage 1 and RE) with
-    their classical covariances, the construction under which the
+    The displayed fits are the study's: cross-section EGLS for fixed
+    effects, unweighted random effects, White covariances.  The Hausman
+    statistics compare unweighted fits (EGLS stage 1 and RE) with their
+    classical covariances, the construction under which the
     efficient-vs-consistent ordering actually holds.  ``bundle`` may be the
     ``design_table`` of ``metas``.
     """
     table = design_table(metas, bundle)
-    specs = _baseline_specs(config)
     fits, ledgers, n_days = {}, {}, {}
     for job in BASELINE_JOBS:
-        design, ledgers[job] = build_design(metas, table, specs[job], window=window)
+        design, ledgers[job] = build_design(metas, table, BASELINE_SPECS[job], window=window)
         try:
-            fits[job] = estimator_for(specs[job]).fit(design).result_
+            fits[job] = estimator_for(BASELINE_SPECS[job]).fit(design).result_
         except ValueError as exc:
             raise ValueError(f"baseline/{job}: {exc}") from exc
         n_days[job] = len(date_union([design.dates]))
 
     tests = {}
     for label in ("static", "dynamic"):
-        fe = fits[f"{label}_fixed"].stage1 or fits[f"{label}_fixed"]
+        fe = fits[f"{label}_fixed"].stage1
         re = fits[f"{label}_random"]
         tests[label] = hausman(replace(fe, cov=fe.classical_cov),
                                replace(re, cov=re.classical_cov))
@@ -573,14 +568,14 @@ def run_baseline(metas, bundle, config, window=None):
     )
 
 
+QUANTILE_SPEC = ModelSpec(effects="pooled", regressors=(*CONTROLS, "hyfi"))
+
+
 def quantile_spec(config):
-    return ModelSpec(
-        effects="pooled",
-        weights="none",
-        dynamic=False,
-        covariance=config.covariance,
-        regressors=list(CONTROLS) + ["hyfi"],
-    )
+    """``QUANTILE_SPEC``, whatever ``config``: no setting changes the report's
+    quantile design.  The argument stays because ``perfbench/run.py``
+    rebuilds that design through this call."""
+    return QUANTILE_SPEC
 
 
 @dataclass
@@ -590,12 +585,13 @@ class QuantileFragment:
     ledger: DropLedger
 
 
-def run_quantiles(metas, bundle, config):
-    """Pooled quantile fits at every requested tau; failures stay isolated.
-    ``bundle`` may be the ``design_table`` of ``metas``."""
-    design, ledger = build_design(metas, bundle, quantile_spec(config))
+def run_quantiles(metas, bundle, taus):
+    """Pooled quantile fits of ``QUANTILE_SPEC`` at every tau of ``taus``;
+    failures stay isolated.  ``bundle`` may be the ``design_table`` of
+    ``metas``."""
+    design, ledger = build_design(metas, bundle, QUANTILE_SPEC)
     fits, errors = {}, {}
-    for tau in config.taus:
+    for tau in taus:
         try:
             fits[tau] = PanelQuantile(tau=tau).fit(design).result_
         except (ValueError, RuntimeError) as exc:
@@ -611,22 +607,22 @@ class SplitFragment:
     attenuation: dict          # "pre"/"post" -> (estimate, se) for the interaction
 
 
-def run_split(metas, bundle, config):
-    """Re-run the baseline battery before and after the split date; ``bundle``
-    may be the ``design_table`` of ``metas``.
+def run_split(metas, bundle, split_date):
+    """Re-run the baseline battery before and after ``split_date`` (text that
+    ``parse_date`` reads); ``bundle`` may be the ``design_table`` of ``metas``.
 
     The split date must fall after the first date of the design rows and no
     later than the last; a battery that still fails names its window.
     """
     table = design_table(metas, bundle)
-    split = parse_date(config.split_date)
+    split = parse_date(split_date)
     lo, hi = (table.dates.min(), table.dates.max()) if len(table.dates) else (None, None)
     if lo is None or not lo < split <= hi:
         raise ValueError(f"split_date {split} outside panel range ({lo}, {hi}]")
 
     def battery(start, end):
         try:
-            return run_baseline(metas, table, config, window=(start, end))
+            return run_baseline(metas, table, window=(start, end))
         except ValueError as exc:
             raise ValueError(f"split_date {split}: window {start} to {end}: {exc}") from exc
 
@@ -838,7 +834,6 @@ class SynthParams:
     sigma_low: float = 0.006
     sigma_high: float = 0.030
     use_benchmark_universe: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.beta is None:
@@ -882,6 +877,7 @@ class SimulatedPanel:
     bundle: dict               # entity -> {metric name -> MetricSeries}
     truth: dict
     params: SynthParams
+    seed: int
 
 
 def _synthetic_metas(params, rng):
@@ -897,8 +893,9 @@ def _synthetic_metas(params, rng):
     ]
 
 
-def simulate_dgp(params, seed=None):
+def simulate_dgp(params, seed=0):
     """Seeded synthetic panel following the study's linear specification.
+    ``seed`` seeds every draw, and the panel keeps it for its manifest.
 
     Regressor processes (documented in the run manifest):
       market volatility  rolling-window sd of simulated index log returns with
@@ -914,8 +911,6 @@ def simulate_dgp(params, seed=None):
     The response adds entity effects alpha_i ~ N(0, sigma_alpha^2) and
     heteroskedastic Gaussian noise with per-entity scales.
     """
-    if seed is None:
-        seed = params.seed
     rng = np.random.default_rng(seed)
     metas = _synthetic_metas(params, rng)
     start = np.datetime64(params.start, "D")
@@ -1018,7 +1013,7 @@ def simulate_dgp(params, seed=None):
 
     truth = {**params.beta, "phi": params.phi, "sigma_alpha": params.sigma_alpha,
              "sigma_i": sigma_i}
-    return SimulatedPanel(metas=metas, bundle=bundle, truth=truth, params=params)
+    return SimulatedPanel(metas=metas, bundle=bundle, truth=truth, params=params, seed=seed)
 
 
 def _write_csv(path, header, rows):
@@ -1059,7 +1054,7 @@ def write_simulation(sim, outdir):
     lines = [
         "panelcrypt synthetic panel",
         f"version = {__version__}",
-        f"seed = {sim.params.seed}",
+        f"seed = {sim.seed}",
         f"entities = {sim.params.n_entities}",
         f"periods = {sim.params.n_periods}",
         f"phi = {sim.params.phi}",
@@ -1199,7 +1194,7 @@ def load_inputs(config):
     """Panel mode computes metrics from raw data; metrics mode loads them and
     refuses a meta entity without ``ENTITY_METRICS`` or a market without ``MARKET_METRICS``."""
     panel = None
-    if config.panel:
+    if config.panel is not None:
         panel = load_panel_csv(config.panel)
         bundle = mx.compute_all_metrics(panel)
         metas = list(panel.entities)
@@ -1294,17 +1289,17 @@ def run_report(config):
     manifest.append("job diagnostics: " + ", ".join(f"tables/{name}" for name in tables))
     del bundle, panel  # every battery below reads ``table``
 
-    baseline = run_baseline(metas, table, config)
+    baseline = run_baseline(metas, table)
     tables.update(_baseline_tables(baseline))
     manifest += [_ledger_line(f"baseline/{job}", baseline.ledgers[job]) for job in BASELINE_JOBS]
 
-    quantiles = run_quantiles(metas, table, config)
+    quantiles = run_quantiles(metas, table, config.taus)
     tables.update(_quantile_tables(quantiles))
     manifest.append(_ledger_line("quantiles", quantiles.ledger))
     for tau, message in sorted(quantiles.errors.items()):
         manifest.append(f"job quantiles tau={tau}: FAILED {message}")
 
-    split = run_split(metas, table, config)
+    split = run_split(metas, table, config.split_date)
     tables.update(_split_tables(split))
     manifest.append(
         f"job split: split_date={split.split_date}"
@@ -1312,7 +1307,7 @@ def run_report(config):
         f" post_days={split.post.n_days['static_fixed']}"
     )
 
-    design, _ = build_design(metas, table, _baseline_specs(config)["static_fixed"])
+    design, _ = build_design(metas, table, BASELINE_SPECS["static_fixed"])
     scale = _volatility_scale(design)
     figures = emit_figures(baseline, quantiles, split, scale)
     manifest.append(f"job figures: volatility_scale={scale!r} files={list(figures)}")

@@ -275,19 +275,53 @@ def test_diagnose_and_quantile_write_the_report_tables(tmp_path, panel_file):
     assert main(["diagnose", "--panel", str(panel_file), "--out", str(tmp_path / "d")]) == 0
     for name in ("descriptives.csv", "correlations.csv", "unit_roots.csv", "dependence.csv"):
         assert (tmp_path / "d" / name).read_bytes() == (tables / name).read_bytes(), name
-    assert main(["quantile", "--panel", str(panel_file), "--out", str(tmp_path / "q")]) == 0
-    assert (tmp_path / "q" / "path.csv").read_bytes() == (tables / "quantile_path.csv").read_bytes()
+    # without --spec, and with a spec file that sets nothing, the design is the report's
+    (tmp_path / "empty.cfg").write_text("# the report's quantile design\n")
+    for name, spec in (("q", []), ("q_spec", ["--spec", str(tmp_path / "empty.cfg")])):
+        assert main(["quantile", "--panel", str(panel_file), *spec,
+                     "--out", str(tmp_path / name)]) == 0
+        path = (tmp_path / name / "path.csv").read_bytes()
+        assert path == (tables / "quantile_path.csv").read_bytes(), name
 
 
 def test_quantile_rank_error_names_the_spec_columns(tmp_path, panel_file, capsys):
     # hyfi * hyfi equals hyfi for a 0/1 dummy
     spec = tmp_path / "collinear.cfg"
-    spec.write_text("effects = pooled\nregressors = size,hyfi\ninteractions = hyfi*hyfi\n")
+    spec.write_text("regressors = size,hyfi\ninteractions = hyfi*hyfi\n")
     code = main(["quantile", "--panel", str(panel_file), "--spec", str(spec),
                  "--taus", "0.5", "--out", str(tmp_path / "quantiles")])
     assert code == 1
     assert ("error: rank-deficient design: columns ['hyfi', 'hyfi_x_hyfi'] are collinear"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("key, value", [("effects", "fixed"), ("weights", "cross_section_egls"),
+                                        ("covariance", "classical")])
+def test_quantile_spec_refuses_keys_a_quantile_fit_does_not_read(tmp_path, panel_file, capsys,
+                                                                  key, value):
+    # a quantile fit is pooled with an intercept; effects = fixed used to drop
+    # the intercept and fit through the origin
+    spec = tmp_path / "spec.cfg"
+    spec.write_text(f"regressors = size,hyfi\n{key} = {value}\n")
+    code = main(["quantile", "--panel", str(panel_file), "--spec", str(spec),
+                 "--taus", "0.5", "--out", str(tmp_path / "quantiles")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {spec}:2: unknown quantile spec key '{key}'\n"
+    assert not (tmp_path / "quantiles").exists()
+
+
+@pytest.mark.parametrize("taus, message", [
+    ("1.5", "tau 1.5 outside (0, 1)"),
+    ("0.5,1", "tau 1.0 outside (0, 1)"),
+    ("", "at least one tau is needed"),
+    ("0.1,,0.5", "could not convert string to float: ''"),
+], ids=["above-one", "one", "empty", "empty-item"])
+def test_quantile_taus_checked_before_the_panel_is_read(tmp_path, capsys, taus, message):
+    # the panel file does not exist: the taus are refused first
+    code = main(["quantile", "--panel", str(tmp_path / "absent.csv"), "--taus", taus,
+                 "--out", str(tmp_path / "quantiles")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --taus: {message}\n"
 
 
 def test_diagnose_command(tmp_path, panel_file):
@@ -379,6 +413,12 @@ def report_lacking(entity, metric):
     return case
 
 
+def empty_panel_value(tmp_path, sim, awkward):
+    # a set but empty panel= is a panel path that does not exist
+    (tmp_path / "report.cfg").write_text(f"panel =\nout = {tmp_path / 'out'}\n")
+    return ["report", "--config", str(tmp_path / "report.cfg")], "No such file or directory: ''"
+
+
 def one_market_shock(tmp_path, sim, awkward):
     # a single value cannot be described; the error names the variable
     def select(rows):
@@ -394,6 +434,7 @@ BAD_INPUTS = [
     report_lacking("TOK00", "size"),
     report_lacking("MARKET", None),
     report_lacking("TOK01", "price_risk"),
+    empty_panel_value,
     one_market_shock,
 ]
 
@@ -493,6 +534,14 @@ def test_simulate_refuses_a_benchmark_universe_of_another_size(tmp_path, capsys)
     assert not (tmp_path / "sim").exists()
 
 
+def test_simulation_seed_is_not_a_parameter(tmp_path):
+    # simulate --seed is the one seed of a simulation
+    params = tmp_path / "params.cfg"
+    params.write_text("n_periods = 160\nseed = 3\n")
+    with pytest.raises(ValueError, match=r"params\.cfg:2: unknown parameter 'seed'"):
+        _parse_synth_params(params)
+
+
 def test_simulation_keys_match_readme_and_default_truth():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     sentence = readme.split("Simulation parameter keys:", 1)[1].split("\n\n", 1)[0]
@@ -512,3 +561,15 @@ def test_model_spec_rejects_malformed_interaction(tmp_path, token):
     spec.write_text(f"effects = fixed\ninteractions = size*illiquidity, {token}\n")
     with pytest.raises(ValueError, match=r"spec\.cfg:2: interactions: expected 'left\*right'"):
         _parse_model_spec(spec)
+
+
+def test_model_spec_keys_match_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Model spec keys", 1)[1].split("```")[1]
+    header, *rows = block.strip().splitlines()
+    start, end = header.index("read by"), header.index("values")
+    readers = {row.split()[0]: set(row[start:end].replace(",", " ").split()) for row in rows}
+    assert set(readers) == set(cli._MODEL_SPEC_KEYS)
+    assert all(read <= {"fit", "quantile"} and "fit" in read for read in readers.values())
+    assert {key for key, read in readers.items() if "quantile" in read} == set(
+        cli._QUANTILE_SPEC_KEYS)

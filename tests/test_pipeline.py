@@ -33,15 +33,15 @@ from panelcrypt.pipeline import (
     DAY,
     FIG4_GRID,
     MARKET_METRICS,
+    BASELINE_SPECS,
+    QUANTILE_SPEC,
     RunConfig,
     SynthParams,
-    _baseline_specs,
     build_design,
     default_truth,
     design_table,
     figure4_rows,
     parse_config,
-    quantile_spec,
     read_metrics_csv,
     reference_figures,
     run_baseline,
@@ -126,18 +126,15 @@ class TestBuildDesign:
             keep = np.arange(len(series)) != position
             bundle[symbol][name] = MetricSeries(symbol, name, series.dates[keep],
                                                 series.values[keep], series.missing[keep])
-        config = RunConfig(metrics_file="unused", meta="unused", out="unused",
-                           split_date="2020-03-15")
         table = design_table(metas, bundle)
         assert design_table(metas, table) is table
         # the report's 14 designs: 4 baseline specs over the full sample and
         # both split windows, the quantile design and the figure-scale design
         lo, hi = table.dates.min(), table.dates.max()
-        split = np.datetime64(config.split_date)
-        specs = _baseline_specs(config)
-        cases = [(specs[job], window) for window in (None, (lo, split - DAY), (split, hi))
-                 for job in BASELINE_JOBS]
-        cases += [(quantile_spec(config), None), (specs["static_fixed"], None)]
+        split = np.datetime64("2020-03-15")
+        cases = [(BASELINE_SPECS[job], window)
+                 for window in (None, (lo, split - DAY), (split, hi)) for job in BASELINE_JOBS]
+        cases += [(QUANTILE_SPEC, None), (BASELINE_SPECS["static_fixed"], None)]
         assert len(cases) == 14
         for spec, window in cases:
             design, ledger = build_design(metas, table, spec, window=window)
@@ -638,8 +635,7 @@ class TestMetaWriter:
 @pytest.fixture(scope="module")
 def fragment():
     sim = simulate_dgp(small_params(n_entities=6, n_periods=300), seed=21)
-    config = RunConfig(metrics_file="unused", meta="unused", out="unused")
-    return sim, run_baseline(sim.metas, sim.bundle, config)
+    return sim, run_baseline(sim.metas, sim.bundle)
 
 
 class TestBaseline:
@@ -670,12 +666,11 @@ class TestBaseline:
 
     def test_interaction_recovery_small(self):
         params = small_params(n_entities=8, n_periods=400)
-        config = RunConfig(metrics_file="unused", meta="unused", out="unused")
         reps = 10
         estimates = np.empty(reps)
         for seed in range(reps):
             sim = simulate_dgp(params, seed=100 + seed)
-            fragment = run_baseline(sim.metas, sim.bundle, config)
+            fragment = run_baseline(sim.metas, sim.bundle)
             estimates[seed] = fragment.fits["static_fixed"].coef(
                 "hyfi_x_market_volatility"
             )
@@ -687,7 +682,6 @@ class TestBaseline:
         # the design table hashes its rows once; every design, the RE fits,
         # both EGLS stages and the Hausman inputs take subsets of it
         sim = simulate_dgp(small_params(n_entities=4, n_periods=120), seed=5)
-        config = RunConfig(metrics_file="unused", meta="unused", out="unused")
         built, init = [], estimators._Groups.__init__
 
         def counting(groups, entities):
@@ -696,10 +690,10 @@ class TestBaseline:
 
         monkeypatch.setattr(estimators._Groups, "__init__", counting)
         table = design_table(sim.metas, sim.bundle)
-        run_baseline(sim.metas, table, config)
-        run_quantiles(sim.metas, table, config)
+        run_baseline(sim.metas, table)
+        run_quantiles(sim.metas, table, (0.5,))
         assert built == [len(table.entities)]
-        run_baseline(sim.metas, sim.bundle, config)  # a table of its own
+        run_baseline(sim.metas, sim.bundle)  # a table of its own
         assert built == [len(table.entities)] * 2
 
     def test_window_without_an_entity_groups_like_np_unique(self):
@@ -713,8 +707,7 @@ class TestBaseline:
         bundle = {**sim.bundle, metas[0].symbol: late}
         table = design_table(sim.metas, bundle)
         window = (table.dates.min(), table.dates.min() + 40 * DAY)
-        config = RunConfig(metrics_file="unused", meta="unused", out="unused")
-        for spec in _baseline_specs(config).values():
+        for spec in BASELINE_SPECS.values():
             design, _ = build_design(sim.metas, table, spec, window=window)
             assert metas[0].symbol not in set(design.entities)
             labels, codes = np.unique(design.entities, return_inverse=True)
@@ -726,20 +719,15 @@ class TestBaseline:
             assert np.array_equal(groups.counts, np.bincount(codes))
             assert groups.n_groups == len(labels) == len(sim.metas) - 1
 
-    @pytest.mark.parametrize("weights", ["none", "cross_section_egls"])
-    @pytest.mark.parametrize("covariance", ["white", "classical"])
-    def test_hausman_equals_classical_refits(self, weights, covariance):
+    def test_hausman_equals_classical_refits(self):
         # the reference is the stated construction, refitted: classical
         # FixedEffects on the unweighted FE design (EGLS stage 1) and
         # classical RandomEffects on the RE design
         sim = simulate_dgp(small_params(n_entities=4, n_periods=120), seed=5)
-        config = RunConfig(metrics_file="unused", meta="unused", out="unused",
-                           weights=weights, covariance=covariance)
-        fragment = run_baseline(sim.metas, sim.bundle, config)
-        specs = _baseline_specs(config)
+        fragment = run_baseline(sim.metas, sim.bundle)
         for label in ("static", "dynamic"):
-            fe_design, _ = build_design(sim.metas, sim.bundle, specs[f"{label}_fixed"])
-            re_design, _ = build_design(sim.metas, sim.bundle, specs[f"{label}_random"])
+            fe_design, _ = build_design(sim.metas, sim.bundle, BASELINE_SPECS[f"{label}_fixed"])
+            re_design, _ = build_design(sim.metas, sim.bundle, BASELINE_SPECS[f"{label}_random"])
             fe = FixedEffects(covariance="classical").fit(fe_design).result_
             re = RandomEffects(covariance="classical").fit(re_design).result_
             assert fragment.hausman[label] == hausman(fe, re)
@@ -749,7 +737,6 @@ class TestBaseline:
         # the EGLS stage-1 and stage-2 FE fits, each one factorization;
         # nothing is refitted
         sim = simulate_dgp(small_params(n_entities=4, n_periods=120), seed=5)
-        config = RunConfig(metrics_file="unused", meta="unused", out="unused")
         calls = []
 
         def counting(owner, name):
@@ -764,7 +751,7 @@ class TestBaseline:
         counting(estimators, "pivoted_qr")
         counting(FixedEffects, "fit")
         counting(RandomEffects, "fit")
-        run_baseline(sim.metas, sim.bundle, config)
+        run_baseline(sim.metas, sim.bundle)
         assert calls.count("pivoted_qr") == 8
         assert calls.count("FixedEffects") == 4
         assert calls.count("RandomEffects") == 2
@@ -779,11 +766,8 @@ class TestBaseline:
         before = np.flatnonzero(series.dates == start - np.timedelta64(1, "D"))
         series.values[before] = np.nan
         series.missing[before] = True
-        config = RunConfig(metrics_file="unused", meta="unused", out="unused",
-                           weights="none")
         with pytest.raises(ValueError, match="baseline/dynamic_fixed: no residual degrees"):
-            run_baseline(sim.metas, sim.bundle, config,
-                         window=(start, start + np.timedelta64(3, "D")))
+            run_baseline(sim.metas, sim.bundle, window=(start, start + np.timedelta64(3, "D")))
 
     def test_variance_components_reported(self, fragment):
         _, result = fragment
@@ -830,8 +814,7 @@ class TestBaseline:
 class TestQuantileBattery:
     def test_path_shape_and_isolation(self):
         sim = simulate_dgp(small_params(n_entities=6, n_periods=250), seed=41)
-        config = RunConfig(metrics_file="unused", meta="unused", out="unused")
-        fragment = run_quantiles(sim.metas, sim.bundle, config)
+        fragment = run_quantiles(sim.metas, sim.bundle, (0.10, 0.25, 0.50, 0.75, 0.90))
         assert not fragment.errors
         assert sorted(fragment.fits) == [0.10, 0.25, 0.50, 0.75, 0.90]
         for fit in fragment.fits.values():
@@ -860,9 +843,7 @@ class TestQuantileBattery:
             ok = ~series.missing
             center = np.nanmean(series.values[ok])
             series.values[ok] = center + 0.4 * (series.values[ok] - center) - 0.01
-        config = RunConfig(metrics_file="unused", meta="unused", out="unused",
-                           taus=(0.10, 0.50, 0.90))
-        fragment = run_quantiles(sim.metas, sim.bundle, config)
+        fragment = run_quantiles(sim.metas, sim.bundle, (0.10, 0.50, 0.90))
         path = [fragment.fits[tau].coef("hyfi") for tau in (0.10, 0.50, 0.90)]
         assert path[0] > path[1] > path[2]
 
@@ -872,8 +853,7 @@ class TestSplit:
         # full benchmark calendar: one differencing day lost per entity,
         # estimation days split 856 / 933 around 2022-05-07
         sim = simulate_dgp(SynthParams(), seed=71)
-        config = RunConfig(metrics_file="unused", meta="unused", out="unused")
-        fragment = run_split(sim.metas, sim.bundle, config)
+        fragment = run_split(sim.metas, sim.bundle, "2022-05-07")
         assert fragment.pre.n_days["static_fixed"] == 856
         assert fragment.post.n_days["static_fixed"] == 933
         total = (fragment.pre.fits["static_fixed"].nobs
@@ -882,23 +862,19 @@ class TestSplit:
 
     def test_day_counts_and_attenuation(self):
         sim = simulate_dgp(small_params(n_entities=5, n_periods=200), seed=51)
-        config = RunConfig(metrics_file="unused", meta="unused", out="unused",
-                           split_date="2020-04-01")
-        fragment = run_split(sim.metas, sim.bundle, config)
+        fragment = run_split(sim.metas, sim.bundle, "2020-04-01")
         assert fragment.pre.n_days["static_fixed"] > 0
         assert fragment.post.n_days["static_fixed"] > 0
         assert set(fragment.attenuation) == {"pre", "post"}
         total = (fragment.pre.fits["static_fixed"].nobs
                  + fragment.post.fits["static_fixed"].nobs)
-        full = run_baseline(sim.metas, sim.bundle, config)
+        full = run_baseline(sim.metas, sim.bundle)
         assert total == full.fits["static_fixed"].nobs
 
     def test_split_outside_range_rejected(self):
         sim = simulate_dgp(small_params(), seed=53)
-        config = RunConfig(metrics_file="unused", meta="unused", out="unused",
-                           split_date="2030-01-01")
         with pytest.raises(ValueError, match="outside panel range"):
-            run_split(sim.metas, sim.bundle, config)
+            run_split(sim.metas, sim.bundle, "2030-01-01")
 
     @pytest.mark.parametrize("split_date, message", [
         # in the market warm-up and on the first entity day: no pre-split rows
@@ -912,21 +888,17 @@ class TestSplit:
         # entities from 2020-01-01, the market from a month earlier
         sim = simulate_dgp(SynthParams(n_entities=3, n_periods=60,
                                        use_benchmark_universe=False), seed=1)
-        config = RunConfig(metrics_file="unused", meta="unused", out="unused",
-                           split_date=split_date)
         with pytest.raises(ValueError, match=message):
-            run_split(sim.metas, sim.bundle, config)
+            run_split(sim.metas, sim.bundle, split_date)
 
     def test_stationary_dgp_pre_post_agree(self):
         params = small_params(n_entities=8, n_periods=500)
-        config = RunConfig(metrics_file="unused", meta="unused", out="unused",
-                           split_date="2020-09-01")
         reps = 8
         gaps = np.empty(reps)
         spreads = np.empty(reps)
         for seed in range(reps):
             sim = simulate_dgp(params, seed=200 + seed)
-            fragment = run_split(sim.metas, sim.bundle, config)
+            fragment = run_split(sim.metas, sim.bundle, "2020-09-01")
             pre, post = fragment.attenuation["pre"], fragment.attenuation["post"]
             gaps[seed] = pre[0] - post[0]
             spreads[seed] = math.hypot(pre[1], post[1])
@@ -1252,18 +1224,41 @@ class TestReport:
         with pytest.raises(ValueError, match="split_date"):
             RunConfig(metrics_file="m.csv", meta="m.csv", split_date=text)
 
-    @pytest.mark.parametrize("key, value", [("weights", "bogus"), ("covariance", "hc3")])
-    def test_config_rejects_unknown_choice_at_parse_time(self, tmp_path, key, value):
-        # rejected when the config is read, before any input is loaded
+    @pytest.mark.parametrize("key, value", [("weights", "cross_section_egls"),
+                                            ("covariance", "white")])
+    def test_config_rejects_removed_spec_keys(self, tmp_path, key, value):
+        # the report's specification is BASELINE_SPECS, whatever the config
         bad = tmp_path / "bad.cfg"
         bad.write_text(f"metrics = m.csv\nmeta = m.csv\n{key} = {value}\n")
-        with pytest.raises(ValueError, match=f"{key} must be one of"):
+        with pytest.raises(ValueError, match=rf"bad\.cfg:3: unknown config key '{key}'"):
             parse_config(bad)
+
+    @pytest.mark.parametrize("line, message", [
+        ("taus = 0.1,1.5", r"tau 1\.5 outside \(0, 1\)"),
+        ("taus = 0,0.5", r"tau 0\.0 outside \(0, 1\)"),
+        ("taus = nan", r"tau nan outside \(0, 1\)"),
+        ("taus =", r"at least one tau is needed"),
+        ("taus = 0.1,,0.5", r"could not convert string to float: ''"),
+    ], ids=["above-one", "zero", "nan", "empty", "empty-item"])
+    def test_config_taus_checked_at_their_line(self, tmp_path, line, message):
+        # checked when the config is read: its input files do not exist
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"metrics = m.csv\nmeta = m.csv\n{line}\n")
+        with pytest.raises(ValueError, match=rf"bad\.cfg:3: taus: {message}$"):
+            parse_config(bad)
+
+    def test_config_refuses_both_input_modes(self, tmp_path):
+        # a report reads the panel or the metrics files, never both
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("panel = p.csv\nmetrics = m.csv\nmeta = m.csv\n")
+        with pytest.raises(ValueError, match="config sets panel= and metrics=/meta="):
+            parse_config(bad)
+        with pytest.raises(ValueError, match="config sets panel= and metrics=/meta="):
+            RunConfig(panel="p.csv", meta="m.csv")
 
     @pytest.mark.parametrize("line, message", [
         ("seed = seven", r"bad\.cfg:3: seed: invalid literal for int\(\)"),
         ("taus = 0.1,x", r"bad\.cfg:3: taus: could not convert string to float: 'x'"),
-        ("weights = bogus", r"bad\.cfg:3: weights must be one of .*, got 'bogus'"),
     ])
     def test_config_bad_value_named_at_its_line(self, tmp_path, line, message):
         bad = tmp_path / "bad.cfg"
@@ -1273,10 +1268,6 @@ class TestReport:
 
     def test_dotted_split_date_splits_on_the_same_day(self):
         sim = simulate_dgp(small_params(n_entities=3, n_periods=120), seed=52)
-        fragments = [
-            run_split(sim.metas, sim.bundle,
-                      RunConfig(metrics_file="m.csv", meta="m.csv", split_date=text))
-            for text in ("2020-03-01", "1.3.2020")
-        ]
+        fragments = [run_split(sim.metas, sim.bundle, text) for text in ("2020-03-01", "1.3.2020")]
         assert fragments[0].split_date == fragments[1].split_date == "2020-03-01"
         assert fragments[0].attenuation == fragments[1].attenuation
