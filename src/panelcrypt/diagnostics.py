@@ -6,11 +6,10 @@ Householder QR of its design and response, ``[constant, current...,
 lagged..., response]`` (``_kept_factor``): |R[j, j]| is column j's residual
 on the columns before it, so a collinear column is found and dropped in
 column order, and the AIC lag candidates, which are column prefixes of the
-longest one, all read their SSR off R's last column.  The chosen lag's fit
-adds its few extra rows to that factor instead of factoring its design
-again.  Every pairwise correlation comes from Gram products of the
-row-centred, zero-filled data and its finiteness mask
-(``_pairwise_correlations``), with no loop over pairs.
+longest one, all read their SSR off R's last column.  Every pairwise
+correlation comes from Gram products of the row-centred, zero-filled data
+and its finiteness mask (``_pairwise_correlations``), with no loop over
+pairs.
 
 scipy is imported inside the functions that call it, so importing this
 module, as every CLI command does, does not load it.
@@ -185,14 +184,6 @@ def _r_factor(a):
     return sla.qr(a, mode="raw", overwrite_a=True, check_finite=False)[1]
 
 
-def _keeps(R, squares):
-    """Whether each regressor's residual on the regressors before it,
-    |R[j, j]|, exceeds ``1e-8 * max(|col_j|, 1)``; ``squares`` are the
-    regressors' sums of squares."""
-    diagonal = np.abs(np.diagonal(R))[:len(squares)]
-    return diagonal > 1e-8 * np.maximum(np.sqrt(squares[:len(diagonal)]), 1.0)
-
-
 def _kept_factor(build):
     """R factor of the design ``build()`` returns, ``[regressors |
     response]`` in Fortran order, after dropping, in column order, each
@@ -200,22 +191,23 @@ def _kept_factor(build):
 
     One Householder QR (LAPACK, column order) of the design, in its own
     buffer, gives every regressor's residual norm on the regressors before
-    it as |R[j, j]|.  While one fails ``_keeps``, the first that fails is
+    it as |R[j, j]|.  A regressor is kept while that exceeds
+    ``1e-8 * max(|col_j|, 1)``; while one fails, the first that fails is
     removed and the rest factored again.  A failing constant or lagged level
     (column 0 or 1) raises ``ValueError``, and so do kept regressors that
     leave no residual degrees of freedom.  Returns the (k+1) x (k+1) factor
-    of the k kept regressors and the response, the kept indices and the
-    regressors' sums of squares.  The fit on the kept regressors among the
-    first m therefore has SSR ``R[k, k]^2 + |R[k_m:k, k]|^2``, k_m being how
-    many they are.
+    of the k kept regressors and the response, and the kept indices.  The
+    fit on the kept regressors among the first m therefore has SSR
+    ``R[k, k]^2 + |R[k_m:k, k]|^2``, k_m being how many they are.
     """
     design = build()
     n, width = design.shape
-    squares = np.einsum("ij,ij->j", design[:, :-1], design[:, :-1])
+    norms = np.maximum(np.sqrt(np.einsum("ij,ij->j", design[:, :-1], design[:, :-1])), 1.0)
     kept = np.arange(width - 1)
     while True:
         R = _r_factor(design)
-        fails = np.flatnonzero(~_keeps(R, squares[kept]))
+        diagonal = np.abs(np.diagonal(R))[:len(kept)]
+        fails = np.flatnonzero(~(diagonal > 1e-8 * norms[kept][:len(diagonal)]))
         if not fails.size:
             break
         if kept[fails[0]] < 2:
@@ -226,7 +218,7 @@ def _kept_factor(build):
     if k >= n:
         # the first n regressors passed, so the rest have no residual left
         raise ValueError(f"no residual degrees of freedom ({n} rows, {n} regressors)")
-    return R[:k + 1, :k + 1], kept, squares
+    return R[:k + 1, :k + 1], kept
 
 
 def _aic(ssr, nobs, n_params):
@@ -239,18 +231,14 @@ def _df_regression(dy, current, lagged, max_lag):
     Every candidate p = 0..max_lag is fitted on the common rows
     ``max_lag..t-1``; its columns are a prefix of the p = max_lag columns, so
     one factor of that design (``_kept_factor``) gives all their SSRs.  The
-    chosen p's rows ``p..t-1`` are the common rows and max_lag - p more, so
-    its factor is the QR of ``[[R_pp, z_p], [0, rho_p]]`` (the common rows'
-    factor of its columns and the response) stacked on those rows: the two
-    have the same X'X.  When a column was dropped, or the stacked factor
-    fails the keep rule, the chosen design is factored in full instead.  The
-    t-ratio's variance comes from R^-1.  Returns (statistic, p, nobs).
+    chosen p's t-ratio reads that factor when p = max_lag, and otherwise the
+    factor of its own design on rows ``p..t-1``; its variance comes from
+    R^-1.  Returns (statistic, p, nobs).
     """
     from scipy import linalg as sla
 
     t = len(dy)
-    width = 1 + len(current) + len(lagged) * max_lag
-    R, kept, squares = _kept_factor(lambda: _df_design(max_lag, t, current, lagged, dy))
+    R, kept = _kept_factor(lambda: _df_design(max_lag, t, current, lagged, dy))
     k = len(kept)
     z, ssr = R[:k, k], R[k, k] ** 2
     best_p, best_aic = 0, np.inf
@@ -260,31 +248,28 @@ def _df_regression(dy, current, lagged, max_lag):
         if aic < best_aic - 1e-12:
             best_aic, best_p = aic, p
 
-    n = t - best_p
-    factor = None
-    if k == width:
-        m = 1 + len(current) + len(lagged) * best_p
-        factor = np.zeros((m + 1 + max_lag - best_p, m + 1), order="F")
-        factor[:m, :m] = R[:m, :m]
-        factor[:m, m] = z[:m]
-        factor[m, m] = math.sqrt(ssr + float(z[m:] @ z[m:]))
-        if best_p < max_lag:
-            extra = _df_design(best_p, max_lag, current, lagged, dy)
-            factor[m + 1:] = extra
-            squares = squares[:m] + np.einsum("ij,ij->j", extra[:, :m], extra[:, :m])
-            factor = _r_factor(factor)
-            if not _keeps(factor, squares).all():
-                factor = None
-        k = m
-    if factor is None:
-        factor, kept, _ = _kept_factor(lambda: _df_design(best_p, t, current, lagged, dy))
+    if best_p < max_lag:
+        R, kept = _kept_factor(lambda: _df_design(best_p, t, current, lagged, dy))
         k = len(kept)
     # row 1 of R^-1: the lagged level's coefficient is w @ z, its variance
     # sigma^2 |w|^2
-    w = sla.solve_triangular(factor[:k, :k], np.eye(k)[1], trans="T")
-    z, ssr = factor[:k, k], factor[k, k] ** 2
+    w = sla.solve_triangular(R[:k, :k], np.eye(k)[1], trans="T")
+    z, ssr = R[:k, k], R[k, k] ** 2
+    n = t - best_p
     stat = float(w @ z) / math.sqrt(ssr / (n - k) * float(w @ w))
     return stat, best_p, n
+
+
+def _span(values):
+    """The slice of ``values`` from its first to its last finite entry, the
+    one sample rule of ``adf`` and ``cips``: leading and trailing NaN are
+    trimmed, and an interior one raises ``ValueError``."""
+    idx = np.flatnonzero(np.isfinite(values))
+    if not idx.size:
+        return slice(0, 0)
+    if idx[-1] - idx[0] + 1 != idx.size:
+        raise ValueError("interior gaps are not supported")
+    return slice(idx[0], idx[-1] + 1)
 
 
 def adf(series, max_lag=4):
@@ -292,11 +277,13 @@ def adf(series, max_lag=4):
 
     The statistic is the t-ratio on the lagged level in
     Dy_t = a + rho y_{t-1} + sum_j phi_j Dy_{t-j} + e_t; stars use the
-    MacKinnon (2010) response-surface critical values.  The fits come from
+    MacKinnon (2010) response-surface critical values.  NaN marks a missing
+    value: the test runs from the first to the last present one and refuses
+    a gap between them, as ``cips`` does (``_span``).  The fits come from
     the same QR kernel as the CADF regressions (``_df_regression``).
     """
     y = np.asarray(series, dtype=float)
-    y = y[np.isfinite(y)]
+    y = y[_span(y)]
     if len(y) <= max_lag + 3:
         raise ValueError(f"series too short ({len(y)}) for max_lag={max_lag}")
     if np.ptp(y) == 0.0:
@@ -339,9 +326,10 @@ def cips(panel_values, max_lag=4, entity_labels=None):
     of the p = max_lag design on the common rows gives the SSR of every p
     for the AIC choice; a column collinear with the columns before it is
     dropped in that order (tolerance 1e-8 relative to the column's norm, or
-    absolute below norm 1).  The chosen p's factor, that QR updated with the
-    rows it adds, gives the t-ratio, its variance from R^-1
-    (``_df_regression``).
+    absolute below norm 1).  The chosen p's factor gives the t-ratio, its
+    variance from R^-1 (``_df_regression``).  Each entity's sample runs from
+    its first to its last present value, and a gap between them is refused
+    (``_span``).
     """
     data = np.asarray(panel_values, dtype=float)
     if data.ndim != 2 or data.shape[0] < 2:
@@ -356,18 +344,19 @@ def cips(panel_values, max_lag=4, entity_labels=None):
     nobs_total = 0
     for i in range(n_entities):
         y = data[i]
-        ok = np.isfinite(y)
-        idx = np.flatnonzero(ok)
+        count = np.count_nonzero(np.isfinite(y))
         # the p = max_lag regression has 4 + 2 max_lag columns on
-        # idx.size - 1 - max_lag rows and needs a residual degree of freedom
-        if idx.size < 3 * max_lag + 6:
+        # count - 1 - max_lag rows and needs a residual degree of freedom
+        if count < 3 * max_lag + 6:
             raise ValueError(
-                f"entity {labels[i]}: too few observations ({idx.size}) for the CADF regression"
+                f"entity {labels[i]}: too few observations ({count}) for the CADF regression"
             )
-        if idx[-1] - idx[0] + 1 != idx.size:
-            raise ValueError(f"entity {labels[i]}: interior gaps are not supported")
-        seg = y[idx]
-        ybar_seg = ybar[idx]
+        try:
+            span = _span(y)
+        except ValueError as exc:
+            raise ValueError(f"entity {labels[i]}: {exc}") from None
+        seg = y[span]
+        ybar_seg = ybar[span]
         if not np.isfinite(ybar_seg).all():
             raise ValueError("cross-section average undefined on part of the sample")
         ybar_lag = ybar_seg[:-1]

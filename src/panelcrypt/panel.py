@@ -1,4 +1,4 @@
-"""Loading, validation and slicing of the daily cryptocurrency panel.
+"""Loading and validation of the daily cryptocurrency panel.
 
 The panel is ingested from flat CSV files (one per entity, plus a
 market-wide file and a metadata file) or from a single consolidated CSV
@@ -28,7 +28,7 @@ import math
 import operator
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,22 +123,6 @@ class PanelDataset:
     entities: tuple            # EntityMeta, ordered as loaded
     observations: dict         # symbol -> EntityRecords
     market: EntityRecords      # symbol MARKET, fields MARKET_FIELDS
-    calendar: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.calendar is None:
-            records = [*self.observations.values(), self.market]
-            object.__setattr__(self, "calendar", date_union([rec.dates for rec in records]))
-
-    @property
-    def symbols(self):
-        return [meta.symbol for meta in self.entities]
-
-    def meta(self, symbol):
-        for meta in self.entities:
-            if meta.symbol == symbol:
-                return meta
-        raise ValueError(f"unknown entity {symbol!r}")
 
     def n_observations(self, symbol=None):
         if symbol is not None:
@@ -720,42 +704,3 @@ def load_panel_csv(path):
     return PanelDataset(entities=tuple(metas), observations=observations,
                         market=market.finish(MARKET_SYMBOL))
 
-
-def _window(rec, start, end):
-    """The records of ``rec`` dated ``start`` to ``end``, both included."""
-    keep = (rec.dates >= start) & (rec.dates <= end)
-    return EntityRecords(rec.symbol, rec.dates[keep], {f: v[keep] for f, v in rec.values.items()},
-                         {f: m[keep] for f, m in rec.missing.items()})
-
-
-def subsample(panel, start, end):
-    """Restrict the panel to observations with ``start <= date <= end``.
-
-    Entities left with zero rows are dropped together with their metadata;
-    the market series is restricted to the same window.
-    """
-    start = np.datetime64(start, "D")
-    end = np.datetime64(end, "D")
-    if start > end:
-        raise ValueError(f"start {start} after end {end}")
-
-    metas = []
-    observations = {}
-    for meta in panel.entities:
-        rec = _window(panel.observations[meta.symbol], start, end)
-        if len(rec):
-            metas.append(meta)
-            observations[meta.symbol] = rec
-    market = _window(panel.market, start, end)
-    return PanelDataset(entities=tuple(metas), observations=observations, market=market)
-
-
-def series(panel, entity, field_name):
-    """Return ``(dates, values, missing)`` for one entity field, in calendar order."""
-    rec = panel.market if entity == MARKET_SYMBOL else panel.observations.get(entity)
-    if rec is None:
-        raise ValueError(f"unknown entity {entity!r}")
-    valid = tuple(rec.values)
-    if field_name not in valid:
-        raise ValueError(f"unknown field {field_name!r}; expected one of {valid}")
-    return rec.dates, rec.values[field_name].copy(), rec.missing[field_name].copy()

@@ -118,11 +118,18 @@ def parse_taus(text):
     return _check_taus(tuple(float(t) for t in text.split(",")) if text.strip() else ())
 
 
+def _path(text):
+    """A path setting's text; an empty one names no file."""
+    if not text:
+        raise ValueError("empty path")
+    return text
+
+
 _CONFIG_KEYS = {
-    "panel": ("panel", str),
-    "metrics": ("metrics_file", str),
-    "meta": ("meta", str),
-    "out": ("out", str),
+    "panel": ("panel", _path),
+    "metrics": ("metrics_file", _path),
+    "meta": ("meta", _path),
+    "out": ("out", _path),
     "seed": ("seed", int),
     "split_date": ("split_date", "date"),
     "taus": ("taus", parse_taus),
@@ -1261,13 +1268,16 @@ def _split_tables(split):
 def run_report(config):
     """Run every battery, then write the report bundle: ``tables/``,
     ``figures/`` and ``manifest.txt``.  A battery that fails raises before
-    anything is written.
+    anything is written, and an ``out`` that exists but is not a directory
+    is refused before any input is read.
 
     scipy's solvers are loaded first, so that their import is charged to the
     report itself and not to whichever battery solves first."""
     import scipy.linalg  # noqa: F401
     import scipy.special  # noqa: F401
 
+    if os.path.exists(config.out) and not os.path.isdir(config.out):
+        raise ValueError(f"out: {config.out} exists and is not a directory")
     metas, bundle, panel = load_inputs(config)
     manifest = [
         "panelcrypt report",
@@ -1383,7 +1393,7 @@ def _emit_diagnostics(metas, bundle, table, panel=None):
             unit_rows.append((name, "cips_error", float("nan"), float("nan"), str(exc), 0.0))
     for name in MARKET_METRICS:
         try:
-            result = diag.adf(bundle[MARKET_SYMBOL][name].present_values())
+            result = diag.adf(bundle[MARKET_SYMBOL][name].values)
             unit_rows.append(
                 (name, "adf", result.statistic, float("nan"), result.stars, float(result.nobs))
             )

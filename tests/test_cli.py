@@ -414,9 +414,10 @@ def report_lacking(entity, metric):
 
 
 def empty_panel_value(tmp_path, sim, awkward):
-    # a set but empty panel= is a panel path that does not exist
-    (tmp_path / "report.cfg").write_text(f"panel =\nout = {tmp_path / 'out'}\n")
-    return ["report", "--config", str(tmp_path / "report.cfg")], "No such file or directory: ''"
+    # a set but empty panel= names no file, and is refused at its line
+    config = tmp_path / "report.cfg"
+    config.write_text(f"panel =\nout = {tmp_path / 'out'}\n")
+    return ["report", "--config", str(config)], f"{config}:1: panel: empty path"
 
 
 def one_market_shock(tmp_path, sim, awkward):
@@ -450,6 +451,54 @@ def test_error_reporting(tmp_path, capsys, small_simulation, awkward_panel):
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert message in err[0]
         assert not (folder / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["panel", "metrics", "meta", "out"])
+def test_report_refuses_an_empty_path_at_its_line(tmp_path, capsys, small_simulation, key):
+    # the other keys of the key's input mode name files that exist
+    paths = {"metrics": small_simulation / "metrics.csv", "meta": small_simulation / "meta.csv",
+             "out": tmp_path / "out"}
+    if key == "panel":
+        paths = {"out": tmp_path / "out"}
+    lines = [f"{name} = {path}" for name, path in paths.items() if name != key] + [f"{key} ="]
+    config = tmp_path / "report.cfg"
+    config.write_text("\n".join(lines) + "\n")
+    assert main(["report", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == f"error: {config}:{len(lines)}: {key}: empty path\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_refuses_an_out_that_is_a_file_before_reading_inputs(tmp_path, capsys,
+                                                                     monkeypatch):
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    (tmp_path / "report.cfg").write_text(
+        f"metrics = {tmp_path / 'absent.csv'}\nmeta = {tmp_path / 'absent.csv'}\nout = {out}\n")
+    monkeypatch.setattr(pipeline, "load_inputs", lambda config: pytest.fail("inputs read"))
+    assert main(["report", "--config", str(tmp_path / "report.cfg")]) == 1
+    assert capsys.readouterr().err == f"error: out: {out} exists and is not a directory\n"
+    assert out.read_text() == "not a directory\n"
+
+
+def test_report_writes_an_adf_error_for_an_interior_market_gap(tmp_path, panel_file):
+    # ten empty mid-sample shock_loss cells: ADF refuses the gap, as CIPS
+    # refuses an entity's, instead of bridging it with one difference
+    rows = read_csv_rows(panel_file)
+    column = rows[0].index("shock_loss")
+    market = [row for row in rows[1:] if row[0] == "MARKET"]
+    middle = len(market) // 2
+    for row in market[middle:middle + 10]:
+        row[column] = ""
+    gapped = tmp_path / "gapped.csv"
+    with open(gapped, "w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    config = tmp_path / "report.cfg"
+    config.write_text(f"panel = {gapped}\nout = {tmp_path / 'report'}\nsplit_date = 2020-03-01\n")
+    assert main(["report", "--config", str(config)]) == 0
+    unit_roots = read_csv_rows(tmp_path / "report" / "tables" / "unit_roots.csv")
+    shocks = [row for row in unit_roots if row[0] == "market_shocks"]
+    assert len(shocks) == 1
+    assert shocks[0][1:2] + shocks[0][4:5] == ["adf_error", "interior gaps are not supported"]
 
 
 def test_volatility_window_is_not_a_setting(tmp_path):

@@ -148,6 +148,19 @@ class TestADF:
         with pytest.raises(ValueError):
             adf(np.full(50, 2.0))
 
+    def test_sample_rule_is_the_cips_rule(self):
+        # leading and trailing NaN are trimmed; an interior one is refused
+        rng = np.random.default_rng(75)
+        y = np.cumsum(rng.normal(size=300))
+        padded = np.concatenate([np.full(7, np.nan), y, np.full(3, np.nan)])
+        a, b = adf(y), adf(padded)
+        assert (b.statistic, b.lags, b.nobs) == (a.statistic, a.lags, a.nobs)
+        padded[150:160] = np.nan
+        with pytest.raises(ValueError, match="^interior gaps are not supported$"):
+            adf(padded)
+        with pytest.raises(ValueError, match="^entity 0: interior gaps are not supported$"):
+            cips(np.vstack([padded, np.cumsum(rng.normal(size=310))]))
+
 
 class TestCIPS:
     def stationary_panel(self, rng, n_entities, t, rho=0.5):
@@ -301,12 +314,12 @@ class TestCIPS:
         assert (lag, nobs) == (ref_lag, ref_nobs) and k == 3 + 2 * lag
         assert stat == pytest.approx(ref_stat, rel=1e-9)
 
-    def test_stacked_factor_failing_the_keep_rule_falls_back(self, monkeypatch):
+    def test_column_collinear_only_on_the_chosen_lags_extra_rows_is_dropped(self, monkeypatch):
         # Dybar_t tracks ybar_{t-1} to 2.5e-6 on the common rows, enough to
         # be kept there, and equals it on the first rows, where both are of
         # order 1e6: on the chosen lag's rows its residual falls below the
-        # keep rule's tolerance, so the stacked factor is refused and the
-        # chosen design factored in full, where the column is dropped
+        # keep rule's tolerance, so the chosen design, factored in full,
+        # drops the column and is factored again
         rng = np.random.default_rng(91)
         y = np.cumsum(rng.normal(size=300))
         ybar_lag = np.cumsum(rng.normal(size=299))
@@ -316,7 +329,7 @@ class TestCIPS:
         widths = self.record_factors(monkeypatch)
         stat, lag, nobs = _cadf_stat(y, ybar_lag, dybar, 4)
         ref_stat, ref_lag, ref_nobs, k = _reference_cadf(y, ybar_lag, dybar, 4)
-        assert lag == 0 and widths == [13, 5, 5, 4]
+        assert lag == 0 and widths == [13, 5, 4]
         assert (lag, nobs, k) == (ref_lag, ref_nobs, 3)
         assert stat == pytest.approx(ref_stat, rel=1e-9)
 

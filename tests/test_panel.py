@@ -1,4 +1,4 @@
-"""Loader validation, slicing, and round-trip fidelity of the panel store."""
+"""Loader validation and round-trip fidelity of the panel store."""
 
 import csv
 import itertools
@@ -28,11 +28,12 @@ from conftest import (
 def test_load_small_panel(small_panel_files):
     entity_files, market_file, meta_file = small_panel_files
     panel = ps.load_panel(entity_files, market_file, meta_file)
-    assert sorted(panel.symbols) == ["AAA", "BBB", "CCC"]
+    metas = {meta.symbol: meta for meta in panel.entities}
+    assert sorted(metas) == sorted(panel.observations) == ["AAA", "BBB", "CCC"]
     assert panel.n_observations("AAA") == 60
     assert panel.n_observations("CCC") == 49
-    assert panel.meta("AAA").hyfi and not panel.meta("BBB").hyfi
-    assert len(panel.calendar) >= 60
+    assert metas["AAA"].hyfi and not metas["BBB"].hyfi
+    assert len(panel.market.dates) >= 60
 
 
 def test_single_row_panel(tmp_path):
@@ -186,80 +187,6 @@ def test_missing_cells_masked(tmp_path):
     assert np.isnan(rec.values["attention"][1])
 
 
-class TestSubsample:
-    @pytest.fixture
-    def panel(self, small_panel_files):
-        return ps.load_panel(*small_panel_files)
-
-    def test_identity(self, panel):
-        full = ps.subsample(panel, panel.calendar[0], panel.calendar[-1])
-        assert full.n_observations() == panel.n_observations()
-        assert full.symbols == panel.symbols
-
-    def test_idempotence(self, panel):
-        a = ps.subsample(panel, "2020-01-10", "2020-02-10")
-        b = ps.subsample(a, "2020-01-10", "2020-02-10")
-        assert a.n_observations() == b.n_observations()
-        for symbol in a.symbols:
-            assert np.array_equal(a.observations[symbol].dates, b.observations[symbol].dates)
-
-    def test_empty_range_before_listings(self, panel):
-        empty = ps.subsample(panel, "2010-01-01", "2010-02-01")
-        assert empty.symbols == []
-        assert empty.n_observations() == 0
-
-    def test_drops_entities_left_empty(self, panel):
-        # CCC starts 2020-01-12; a window before that keeps only AAA and BBB
-        early = ps.subsample(panel, "2020-01-01", "2020-01-05")
-        assert sorted(early.symbols) == ["AAA", "BBB"]
-        assert early.meta("AAA").category == "test"
-
-    def test_start_after_end_rejected(self, panel):
-        with pytest.raises(ValueError):
-            ps.subsample(panel, "2021-01-01", "2020-01-01")
-
-    def test_split_day_counts(self, tmp_path):
-        # full benchmark-shaped calendar: 2020-01-01 .. 2024-11-24
-        rng = np.random.default_rng(8)
-        files = build_panel_files(tmp_path, rng, [("FULL", False, "2020-01-01", 1790)])
-        panel = ps.load_panel(*files)
-        pre = ps.subsample(panel, "2020-01-02", "2022-05-06")
-        post = ps.subsample(panel, "2022-05-07", "2024-11-24")
-        assert pre.n_observations("FULL") == 856
-        assert post.n_observations("FULL") == 933
-        assert str(panel.observations["FULL"].dates[-1]) == "2024-11-24"
-
-
-class TestSeries:
-    def test_known_entity_field(self, small_panel_files):
-        panel = ps.load_panel(*small_panel_files)
-        dates, values, missing = ps.series(panel, "CCC", "close")
-        assert len(values) == 49
-        assert not missing.any()
-        assert np.all(np.diff(dates) > np.timedelta64(0, "D"))
-
-    def test_market_series(self, small_panel_files):
-        panel = ps.load_panel(*small_panel_files)
-        dates, values, _ = ps.series(panel, ps.MARKET_SYMBOL, "index_level")
-        assert np.all(values > 0)
-
-    def test_unknown_entity_and_field(self, small_panel_files):
-        panel = ps.load_panel(*small_panel_files)
-        with pytest.raises(ValueError, match="unknown entity"):
-            ps.series(panel, "ZZZ", "close")
-        with pytest.raises(ValueError, match="unknown field"):
-            ps.series(panel, "AAA", "sentiment")
-
-
-    def test_unknown_market_field_lists_market_fields(self, small_panel_files):
-        panel = ps.load_panel(*small_panel_files)
-        with pytest.raises(ValueError) as info:
-            ps.series(panel, ps.MARKET_SYMBOL, "close")
-        assert str(info.value) == (
-            "unknown field 'close'; expected one of ('index_level', 'shock_loss')"
-        )
-
-
 def assert_market_record(market, dates):
     assert isinstance(market, ps.EntityRecords)
     assert market.symbol == ps.MARKET_SYMBOL
@@ -272,14 +199,6 @@ def test_market_is_a_record_named_market_in_every_loader(tmp_path, small_panel_f
     assert_market_record(panel.market, panel.market.dates)
     ps.write_panel_csv(panel, tmp_path / "panel.csv")
     assert_market_record(ps.load_panel_csv(tmp_path / "panel.csv").market, panel.market.dates)
-    start, end = np.datetime64("2020-01-10"), np.datetime64("2020-02-10")
-    window = ps.subsample(panel, start, end).market
-    inside = (panel.market.dates >= start) & (panel.market.dates <= end)
-    assert_market_record(window, panel.market.dates[inside])
-    assert str(window.dates[0]) == "2020-01-10" and str(window.dates[-1]) == "2020-02-10"
-    for f in ps.MARKET_FIELDS:
-        assert np.array_equal(window.values[f], panel.market.values[f][inside])
-        assert np.array_equal(window.missing[f], panel.market.missing[f][inside])
 
 
 class TestDateUnion:
@@ -302,11 +221,6 @@ class TestDateUnion:
         union = ps.date_union(series)
         assert union.dtype == np.dtype("datetime64[D]") and union.size == 0
 
-    def test_panel_calendar_is_the_union(self, small_panel_files):
-        panel = ps.load_panel(*small_panel_files)
-        dates = [rec.dates for rec in panel.observations.values()] + [panel.market.dates]
-        assert np.array_equal(panel.calendar, np.unique(np.concatenate(dates)))
-
 
 def test_round_trip_bitwise(tmp_path, small_panel_files):
     entity_files, market_file, meta_file = small_panel_files
@@ -315,10 +229,9 @@ def test_round_trip_bitwise(tmp_path, small_panel_files):
     ps.write_panel_csv(panel, out)
     reloaded = ps.load_panel_csv(out)
 
-    assert reloaded.symbols == panel.symbols
-    for meta, again in zip(panel.entities, reloaded.entities):
-        assert meta == again
-    for symbol in panel.symbols:
+    assert reloaded.entities == panel.entities
+    assert list(reloaded.observations) == list(panel.observations)
+    for symbol in panel.observations:
         a, b = panel.observations[symbol], reloaded.observations[symbol]
         assert np.array_equal(a.dates, b.dates)
         for field_name in ps.ENTITY_FIELDS:
@@ -355,15 +268,14 @@ def test_benchmark_shaped_observation_counts(tmp_path):
     files = build_panel_files(tmp_path, rng, specs)
     panel = ps.load_panel(*files)
     assert len(panel.entities) == 18
-    counts = {symbol: panel.n_observations(symbol) for symbol in panel.symbols}
+    counts = {meta.symbol: panel.n_observations(meta.symbol) for meta in panel.entities}
     assert counts == expected
     assert max(counts.values()) == 1790
     assert panel.n_observations() == 30941
-    dates, values, _ = ps.series(panel, "RAY", "close")
-    assert len(values) == 1372
-    assert str(dates[0]) == "2021-02-22"
-    dates, values, _ = ps.series(panel, "BTC", "close")
-    assert len(values) == 1790
+    ray = panel.observations["RAY"]
+    assert len(ray.values["close"]) == 1372
+    assert str(ray.dates[0]) == "2021-02-22"
+    assert len(panel.observations["BTC"].values["close"]) == 1790
 
 
 def rewrite_cell(path, line, column, text):
