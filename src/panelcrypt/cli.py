@@ -208,27 +208,37 @@ def _cmd_report(args):
     return 0
 
 
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"finite number expected, got {text!r}")
+    return value
+
+
 _SYNTH_KEYS = {
     "n_entities": int,
     "n_periods": int,
-    "start": str,
-    "phi": float,
-    "sigma_alpha": float,
-    "sigma_low": float,
-    "sigma_high": float,
+    "start": "date",
+    "phi": _finite_float,
+    "sigma_alpha": _finite_float,
+    "sigma_low": _finite_float,
+    "sigma_high": _finite_float,
     "use_benchmark_universe": "bool",
-    **{f"beta_{name}": float for name in pipeline.default_truth()},
+    **{f"beta_{name}": _finite_float for name in pipeline.default_truth()},
 }
 
 
 def _parse_synth_params(path):
     """A simulation parameter settings file; ``beta_<name>`` overrides one
-    coefficient of ``pipeline.default_truth()``."""
+    coefficient of ``pipeline.default_truth()``; errors name the file."""
     values = pipeline.read_settings(path, _SYNTH_KEYS, "parameter")
     beta = {key[len("beta_"):]: values.pop(key) for key in list(values) if key.startswith("beta_")}
     if beta:
         values["beta"] = {**pipeline.default_truth(), **beta}
-    return SynthParams(**values)
+    try:
+        return SynthParams(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _cmd_simulate(args):

@@ -9,14 +9,15 @@ has to reason about NaN propagation.  Every dated series is an
 under the pseudo-symbol ``MARKET``, holds ``MARKET_FIELDS``.
 
 A file is read ``_BLOCK_ROWS`` rows at a time.  A block's rows of a per-file
-input, and the MARKET rows and the entity rows of a block of a consolidated
-file, are parsed a column at a time: each distinct date text is parsed once per
-load, each numeric column is converted with ``float`` in one pass, and every
-row rule is a mask over the columns.  The first row in file order that any
-rule breaks fails, with the first rule it breaks: its date, then each
-field's cell in schema order, then the value rules (``_OBSERVATION_RULES``,
-``_MARKET_RULES``).  A series keeps its first failure until the end of the
-file, so that a row of the wrong width anywhere in it is reported first.
+input, its MARKET and entity rows in a consolidated file, and an entity's rows
+in a metrics file, are parsed a column at a time: each distinct date text is
+parsed once per load, each numeric column is converted with ``float`` in one
+pass, and every row rule is a mask over the columns.  The first row in file
+order that any rule breaks fails, with the first rule it breaks: its date, then
+each field's cell in schema order, then the value rules
+(``_OBSERVATION_RULES``, ``_MARKET_RULES``).  A series keeps its first failure
+until the end of the file, so that a row of the wrong width anywhere in it is
+reported first.
 """
 
 from __future__ import annotations
@@ -200,9 +201,9 @@ def _check_header(header, expected, source):
 
 @contextlib.contextmanager
 def _row_source(path, expected):
-    """``(source, index, rows)`` of a CSV file: its path text, its header
-    index and an iterator of ``(line, row)`` over its data rows, the first
-    being file line 2.
+    """``(source, index, header, rows)`` of a CSV file: its path text, the
+    index of the ``expected`` columns, the header's cells as written and an
+    iterator of ``(line, row)`` over its data rows, from file line 2.
 
     A row with another width than the header raises as soon as it is read.
     Every loader reads on to the end of the file before it raises any other
@@ -224,7 +225,7 @@ def _row_source(path, expected):
                     )
                 yield line, row
 
-        yield source, index, rows()
+        yield source, index, header, rows()
 
 
 def _blocks(rows):
@@ -388,7 +389,7 @@ class _Series:
 
 def _read_records(path, symbol, header, fields, rules, days):
     """The ``EntityRecords`` named ``symbol`` of a per-file input."""
-    with _row_source(path, header) as (source, index, rows):
+    with _row_source(path, header) as (source, index, _, rows):
         series = _Series(index, fields, rules, source, days)
         for block in _blocks(rows):
             series.add(block)
@@ -469,7 +470,7 @@ def read_meta_csv(path):
     metas = []
     seen = set()
     failure = None
-    with _row_source(path, META_HEADER) as (source, index, rows):
+    with _row_source(path, META_HEADER) as (source, index, _, rows):
         for line, row in rows:
             if failure:
                 continue  # read on: a row of the wrong width comes first
@@ -673,7 +674,7 @@ def load_panel_csv(path):
     """
     days = {}
     groups = {}  # entity -> _EntityGroup, in order of first row; MARKET -> _Series
-    with _row_source(path, PANEL_HEADER + META_HEADER[1:]) as (source, index, rows):
+    with _row_source(path, PANEL_HEADER + META_HEADER[1:]) as (source, index, _, rows):
         index["symbol"] = index["entity"]  # the meta row parser reads the symbol here
         market = groups[MARKET_SYMBOL] = _Series(index, MARKET_FIELDS, _MARKET_RULES,
                                                  source, days)
@@ -704,3 +705,43 @@ def load_panel_csv(path):
     return PanelDataset(entities=tuple(metas), observations=observations,
                         market=market.finish(MARKET_SYMBOL))
 
+
+def read_dated_csv(path):
+    """The ``EntityRecords`` of each entity of a CSV file of ``entity``,
+    ``date`` and value columns (a metrics file), in order of first row.
+
+    Value columns and entity cells are kept exactly as written.  The header
+    is refused when it lacks ``entity`` or ``date``, repeats a cell, has a
+    value column that strips to ``entity`` or ``date``, or is the long
+    layout ``entity,date,metric,value``.  The rows follow the per-file rules
+    with no value rules.  The file is read at the first ``next``, and each
+    entity's blocks are joined as its records are taken.
+    """
+    days = {}
+    groups = {}  # entity -> _Series, in order of first row
+    with _row_source(path, ("entity", "date")) as (source, index, header, rows):
+        keys = (index["entity"], index["date"])
+        if len(set(header)) != len(header):
+            repeated = next(cell for cell in header if header.count(cell) > 1)
+            raise PanelLoadError(f"column {repeated!r} repeated", source)
+        fields = tuple(cell for i, cell in enumerate(header) if i not in keys)
+        for cell in fields:
+            if cell.strip() in ("entity", "date"):
+                raise PanelLoadError(f"value column {cell!r} names a key column", source)
+        if fields == ("metric", "value"):
+            raise PanelLoadError("long metrics layout entity,date,metric,value; write the"
+                                 " file again with `metrics` or `simulate`", source)
+        index.update((cell, i) for i, cell in enumerate(header) if i not in keys)
+        for block in _blocks(rows):
+            runs = {}  # entity -> its rows of this block, in file order
+            for item in block:
+                runs.setdefault(item[1][keys[0]], []).append(item)
+            for symbol, run in runs.items():
+                series = groups.get(symbol)
+                if series is None:
+                    series = groups[symbol] = _Series(index, fields, (), source, days)
+                series.add(run)
+            # before the next block is read; the last run holds most of its cells
+            del block, runs, run
+    for symbol in list(groups):
+        yield groups.pop(symbol).finish(symbol)

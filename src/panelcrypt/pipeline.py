@@ -8,11 +8,9 @@ output directories.  Jobs execute and merge in a fixed order.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import os
-from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -42,6 +40,7 @@ from .panel import (
     format_meta_cells,
     load_panel_csv,
     parse_date,
+    read_dated_csv,
     read_meta_csv,
     write_blocks,
 )
@@ -215,128 +214,70 @@ def parse_config(path):
 
 
 def write_metrics_csv(bundle, path):
-    """Sparse long-format metric file: entity,date,metric,value.
+    """Metric file of one ``entity,date,<metric>,...`` row per entity and date.
 
-    Each series is formatted and written as one block of text, with the bytes
-    ``csv.writer`` gives under ``csv_cell``'s quoting, rows ended by ``\n``;
-    values are written with ``repr``.  A present non-finite value raises
-    ``ValueError`` naming the entity, the metric and the date, and leaves no
-    file, since the reader would refuse the file.
+    The metrics are sorted, and so are the entities, ``MARKET`` among them;
+    an entity has a row, in date order, on each date with a present value,
+    and an absent or missing value is an empty cell.  Each entity's rows are
+    one block of text, with the bytes ``csv.writer`` gives under
+    ``csv_cell``'s quoting, rows ended by ``\n`` and values written with
+    ``repr``.  A metric whose name strips to ``entity`` or ``date``, and a
+    present non-finite value, raise ``ValueError`` and leave no file.
     """
     write_blocks(path, _metrics_blocks(bundle))
 
 
 def _metrics_blocks(bundle):
-    """The header, then one text block per (entity, metric) series."""
+    """The header, then one text block per entity."""
+    names = sorted({name for per in bundle.values() for name in per})
+    for name in names:
+        if name.strip() in ("entity", "date"):
+            raise ValueError(f"metric {name!r} would name a key column of the metrics file")
     days = {}
-    yield "entity,date,metric,value\n"
+    yield ",".join(["entity", "date"] + [csv_cell(name) for name in names]) + "\n"
     for entity in sorted(bundle):
+        present = {}  # name -> (dates, values) of its present values
+        for name, series in sorted(bundle[entity].items()):
+            keep = ~series.missing
+            dates, values = series.dates[keep], series.values[keep]
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValueError(f"non-finite value {values[bad[0]]} for {entity} {name}"
+                                 f" on {dates[bad[0]]}")
+            present[name] = dates, values
+        dates = date_union([d for d, _ in present.values()])
+        # a column of cells per metric, then one row per date
+        columns = {name: [""] * len(dates) for name in names}
+        for name, (series_dates, values) in present.items():
+            cells = columns[name]
+            for i, value in zip(dates.searchsorted(series_dates).tolist(), values.tolist()):
+                cells[i] = repr(value)
         head = csv_cell(entity) + ","
-        for name in sorted(bundle[entity]):
-            series = bundle[entity][name]
-            present = ~series.missing
-            values = series.values[present]
-            dates = series.dates[present]
-            finite = np.isfinite(values)
-            if not finite.all():
-                i = np.flatnonzero(~finite)[0]
-                raise ValueError(
-                    f"non-finite value {values[i]} for {entity} {name} on {dates[i]}"
-                )
-            tail = "," + csv_cell(name) + ","
-            yield "".join(
-                [f"{head}{day}{tail}{value!r}\n"
-                 for day, value in zip(day_texts(dates, days), values.tolist())]
-            )
+        yield "".join([f"{head}{row}\n"
+                       for row in map(",".join, zip(day_texts(dates, days), *columns.values()))])
 
 
 def read_metrics_csv(path):
     """Load a metrics file back into a {entity: {name: MetricSeries}} bundle.
 
-    A row without exactly four fields, an unparseable or non-finite value, an
-    unparseable date and a repeated (entity, date, metric) raise
-    ``PanelLoadError`` located as ``path:line``, the header being line 1.
-    Entities and metrics keep the order of their first row.
-
-    A row keeps only its float value and a day number shared with every row
-    of the same date text, so each distinct date text is parsed once; both
-    go into typed arrays, not Python objects.  No line number is kept per
-    row; the duplicate check runs per series after a stable sort on the
-    date, and only that error path reads the file again for the lines
-    (``_metric_rows``).
+    The file is read by ``panel.read_dated_csv``, by the rules of every
+    dated input; a fault raises ``PanelLoadError`` located as ``path:line``,
+    the header being line 1.  Each value column of an entity becomes the
+    series of its present values, none missing; an entity or metric with no
+    present value has no entry.  Entities keep the order of their first row
+    and metrics the order of the header.
     """
-    source = os.fspath(path)
-    collected = {}  # (entity, metric) -> (array("q") of days, array("d") of values)
-    days = {}  # date text -> day number
-    isfinite = math.isfinite
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["entity", "date", "metric", "value"]:
-            raise PanelLoadError("expected header entity,date,metric,value", source)
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise PanelLoadError(
-                    f"expected 4 fields entity,date,metric,value, got {len(row)}", source, lineno
-                )
-            entity, date_text, name, value_text = row
-            try:
-                value = float(value_text)
-            except ValueError:
-                raise PanelLoadError(
-                    f"unparseable numeric {value_text!r}", source, lineno
-                ) from None
-            if not isfinite(value):
-                raise PanelLoadError(f"non-finite value {value_text!r}", source, lineno)
-            day = days.get(date_text)
-            if day is None:
-                day = days[date_text] = int(parse_date(date_text, source, lineno).view(np.int64))
-            series = collected.get((entity, name))
-            if series is None:
-                series = collected[entity, name] = (array("q"), array("d"))
-            series[0].append(day)
-            series[1].append(value)
-    # series are checked and built entity by entity, in first-row order
-    by_entity = {}
-    for (entity, name), series in collected.items():
-        by_entity.setdefault(entity, {})[name] = series
     bundle = {}
-    for entity, by_name in by_entity.items():
-        bundle[entity] = {}
-        for name, (series_days, series_values) in by_name.items():
-            dates = np.frombuffer(series_days, dtype=np.int64).view("datetime64[D]")
-            order = np.argsort(dates, kind="stable")
-            dates = dates[order]
-            repeats = np.flatnonzero(dates[1:] == dates[:-1])
-            if len(repeats):
-                day = dates[repeats[0]]
-                first, again = _metric_rows(path, entity, name, day)[:2]
-                raise PanelLoadError(
-                    f"duplicate {name} row for {entity} on {day} (first at line {first})",
-                    source,
-                    again,
-                )
-            values = np.frombuffer(series_values, dtype=float)[order]
-            bundle[entity][name] = mx.MetricSeries(
-                entity, name, dates, values, np.zeros(len(values), dtype=bool)
-            )
+    for rec in read_dated_csv(path):
+        per = {}
+        for name, values in rec.values.items():
+            present = ~rec.missing[name]
+            if present.any():
+                per[name] = mx.MetricSeries(rec.symbol, name, rec.dates[present],
+                                            values[present], np.zeros(present.sum(), dtype=bool))
+        if per:
+            bundle[rec.symbol] = per
     return bundle
-
-
-def _metric_rows(path, entity, name, day):
-    """File lines of the metrics-file rows for one entity, metric and date.
-
-    Only the error path reads the file a second time: keeping a line number
-    per parsed row would cost as much memory as the values themselves.
-    """
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        next(reader)
-        return [
-            lineno
-            for lineno, (row_entity, date_text, row_name, _) in enumerate(reader, start=2)
-            if row_entity == entity and row_name == name and parse_date(date_text) == day
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -845,6 +786,12 @@ class SynthParams:
     def __post_init__(self):
         if self.beta is None:
             self.beta = default_truth()
+        parse_date(self.start)
+        scalars = [("phi", self.phi), ("sigma_alpha", self.sigma_alpha),
+                   ("sigma_low", self.sigma_low), ("sigma_high", self.sigma_high)]
+        for name, value in scalars + [(f"beta_{k}", v) for k, v in self.beta.items()]:
+            if not math.isfinite(value):
+                raise ValueError(f"{name} = {value} is not finite")
         if abs(self.phi) >= 1.0:
             raise ValueError("phi must satisfy |phi| < 1")
         if min(self.sigma_low, self.sigma_high, self.sigma_alpha) < 0:
@@ -890,7 +837,7 @@ class SimulatedPanel:
 def _synthetic_metas(params, rng):
     if params.use_benchmark_universe:
         return refdata.benchmark_metas()
-    start = np.datetime64(params.start, "D")
+    start = parse_date(params.start)
     n_hyfi = max(1, round(0.22 * params.n_entities))
     return [
         EntityMeta(symbol=f"TOK{i:02d}", category="synthetic", hyfi=i < n_hyfi,
@@ -920,7 +867,7 @@ def simulate_dgp(params, seed=0):
     """
     rng = np.random.default_rng(seed)
     metas = _synthetic_metas(params, rng)
-    start = np.datetime64(params.start, "D")
+    start = parse_date(params.start)
     # an entity needs three listed days: its first return is missing, and
     # standardizing its illiquidity takes two more
     latest = max(metas, key=lambda meta: meta.listing_date)
@@ -1393,7 +1340,8 @@ def _emit_diagnostics(metas, bundle, table, panel=None):
             unit_rows.append((name, "cips_error", float("nan"), float("nan"), str(exc), 0.0))
     for name in MARKET_METRICS:
         try:
-            result = diag.adf(bundle[MARKET_SYMBOL][name].values)
+            # on the calendar, so that a day the market lacks is a gap
+            result = diag.adf(_aligned(bundle[MARKET_SYMBOL][name], calendar)[0])
             unit_rows.append(
                 (name, "adf", result.statistic, float("nan"), result.stars, float(result.nobs))
             )

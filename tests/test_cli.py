@@ -58,13 +58,28 @@ def test_ingest_creates_consolidated_panel(panel_file):
 
 
 def test_metrics_command(tmp_path, panel_file):
+    # the header names every metric, sorted, and each series reads back as
+    # its present values, NaN-masked slots dropped
     out = tmp_path / "metrics.csv"
     assert main(["metrics", "--panel", str(panel_file), "--out", str(out)]) == 0
-    rows = read_csv_rows(out)
-    assert rows[0] == ["entity", "date", "metric", "value"]
-    names = {row[2] for row in rows[1:]}
+    bundle = mx.compute_all_metrics(load_panel_csv(panel_file))
+    names = sorted({name for per in bundle.values() for name in per})
+    assert read_csv_rows(out)[0] == ["entity", "date"] + names
     assert {"price_risk", "illiquidity", "size", "attractiveness",
-            "decentralization", "market_volatility", "market_shocks"} <= names
+            "decentralization", "market_volatility", "market_shocks"} <= set(names)
+    assert any(series.missing.any() for per in bundle.values() for series in per.values())
+    expected = {entity: {name: series for name, series in per.items()
+                         if not series.missing.all()} for entity, per in bundle.items()}
+    loaded = pipeline.read_metrics_csv(out)
+    assert {entity: sorted(per) for entity, per in loaded.items()} == {
+        entity: sorted(per) for entity, per in expected.items() if per}
+    for entity, per in loaded.items():
+        for name, series in per.items():
+            source = expected[entity][name]
+            present = ~source.missing
+            assert series.dates.tobytes() == source.dates[present].tobytes()
+            assert series.values.tobytes() == source.values[present].tobytes()
+            assert not series.missing.any()
 
 
 def test_gini_command(tmp_path, capsys):
@@ -403,12 +418,23 @@ def report_on(tmp_path, sim, select):
     return ["report", "--config", str(tmp_path / "report.cfg")], metrics
 
 
+def blanked(rows, entity, metric, keep=0):
+    """``rows`` of a metrics file with ``entity``'s ``metric`` cells emptied
+    but for the first ``keep`` present ones."""
+    column = rows[0].index(metric)
+    present = [row for row in rows[1:] if row[0] == entity and row[column]]
+    for row in present[keep:]:
+        row[column] = ""
+    return rows
+
+
 def report_lacking(entity, metric):
-    """A report whose metrics file lacks ``entity``'s ``metric`` rows, or
+    """A report whose metrics file lacks ``entity``'s ``metric`` values, or
     all of its rows when ``metric`` is None."""
     def case(tmp_path, sim, awkward):
         argv, metrics = report_on(tmp_path, sim, lambda rows: [
-            row for row in rows if not (row[0] == entity and metric in (None, row[2]))])
+            row for row in rows if row[0] != entity] if metric is None else
+            blanked(rows, entity, metric))
         return argv, f"{metrics}: entity {entity} has no {metric or 'market_volatility'} rows"
     return case
 
@@ -422,10 +448,7 @@ def empty_panel_value(tmp_path, sim, awkward):
 
 def one_market_shock(tmp_path, sim, awkward):
     # a single value cannot be described; the error names the variable
-    def select(rows):
-        shocks = [row for row in rows if row[0] == "MARKET" and row[2] == "market_shocks"]
-        return [row for row in rows if row not in shocks[1:]]
-    argv, _ = report_on(tmp_path, sim, select)
+    argv, _ = report_on(tmp_path, sim, lambda rows: blanked(rows, "MARKET", "market_shocks", 1))
     return argv, "descriptives: market_shocks: need at least 2 non-missing values"
 
 
@@ -583,6 +606,41 @@ def test_simulate_refuses_a_benchmark_universe_of_another_size(tmp_path, capsys)
     assert not (tmp_path / "sim").exists()
 
 
+SMALL_PARAMS = "use_benchmark_universe = false\nn_entities = 3\nn_periods = 60\n"
+
+
+@pytest.mark.parametrize("line", ["beta_size = nan", "sigma_alpha = inf", "phi = nan",
+                                  "sigma_high = inf"])
+def test_simulate_refuses_a_non_finite_number_at_its_line(tmp_path, capsys, line):
+    params = tmp_path / "params.cfg"
+    params.write_text(f"{SMALL_PARAMS}{line}\n")
+    assert main(["simulate", "--params", str(params), "--out", str(tmp_path / "sim")]) == 1
+    key, text = line.split(" = ")
+    assert capsys.readouterr().err == (
+        f"error: {params}:4: {key}: finite number expected, got {text!r}\n")
+    assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("start = 2020-02-30\n", "{params}:1: start: unparseable date '2020-02-30'"),
+    ("start = 2020-01-01T00\n", "{params}:1: start: unparseable date '2020-01-01T00'"),
+    (SMALL_PARAMS.replace("= 3", "= 1"), "{params}: need at least 2 entities and 40 periods"),
+], ids=["no_such_day", "time_of_day", "one_entity"])
+def test_simulate_names_the_params_file(tmp_path, capsys, text, message):
+    params = tmp_path / "params.cfg"
+    params.write_text(text)
+    assert main(["simulate", "--params", str(params), "--out", str(tmp_path / "sim")]) == 1
+    assert capsys.readouterr().err == "error: " + message.format(params=params) + "\n"
+    assert not (tmp_path / "sim").exists()
+
+
+def test_simulation_start_takes_either_date_form(tmp_path):
+    params = tmp_path / "params.cfg"
+    params.write_text(f"{SMALL_PARAMS}start = 5.1.2020\n")
+    sim = pipeline.simulate_dgp(_parse_synth_params(params))
+    assert sim.bundle["TOK00"]["size"].dates[0] == np.datetime64("2020-01-05")
+
+
 def test_simulation_seed_is_not_a_parameter(tmp_path):
     # simulate --seed is the one seed of a simulation
     params = tmp_path / "params.cfg"
@@ -602,6 +660,16 @@ def test_simulation_keys_match_readme_and_default_truth():
     documented |= {f"beta_{name}" for name in coefficients}
     assert documented == set(cli._SYNTH_KEYS)
     assert coefficients == list(pipeline.default_truth())
+
+
+def test_metrics_header_matches_readme(small_simulation):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rule = readme.split("\n- metrics CSV", 1)[1].split("\n\n", 1)[0]
+    assert "`entity,date`, then every metric name, sorted" in " ".join(rule.split())
+    documented = rule.split("`")[-2]
+    names = documented.split(",")[2:]
+    assert names == sorted(names)
+    assert documented == (small_simulation / "metrics.csv").read_text().splitlines()[0]
 
 
 @pytest.mark.parametrize("token", ["hyfi", "hyfi*", "*market_volatility", "a*b*c"])

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from panelcrypt import estimators, pipeline
@@ -307,18 +307,18 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "row, message",
         [
-            ("AAA,2020-01-02,size\n", "expected 4 fields"),
-            ("AAA,2020-01-02,size,nan\n", "non-finite value 'nan'"),
-            ("AAA,2020-01-01,size,2.0\n", "duplicate size row for AAA on 2020-01-01"),
+            ("AAA,2020-01-05\n", "expected 3 fields, got 2"),
+            ("AAA,2020-01-05,nan\n", "non-finite numeric 'nan' in column 'size'"),
+            ("AAA,2020-01-03,2.0\n", "dates not strictly increasing"),
         ],
         ids=["short_row", "nan_value", "duplicate_row"],
     )
     def test_metrics_file_defects_name_file_and_row(self, tmp_path, row, message):
         path = tmp_path / "metrics.csv"
         path.write_text(
-            "entity,date,metric,value\n"
-            "AAA,2020-01-01,size,1.0\n"
-            "AAA,2020-01-03,size,3.0\n" + row
+            "entity,date,size\n"
+            "AAA,2020-01-01,1.0\n"
+            "AAA,2020-01-03,3.0\n" + row
         )
         with pytest.raises(PanelLoadError, match=message) as info:
             read_metrics_csv(path)
@@ -330,19 +330,45 @@ class TestSimulate:
     def test_metrics_file_bad_date_names_file_and_line(self, tmp_path, date_text):
         path = tmp_path / "metrics.csv"
         path.write_text(
-            "entity,date,metric,value\n"
-            "AAA,2020-01-01,size,1.0\n"
-            "AAA,2020-01-03,size,3.0\n"
-            f"AAA,{date_text},size,2.0\n"
+            "entity,date,size\n"
+            "AAA,2020-01-01,1.0\n"
+            "AAA,2020-01-03,3.0\n"
+            f"AAA,{date_text},2.0\n"
         )
         with pytest.raises(PanelLoadError, match="unparseable date") as info:
             read_metrics_csv(path)
         assert info.value.line == 4
         assert f"[{path}:4]" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("entity,size", "missing required column(s) ['date']"),
+            ("entity,date,size,size", "column 'size' repeated"),
+            ("entity,date,size, entity", "value column ' entity' names a key column"),
+            ("entity,date,metric,value", "long metrics layout entity,date,metric,value"),
+        ],
+        ids=["no_date", "repeated", "key_name", "long_layout"],
+    )
+    def test_metrics_file_header_defects_name_file(self, tmp_path, header, message):
+        path = tmp_path / "metrics.csv"
+        path.write_text(header + "\n")
+        with pytest.raises(PanelLoadError) as info:
+            read_metrics_csv(path)
+        assert str(info.value).startswith(message)
+        assert (info.value.source, info.value.line) == (str(path), None)
+
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             SynthParams(phi=1.0)
+        for field, value in (("phi", math.nan), ("sigma_alpha", math.inf),
+                             ("sigma_high", math.nan)):
+            with pytest.raises(ValueError, match=f"{field} = {value} is not finite"):
+                SynthParams(**{field: value})
+        with pytest.raises(ValueError, match="beta_size = nan is not finite"):
+            SynthParams(beta={**default_truth(), "size": math.nan})
+        with pytest.raises(ValueError, match="unparseable date '2020-01-01T00'"):
+            SynthParams(start="2020-01-01T00")
         with pytest.raises(ValueError):
             SynthParams(sigma_low=0.0)
         with pytest.raises(ValueError):
@@ -447,10 +473,15 @@ def same_series(a, b):
     assert not a.missing.any() and not b.missing.any()
 
 
-BAD_ROWS = {
-    "short": (["{entity},{date},{name}", "{entity},{date},{name},1.0,2.0", ""], "expected 4 fields"),
-    "non_finite": (["nan", "inf", "-Infinity", "1e999"], "non-finite value"),
-    "bad_number": (["abc", "1.2.3", "", "0x10"], "unparseable numeric"),
+def row_cells(line):
+    return next(csv.reader([line]))
+
+
+# Bad cell texts, and the message of a row that holds one in a value column
+# (or, for "bad_date", in its date column).
+BAD_CELLS = {
+    "non_finite": (["nan", "inf", "-Infinity", "1e999"], "non-finite numeric"),
+    "bad_number": (["abc", "1.2.3", "0x10"], "unparseable numeric"),
     "bad_date": (["2020-13-01", "today", "2020", "NaT", "1.1.20"], "unparseable date"),
 }
 
@@ -473,44 +504,67 @@ class TestMetricsFileProperties:
     @PROPERTY_SETTINGS
     @given(bundle=metric_bundles(), data=st.data())
     def test_row_order_does_not_matter(self, tmp_path_factory, bundle, data):
+        # rows of different entities interleave at random positions; each
+        # entity's own rows keep their increasing dates
         folder = tmp_path_factory.mktemp("metrics")
         header, lines = data_lines(bundle, folder / "sorted.csv")
-        shuffled = data.draw(st.permutations(lines))
-        path = folder / "shuffled.csv"
-        path.write_text(header + "".join(shuffled))
+        queues = {}
+        for line in lines:
+            queues.setdefault(row_cells(line)[0], []).append(line)
+        positions = data.draw(st.permutations(lines))
+        interleaved = [queues[row_cells(line)[0]].pop(0) for line in positions]
+        path = folder / "interleaved.csv"
+        path.write_text(header + "".join(interleaved))
         loaded = read_metrics_csv(path)
-        rows = list(csv.reader(shuffled))
-        assert list(loaded) == list(dict.fromkeys(row[0] for row in rows))
+        assert list(loaded) == list(dict.fromkeys(row_cells(line)[0] for line in interleaved))
         for entity, per in loaded.items():
-            names = [row[2] for row in rows if row[0] == entity]
-            assert list(per) == list(dict.fromkeys(names))
+            assert list(per) == sorted(bundle[entity])
             for name, series in per.items():
                 same_series(series, bundle[entity][name])
 
     @PROPERTY_SETTINGS
-    @given(bundle=metric_bundles(), kind=st.sampled_from([*BAD_ROWS, "duplicate"]),
+    @given(bundle=metric_bundles(), data=st.data())
+    def test_out_of_order_date_is_refused_at_its_line(self, tmp_path_factory, bundle, data):
+        # two consecutive rows of one entity swap places; the later line,
+        # which now holds the earlier date, is named
+        path = tmp_path_factory.mktemp("metrics") / "metrics.csv"
+        header, lines = data_lines(bundle, path)
+        entities = [row_cells(line)[0] for line in lines]
+        pairs = [i for i in range(len(lines) - 1) if entities[i] == entities[i + 1]]
+        assume(pairs)
+        i = data.draw(st.sampled_from(pairs))
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        path.write_text(header + "".join(lines))
+        with pytest.raises(PanelLoadError, match="dates not strictly increasing") as info:
+            read_metrics_csv(path)
+        assert info.value.line == i + 3
+        assert f"[{path}:{i + 3}]" in str(info.value)
+
+    @PROPERTY_SETTINGS
+    @given(bundle=metric_bundles(), kind=st.sampled_from([*BAD_CELLS, "width", "duplicate"]),
            data=st.data())
     def test_one_bad_row_is_named_by_its_line(self, tmp_path_factory, bundle, kind, data):
         path = tmp_path_factory.mktemp("metrics") / "metrics.csv"
         header, lines = data_lines(bundle, path)
         if kind == "duplicate":
-            # a second row for an earlier row's (entity, date, metric); the
-            # error names the later of the two
+            # a second row for an earlier row's (entity, date); the error
+            # names the later of the two
             at = data.draw(st.integers(1, len(lines)))
-            entity, date, name, value = next(csv.reader([lines[data.draw(st.integers(0, at - 1))]]))
-            value = data.draw(st.sampled_from([value, "0.5"]))
-            bad, message = csv_line([entity, date, name, value]), "duplicate"
+            cells = row_cells(lines[data.draw(st.integers(0, at - 1))])
+            cells[-1] = data.draw(st.sampled_from([cells[-1], "0.5"]))
+            bad, message = csv_line(cells), "dates not strictly increasing"
         else:
             at = data.draw(st.integers(0, len(lines)))
-            entity, date, name, value = next(csv.reader([data.draw(st.sampled_from(lines))]))
-            texts, message = BAD_ROWS[kind]
-            text = data.draw(st.sampled_from(texts))
-            if kind == "short":
-                bad = text.format(entity="E", date=date, name="m") + "\n"
-            elif kind == "bad_date":
-                bad = csv_line([entity, text, name, value])
+            cells = row_cells(data.draw(st.sampled_from(lines)))
+            if kind == "width":
+                bad = data.draw(st.sampled_from(
+                    ["\n", csv_line(cells[:-1]), csv_line(cells + ["1.0"])]))
+                message = f"expected {len(cells)} fields"
             else:
-                bad = csv_line([entity, date, name, text])
+                texts, message = BAD_CELLS[kind]
+                column = 1 if kind == "bad_date" else data.draw(st.integers(2, len(cells) - 1))
+                cells[column] = data.draw(st.sampled_from(texts))
+                bad = csv_line(cells)
         path.write_text(header + "".join(lines[:at]) + bad + "".join(lines[at:]))
         with pytest.raises(PanelLoadError, match=message) as info:
             read_metrics_csv(path)
@@ -540,14 +594,15 @@ def writer_bundles(draw):
 def reference_metrics_file(bundle, path):
     """The metrics file as a plain ``csv.writer`` row loop writes it: rows
     quoted as under the ``\\r\\n`` terminator, each ended by ``\\n``."""
-    rows = [("entity", "date", "metric", "value")]
+    names = sorted({name for per in bundle.values() for name in per})
+    rows = [["entity", "date"] + names]
     for entity in sorted(bundle):
-        for name in sorted(bundle[entity]):
-            series = bundle[entity][name]
+        by_day = {}  # day -> {name: value text} of the entity's present values
+        for name, series in bundle[entity].items():
             for i in np.flatnonzero(~series.missing):
-                rows.append(
-                    (entity, str(series.dates[i]), name, repr(float(series.values[i])))
-                )
+                by_day.setdefault(series.dates[i], {})[name] = repr(float(series.values[i]))
+        for day in sorted(by_day):
+            rows.append([entity, str(day)] + [by_day[day].get(name, "") for name in names])
     with open(path, "w", newline="") as handle:
         for row in rows:
             handle.write(csv_line(row, "\r\n").removesuffix("\r\n") + "\n")
@@ -595,6 +650,15 @@ class TestMetricsWriter:
             write_metrics_csv({"AAA": {"size": series}}, tmp_path / "metrics.csv")
         assert str(info.value) == f"non-finite value {value} for AAA size on 2020-01-02"
         # the header alone would read as an empty bundle
+        assert not (tmp_path / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("name", ["entity", " date"])
+    def test_metric_named_as_a_key_column_refused(self, tmp_path, name):
+        series = MetricSeries("AAA", name, np.datetime64("2020-01-01") + np.arange(2),
+                              np.array([1.0, 2.0]), np.zeros(2, dtype=bool))
+        with pytest.raises(ValueError) as info:
+            write_metrics_csv({"AAA": {name: series}}, tmp_path / "metrics.csv")
+        assert str(info.value) == f"metric {name!r} would name a key column of the metrics file"
         assert not (tmp_path / "metrics.csv").exists()
 
 
@@ -1073,8 +1137,8 @@ class TestReport:
 
     def test_diagnostics_read_the_report_table(self, tmp_path, monkeypatch):
         # one design table serves every design of the report; the diagnostics
-        # align each per-entity variable once more, onto the bundle's
-        # calendar, and take everything else from the report's table
+        # align each variable once more, onto the bundle's calendar, and take
+        # everything else from the report's table
         data_dir = self.write_inputs(tmp_path)
         config = parse_config(self.write_config(tmp_path, data_dir, tmp_path / "report"))
         names, aligned = [], pipeline._aligned
@@ -1086,7 +1150,7 @@ class TestReport:
         monkeypatch.setattr(pipeline, "_aligned", counting)
         run_report(config)
         per_entity = ["price_risk", *(c for c in CONTROLS if c not in MARKET_METRICS)]
-        expected = {**dict.fromkeys(per_entity, 10), **dict.fromkeys(MARKET_METRICS, 5)}
+        expected = {**dict.fromkeys(per_entity, 10), **dict.fromkeys(MARKET_METRICS, 6)}
         assert Counter(names) == expected
 
     def test_failed_adf_is_an_error_row(self):
@@ -1105,6 +1169,22 @@ class TestReport:
         assert math.isnan(error[2]) and math.isnan(error[3])
         assert error[4:] == ("series too short (6) for max_lag=4", 0.0)
         assert ("market_volatility", "adf") in rows
+
+    def test_market_adf_refuses_an_absent_market_day(self, tmp_path):
+        # a day the market lacks is a gap on the diagnostics calendar, as an
+        # entity's is to CIPS, and not a one-step difference
+        sim = simulate_dgp(small_params(n_entities=3), seed=61)
+        shocks = sim.bundle[MARKET_SYMBOL]["market_shocks"]
+        missing = shocks.missing.copy()
+        missing[80:90] = True
+        sim.bundle[MARKET_SYMBOL]["market_shocks"] = replace(
+            shocks, values=np.where(missing, np.nan, shocks.values), missing=missing)
+        write_simulation(sim, tmp_path / "data")
+        out = tmp_path / "report"
+        run_report(parse_config(self.write_config(tmp_path, tmp_path / "data", out)))
+        lines = (out / "tables" / "unit_roots.csv").read_text().splitlines()
+        assert "market_shocks,adf_error,nan,nan,interior gaps are not supported,0.0" in lines
+        assert any(line.startswith("market_volatility,adf,") for line in lines)
 
     def test_descriptives_flag_says_why_a_moment_is_nan(self):
         # no token is HyFi, so the hyfi column is constant: describe flags it

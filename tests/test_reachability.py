@@ -39,7 +39,6 @@ ALLOWED = {
     "panel.read_entity_csv": TEST,
     "panel.read_market_csv": TEST,
     "pipeline.DropLedger.conserved": TEST,
-    "pipeline._metric_rows": ERROR,
     "pipeline.quantile_spec": BENCHMARK,
     "quantreg.fit_quantile_coefficients": REFERENCE,
     "quantreg.quasi_lr": REFERENCE,
@@ -83,7 +82,7 @@ def run_every_command(folder):
     panel = str(folder / "panel.csv")
     (folder / "dist.txt").write_text("1\n2\n\n3\n")
     (folder / "params.cfg").write_text(
-        "n_entities = 3\nn_periods = 160\nuse_benchmark_universe = false\n")
+        "n_entities = 3\nn_periods = 160\nuse_benchmark_universe = false\nsigma_alpha = 0.01\n")
     (folder / "benchmark.cfg").write_text("n_periods = 430\n")  # the latest listing is day 418
     (folder / "quantile.cfg").write_text("regressors = size,hyfi\n")
     sim = folder / "sim"
