@@ -8,9 +8,8 @@ has to reason about NaN propagation.  Every dated series is an
 ``EntityRecords``: an entity's holds ``ENTITY_FIELDS``, and the market's,
 under the pseudo-symbol ``MARKET``, holds ``MARKET_FIELDS``.
 
-A file is read ``_BLOCK_ROWS`` rows at a time.  A block's rows of a per-file
-input, its MARKET and entity rows in a consolidated file, and an entity's rows
-in a metrics file, are parsed a column at a time: each distinct date text is
+A file is read ``_BLOCK_ROWS`` rows at a time, and in every file an entity's
+rows of a block are parsed a column at a time: each distinct date text is
 parsed once per load, each numeric column is converted with ``float`` in one
 pass, and every row rule is a mask over the columns.  The first row in file
 order that any rule breaks fails, with the first rule it breaks: its date, then
@@ -165,23 +164,6 @@ def parse_date(text, source=None, line=None):
         raise PanelLoadError(f"unparseable date {text!r}", source, line) from None
 
 
-def _parse_float(cell, column, source, line):
-    """``(value, missing)`` of one numeric cell; an empty cell is missing, and
-    a present value must be finite."""
-    cell = cell.strip()
-    if cell == "":
-        return np.nan, True
-    try:
-        value = float(cell)
-    except ValueError:
-        raise PanelLoadError(
-            f"unparseable numeric {cell!r} in column {column!r}", source, line
-        ) from None
-    if not math.isfinite(value):
-        raise PanelLoadError(f"non-finite numeric {cell!r} in column {column!r}", source, line)
-    return value, False
-
-
 def _parse_bool(cell, column, source, line):
     text = cell.strip().lower()
     if text in ("1", "true", "yes"):
@@ -203,7 +185,8 @@ def _check_header(header, expected, source):
 def _row_source(path, expected):
     """``(source, index, header, rows)`` of a CSV file: its path text, the
     index of the ``expected`` columns, the header's cells as written and an
-    iterator of ``(line, row)`` over its data rows, from file line 2.
+    iterator of ``(line, row)`` over its data rows, ``line`` being the file
+    line on which the row starts.
 
     A row with another width than the header raises as soon as it is read.
     Every loader reads on to the end of the file before it raises any other
@@ -218,12 +201,14 @@ def _row_source(path, expected):
         index = _check_header(header, expected, source)
 
         def rows():
-            for line, row in enumerate(reader, start=2):
+            line = reader.line_num + 1  # a record's first file line
+            for row in reader:
                 if len(row) != len(header):
                     raise PanelLoadError(
                         f"expected {len(header)} fields, got {len(row)}", source, line
                     )
                 yield line, row
+                line = reader.line_num + 1
 
         yield source, index, header, rows()
 
@@ -277,6 +262,10 @@ def _parse_days(texts, days):
 
 
 def _float_or_none(cell):
+    """``float(cell)``, or None where ``cell`` is no number: ``float`` also
+    reads ``1_000`` and non-ASCII digits, which no writer writes."""
+    if "_" in cell or not cell.isascii():
+        return None
     try:
         return float(cell)
     except ValueError:
@@ -288,7 +277,10 @@ def _parse_floats(cells):
 
     An empty cell is missing; missing and unparseable cells hold NaN.
     """
+    joined = "".join(cells)
     try:
+        if "_" in joined or not joined.isascii():
+            raise ValueError  # spellings that float reads and no writer writes
         parsed = [float(c) if c else math.nan for c in cells]
         unparseable = np.zeros(len(cells), dtype=bool)
     except ValueError:
@@ -334,13 +326,12 @@ def _parse_dated_rows(block, index, fields, rules, days):
 
 
 class _Series:
-    """One dated series of a file, parsed a block of rows at a time.
+    """One dated series of a file, parsed a run of rows at a time.
 
-    ``add`` parses the ``date`` and ``fields`` cells of a block into arrays
-    and ``keep`` keeps them and the first row found so far that fails a
-    check, as ``(line, message)``, but none of the block's cells.
-    ``finish`` raises that failure, then joins the blocks and checks that
-    the dates strictly increase.
+    ``add`` parses the ``date`` and ``fields`` cells of a run into arrays and
+    keeps them and the first row found so far that fails a check, as
+    ``(line, message)``, but none of the run's cells.  ``finish`` raises that
+    failure, then joins the runs and checks that the dates strictly increase.
     """
 
     def __init__(self, index, fields, rules, source, days):
@@ -352,23 +343,15 @@ class _Series:
         self.parts = []
         self.failure = None
 
-    def add(self, block):
-        """Parse ``block``, a list of ``(line, row)`` in file order."""
-        self.keep(block, _parse_dated_rows(block, self.index, self.fields, self.rules,
-                                           self.days), 0)
-
-    def keep(self, block, parsed, start):
-        """Keep ``block``'s rows, which are the rows from ``start`` on of
-        ``parsed``, the ``_parse_dated_rows`` of a list of rows."""
-        dates, values, missing, flagged, failure = parsed
-        rows = slice(start, start + len(block))
-        lines = np.array([line for line, _ in block], dtype=np.int64)
-        bad = flagged[rows]
-        if self.failure is None and bad.any():
-            i = int(bad.argmax())
-            self.failure = int(lines[i]), failure(start + i)
-        self.parts.append((lines, dates[rows], {f: values[f][rows] for f in self.fields},
-                           {f: missing[f][rows] for f in self.fields}))
+    def add(self, run):
+        """Parse ``run``, a list of ``(line, row)`` in file order."""
+        dates, values, missing, flagged, failure = _parse_dated_rows(
+            run, self.index, self.fields, self.rules, self.days)
+        lines = np.array([line for line, _ in run], dtype=np.int64)
+        if self.failure is None and flagged.any():
+            i = int(flagged.argmax())
+            self.failure = int(lines[i]), failure(i)
+        self.parts.append((lines, dates, values, missing))
 
     def finish(self, symbol):
         """The ``EntityRecords`` named ``symbol`` of every row added."""
@@ -385,6 +368,24 @@ class _Series:
         return EntityRecords(symbol, dates,
                              {f: np.concatenate([v[f] for v in values]) for f in self.fields},
                              {f: np.concatenate([m[f] for m in missing]) for f in self.fields})
+
+
+def _read_runs(rows, key, groups, new):
+    """Add each block of the ``(line, row)`` items of ``rows`` to the series
+    of ``groups`` by ``key(row)``, one run of the block's rows per key, in
+    file order.  ``new(key, first)`` makes the series of a new key from its
+    first item, so keys keep the order of their first row."""
+    for block in _blocks(rows):
+        runs = {}  # key -> its rows of this block, in file order
+        for item in block:
+            runs.setdefault(key(item[1]), []).append(item)
+        for name, run in runs.items():
+            series = groups.get(name)
+            if series is None:
+                series = groups[name] = new(name, run[0])
+            series.add(run)
+        # before the next block is read; the last run holds most of its cells
+        del block, runs, run
 
 
 def _read_records(path, symbol, header, fields, rules, days):
@@ -413,13 +414,16 @@ def _parse_meta_row(line, row, index, source):
     symbol = _new_text(row[index["symbol"]].strip())
     if not symbol:
         raise PanelLoadError("empty symbol", source, line)
-    components = []
-    for dim in GINI_DIMENSIONS:
-        column = f"gini_{dim}"
-        value, is_missing = _parse_float(row[index[column]], column, source, line)
-        if is_missing:
+    columns = [f"gini_{dim}" for dim in GINI_DIMENSIONS]
+    cells = [row[index[column]].strip() for column in columns]
+    values, missing, unparseable = _parse_floats(cells)
+    components = values.tolist()
+    for column, cell, value, gone, bad in zip(columns, cells, components, missing, unparseable):
+        if bad or not (gone or math.isfinite(value)):
+            kind = "unparseable" if bad else "non-finite"
+            raise PanelLoadError(f"{kind} numeric {cell!r} in column {column!r}", source, line)
+        if gone:
             raise PanelLoadError(f"missing {column}", source, line)
-        components.append(value)
     hyfi = _parse_bool(row[index["hyfi"]], "hyfi", source, line)
     listing_date = parse_date(row[index["listing_date"]], source, line)
     try:
@@ -636,13 +640,13 @@ class _EntityGroup(_Series):
             self.meta = err
         self.differs = None  # file line of the first row whose meta cells differ
 
-    def keep(self, block, parsed, start):
+    def add(self, run):
         if self.differs is None:
-            cells = [self.meta_cells(row) for _, row in block]
+            cells = [self.meta_cells(row) for _, row in run]
             if cells.count(self.first_cells) != len(cells):
-                self.differs = next(line for (line, _), row_cells in zip(block, cells)
+                self.differs = next(line for (line, _), row_cells in zip(run, cells)
                                     if row_cells != self.first_cells)
-        super().keep(block, parsed, start)
+        super().add(run)
 
     def finish(self):
         """``(meta, records)``; raises the group's first error in the order
@@ -665,36 +669,19 @@ def load_panel_csv(path):
     its first row.  The entity groups are checked in order of their first
     row, then the MARKET rows.
 
-    The file is read a block of rows at a time, and each block's entity
-    rows are parsed together, grouped by entity, so the cells of only one
-    block are held at once: a file sorted by date, whose blocks hold a few
-    rows of every entity, parses in as few calls as one grouped by entity.
-    Each group keeps its first error until the end of the file.  Rows of
-    different entities may interleave.
+    The file is read a block of rows at a time, and each entity's rows of
+    a block are parsed together, so the cells of only one block are held at
+    once.  Rows of different entities may interleave, at the cost of one
+    parse per run: a file grouped by entity parses fastest.  Each group
+    keeps its first error until the end of the file.
     """
     days = {}
-    groups = {}  # entity -> _EntityGroup, in order of first row; MARKET -> _Series
     with _row_source(path, PANEL_HEADER + META_HEADER[1:]) as (source, index, _, rows):
         index["symbol"] = index["entity"]  # the meta row parser reads the symbol here
-        market = groups[MARKET_SYMBOL] = _Series(index, MARKET_FIELDS, _MARKET_RULES,
-                                                 source, days)
-        for block in _blocks(rows):
-            runs = {}  # entity -> its rows of this block, in file order
-            for item in block:
-                runs.setdefault(item[1][index["entity"]].strip(), []).append(item)
-            if MARKET_SYMBOL in runs:
-                market.add(runs.pop(MARKET_SYMBOL))
-            # one parse of the block's entity rows, grouped by entity
-            grouped = [item for run in runs.values() for item in run]
-            parsed = _parse_dated_rows(grouped, index, ENTITY_FIELDS, _OBSERVATION_RULES, days)
-            start = 0
-            for symbol, run in runs.items():
-                group = groups.get(symbol)
-                if group is None:
-                    group = groups[symbol] = _EntityGroup(symbol, run[0], index, source, days)
-                group.keep(run, parsed, start)
-                start += len(run)
-            del block, runs, grouped, parsed  # before the next block is read
+        market = _Series(index, MARKET_FIELDS, _MARKET_RULES, source, days)
+        groups = {MARKET_SYMBOL: market}  # then entity -> _EntityGroup, in order of first row
+        _read_runs(rows, lambda row: row[index["entity"]].strip(), groups,
+                   lambda symbol, first: _EntityGroup(symbol, first, index, source, days))
     del groups[MARKET_SYMBOL]
     metas = []
     observations = {}
@@ -732,16 +719,7 @@ def read_dated_csv(path):
             raise PanelLoadError("long metrics layout entity,date,metric,value; write the"
                                  " file again with `metrics` or `simulate`", source)
         index.update((cell, i) for i, cell in enumerate(header) if i not in keys)
-        for block in _blocks(rows):
-            runs = {}  # entity -> its rows of this block, in file order
-            for item in block:
-                runs.setdefault(item[1][keys[0]], []).append(item)
-            for symbol, run in runs.items():
-                series = groups.get(symbol)
-                if series is None:
-                    series = groups[symbol] = _Series(index, fields, (), source, days)
-                series.add(run)
-            # before the next block is read; the last run holds most of its cells
-            del block, runs, run
+        _read_runs(rows, operator.itemgetter(keys[0]), groups,
+                   lambda symbol, first: _Series(index, fields, (), source, days))
     for symbol in list(groups):
         yield groups.pop(symbol).finish(symbol)

@@ -11,7 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from panelcrypt import panel as ps
+from panelcrypt.metrics import compute_all_metrics
 from panelcrypt.pipeline import write_meta_csv as write_metas
+from panelcrypt.pipeline import write_metrics_csv
 from panelcrypt.refdata import BENCHMARK_UNIVERSE, PANEL_END
 
 from conftest import (
@@ -459,11 +461,13 @@ def cells_of(rec, fields):
 
 
 CORRUPTIONS = {
-    "price": (("open", "high", "low", "close"), ("-1.0", "0", "x", "nan", "inf")),
-    "volume": (("volume",), ("0", "-2.5", "1e", "nan", "-inf")),
+    "price": (("open", "high", "low", "close"),
+              ("-1.0", "0", "x", "nan", "inf", "\uff11\uff12")),
+    "volume": (("volume",), ("0", "-2.5", "1e", "nan", "-inf", "1_000")),
     "nonfinite": (("mcap", "attention"), ("nan", "inf", "-inf")),
-    "market": (("index_level", "shock_loss"), ("-5", "abc", "NaN", "inf")),
-    "gini": ([f"gini_{dim}" for dim in ps.GINI_DIMENSIONS], ("1.5", "-0.1", "", "x", "nan")),
+    "market": (("index_level", "shock_loss"), ("-5", "abc", "NaN", "inf", "1_0")),
+    "gini": ([f"gini_{dim}" for dim in ps.GINI_DIMENSIONS],
+             ("1.5", "-0.1", "", "x", "nan", "0_1")),
     "symbol": (("symbol",), ("", " ")),
 }
 BAD_DATES = ("2020-02-30", "1.1.20", "today", "")
@@ -482,6 +486,9 @@ def reference_row_error(row, index, fields):
     for f in fields:
         cell = row[index[f]].strip()
         if cell:
+            # float also reads "1_000" and non-ASCII digits, which no writer writes
+            if "_" in cell or not cell.isascii():
+                return f"unparseable numeric {cell!r} in column {f!r}"
             try:
                 v[f] = float(cell)
             except ValueError:
@@ -800,60 +807,113 @@ def read_body(path):
         return list(csv.reader(handle))
 
 
-@pytest.mark.parametrize("block", [1, 7, None])
-def test_interleaved_file_loads_as_the_contiguous_one(tmp_path, consolidated, monkeypatch,
-                                                      block):
+@pytest.fixture
+def metrics_file(tmp_path, consolidated):
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv(compute_all_metrics(ps.load_panel_csv(consolidated)), path)
+    return path
+
+
+def load_series(form, path):
+    """``(metas, {symbol: records})`` of a consolidated or a metrics file."""
+    if form == "consolidated":
+        panel = ps.load_panel_csv(path)
+        return panel.entities, {**panel.observations, ps.MARKET_SYMBOL: panel.market}
+    return (), {rec.symbol: rec for rec in ps.read_dated_csv(path)}
+
+
+# each file form under each block size; a consolidated run is named by its block
+FORM_BLOCKS = pytest.mark.parametrize(
+    "form, block", [(form, block) for form in ("consolidated", "metrics_file")
+                    for block in (1, 7, None)],
+    ids=["1", "7", "None", "metrics-1", "metrics-7", "metrics-None"])
+
+
+@FORM_BLOCKS
+def test_interleaved_file_loads_as_the_contiguous_one(tmp_path, request, monkeypatch,
+                                                      form, block):
+    # block 1 also reads consolidated blocks of MARKET rows only
     if block:
         monkeypatch.setattr(ps, "_BLOCK_ROWS", block)
-    header, *rows = read_body(consolidated)
+    file = request.getfixturevalue(form)
+    header, *rows = read_body(file)
     # a stable sort on the date keeps the order of each entity's rows
     path = write_rows(tmp_path / "by_date.csv", header, sorted(rows, key=lambda row: row[1]))
-    contiguous, interleaved = ps.load_panel_csv(consolidated), ps.load_panel_csv(path)
-    assert interleaved.entities == contiguous.entities
-    assert list(interleaved.observations) == list(contiguous.observations)
-    for symbol, rec in contiguous.observations.items():
-        same_records(rec, interleaved.observations[symbol])
-    same_records(contiguous.market, interleaved.market)
+    (metas, contiguous), (interleaved_metas, interleaved) = (load_series(form, file),
+                                                             load_series(form, path))
+    assert interleaved_metas == metas
+    assert interleaved.keys() == contiguous.keys()
+    for symbol, rec in contiguous.items():
+        same_records(rec, interleaved[symbol])
 
 
-def test_date_sorted_file_parses_each_block_in_two_calls(tmp_path, consolidated, monkeypatch):
-    # every block of a file sorted by date holds a few rows of each entity;
-    # its entity rows are parsed in one call and its MARKET rows in another
-    monkeypatch.setattr(ps, "_BLOCK_ROWS", 16)
-    header, *rows = read_body(consolidated)
-    path = write_rows(tmp_path / "by_date.csv", header, sorted(rows, key=lambda row: row[1]))
-    calls, parse = [], ps._parse_dated_rows
-    monkeypatch.setattr(ps, "_parse_dated_rows", lambda *args: calls.append(1) or parse(*args))
-    ps.load_panel_csv(path)
-    assert len({row[0] for row in rows}) > 2
-    assert len(calls) <= 2 * math.ceil(len(rows) / 16)
-
-
-@pytest.mark.parametrize("block", [1, 7, None])
-def test_first_entity_error_raised_though_a_later_run_fails_first(tmp_path, consolidated,
-                                                                  monkeypatch, block):
+@FORM_BLOCKS
+def test_first_entity_error_raised_though_a_later_run_fails_first(tmp_path, request,
+                                                                  monkeypatch, form, block):
     # AAA's rows come in two runs around BBB's; BBB's run and AAA's second run
     # each hold a bad cell, and AAA's error is raised, being AAA's group first
     if block:
         monkeypatch.setattr(ps, "_BLOCK_ROWS", block)
-    header, *rows = read_body(consolidated)
+    header, *rows = read_body(request.getfixturevalue(form))
     aaa = [row for row in rows if row[0] == "AAA"]
     bbb = [row for row in rows if row[0] == "BBB"]
     rest = [row for row in rows if row[0] not in ("AAA", "BBB")]
-    bbb[3][header.index("volume")] = "-1"
-    aaa[40][header.index("high")] = "x"
+    later, column = ("volume", "high") if form == "consolidated" else ("size", "price_risk")
+    bbb[3][header.index(later)] = "-1" if form == "consolidated" else "nan"
+    aaa[40][header.index(column)] = "x"
     path = write_rows(tmp_path / "runs.csv", header, aaa[:30] + bbb + aaa[30:] + rest)
     with pytest.raises(ps.PanelLoadError) as err:
-        ps.load_panel_csv(path)
-    assert message(err.value) == "unparseable numeric 'x' in column 'high'"
+        load_series(form, path)
+    assert message(err.value) == f"unparseable numeric 'x' in column {column!r}"
     assert err.value.line == 2 + len(bbb) + 40
     # a row of the wrong width anywhere in the file is still the first error
     with open(path, "a", newline="") as handle:
         csv.writer(handle).writerow(["AAA"])
     with pytest.raises(ps.PanelLoadError) as err:
-        ps.load_panel_csv(path)
+        load_series(form, path)
     assert (message(err.value), err.value.line) == (f"expected {len(header)} fields, got 1",
                                                      len(rows) + 2)
+
+
+# five gini cells, and the error of a row that holds them: the first column
+# in GINI_DIMENSIONS order that fails
+GINI_DEFECTS = [
+    (["0.5", "", "x", "0.5", "0.5"], "missing gini_wealth"),
+    (["0.5", " nan ", "", "0.5", "0.5"], "non-finite numeric 'nan' in column 'gini_wealth'"),
+    (["0.5", "0.5", " x ", "inf", ""], "unparseable numeric 'x' in column 'gini_node'"),
+    (["0.5", "0.5", "0.5", "0.5", "-inf"],
+     "non-finite numeric '-inf' in column 'gini_information'"),
+]
+
+
+def gini_error(small_panel_files, consolidated, cells):
+    """The errors of the meta file and of the consolidated file when
+    ``BBB``'s gini cells are ``cells``, as ``(message, line)``."""
+    meta_file = small_panel_files[2]
+    line = line_of(consolidated, "BBB")
+    errors = []
+    for path, at in ((meta_file, line_of(meta_file, "BBB")), (consolidated, line)):
+        for dim, cell in zip(ps.GINI_DIMENSIONS, cells):
+            rewrite_cell(path, at, f"gini_{dim}", cell)
+    for load, args in ((ps.load_panel, small_panel_files), (ps.load_panel_csv, (consolidated,))):
+        with pytest.raises(ps.PanelLoadError) as err:
+            load(*args)
+        errors.append((message(err.value), err.value.line))
+    return errors
+
+
+@pytest.mark.parametrize("cells, expected", GINI_DEFECTS)
+def test_gini_cells_fail_in_column_order(small_panel_files, consolidated, cells, expected):
+    assert gini_error(small_panel_files, consolidated, cells) == [
+        (expected, 3), (expected, line_of(consolidated, "BBB"))]
+
+
+@pytest.mark.parametrize("text", ["0_1", "\uff10.5", "\u0660"])
+def test_gini_cell_refuses_a_spelling_no_writer_writes(small_panel_files, consolidated, text):
+    # float reads each of these as a number in [0, 1]
+    expected = f"unparseable numeric {text!r} in column 'gini_code'"
+    assert gini_error(small_panel_files, consolidated, ["0.5"] * 3 + [text, "0.5"]) == [
+        (expected, 3), (expected, line_of(consolidated, "BBB"))]
 
 
 def writer_columns(draw, fields):

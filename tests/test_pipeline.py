@@ -326,6 +326,21 @@ class TestSimulate:
         assert info.value.line == 4
         assert f"[{path}:4]" in str(info.value)
 
+    def test_metrics_file_error_names_the_file_line_after_a_quoted_line_break(self, tmp_path):
+        # each row of entity "A\nB" spans two file lines
+        path = tmp_path / "ml.csv"
+        path.write_text(
+            "entity,date,size\n"
+            '"A\nB",2020-01-01,1.0\n'
+            '"A\nB",2020-01-02,2.0\n'
+            "C,2020-01-01,1.0\n"
+            "C,2020-01-02,x\n"
+        )
+        with pytest.raises(PanelLoadError, match="unparseable numeric 'x'") as info:
+            read_metrics_csv(path)
+        assert info.value.line == 7
+        assert f"[{path}:7]" in str(info.value)
+
     @pytest.mark.parametrize("date_text", ["2020", "2020-03", "NaT", "2020-01-05T13:00", "today"])
     def test_metrics_file_bad_date_names_file_and_line(self, tmp_path, date_text):
         path = tmp_path / "metrics.csv"
@@ -481,7 +496,7 @@ def row_cells(line):
 # (or, for "bad_date", in its date column).
 BAD_CELLS = {
     "non_finite": (["nan", "inf", "-Infinity", "1e999"], "non-finite numeric"),
-    "bad_number": (["abc", "1.2.3", "0x10"], "unparseable numeric"),
+    "bad_number": (["abc", "1.2.3", "0x10", "1_000", "\uff11\uff12"], "unparseable numeric"),
     "bad_date": (["2020-13-01", "today", "2020", "NaT", "1.1.20"], "unparseable date"),
 }
 
@@ -660,6 +675,18 @@ class TestMetricsWriter:
             write_metrics_csv({"AAA": {name: series}}, tmp_path / "metrics.csv")
         assert str(info.value) == f"metric {name!r} would name a key column of the metrics file"
         assert not (tmp_path / "metrics.csv").exists()
+
+
+def test_meta_error_names_the_file_line_after_a_quoted_line_break(tmp_path):
+    # the first category spans file lines 2 and 3, so the second row is line 4
+    metas = [EntityMeta(symbol, category, False, np.datetime64("2020-01-01"), (0.5,) * 5)
+             for symbol, category in (("AAA", "a\nb"), ("BBB", "c"))]
+    path = tmp_path / "meta.csv"
+    write_meta_csv(metas, path)
+    path.write_text(path.read_text().replace("BBB,c,0,", "BBB,c,maybe,"))
+    with pytest.raises(PanelLoadError, match="unparseable boolean 'maybe'") as info:
+        read_meta_csv(path)
+    assert (info.value.line, f"[{path}:4]" in str(info.value)) == (4, True)
 
 
 @st.composite
