@@ -8,7 +8,6 @@ same inputs and seed are byte-identical.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
@@ -21,7 +20,8 @@ from . import metrics as mx
 from . import pipeline
 from .base import ConvergenceError
 from .estimators import COVARIANCES, EFFECTS, WEIGHTS, ModelSpec, estimator_for
-from .panel import PanelLoadError, load_panel, load_panel_csv, read_meta_csv, write_panel_csv
+from .panel import (PanelLoadError, load_panel, load_panel_csv, parse_number, read_meta_csv,
+                    write_panel_csv)
 from .pipeline import (
     CONTROLS,
     SynthParams,
@@ -72,11 +72,9 @@ def _cmd_gini(args):
             if not text:
                 continue
             try:
-                value = float(text)
+                value = parse_number(text)
             except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise PanelLoadError(f"not a finite number: {text!r}", args.dist, line)
+                raise PanelLoadError(f"not a finite number: {text!r}", args.dist, line) from None
             if value < 0:
                 raise PanelLoadError(f"negative number: {text!r}", args.dist, line)
             values.append(value)
@@ -208,23 +206,16 @@ def _cmd_report(args):
     return 0
 
 
-def _finite_float(text):
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"finite number expected, got {text!r}")
-    return value
-
-
 _SYNTH_KEYS = {
-    "n_entities": int,
-    "n_periods": int,
+    "n_entities": "int",
+    "n_periods": "int",
     "start": "date",
-    "phi": _finite_float,
-    "sigma_alpha": _finite_float,
-    "sigma_low": _finite_float,
-    "sigma_high": _finite_float,
+    "phi": "float",
+    "sigma_alpha": "float",
+    "sigma_low": "float",
+    "sigma_high": "float",
     "use_benchmark_universe": "bool",
-    **{f"beta_{name}": _finite_float for name in pipeline.default_truth()},
+    **{f"beta_{name}": "float" for name in pipeline.default_truth()},
 }
 
 
@@ -242,12 +233,16 @@ def _parse_synth_params(path):
 
 
 def _cmd_simulate(args):
+    try:
+        seed = parse_number(args.seed, integer=True)
+    except ValueError as exc:
+        raise ValueError(f"--seed: {exc}") from None
     params = _parse_synth_params(args.params) if args.params else SynthParams()
-    sim = simulate_dgp(params, seed=args.seed)
+    sim = simulate_dgp(params, seed=seed)
     write_simulation(sim, args.out)
     print(
         f"wrote {args.out}: {params.n_entities} entities x {params.n_periods} periods"
-        f" (seed {args.seed})"
+        f" (seed {seed})"
     )
     return 0
 
@@ -308,7 +303,7 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="generate a seeded synthetic panel")
     p.add_argument("--params", default=None, help="flat key=value parameter file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 

@@ -8,6 +8,11 @@ has to reason about NaN propagation.  Every dated series is an
 ``EntityRecords``: an entity's holds ``ENTITY_FIELDS``, and the market's,
 under the pseudo-symbol ``MARKET``, holds ``MARKET_FIELDS``.
 
+This module owns the text form of every value.  A number is read by the
+numeric cells' rule, in the settings files and flags too (``parse_number``),
+a boolean by ``parse_bool``, and every dated row of the panel and metrics
+files is written by ``value_cells`` and ``dated_rows``.
+
 A file is read ``_BLOCK_ROWS`` rows at a time, and in every file an entity's
 rows of a block are parsed a column at a time: each distinct date text is
 parsed once per load, each numeric column is converted with ``float`` in one
@@ -164,13 +169,11 @@ def parse_date(text, source=None, line=None):
         raise PanelLoadError(f"unparseable date {text!r}", source, line) from None
 
 
-def _parse_bool(cell, column, source, line):
-    text = cell.strip().lower()
-    if text in ("1", "true", "yes"):
-        return True
-    if text in ("0", "false", "no"):
-        return False
-    raise PanelLoadError(f"unparseable boolean {cell!r} in column {column!r}", source, line)
+def parse_bool(text):
+    """The boolean ``text`` spells, 1/true/yes or 0/false/no in any case and
+    with surrounding blanks ignored; None for any other text."""
+    spelled = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+    return spelled.get(text.strip().lower())
 
 
 def _check_header(header, expected, source):
@@ -270,6 +273,17 @@ def _float_or_none(cell):
         return float(cell)
     except ValueError:
         return None
+
+
+def parse_number(text, integer=False):
+    """The finite number ``text`` spells as a numeric cell, surrounding blanks
+    ignored; with ``integer``, an ``int`` of an optional sign and ASCII digits.
+    Any other text raises ``ValueError`` naming it."""
+    text = text.strip()
+    value = _float_or_none(text)
+    if value is None or not math.isfinite(value) or (integer and not text.lstrip("+-").isdigit()):
+        raise ValueError(f"{'integer' if integer else 'finite number'} expected, got {text!r}")
+    return int(text) if integer else value
 
 
 def _parse_floats(cells):
@@ -424,7 +438,10 @@ def _parse_meta_row(line, row, index, source):
             raise PanelLoadError(f"{kind} numeric {cell!r} in column {column!r}", source, line)
         if gone:
             raise PanelLoadError(f"missing {column}", source, line)
-    hyfi = _parse_bool(row[index["hyfi"]], "hyfi", source, line)
+    hyfi = parse_bool(row[index["hyfi"]])
+    if hyfi is None:
+        raise PanelLoadError(f"unparseable boolean {row[index['hyfi']]!r} in column 'hyfi'",
+                             source, line)
     listing_date = parse_date(row[index["listing_date"]], source, line)
     try:
         return EntityMeta(
@@ -532,17 +549,6 @@ def csv_cell(text):
     return text
 
 
-def day_texts(dates, cache):
-    """``str`` of each day in ``dates``; ``cache`` maps day numbers to texts.
-
-    Each day not yet in ``cache`` is formatted once and added to it.
-    """
-    days = dates.astype("datetime64[D]", copy=False).view(np.int64).tolist()
-    for day in set(days).difference(cache):
-        cache[day] = str(np.datetime64(day, "D"))
-    return list(map(cache.__getitem__, days))
-
-
 def format_meta_cells(meta):
     """The ``META_HEADER`` cells after ``symbol``; floats reload bit for bit."""
     return [meta.category, "1" if meta.hyfi else "0", str(meta.listing_date)] + [
@@ -550,25 +556,38 @@ def format_meta_cells(meta):
     ]
 
 
-def _value_rows(label, series, fields):
-    """Row texts of ``series``' ``fields`` cells: ``repr`` where present,
-    empty where missing.
+def value_cells(label, dates, names, columns):
+    """The cells of each of ``names`` on ``dates``, a list per name.  A name
+    of ``columns``, ``{name: (values, missing)}`` in file order, has the
+    ``repr`` of each present value, which reloads bit for bit, and an empty
+    cell where missing; any other name has only empty cells.
 
-    A present non-finite value raises ``ValueError`` naming ``label``, the
-    column and the date.
+    The first present non-finite value in file order, by date and then by
+    column, raises ``ValueError`` naming ``label``, the column and the date.
     """
-    block = np.column_stack([series.values[f] for f in fields])
-    absent = np.column_stack([series.missing[f] for f in fields])
-    bad = ~(absent | np.isfinite(block))
+    bad = np.array([~(m | np.isfinite(v)) for v, m in columns.values()],
+                   dtype=bool).reshape(len(columns), len(dates))
     if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise ValueError(
-            f"non-finite value {block[i, j]} for {label} {fields[j]} on {series.dates[i]}"
-        )
-    return [
-        ",".join(["" if gone else repr(value) for value, gone in zip(row, gone_row)])
-        for row, gone_row in zip(block.tolist(), absent.tolist())
-    ]
+        i, j = np.argwhere(bad.T)[0]
+        name, (values, _) = list(columns.items())[j]
+        raise ValueError(f"non-finite value {values[i]} for {label} {name} on {dates[i]}")
+    cells = {name: list(map(repr, v.tolist())) for name, (v, _) in columns.items()}
+    for name, (_, m) in columns.items():
+        for i in np.flatnonzero(m).tolist():
+            cells[name][i] = ""
+    empty = [""] * len(dates)
+    return [cells.get(name, empty) for name in names]
+
+
+def dated_rows(head, dates, columns, tail, days):
+    """The text of one entity's rows, one per day of ``dates``: ``head``, the
+    day and the cells of ``columns``, joined by commas, then ``tail``, which
+    ends the row.  ``days`` caches the day texts by day number."""
+    numbers = dates.astype("datetime64[D]", copy=False).view(np.int64).tolist()
+    for day in set(numbers).difference(days):
+        days[day] = str(np.datetime64(day, "D"))
+    rows = map(",".join, zip(map(days.__getitem__, numbers), *columns))
+    return "".join([head + row + tail for row in rows])
 
 
 def write_blocks(path, blocks):
@@ -591,33 +610,29 @@ def write_panel_csv(panel, path):
     """Write the consolidated panel CSV (entity rows plus MARKET rows).
 
     Floats are written with ``repr`` so a reload reproduces them bit for bit,
-    and a present non-finite value raises ``ValueError`` and leaves no file.
-    The rows of one entity, and then the MARKET rows, are formatted and
-    written as one block of text, with the bytes ``csv.writer`` would give.
+    and a present non-finite value or an entity without rows, which would
+    lose its meta cells, raises ``ValueError`` and leaves no file.  Each
+    entity's rows, then the MARKET rows, are one block of text.
     """
     write_blocks(path, _panel_blocks(panel))
 
 
 def _panel_blocks(panel):
-    """The header, one text block per entity, then the MARKET block."""
+    """The header, one text block per entity, then the MARKET block, whose
+    rows leave the entity and meta columns empty."""
     end = "\r\n"
     days = {}
     yield ",".join(PANEL_HEADER + META_HEADER[1:]) + end
-    for meta in panel.entities:
-        rec = panel.observations[meta.symbol]
-        head = csv_cell(meta.symbol) + ","
-        tail = ",,," + ",".join(csv_cell(c) for c in format_meta_cells(meta)) + end
-        rows = _value_rows(meta.symbol, rec, ENTITY_FIELDS)
-        dates = day_texts(rec.dates, days)
-        yield "".join([f"{head}{day},{row}{tail}" for day, row in zip(dates, rows)])
-    # the MARKET rows leave the entity and meta columns empty
-    market = panel.market
-    head = MARKET_SYMBOL + ","
-    gap = "," * (len(ENTITY_FIELDS) + 1)
-    tail = "," * len(META_HEADER[1:]) + end
-    rows = _value_rows(MARKET_SYMBOL, market, MARKET_FIELDS)
-    dates = day_texts(market.dates, days)
-    yield "".join([f"{head}{day}{gap}{row}{tail}" for day, row in zip(dates, rows)])
+    blocks = [(meta.symbol, panel.observations[meta.symbol], ENTITY_FIELDS, format_meta_cells(meta))
+              for meta in panel.entities]
+    blocks.append((MARKET_SYMBOL, panel.market, MARKET_FIELDS, [""] * (len(META_HEADER) - 1)))
+    for symbol, rec, fields, meta_cells in blocks:
+        if not len(rec) and rec is not panel.market:
+            raise ValueError(f"{symbol}: no rows to carry its meta cells in the panel file")
+        cells = value_cells(symbol, rec.dates, ENTITY_FIELDS + MARKET_FIELDS,
+                            {f: (rec.values[f], rec.missing[f]) for f in fields})
+        tail = "".join("," + csv_cell(c) for c in meta_cells) + end
+        yield dated_rows(csv_cell(symbol) + ",", rec.dates, cells, tail, days)
 
 
 class _EntityGroup(_Series):

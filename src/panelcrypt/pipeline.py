@@ -36,12 +36,15 @@ from .panel import (
     PanelLoadError,
     csv_cell,
     date_union,
-    day_texts,
+    dated_rows,
     format_meta_cells,
     load_panel_csv,
+    parse_bool,
     parse_date,
+    parse_number,
     read_dated_csv,
     read_meta_csv,
+    value_cells,
     write_blocks,
 )
 from .quantreg import PanelQuantile
@@ -113,8 +116,8 @@ def _check_taus(taus):
 def parse_taus(text):
     """The taus of a comma list, in its order and with its repeats, checked
     by ``_check_taus``: the one rule of the report's ``taus`` key and of
-    ``quantile --taus``.  An empty item is not a number."""
-    return _check_taus(tuple(float(t) for t in text.split(",")) if text.strip() else ())
+    ``quantile --taus``; each item is a number by ``parse_number``."""
+    return _check_taus(tuple(map(parse_number, text.split(","))) if text.strip() else ())
 
 
 def _path(text):
@@ -129,24 +132,21 @@ _CONFIG_KEYS = {
     "metrics": ("metrics_file", _path),
     "meta": ("meta", _path),
     "out": ("out", _path),
-    "seed": ("seed", int),
+    "seed": ("seed", "int"),
     "split_date": ("split_date", "date"),
     "taus": ("taus", parse_taus),
 }
 
 
-_TRUE, _FALSE = ("true", "1", "yes"), ("false", "0", "no")
-
-
 def parse_setting(text, kind, where, key):
     """Convert the value text of one ``key = value`` line.
 
-    ``kind`` is ``"bool"`` (true/false, 1/0, yes/no, any case), ``"names"``
-    (a comma list of names), ``"pairs"`` (a comma list of ``left*right``
-    name pairs), ``"date"`` (checked by ``parse_date``, kept as text), a
-    tuple of allowed strings, or a converter of the text such as ``str``,
-    ``int``, ``float`` or ``parse_taus``.  A bad value raises ``ValueError``
-    naming ``where`` (``path:line``) and the key.
+    ``kind`` is ``"bool"``, ``"int"`` or ``"float"`` (read as a data cell is,
+    by ``parse_bool`` or ``parse_number``), ``"names"`` (a comma list of
+    names), ``"pairs"`` (a comma list of ``left*right`` name pairs),
+    ``"date"`` (checked by ``parse_date``, kept as text), a tuple of allowed
+    strings, or a converter of the text such as ``parse_taus``.  A bad value
+    raises ``ValueError`` naming ``where`` (``path:line``) and the key.
     """
     if isinstance(kind, tuple):
         if text not in kind:
@@ -154,9 +154,12 @@ def parse_setting(text, kind, where, key):
         return text
     try:
         if kind == "bool":
-            if text.lower() not in _TRUE + _FALSE:
+            value = parse_bool(text)
+            if value is None:
                 raise ValueError(f"boolean expected, got {text!r}")
-            return text.lower() in _TRUE
+            return value
+        if kind in ("int", "float"):
+            return parse_number(text, integer=kind == "int")
         if kind == "names":
             return [t.strip() for t in text.split(",") if t.strip()]
         if kind == "pairs":
@@ -228,7 +231,7 @@ def write_metrics_csv(bundle, path):
 
 
 def _metrics_blocks(bundle):
-    """The header, then one text block per entity."""
+    """The header, then one block per entity, on the dates of its present values."""
     names = sorted({name for per in bundle.values() for name in per})
     for name in names:
         if name.strip() in ("entity", "date"):
@@ -236,25 +239,11 @@ def _metrics_blocks(bundle):
     days = {}
     yield ",".join(["entity", "date"] + [csv_cell(name) for name in names]) + "\n"
     for entity in sorted(bundle):
-        present = {}  # name -> (dates, values) of its present values
-        for name, series in sorted(bundle[entity].items()):
-            keep = ~series.missing
-            dates, values = series.dates[keep], series.values[keep]
-            bad = np.flatnonzero(~np.isfinite(values))
-            if bad.size:
-                raise ValueError(f"non-finite value {values[bad[0]]} for {entity} {name}"
-                                 f" on {dates[bad[0]]}")
-            present[name] = dates, values
-        dates = date_union([d for d, _ in present.values()])
-        # a column of cells per metric, then one row per date
-        columns = {name: [""] * len(dates) for name in names}
-        for name, (series_dates, values) in present.items():
-            cells = columns[name]
-            for i, value in zip(dates.searchsorted(series_dates).tolist(), values.tolist()):
-                cells[i] = repr(value)
-        head = csv_cell(entity) + ","
-        yield "".join([f"{head}{row}\n"
-                       for row in map(",".join, zip(day_texts(dates, days), *columns.values()))])
+        per = bundle[entity]
+        dates = date_union([series.dates[~series.missing] for series in per.values()])
+        columns = {name: _aligned(per[name], dates) for name in names if name in per}
+        yield dated_rows(csv_cell(entity) + ",", dates,
+                         value_cells(entity, dates, names, columns), "\n", days)
 
 
 def read_metrics_csv(path):

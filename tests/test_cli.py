@@ -18,7 +18,14 @@ from panelcrypt import metrics as mx
 from panelcrypt.base import ConvergenceError
 from panelcrypt.cli import _parse_model_spec, _parse_synth_params, main
 from panelcrypt.decentralization import composite_index
-from panelcrypt.panel import load_panel, load_panel_csv, read_meta_csv, write_panel_csv
+from panelcrypt.panel import (
+    META_HEADER,
+    load_panel,
+    load_panel_csv,
+    parse_bool,
+    read_meta_csv,
+    write_panel_csv,
+)
 from panelcrypt.pipeline import parse_config, write_meta_csv
 from panelcrypt.quantreg import PanelQuantile
 
@@ -89,7 +96,7 @@ def test_gini_command(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "0.250000"
 
 
-@pytest.mark.parametrize("text", ["abc", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("text", ["abc", "nan", "inf", "-inf", "1_0", "\u0663"])
 def test_gini_names_the_line_that_is_not_a_finite_number(tmp_path, capsys, text):
     # the blank second line is skipped but still counted
     dist = tmp_path / "dist.txt"
@@ -329,8 +336,12 @@ def test_quantile_spec_refuses_keys_a_quantile_fit_does_not_read(tmp_path, panel
     ("1.5", "tau 1.5 outside (0, 1)"),
     ("0.5,1", "tau 1.0 outside (0, 1)"),
     ("", "at least one tau is needed"),
-    ("0.1,,0.5", "could not convert string to float: ''"),
-], ids=["above-one", "one", "empty", "empty-item"])
+    ("0.1,,0.5", "finite number expected, got ''"),
+    ("0.2_5,0.5", "finite number expected, got '0.2_5'"),
+    ("1_0", "finite number expected, got '1_0'"),
+    ("\uff10.5", "finite number expected, got '\uff10.5'"),
+], ids=["above-one", "one", "empty", "empty-item", "underscore", "underscore-int",
+        "non-ascii-digit"])
 def test_quantile_taus_checked_before_the_panel_is_read(tmp_path, capsys, taus, message):
     # the panel file does not exist: the taus are refused first
     code = main(["quantile", "--panel", str(tmp_path / "absent.csv"), "--taus", taus,
@@ -577,14 +588,69 @@ def test_model_spec_rejects_non_boolean_dynamic(tmp_path):
 @pytest.mark.parametrize("line, message", [
     ("use_benchmark_universe = ture",
      r"params\.cfg:2: use_benchmark_universe: boolean expected, got 'ture'"),
-    ("n_entities = many", r"params\.cfg:2: n_entities: invalid literal for int\(\)"),
-    ("beta_size = big", r"params\.cfg:2: beta_size: could not convert string to float"),
+    ("n_entities = many", r"params\.cfg:2: n_entities: integer expected, got 'many'"),
+    ("beta_size = big", r"params\.cfg:2: beta_size: finite number expected, got 'big'"),
+    # int and float read these, and no data cell takes them
+    ("n_entities = 1_0", r"params\.cfg:2: n_entities: integer expected, got '1_0'"),
+    ("n_entities = \u0663", r"params\.cfg:2: n_entities: integer expected, got '\u0663'"),
+    ("beta_size = 1_0", r"params\.cfg:2: beta_size: finite number expected, got '1_0'"),
+    ("sigma_alpha = \uff10.01",
+     r"params\.cfg:2: sigma_alpha: finite number expected, got '\uff10\.01'"),
 ])
 def test_synth_params_bad_value_named_at_its_line(tmp_path, line, message):
     params = tmp_path / "params.cfg"
     params.write_text(f"n_periods = 160\n{line}\n")
     with pytest.raises(ValueError, match=message):
         _parse_synth_params(params)
+
+
+# int and float read these, and no data cell takes them
+@pytest.mark.parametrize("text", ["1_0", "\u0663", "\u0661\u0662"])
+def test_simulate_seed_is_spelled_as_a_data_cell(tmp_path, capsys, text):
+    code = main(["simulate", "--seed", text, "--out", str(tmp_path / "sim")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --seed: integer expected, got {text!r}\n"
+    assert not (tmp_path / "sim").exists()
+
+
+def test_settings_and_meta_booleans_share_one_rule(tmp_path):
+    # a spec's dynamic = TRUE and a meta hyfi cell TRUE both go through panel.parse_bool
+    spec = tmp_path / "spec.cfg"
+    spec.write_text("effects = fixed\ndynamic = TRUE\n")
+    meta = tmp_path / "meta.csv"
+    meta.write_text(",".join(META_HEADER) + "\nAAA,test,TRUE,2020-01-01,0.1,0.2,0.3,0.4,0.5\n")
+    called = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is parse_bool.__code__:
+            called.append(frame.f_locals["text"])
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        dynamic = _parse_model_spec(spec).dynamic
+        hyfi = read_meta_csv(meta)[0].hyfi
+    finally:
+        sys.setprofile(previous)
+    assert dynamic is hyfi is True
+    assert called == ["TRUE", "TRUE"]
+
+
+def test_ingest_refuses_an_entity_without_rows(tmp_path, capsys):
+    # the consolidated file carries an entity's meta cells only on its rows,
+    # so an entity without rows would vanish from it
+    rng = np.random.default_rng(91)
+    _, market, meta = build_panel_files(tmp_path, rng, PANEL_SPECS)
+    entity = tmp_path / "entities" / "BBB.csv"
+    entity.write_text(entity.read_text().splitlines(keepends=True)[0])
+    out = tmp_path / "panel.csv"
+    code = main(["ingest", "--meta", meta, "--market", market,
+                 "--entities", str(tmp_path / "entities"), "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: BBB: no rows to carry its meta cells in the panel file\n"
+    assert not out.exists()
 
 
 def test_synth_params_reject_unknown_coefficient(tmp_path):

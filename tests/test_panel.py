@@ -970,6 +970,12 @@ class TestPanelWriter:
     @given(panel=writer_panels())
     def test_bytes_equal_a_csv_writer_row_loop(self, tmp_path_factory, panel):
         folder = tmp_path_factory.mktemp("panel")
+        if not all(len(rec) for rec in panel.observations.values()):
+            # an entity's meta cells are carried on its rows, so it needs one
+            with pytest.raises(ValueError, match="no rows to carry its meta cells"):
+                ps.write_panel_csv(panel, folder / "blocks.csv")
+            assert not (folder / "blocks.csv").exists()
+            return
         ps.write_panel_csv(panel, folder / "blocks.csv")
         reference_panel_file(panel, folder / "rows.csv")
         assert (folder / "blocks.csv").read_bytes() == (folder / "rows.csv").read_bytes()
@@ -1009,4 +1015,15 @@ class TestPanelWriter:
             f"non-finite value {value} for {symbol} {column} on {series.dates[4]}"
         )
         # no partial file is left behind
+        assert not (tmp_path / "panel.csv").exists()
+
+    def test_first_non_finite_value_in_file_order_refused(self, tmp_path, small_panel_files):
+        # rows are by date, so a later column's earlier value comes first
+        panel = ps.load_panel(*small_panel_files)
+        rec = panel.observations["BBB"]
+        rec.values["open"][7] = np.inf
+        rec.values["attention"][3] = np.nan
+        with pytest.raises(ValueError) as info:
+            ps.write_panel_csv(panel, tmp_path / "panel.csv")
+        assert str(info.value) == f"non-finite value nan for BBB attention on {rec.dates[3]}"
         assert not (tmp_path / "panel.csv").exists()

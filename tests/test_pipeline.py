@@ -667,6 +667,18 @@ class TestMetricsWriter:
         # the header alone would read as an empty bundle
         assert not (tmp_path / "metrics.csv").exists()
 
+    def test_first_non_finite_value_in_file_order_refused(self, tmp_path):
+        # rows are by date, so a later metric's earlier value comes first
+        dates = np.datetime64("2020-01-01") + np.arange(4)
+        bundle = {"AAA": {
+            name: MetricSeries("AAA", name, dates, np.array(values), np.zeros(4, dtype=bool))
+            for name, values in [("illiquidity", [1.0, 2.0, np.inf, 4.0]),
+                                 ("size", [1.0, np.nan, 3.0, 4.0])]}}
+        with pytest.raises(ValueError) as info:
+            write_metrics_csv(bundle, tmp_path / "metrics.csv")
+        assert str(info.value) == "non-finite value nan for AAA size on 2020-01-02"
+        assert not (tmp_path / "metrics.csv").exists()
+
     @pytest.mark.parametrize("name", ["entity", " date"])
     def test_metric_named_as_a_key_column_refused(self, tmp_path, name):
         series = MetricSeries("AAA", name, np.datetime64("2020-01-01") + np.arange(2),
@@ -1343,9 +1355,9 @@ class TestReport:
     @pytest.mark.parametrize("line, message", [
         ("taus = 0.1,1.5", r"tau 1\.5 outside \(0, 1\)"),
         ("taus = 0,0.5", r"tau 0\.0 outside \(0, 1\)"),
-        ("taus = nan", r"tau nan outside \(0, 1\)"),
+        ("taus = nan", r"finite number expected, got 'nan'"),
         ("taus =", r"at least one tau is needed"),
-        ("taus = 0.1,,0.5", r"could not convert string to float: ''"),
+        ("taus = 0.1,,0.5", r"finite number expected, got ''"),
     ], ids=["above-one", "zero", "nan", "empty", "empty-item"])
     def test_config_taus_checked_at_their_line(self, tmp_path, line, message):
         # checked when the config is read: its input files do not exist
@@ -1364,8 +1376,14 @@ class TestReport:
             RunConfig(panel="p.csv", meta="m.csv")
 
     @pytest.mark.parametrize("line, message", [
-        ("seed = seven", r"bad\.cfg:3: seed: invalid literal for int\(\)"),
-        ("taus = 0.1,x", r"bad\.cfg:3: taus: could not convert string to float: 'x'"),
+        ("seed = seven", r"bad\.cfg:3: seed: integer expected, got 'seven'"),
+        ("taus = 0.1,x", r"bad\.cfg:3: taus: finite number expected, got 'x'"),
+        # int and float read these, and no data cell takes them
+        ("seed = 1_0", r"bad\.cfg:3: seed: integer expected, got '1_0'"),
+        ("seed = \u0661\u0662", r"bad\.cfg:3: seed: integer expected, got '\u0661\u0662'"),
+        ("taus = 0.2_5", r"bad\.cfg:3: taus: finite number expected, got '0\.2_5'"),
+        ("taus = 1_0", r"bad\.cfg:3: taus: finite number expected, got '1_0'"),
+        ("taus = \uff10.5", r"bad\.cfg:3: taus: finite number expected, got '\uff10\.5'"),
     ])
     def test_config_bad_value_named_at_its_line(self, tmp_path, line, message):
         bad = tmp_path / "bad.cfg"

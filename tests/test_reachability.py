@@ -35,7 +35,6 @@ ALLOWED = {
     "base.BaseEstimator.set_params": API,
     "estimators.DesignMatrix.groups": API,  # the reports' designs are handed theirs
     "estimators.white_cov": REFERENCE,
-    "panel._float_or_none": ERROR,
     "panel.read_entity_csv": TEST,
     "panel.read_market_csv": TEST,
     "pipeline.DropLedger.conserved": TEST,
