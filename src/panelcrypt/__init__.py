@@ -18,7 +18,6 @@ from .estimators import (
     white_cov,
 )
 from .metrics import (
-    MetricSeries,
     amihud,
     log1p_metric,
     log_return,
@@ -53,7 +52,6 @@ __all__ = [
     "FitResult",
     "FixedEffects",
     "HausmanResult",
-    "MetricSeries",
     "ModelSpec",
     "PanelDataset",
     "PanelLoadError",

@@ -57,7 +57,7 @@ def _cmd_metrics(args):
     panel = load_panel_csv(args.panel)
     bundle = mx.compute_all_metrics(panel)
     write_metrics_csv(bundle, args.out)
-    n_series = sum(len(per) for per in bundle.values())
+    n_series = sum(len(rec.values) for rec in bundle.values())
     print(f"wrote {args.out}: {n_series} metric series")
     return 0
 
@@ -92,9 +92,10 @@ def _cmd_decentralization(args):
     rows = []
     for meta in metas:
         composite = dec.composite_index(meta.gini_components)
-        series = purified[meta.symbol]
-        rows += [(meta.symbol, str(series.dates[i]), composite, series.values[i])
-                 for i in np.flatnonzero(~series.missing)]
+        values, missing = purified[meta.symbol]
+        dates = panel.observations[meta.symbol].dates
+        rows += [(meta.symbol, str(dates[i]), composite, values[i])
+                 for i in np.flatnonzero(~missing)]
     pipeline._write_csv(args.out, ("entity", "date", "composite", "orthogonalized"), rows)
     print(f"wrote {args.out}")
     return 0
@@ -234,7 +235,7 @@ def _parse_synth_params(path):
 
 def _cmd_simulate(args):
     try:
-        seed = parse_number(args.seed, integer=True)
+        seed = pipeline.parse_seed(args.seed)
     except ValueError as exc:
         raise ValueError(f"--seed: {exc}") from None
     params = _parse_synth_params(args.params) if args.params else SynthParams()

@@ -1,11 +1,16 @@
 """Dependent-variable and regressor construction for the daily panel.
 
-``compute_all_metrics`` builds every series of a raw panel: the response,
-the entity controls with purified decentralization, and the market series.
+A metric is a column ``(values, missing)`` on the dates of the records it
+is computed from, and a metric bundle is ``{symbol: EntityRecords}``: one
+date vector per entity, ``MARKET`` included, with one column per metric,
+made by ``records``.  ``compute_all_metrics`` builds the bundle of a raw
+panel: the response, the entity controls with purified decentralization,
+and the market columns.
+
 All functions are pure and mask-aware: a metric is missing wherever any of
 its inputs is missing, wherever a required lag crosses a calendar gap, and
 wherever a rule below maps an undefined value (for example zero trading
-volume) to a masked slot.  Masks only ever grow.  Each series constructor
+volume) to a masked slot.  Masks only ever grow.  Each column constructor
 states its mask and its formula; ``_masked`` applies the one masking rule,
 NaN on every masked day and the formula on the present days only.
 """
@@ -13,12 +18,11 @@ NaN on every masked day and the formula on the present days only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import decentralization as dec
-from .panel import MARKET_SYMBOL
+from .panel import MARKET_SYMBOL, EntityRecords
 
 ROOT_TWO_LOG_TWO = math.sqrt(2.0 * math.log(2.0))
 
@@ -28,29 +32,11 @@ VOLATILITY_WINDOW = 30
 DAY = np.timedelta64(1, "D")
 
 
-@dataclass
-class MetricSeries:
-    """A named per-entity daily series with an explicit missing-mask."""
-
-    entity: str
-    name: str
-    dates: np.ndarray
-    values: np.ndarray
-    missing: np.ndarray
-    flags: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not (len(self.dates) == len(self.values) == len(self.missing)):
-            raise ValueError(
-                f"{self.entity}/{self.name}: dates, values and missing-mask "
-                "must have equal length"
-            )
-
-    def __len__(self):
-        return len(self.values)
-
-    def present_values(self):
-        return self.values[~self.missing]
+def records(symbol, dates, columns):
+    """The ``EntityRecords`` of ``symbol`` on ``dates`` holding ``columns``,
+    ``{name: (values, missing)}`` with values NaN wherever missing."""
+    return EntityRecords(symbol, dates, {name: v for name, (v, _) in columns.items()},
+                         {name: m for name, (_, m) in columns.items()})
 
 
 def parkinson(high, low, close):
@@ -113,74 +99,56 @@ def lagged(values, missing, dates):
     return out, out_missing
 
 
-def _masked(entity, name, dates, miss, formula, *columns):
-    """The series ``name`` of ``entity``: NaN where ``miss`` is True and
-    ``formula(*columns[~miss])`` elsewhere; ``miss`` becomes its mask."""
-    values = np.full(len(dates), np.nan)
+def _masked(miss, formula, *columns):
+    """The column NaN where ``miss`` is True and ``formula(*columns[~miss])``
+    elsewhere, with ``miss`` as its mask: ``(values, miss)``."""
+    values = np.full(len(miss), np.nan)
     ok = ~miss
     values[ok] = formula(*(column[ok] for column in columns))
-    return MetricSeries(entity, name, dates, values, miss)
+    return values, miss
 
 
-def price_risk_series(entity, dates, high, low, close, missing):
+def price_risk_series(high, low, close, missing):
     """Per-day range volatility with the combined input mask."""
     miss = missing["high"] | missing["low"] | missing["close"]
-    return _masked(entity, "price_risk", dates, miss, parkinson, high, low, close)
+    return _masked(miss, parkinson, high, low, close)
 
 
-def log_return_series(entity, dates, close, missing_close):
+def log_return_series(dates, close, missing_close):
     """Gap-aware one-day log return of the close price."""
     prev, prev_missing = lagged(close, missing_close, dates)
-    miss = missing_close | prev_missing
-    return _masked(entity, "log_return", dates, miss, log_return, close, prev)
+    return _masked(missing_close | prev_missing, log_return, close, prev)
 
 
-def amihud_series(entity, dates, returns, volume, missing_volume):
-    """|return| / volume; zero or missing volume yields a masked value.
+def amihud_series(returns, volume, missing_volume):
+    """|return| / volume of the ``(values, missing)`` returns; zero or
+    missing volume yields a masked value."""
+    values, missing = returns
+    return _masked(missing | missing_volume | (volume <= 0), amihud, values, volume)
 
-    The series carries the count of days with a return that are masked
-    because their volume is missing, zero or negative, as the flag
-    ``masked_volume_days``.
+
+def zscore_per_entity(column, label):
+    """Standardize a ``(values, missing)`` column over its non-missing entries.
+
+    Uses the sample (n-1) standard deviation.  A constant column maps to
+    zeros rather than failing; fewer than two present values raise
+    ``ValueError`` naming ``label``.
     """
-    bad_volume = missing_volume | (volume <= 0)
-    masked_volume_days = int(np.sum(~returns.missing & bad_volume))
-    miss = returns.missing | bad_volume
-    series = _masked(entity, "amihud", dates, miss, amihud, returns.values, volume)
-    if masked_volume_days:
-        series.flags.append(f"masked_volume_days={masked_volume_days}")
-    return series
-
-
-def zscore_per_entity(series):
-    """Standardize a series over its non-missing entries.
-
-    Uses the sample (n-1) standard deviation.  A constant series maps to
-    zeros and carries a ``degenerate`` flag rather than failing.
-    """
-    ok = ~series.missing
-    n = int(ok.sum())
-    if n < 2:
-        raise ValueError(
-            f"{series.entity}/{series.name}: need >= 2 non-missing values to z-score"
-        )
-    data = series.values[ok]
+    values, missing = column
+    data = values[~missing]
+    if len(data) < 2:
+        raise ValueError(f"{label}: need >= 2 non-missing values to z-score")
     mean = data.mean()
     sd = data.std(ddof=1)
-    if sd == 0.0:
-        standardize, flags = np.zeros_like, ["degenerate"]
-    else:
-        standardize, flags = (lambda x: (x - mean) / sd), []
-    z = _masked(series.entity, f"z_{series.name}", series.dates, series.missing.copy(),
-                standardize, series.values)
-    z.flags = list(series.flags) + flags
-    return z
+    standardize = np.zeros_like if sd == 0.0 else (lambda x: (x - mean) / sd)
+    return _masked(missing.copy(), standardize, values)
 
 
-def realized_volatility(dates, index_levels, window=VOLATILITY_WINDOW):
+def realized_volatility(index_levels, window=VOLATILITY_WINDOW):
     """Rolling sample standard deviation of the last ``window`` log returns.
 
     The market index series is assumed gap-free daily; the first ``window``
-    dates have no full return window and stay masked.
+    levels have no full return window and stay masked.
     """
     if window < 2:
         raise ValueError(f"volatility window {window}: need at least 2 returns")
@@ -204,7 +172,7 @@ def realized_volatility(dates, index_levels, window=VOLATILITY_WINDOW):
         var = (s2 - s * s / window) / (window - 1)
         values[t] = math.sqrt(max(var, 0.0))
         miss[t] = False
-    return MetricSeries(MARKET_SYMBOL, "market_volatility", np.asarray(dates), values, miss)
+    return values, miss
 
 
 def size_change(entity, dates, mcap, missing_mcap):
@@ -212,95 +180,80 @@ def size_change(entity, dates, mcap, missing_mcap):
     if np.any(mcap[~missing_mcap] <= 0):
         raise ValueError(f"{entity}: mcap must be strictly positive where present")
     prev, prev_missing = lagged(mcap, missing_mcap, dates)
-    miss = missing_mcap | prev_missing
-    return _masked(entity, "size", dates, miss,
+    return _masked(missing_mcap | prev_missing,
                    lambda now, before: np.log(now) - np.log(before), mcap, prev)
 
 
-def attractiveness_series(entity, dates, attention, missing_attention):
+def attractiveness_series(attention, missing_attention):
     """ln(1 + search interest); zero interest maps to exactly zero."""
-    return _masked(entity, "attractiveness", dates, missing_attention.copy(),
-                   log1p_metric, attention)
+    return _masked(missing_attention.copy(), log1p_metric, attention)
 
 
-def market_shocks_series(dates, shock_loss, missing_loss):
-    """ln(1 + fraud/scam loss amount) for the market series."""
-    return _masked(MARKET_SYMBOL, "market_shocks", dates, missing_loss.copy(),
-                   log1p_metric, shock_loss)
+def market_shocks_series(shock_loss, missing_loss):
+    """ln(1 + fraud/scam loss amount) for the market."""
+    return _masked(missing_loss.copy(), log1p_metric, shock_loss)
 
 
 def compute_entity_metrics(rec):
-    """All per-entity metric series for one EntityRecords block."""
-    symbol, dates, values, missing = rec.symbol, rec.dates, rec.values, rec.missing
-    price_risk = price_risk_series(
-        symbol, dates, values["high"], values["low"], values["close"], missing
-    )
-    returns = log_return_series(symbol, dates, values["close"], missing["close"])
-    raw_amihud = amihud_series(symbol, dates, returns, values["volume"], missing["volume"])
-    illiquidity = zscore_per_entity(raw_amihud)
-    illiquidity.name = "illiquidity"
+    """Every entity metric column of one ``EntityRecords``, ``{name: (values, missing)}``."""
+    values = rec.values
+    price_risk = price_risk_series(values["high"], values["low"], values["close"], rec.missing)
+    returns = log_return_series(rec.dates, *rec.column("close"))
+    raw_amihud = amihud_series(returns, *rec.column("volume"))
     return {
         "price_risk": price_risk,
         "log_return": returns,
         "amihud": raw_amihud,
-        "illiquidity": illiquidity,
-        "size": size_change(symbol, dates, values["mcap"], missing["mcap"]),
-        "attractiveness": attractiveness_series(
-            symbol, dates, values["attention"], missing["attention"]
-        ),
+        "illiquidity": zscore_per_entity(raw_amihud, f"{rec.symbol}/amihud"),
+        "size": size_change(rec.symbol, rec.dates, *rec.column("mcap")),
+        "attractiveness": attractiveness_series(*rec.column("attention")),
     }
 
 
-def purified_decentralization(metas, dates, log_mcap):
+def purified_decentralization(metas, log_mcap):
     """Composite decentralization per token, purified against pooled ln(mcap).
 
-    ``dates`` and ``log_mcap`` hold one array per entry of ``metas`` (NaN
-    where ln(mcap) is missing).  Returns ``{symbol: MetricSeries}``.
+    ``log_mcap`` holds one array per entry of ``metas`` (NaN where ln(mcap)
+    is missing).  Returns ``{symbol: (values, missing)}`` on those arrays' days.
     """
-    composite = [
-        np.full(len(d), dec.composite_index(meta.gini_components))
-        for meta, d in zip(metas, dates)
-    ]
+    composite = [np.full(len(x), dec.composite_index(meta.gini_components))
+                 for meta, x in zip(metas, log_mcap)]
     residuals, missing = dec.orthogonalize(np.concatenate(composite), np.concatenate(log_mcap))
-    series, offset = {}, 0
-    for meta, d in zip(metas, dates):
-        end = offset + len(d)
-        series[meta.symbol] = MetricSeries(
-            meta.symbol, "decentralization", d, residuals[offset:end], missing[offset:end]
-        )
+    columns, offset = {}, 0
+    for meta, x in zip(metas, log_mcap):
+        end = offset + len(x)
+        columns[meta.symbol] = residuals[offset:end], missing[offset:end]
         offset = end
-    return series
+    return columns
 
 
 def decentralization_series(metas, panel):
     """``purified_decentralization`` of the tokens of ``metas`` against the
     ln(mcap) of their ``panel`` rows, missing where mcap is."""
     records = [panel.observations[meta.symbol] for meta in metas]
-    log_mcap = [_masked(rec.symbol, "log_mcap", rec.dates, rec.missing["mcap"], np.log,
-                        rec.values["mcap"]).values for rec in records]
-    return purified_decentralization(metas, [rec.dates for rec in records], log_mcap)
+    log_mcap = [_masked(rec.missing["mcap"], np.log, rec.values["mcap"])[0] for rec in records]
+    return purified_decentralization(metas, log_mcap)
 
 
 def compute_market_metrics(market):
-    """Market-wide volatility and shock metrics."""
+    """Market-wide volatility and shock columns, ``{name: (values, missing)}``."""
     if market.missing["index_level"].any():
         raise ValueError("market index_level has missing values; series must be gap-free")
     return {
-        "market_volatility": realized_volatility(market.dates, market.values["index_level"]),
-        "market_shocks": market_shocks_series(
-            market.dates, market.values["shock_loss"], market.missing["shock_loss"]
-        ),
+        "market_volatility": realized_volatility(market.values["index_level"]),
+        "market_shocks": market_shocks_series(*market.column("shock_loss")),
     }
 
 
 def compute_all_metrics(panel):
-    """Metric bundle for a whole panel: {entity: {name: MetricSeries}}.
-
-    Market metrics appear under the MARKET pseudo-entity.
-    """
-    bundle = {meta.symbol: compute_entity_metrics(panel.observations[meta.symbol])
-              for meta in panel.entities}
-    bundle[MARKET_SYMBOL] = compute_market_metrics(panel.market)
-    for symbol, series in decentralization_series(panel.entities, panel).items():
-        bundle[symbol]["decentralization"] = series
+    """Metric bundle of a whole panel, ``{symbol: EntityRecords}`` on the
+    panel's dates; the market columns are the records of ``MARKET``."""
+    columns = {meta.symbol: compute_entity_metrics(panel.observations[meta.symbol])
+               for meta in panel.entities}
+    market = compute_market_metrics(panel.market)
+    for symbol, column in decentralization_series(panel.entities, panel).items():
+        columns[symbol]["decentralization"] = column
+    bundle = {symbol: records(symbol, panel.observations[symbol].dates, per)
+              for symbol, per in columns.items()}
+    bundle[MARKET_SYMBOL] = records(MARKET_SYMBOL, panel.market.dates, market)
     return bundle

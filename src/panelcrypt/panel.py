@@ -120,6 +120,10 @@ class EntityRecords:
     def __len__(self):
         return len(self.dates)
 
+    def column(self, name):
+        """``(values, missing)`` of the field ``name``."""
+        return self.values[name], self.missing[name]
+
 
 @dataclass(frozen=True)
 class PanelDataset:
@@ -630,7 +634,7 @@ def _panel_blocks(panel):
         if not len(rec) and rec is not panel.market:
             raise ValueError(f"{symbol}: no rows to carry its meta cells in the panel file")
         cells = value_cells(symbol, rec.dates, ENTITY_FIELDS + MARKET_FIELDS,
-                            {f: (rec.values[f], rec.missing[f]) for f in fields})
+                            {f: rec.column(f) for f in fields})
         tail = "".join("," + csv_cell(c) for c in meta_cells) + end
         yield dated_rows(csv_cell(symbol) + ",", rec.dates, cells, tail, days)
 

@@ -120,6 +120,14 @@ def parse_taus(text):
     return _check_taus(tuple(map(parse_number, text.split(","))) if text.strip() else ())
 
 
+def parse_seed(text):
+    """A seed: an integer by ``parse_number``'s rule, refused when negative."""
+    seed = parse_number(text, integer=True)
+    if seed < 0:
+        raise ValueError(f"non-negative integer expected, got {text!r}")
+    return seed
+
+
 def _path(text):
     """A path setting's text; an empty one names no file."""
     if not text:
@@ -132,7 +140,7 @@ _CONFIG_KEYS = {
     "metrics": ("metrics_file", _path),
     "meta": ("meta", _path),
     "out": ("out", _path),
-    "seed": ("seed", "int"),
+    "seed": ("seed", parse_seed),
     "split_date": ("split_date", "date"),
     "taus": ("taus", parse_taus),
 }
@@ -219,54 +227,42 @@ def parse_config(path):
 def write_metrics_csv(bundle, path):
     """Metric file of one ``entity,date,<metric>,...`` row per entity and date.
 
-    The metrics are sorted, and so are the entities, ``MARKET`` among them;
-    an entity has a row, in date order, on each date with a present value,
-    and an absent or missing value is an empty cell.  Each entity's rows are
-    one block of text, with the bytes ``csv.writer`` gives under
-    ``csv_cell``'s quoting, rows ended by ``\n`` and values written with
-    ``repr``.  A metric whose name strips to ``entity`` or ``date``, and a
+    ``bundle`` is ``{symbol: EntityRecords}``.  The metrics are sorted, and
+    so are the entities, ``MARKET`` among them; an entity has a row on each
+    of its record dates, in order, and an absent or missing value is an
+    empty cell.  Each entity's rows are one block of text, with the bytes
+    ``csv.writer`` gives under ``csv_cell``'s quoting, rows ended by ``\n``
+    and values written with ``repr``.  A metric whose name strips to ``entity`` or ``date``, and a
     present non-finite value, raise ``ValueError`` and leave no file.
     """
     write_blocks(path, _metrics_blocks(bundle))
 
 
 def _metrics_blocks(bundle):
-    """The header, then one block per entity, on the dates of its present values."""
-    names = sorted({name for per in bundle.values() for name in per})
+    """The header, then one block per entity, on its record dates."""
+    names = sorted({name for rec in bundle.values() for name in rec.values})
     for name in names:
         if name.strip() in ("entity", "date"):
             raise ValueError(f"metric {name!r} would name a key column of the metrics file")
     days = {}
     yield ",".join(["entity", "date"] + [csv_cell(name) for name in names]) + "\n"
     for entity in sorted(bundle):
-        per = bundle[entity]
-        dates = date_union([series.dates[~series.missing] for series in per.values()])
-        columns = {name: _aligned(per[name], dates) for name in names if name in per}
-        yield dated_rows(csv_cell(entity) + ",", dates,
-                         value_cells(entity, dates, names, columns), "\n", days)
+        rec = bundle[entity]
+        columns = {name: rec.column(name) for name in names if name in rec.values}
+        yield dated_rows(csv_cell(entity) + ",", rec.dates,
+                         value_cells(entity, rec.dates, names, columns), "\n", days)
 
 
 def read_metrics_csv(path):
-    """Load a metrics file back into a {entity: {name: MetricSeries}} bundle.
+    """Load a metrics file back into a ``{symbol: EntityRecords}`` bundle.
 
     The file is read by ``panel.read_dated_csv``, by the rules of every
     dated input; a fault raises ``PanelLoadError`` located as ``path:line``,
-    the header being line 1.  Each value column of an entity becomes the
-    series of its present values, none missing; an entity or metric with no
-    present value has no entry.  Entities keep the order of their first row
-    and metrics the order of the header.
+    the header being line 1.  Each entity's records are its rows as read,
+    with every metric column of the header, present or not.  Entities keep
+    the order of their first row and metrics the order of the header.
     """
-    bundle = {}
-    for rec in read_dated_csv(path):
-        per = {}
-        for name, values in rec.values.items():
-            present = ~rec.missing[name]
-            if present.any():
-                per[name] = mx.MetricSeries(rec.symbol, name, rec.dates[present],
-                                            values[present], np.zeros(present.sum(), dtype=bool))
-        if per:
-            bundle[rec.symbol] = per
-    return bundle
+    return {rec.symbol: rec for rec in read_dated_csv(path)}
 
 
 # ---------------------------------------------------------------------------
@@ -285,33 +281,27 @@ class DropLedger:
         return self.rows_in == self.rows_used + sum(self.dropped.values())
 
 
-def _aligned(series, dates):
-    """``(values, missing)`` of a metric series on a target date vector:
-    unmatched dates are missing, and the values are NaN wherever the result
-    is missing.  Fast path when the grids already coincide."""
-    if len(series.dates) == len(dates) and np.array_equal(series.dates, dates):
-        values, missing = series.values, series.missing
-    else:
-        idx = np.searchsorted(series.dates, dates)
-        n = len(dates)
-        values = np.full(n, np.nan)
-        missing = np.ones(n, dtype=bool)
-        in_range = (idx < len(series.dates))
-        match = np.zeros(n, dtype=bool)
-        match[in_range] = series.dates[idx[in_range]] == dates[in_range]
-        take = idx[match]
-        values[match] = series.values[take]
-        missing[match] = series.missing[take]
-    if missing.any():
-        values = np.where(missing, np.nan, values)
-    return values, missing
+def _aligned(rec, name, dates):
+    """``(values, missing)`` of the column ``name`` of the records ``rec`` on
+    a target date vector: unmatched dates are missing, with NaN values.
+    Fast path when the grids already coincide."""
+    values, missing = rec.column(name)
+    if len(rec.dates) == len(dates) and np.array_equal(rec.dates, dates):
+        return values, missing
+    idx = np.searchsorted(rec.dates, dates)
+    match = idx < len(rec.dates)
+    match[match] = rec.dates[idx[match]] == dates[match]
+    out, out_missing = np.full(len(dates), np.nan), np.ones(len(dates), dtype=bool)
+    out[match], out_missing[match] = values[idx[match]], missing[idx[match]]
+    return out, out_missing
 
 
 @dataclass
 class DesignTable:
-    """The entity-day rows (``metas`` order, response dates) that a report's
-    designs select from.  ``columns``: name -> ``(values, missing)`` of the
-    response, the metrics all entities carry, the market metrics and hyfi.
+    """The entity-day rows (``metas`` order, each entity's record dates) that
+    a report's designs select from.  ``columns``: name -> ``(values,
+    missing)`` of the response, the metrics all entities carry, the market
+    metrics on the entity rows and hyfi.
     ``lag``: the gap-aware response lag of each whole series.  ``groups``:
     the entity grouping of the rows, built once, of which each design takes
     the subset for its rows."""
@@ -334,33 +324,27 @@ def _stacked(pairs):
 
 def design_table(metas, bundle):
     """The ``DesignTable`` of ``metas`` in a metric bundle; a table is
-    returned as it is."""
+    returned as it is.  The market columns are aligned to the entity rows."""
     if isinstance(bundle, DesignTable):
         return bundle
-    market = bundle.get(MARKET_SYMBOL, {})
-    names = [RESPONSE] + [name for name in MARKET_METRICS if name in market]
-    if metas:
-        common = set.intersection(*(set(bundle[meta.symbol]) for meta in metas))
+    market = bundle.get(MARKET_SYMBOL)
+    names = [RESPONSE] + [name for name in MARKET_METRICS
+                          if market is not None and name in market.values]
+    records = [bundle[meta.symbol] for meta in metas]
+    if records:
+        common = set.intersection(*(set(rec.values) for rec in records))
         names += sorted(common - set(names) - set(MARKET_METRICS) - {"hyfi"})
-    parts = {name: [] for name in names}
-    lags, dates = [], []
-    for meta in metas:
-        per_entity = bundle[meta.symbol]
-        response = per_entity[RESPONSE]
-        for name in names:
-            series = market[name] if name in MARKET_METRICS else per_entity[name]
-            parts[name].append(_aligned(series, response.dates))
-        lags.append(mx.lagged(response.values, response.missing, response.dates))
-        dates.append(response.dates)
-    lengths = [len(d) for d in dates]
-    columns = {name: _stacked(parts[name]) for name in names}
+    columns = {name: _stacked([_aligned(market, name, rec.dates) if name in MARKET_METRICS
+                               else rec.column(name) for rec in records]) for name in names}
+    lengths = [len(rec) for rec in records]
     hyfi = np.repeat([1.0 if meta.hyfi else 0.0 for meta in metas], lengths)
     columns["hyfi"] = (hyfi, np.zeros(len(hyfi), dtype=bool))
     return DesignTable(
         entities=np.repeat(np.array([meta.symbol for meta in metas], dtype=object), lengths),
-        dates=np.concatenate(dates) if dates else np.empty(0, dtype="datetime64[D]"),
+        dates=(np.concatenate([rec.dates for rec in records]) if records
+               else np.empty(0, dtype="datetime64[D]")),
         columns=columns,
-        lag=_stacked(lags),
+        lag=_stacked([mx.lagged(*rec.column(RESPONSE), rec.dates) for rec in records]),
     )
 
 
@@ -817,7 +801,7 @@ def default_truth():
 @dataclass
 class SimulatedPanel:
     metas: list
-    bundle: dict               # entity -> {metric name -> MetricSeries}
+    bundle: dict               # symbol -> EntityRecords, MARKET included
     truth: dict
     params: SynthParams
     seed: int
@@ -882,18 +866,19 @@ def simulate_dgp(params, seed=0):
     sigma_m = np.exp(log_sigma)
     index_returns = sigma_m * rng.standard_normal(n_market)
     index_levels = 100.0 * np.exp(np.cumsum(index_returns))
-    market_vol = mx.realized_volatility(market_dates, index_levels)
+    market_vol = mx.realized_volatility(index_levels)
 
     occurs = rng.random(n_market) < 0.35
     losses = np.where(occurs, np.exp(rng.normal(12.0, 2.5, size=n_market)), 0.0)
-    market_shocks = mx.market_shocks_series(market_dates, losses, np.zeros(n_market, dtype=bool))
-
-    bundle = {MARKET_SYMBOL: {"market_volatility": market_vol, "market_shocks": market_shocks}}
+    market = mx.records(MARKET_SYMBOL, market_dates, {
+        "market_volatility": market_vol,
+        "market_shocks": mx.market_shocks_series(losses, np.zeros(n_market, dtype=bool)),
+    })
 
     sigma_i = np.linspace(params.sigma_low, params.sigma_high, params.n_entities)
     alphas = rng.normal(0.0, params.sigma_alpha, size=params.n_entities)
 
-    dates_by_entity, log_mcaps = [], []
+    columns, dates_by_entity, log_mcaps = {}, [], []
     for meta in metas:
         dates = calendar[calendar >= meta.listing_date]
         n = len(dates)
@@ -903,38 +888,36 @@ def simulate_dgp(params, seed=0):
             ([0.0], np.cumsum(rng.normal(0.0, 0.06, size=n - 1)))
         )
         # mx.size_change would log exp(log_mcap) and change the last bits
-        size = mx.MetricSeries(meta.symbol, "size", dates,
-                               np.concatenate(([np.nan], np.diff(log_mcap))), first_day)
-        returns = mx.MetricSeries(meta.symbol, "log_return", dates,
-                                  np.concatenate(([np.nan], rng.normal(0.0, 0.05, size=n - 1))),
-                                  first_day)
+        size = np.concatenate(([np.nan], np.diff(log_mcap))), first_day
+        returns = np.concatenate(([np.nan], rng.normal(0.0, 0.05, size=n - 1))), first_day
         volume = np.exp(rng.normal(16.0, 1.0, size=n))
-        amihud = mx.amihud_series(meta.symbol, dates, returns, volume, none_missing)
-        illiquidity = mx.zscore_per_entity(amihud)
-        illiquidity.name = "illiquidity"
+        amihud = mx.amihud_series(returns, volume, none_missing)
+        illiquidity = mx.zscore_per_entity(amihud, f"{meta.symbol}/amihud")
         attention = np.minimum(rng.exponential(12.0, size=n), 100.0)
-        attractiveness = mx.attractiveness_series(meta.symbol, dates, attention, none_missing)
-        bundle[meta.symbol] = {
-            "attractiveness": attractiveness, "size": size, "illiquidity": illiquidity
+        columns[meta.symbol] = {
+            "attractiveness": mx.attractiveness_series(attention, none_missing),
+            "size": size,
+            "illiquidity": illiquidity,
         }
         dates_by_entity.append(dates)
         log_mcaps.append(log_mcap)
 
-    purified = mx.purified_decentralization(metas, dates_by_entity, log_mcaps)
+    purified = mx.purified_decentralization(metas, log_mcaps)
+    bundle = {MARKET_SYMBOL: market}
     beta = params.beta
     for i, (meta, dates) in enumerate(zip(metas, dates_by_entity)):
-        per = bundle[meta.symbol]
+        per = columns[meta.symbol]
         n = len(dates)
-        per["decentralization"] = dec_series = purified[meta.symbol]
-        mv = _aligned(market_vol, dates)[0]
-        shocks = _aligned(market_shocks, dates)[0]
+        per["decentralization"] = purified[meta.symbol]
+        mv = _aligned(market, "market_volatility", dates)[0]
+        shocks = _aligned(market, "market_shocks", dates)[0]
         hyfi = 1.0 if meta.hyfi else 0.0
         regression_part = (
             beta["const"]
-            + beta["decentralization"] * dec_series.values
-            + beta["attractiveness"] * per["attractiveness"].values
-            + beta["size"] * per["size"].values
-            + beta["illiquidity"] * per["illiquidity"].values
+            + beta["decentralization"] * per["decentralization"][0]
+            + beta["attractiveness"] * per["attractiveness"][0]
+            + beta["size"] * per["size"][0]
+            + beta["illiquidity"] * per["illiquidity"][0]
             + beta["market_volatility"] * mv
             + beta["market_shocks"] * shocks
             + beta["hyfi"] * hyfi
@@ -952,7 +935,8 @@ def simulate_dgp(params, seed=0):
             previous = regression_part[defined[0]] / (1.0 - params.phi) if defined.size else 0.0
             for t in defined:
                 pr[t] = previous = regression_part[t] + params.phi * previous + noise[t]
-        per["price_risk"] = mx.MetricSeries(meta.symbol, "price_risk", dates, pr, missing)
+        per["price_risk"] = pr, missing
+        bundle[meta.symbol] = mx.records(meta.symbol, dates, per)
 
     truth = {**params.beta, "phi": params.phi, "sigma_alpha": params.sigma_alpha,
              "sigma_i": sigma_i}
@@ -1135,7 +1119,8 @@ def _volatility_scale(design):
 
 def load_inputs(config):
     """Panel mode computes metrics from raw data; metrics mode loads them and
-    refuses a meta entity without ``ENTITY_METRICS`` or a market without ``MARKET_METRICS``."""
+    refuses a meta entity or ``MARKET`` without rows, or a file without a
+    column of ``ENTITY_METRICS`` or ``MARKET_METRICS``."""
     panel = None
     if config.panel is not None:
         panel = load_panel_csv(config.panel)
@@ -1147,7 +1132,7 @@ def load_inputs(config):
         required = [(meta.symbol, ENTITY_METRICS) for meta in metas]
         for symbol, names in required + [(MARKET_SYMBOL, MARKET_METRICS)]:
             for name in names:
-                if name not in bundle.get(symbol, {}):
+                if symbol not in bundle or name not in bundle[symbol].values:
                     raise ValueError(
                         f"{config.metrics_file}: entity {symbol} has no {name} rows")
     return metas, bundle, panel
@@ -1278,10 +1263,10 @@ def _emit_diagnostics(metas, bundle, table, panel=None):
     example ``degenerate`` where skewness and kurtosis are NaN).  A failed
     CIPS or ADF test is a ``cips_error`` or ``adf_error`` row.
     """
-    calendar = date_union([s.dates for per in bundle.values() for s in per.values()])
+    calendar = date_union([rec.dates for rec in bundle.values()])
 
     per_entity_matrix = {
-        name: np.vstack([_aligned(bundle[meta.symbol][name], calendar)[0] for meta in metas])
+        name: np.vstack([_aligned(bundle[meta.symbol], name, calendar)[0] for meta in metas])
         for name in ENTITY_METRICS
     }
     extra = {}
@@ -1297,11 +1282,11 @@ def _emit_diagnostics(metas, bundle, table, panel=None):
         them, so that one variable's copy is held at a time."""
         if name in extra:
             return extra[name]
-        if name in MARKET_METRICS:
-            return bundle[MARKET_SYMBOL][name].present_values()
         if name == "hyfi":
             return table.columns["hyfi"][0]
-        return np.concatenate([bundle[meta.symbol][name].present_values() for meta in metas])
+        symbols = [MARKET_SYMBOL] if name in MARKET_METRICS else [meta.symbol for meta in metas]
+        return np.concatenate([bundle[symbol].values[name][~bundle[symbol].missing[name]]
+                               for symbol in symbols])
 
     descriptives = []
     for name in ["price_risk"] + list(CONTROLS) + ["hyfi"] + list(extra):
@@ -1330,7 +1315,7 @@ def _emit_diagnostics(metas, bundle, table, panel=None):
     for name in MARKET_METRICS:
         try:
             # on the calendar, so that a day the market lacks is a gap
-            result = diag.adf(_aligned(bundle[MARKET_SYMBOL][name], calendar)[0])
+            result = diag.adf(_aligned(bundle[MARKET_SYMBOL], name, calendar)[0])
             unit_rows.append(
                 (name, "adf", result.statistic, float("nan"), result.stars, float(result.nobs))
             )

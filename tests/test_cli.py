@@ -65,28 +65,29 @@ def test_ingest_creates_consolidated_panel(panel_file):
 
 
 def test_metrics_command(tmp_path, panel_file):
-    # the header names every metric, sorted, and each series reads back as
-    # its present values, NaN-masked slots dropped
+    # the header names every metric, sorted, and each entity's records read
+    # back on all their dates with every column of the header, masked slots
+    # included; a column the entity lacks reads back with no present value
     out = tmp_path / "metrics.csv"
     assert main(["metrics", "--panel", str(panel_file), "--out", str(out)]) == 0
     bundle = mx.compute_all_metrics(load_panel_csv(panel_file))
-    names = sorted({name for per in bundle.values() for name in per})
+    names = sorted({name for rec in bundle.values() for name in rec.values})
     assert read_csv_rows(out)[0] == ["entity", "date"] + names
     assert {"price_risk", "illiquidity", "size", "attractiveness",
             "decentralization", "market_volatility", "market_shocks"} <= set(names)
-    assert any(series.missing.any() for per in bundle.values() for series in per.values())
-    expected = {entity: {name: series for name, series in per.items()
-                         if not series.missing.all()} for entity, per in bundle.items()}
+    assert any(m.any() for rec in bundle.values() for m in rec.missing.values())
     loaded = pipeline.read_metrics_csv(out)
-    assert {entity: sorted(per) for entity, per in loaded.items()} == {
-        entity: sorted(per) for entity, per in expected.items() if per}
-    for entity, per in loaded.items():
-        for name, series in per.items():
-            source = expected[entity][name]
-            present = ~source.missing
-            assert series.dates.tobytes() == source.dates[present].tobytes()
-            assert series.values.tobytes() == source.values[present].tobytes()
-            assert not series.missing.any()
+    assert sorted(loaded) == sorted(bundle)
+    for entity, rec in loaded.items():
+        source = bundle[entity]
+        assert rec.dates.tobytes() == source.dates.tobytes()
+        assert list(rec.values) == names
+        for name in names:
+            if name not in source.values:
+                assert rec.missing[name].all()
+                continue
+            assert rec.values[name].tobytes() == source.values[name].tobytes()
+            assert np.array_equal(rec.missing[name], source.missing[name])
 
 
 def test_gini_command(tmp_path, capsys):
@@ -195,16 +196,18 @@ def test_decentralization_bytes_equal_a_csv_writer_row_loop(tmp_path_factory, aw
     write_meta_csv(metas, folder / "meta.csv")
     assert main(["decentralization", "--panel", str(panel_path),
                  "--meta", str(folder / "meta.csv"), "--out", str(folder / "table.csv")]) == 0
-    purified = mx.decentralization_series(metas, load_panel_csv(panel_path))
+    panel = load_panel_csv(panel_path)
+    purified = mx.decentralization_series(metas, panel)
     with open(folder / "rows.csv", "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(("entity", "date", "composite", "orthogonalized"))
         for meta in metas:
             composite = composite_index(meta.gini_components)
-            series = purified[meta.symbol]
-            for i in np.flatnonzero(~series.missing):
-                writer.writerow((meta.symbol, str(series.dates[i]), repr(float(composite)),
-                                 repr(float(series.values[i]))))
+            values, missing = purified[meta.symbol]
+            dates = panel.observations[meta.symbol].dates
+            for i in np.flatnonzero(~missing):
+                writer.writerow((meta.symbol, str(dates[i]), repr(float(composite)),
+                                 repr(float(values[i]))))
     assert (folder / "table.csv").read_bytes() == (folder / "rows.csv").read_bytes()
 
 
@@ -385,6 +388,60 @@ def test_simulate_and_report_round_trip(tmp_path):
     assert (out / "tables" / "baseline_summary.txt").exists()
 
 
+def blank_prices(entity_files):
+    # rows without a price risk: a design row of both reports, dropped
+    for path, days in ((entity_files[0], (0, 30, 31)), (entity_files[2], (50,))):
+        rows = read_csv_rows(path)
+        for day in days:
+            rows[1 + day][1:5] = [""] * 4  # open, high, low, close
+        with open(path, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+    return "'missing_price_risk': 4"
+
+
+def blank_attention(entity_files):
+    # an entity without one present attention cell: its attractiveness
+    # column has no present value, so every one of its rows is dropped
+    rows = read_csv_rows(entity_files[1])
+    column = rows[0].index("attention")
+    for row in rows[1:]:
+        row[column] = ""
+    with open(entity_files[1], "w", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+    return "'missing_attractiveness': 119"
+
+
+@pytest.mark.parametrize("blank", [blank_prices, blank_attention])
+def test_panel_and_metrics_reports_read_the_same_rows(tmp_path, blank):
+    # a raw panel with empty cells, reported from its panel file and from
+    # the metrics file written from it: only the config lines and the raw
+    # attention that only a panel carries tell the two bundles apart
+    rng = np.random.default_rng(97)
+    entity_files, market_file, meta_file = build_panel_files(tmp_path, rng, PANEL_SPECS)
+    dropped = blank(entity_files)
+    panel, metrics = tmp_path / "panel.csv", tmp_path / "metrics.csv"
+    assert main(["ingest", "--meta", meta_file, "--market", market_file,
+                 "--entities", str(tmp_path / "entities"), "--out", str(panel)]) == 0
+    assert main(["metrics", "--panel", str(panel), "--out", str(metrics)]) == 0
+    bundles = {}
+    for mode, inputs in (("panel", f"panel = {panel}"),
+                         ("metrics", f"metrics = {metrics}\nmeta = {meta_file}")):
+        out = tmp_path / mode
+        (tmp_path / f"{mode}.cfg").write_text(f"{inputs}\nout = {out}\nsplit_date = 2020-03-01\n")
+        assert main(["report", "--config", str(tmp_path / f"{mode}.cfg")]) == 0
+        bundles[mode] = {path.relative_to(out).as_posix(): path.read_text().splitlines()
+                         for path in out.rglob("*") if path.is_file()}
+    for files in bundles.values():
+        files["manifest.txt"] = [line for line in files["manifest.txt"]
+                                 if not line.startswith("  ")]
+    raw = bundles["panel"]["tables/descriptives.csv"]
+    assert sum(line.startswith("attention_raw,") for line in raw) == 1
+    bundles["panel"]["tables/descriptives.csv"] = [
+        line for line in raw if not line.startswith("attention_raw,")]
+    assert any(dropped in line for line in bundles["panel"]["manifest.txt"])
+    assert bundles["panel"] == bundles["metrics"]
+
+
 def test_simulate_determinism(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["simulate", "--seed", "9", "--out", str(a)]) == 0
@@ -440,13 +497,15 @@ def blanked(rows, entity, metric, keep=0):
 
 
 def report_lacking(entity, metric):
-    """A report whose metrics file lacks ``entity``'s ``metric`` values, or
-    all of its rows when ``metric`` is None."""
+    """A report whose metrics file lacks the ``metric`` column, or all of
+    ``entity``'s rows when ``metric`` is None, which names the entity's
+    first metric; ``entity`` is the one named."""
     def case(tmp_path, sim, awkward):
         argv, metrics = report_on(tmp_path, sim, lambda rows: [
             row for row in rows if row[0] != entity] if metric is None else
-            blanked(rows, entity, metric))
-        return argv, f"{metrics}: entity {entity} has no {metric or 'market_volatility'} rows"
+            [[cell for cell, name in zip(row, rows[0]) if name != metric] for row in rows])
+        first = "market_volatility" if entity == "MARKET" else "price_risk"
+        return argv, f"{metrics}: entity {entity} has no {metric or first} rows"
     return case
 
 
@@ -468,7 +527,8 @@ BAD_INPUTS = [
     meta_token_absent_from_panel,
     report_lacking("TOK00", "size"),
     report_lacking("MARKET", None),
-    report_lacking("TOK01", "price_risk"),
+    report_lacking("TOK01", None),
+    report_lacking("MARKET", "market_shocks"),
     empty_panel_value,
     one_market_shock,
 ]
@@ -613,6 +673,15 @@ def test_simulate_seed_is_spelled_as_a_data_cell(tmp_path, capsys, text):
     assert not (tmp_path / "sim").exists()
 
 
+@pytest.mark.parametrize("text", ["-1", "-12"])
+def test_simulate_refuses_a_negative_seed(tmp_path, capsys, text):
+    code = main(["simulate", "--seed", text, "--out", str(tmp_path / "sim")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: --seed: non-negative integer expected, got {text!r}\n")
+    assert not (tmp_path / "sim").exists()
+
+
 def test_settings_and_meta_booleans_share_one_rule(tmp_path):
     # a spec's dynamic = TRUE and a meta hyfi cell TRUE both go through panel.parse_bool
     spec = tmp_path / "spec.cfg"
@@ -704,7 +773,7 @@ def test_simulation_start_takes_either_date_form(tmp_path):
     params = tmp_path / "params.cfg"
     params.write_text(f"{SMALL_PARAMS}start = 5.1.2020\n")
     sim = pipeline.simulate_dgp(_parse_synth_params(params))
-    assert sim.bundle["TOK00"]["size"].dates[0] == np.datetime64("2020-01-05")
+    assert sim.bundle["TOK00"].dates[0] == np.datetime64("2020-01-05")
 
 
 def test_simulation_seed_is_not_a_parameter(tmp_path):

@@ -25,7 +25,7 @@ from panelcrypt.estimators import (
     long_run_effect,
     white_cov,
 )
-from panelcrypt.metrics import MetricSeries
+from panelcrypt.metrics import records
 from panelcrypt.pipeline import build_design
 
 
@@ -648,7 +648,7 @@ class TestDynamic:
 
     def ar1_inputs(self, rng, n_entities, t, phi, beta=0.5):
         dates = np.datetime64("2021-01-01", "D") + np.arange(t)
-        present = np.zeros(t, dtype=bool)
+        none_missing = np.zeros(t, dtype=bool)
         metas, bundle = [], {}
         for i in range(n_entities):
             alpha = rng.normal(0, 0.3)
@@ -659,10 +659,8 @@ class TestDynamic:
                 y[s] = alpha + phi * y[s - 1] + beta * x[s] + rng.normal()
             symbol = f"E{i:02d}"
             metas.append(SimpleNamespace(symbol=symbol, hyfi=False))
-            bundle[symbol] = {
-                "price_risk": MetricSeries(symbol, "price_risk", dates, y, present.copy()),
-                "x": MetricSeries(symbol, "x", dates, x, present.copy()),
-            }
+            bundle[symbol] = records(symbol, dates, {"price_risk": (y, none_missing),
+                                                     "x": (x, none_missing)})
         return metas, bundle
 
     def fit(self, metas, bundle, dynamic):

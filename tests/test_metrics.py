@@ -80,111 +80,88 @@ class TestAmihud:
             mx.amihud(0.05, 0.0)
 
     def test_series_masks_zero_volume_days(self):
-        dates = np.datetime64("2021-01-01", "D") + np.arange(4)
-        returns = mx.MetricSeries(
-            "X", "log_return", dates,
-            np.array([np.nan, 0.05, -0.02, 0.01]),
-            np.array([True, False, False, False]),
-        )
+        returns = np.array([np.nan, 0.05, -0.02, 0.01]), np.array([True, False, False, False])
         volume = np.array([1e6, 1e6, 0.0, 2e6])
-        series = mx.amihud_series("X", dates, returns, volume, np.zeros(4, dtype=bool))
-        assert series.missing.tolist() == [True, False, True, False]
-        assert series.values[1] == pytest.approx(5e-8)
-        assert any(flag.startswith("masked_volume_days=1") for flag in series.flags)
+        values, missing = mx.amihud_series(returns, volume, np.zeros(4, dtype=bool))
+        assert missing.tolist() == [True, False, True, False]
+        assert values[1] == pytest.approx(5e-8)
 
 
 class TestZScore:
-    def make(self, values, missing=None):
-        n = len(values)
-        dates = np.datetime64("2021-01-01", "D") + np.arange(n)
-        missing = np.zeros(n, dtype=bool) if missing is None else np.asarray(missing)
-        return mx.MetricSeries("X", "m", dates, np.asarray(values, dtype=float), missing)
+    def zscore(self, values, missing=None):
+        """The z-scored values of a column with ``missing`` (none by default)."""
+        missing = np.zeros(len(values), dtype=bool) if missing is None else np.asarray(missing)
+        return mx.zscore_per_entity((np.asarray(values, dtype=float), missing), "X/m")[0]
 
     def test_three_points(self):
-        z = mx.zscore_per_entity(self.make([1.0, 2.0, 3.0]))
-        assert z.values.tolist() == pytest.approx([-1.0, 0.0, 1.0], abs=1e-12)
+        assert self.zscore([1.0, 2.0, 3.0]).tolist() == pytest.approx([-1.0, 0.0, 1.0], abs=1e-12)
 
     def test_constant_series_degenerate(self):
-        z = mx.zscore_per_entity(self.make([5.0, 5.0, 5.0]))
-        assert z.values.tolist() == [0.0, 0.0, 0.0]
-        assert "degenerate" in z.flags
+        assert self.zscore([5.0, 5.0, 5.0]).tolist() == [0.0, 0.0, 0.0]
 
     def test_idempotence(self):
         rng = np.random.default_rng(3)
-        series = self.make(rng.normal(5.0, 3.0, size=40))
-        once = mx.zscore_per_entity(series)
-        twice = mx.zscore_per_entity(once)
-        assert np.max(np.abs(once.values - twice.values)) < 1e-10
+        once = self.zscore(rng.normal(5.0, 3.0, size=40))
+        twice = self.zscore(once)
+        assert np.max(np.abs(once - twice)) < 1e-10
 
     def test_sample_sd_divisor(self):
-        z = mx.zscore_per_entity(self.make([1.0, 2.0, 3.0, 4.0]))
         sd = np.std([1.0, 2.0, 3.0, 4.0], ddof=1)
         expected = (np.array([1.0, 2, 3, 4]) - 2.5) / sd
-        assert z.values == pytest.approx(expected, abs=1e-12)
+        assert self.zscore([1.0, 2.0, 3.0, 4.0]) == pytest.approx(expected, abs=1e-12)
 
     def test_pooled_moments_near_standard(self):
         rng = np.random.default_rng(5)
-        pooled = []
-        for scale in (0.5, 2.0, 7.0):
-            series = self.make(rng.normal(scale, scale, size=400))
-            pooled.append(mx.zscore_per_entity(series).values)
-        pooled = np.concatenate(pooled)
+        pooled = np.concatenate([self.zscore(rng.normal(scale, scale, size=400))
+                                 for scale in (0.5, 2.0, 7.0)])
         assert pooled.mean() == pytest.approx(0.0, abs=1e-10)
         assert pooled.std(ddof=1) == pytest.approx(1.0, abs=0.01)
 
     def test_requires_two_values(self):
-        with pytest.raises(ValueError):
-            mx.zscore_per_entity(self.make([1.0, 2.0], missing=[False, True]))
+        with pytest.raises(ValueError, match="X/m: need >= 2 non-missing values"):
+            self.zscore([1.0, 2.0], missing=[False, True])
 
 
 class TestRealizedVolatility:
     def test_constant_index_is_zero(self):
         n = 40
-        dates = np.datetime64("2021-01-01", "D") + np.arange(n)
-        rv = mx.realized_volatility(dates, np.full(n, 1000.0), window=30)
-        defined = ~rv.missing
-        assert defined.sum() == n - 30
-        assert np.all(rv.values[defined] == 0.0)
+        values, missing = mx.realized_volatility(np.full(n, 1000.0), window=30)
+        assert (~missing).sum() == n - 30
+        assert np.all(values[~missing] == 0.0)
 
     def test_two_return_window(self):
-        dates = np.datetime64("2021-01-01", "D") + np.arange(3)
         levels = np.array([100.0, 100.0 * math.exp(0.01), 100.0 * math.exp(0.0)])
-        rv = mx.realized_volatility(dates, levels, window=2)
+        values, missing = mx.realized_volatility(levels, window=2)
         # returns {+0.01, -0.01}: sample sd about mean 0
-        assert rv.missing.tolist() == [True, True, False]
-        assert rv.values[2] == pytest.approx(0.0141421, abs=5e-7)
+        assert missing.tolist() == [True, True, False]
+        assert values[2] == pytest.approx(0.0141421, abs=5e-7)
 
     def test_matches_sample_sd_oracle(self):
         rng = np.random.default_rng(9)
         n, window = 80, 30
-        dates = np.datetime64("2021-01-01", "D") + np.arange(n)
         levels = 500.0 * np.exp(np.cumsum(rng.normal(0, 0.03, size=n)))
-        rv = mx.realized_volatility(dates, levels, window=window)
+        values, _ = mx.realized_volatility(levels, window=window)
         returns = np.diff(np.log(levels))
         for t in range(window, n):
             expected = np.std(returns[t - window:t], ddof=1)
-            assert rv.values[t] == pytest.approx(expected, rel=1e-9)
+            assert values[t] == pytest.approx(expected, rel=1e-9)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(13)
         n = 50
-        dates = np.datetime64("2021-01-01", "D") + np.arange(n)
         levels = np.exp(np.cumsum(rng.normal(0, 0.02, size=n))) * 100
-        base = mx.realized_volatility(dates, levels, window=30)
-        scaled = mx.realized_volatility(dates, levels * 37.5, window=30)
-        ok = ~base.missing
-        assert scaled.values[ok] == pytest.approx(base.values[ok], rel=1e-12)
+        base, missing = mx.realized_volatility(levels, window=30)
+        scaled, _ = mx.realized_volatility(levels * 37.5, window=30)
+        assert scaled[~missing] == pytest.approx(base[~missing], rel=1e-12)
 
     @pytest.mark.parametrize("window", [1, 0, -2])
     def test_window_below_two_refused(self, window):
-        dates = np.datetime64("2021-01-01", "D") + np.arange(10)
         with pytest.raises(ValueError, match=rf"volatility window {window}: need at least 2"):
-            mx.realized_volatility(dates, np.full(10, 1.0), window=window)
+            mx.realized_volatility(np.full(10, 1.0), window=window)
 
     def test_window_too_large(self):
-        dates = np.datetime64("2021-01-01", "D") + np.arange(10)
         with pytest.raises(ValueError):
-            mx.realized_volatility(dates, np.full(10, 1.0), window=30)
+            mx.realized_volatility(np.full(10, 1.0), window=30)
 
 
 class TestLagged:
@@ -219,27 +196,28 @@ class TestLagged:
 class TestSizeChange:
     def test_constant_mcap(self):
         dates = np.datetime64("2021-01-01", "D") + np.arange(3)
-        s = mx.size_change("X", dates, np.full(3, 5e8), np.zeros(3, dtype=bool))
-        assert s.missing.tolist() == [True, False, False]
-        assert np.all(s.values[1:] == 0.0)
+        values, missing = mx.size_change("X", dates, np.full(3, 5e8), np.zeros(3, dtype=bool))
+        assert missing.tolist() == [True, False, False]
+        assert np.all(values[1:] == 0.0)
 
     def test_doubling(self):
         dates = np.datetime64("2021-01-01", "D") + np.arange(2)
-        s = mx.size_change("X", dates, np.array([1e9, 2e9]), np.zeros(2, dtype=bool))
-        assert s.values[1] == pytest.approx(0.6931472, abs=5e-8)
+        values, _ = mx.size_change("X", dates, np.array([1e9, 2e9]), np.zeros(2, dtype=bool))
+        assert values[1] == pytest.approx(0.6931472, abs=5e-8)
 
     def test_gap_masks_next_day(self):
         dates = np.array(["2021-01-01", "2021-01-02", "2021-01-04"], dtype="datetime64[D]")
-        s = mx.size_change("X", dates, np.array([1e9, 1.1e9, 1.2e9]), np.zeros(3, dtype=bool))
-        assert s.missing.tolist() == [True, False, True]
+        _, missing = mx.size_change("X", dates, np.array([1e9, 1.1e9, 1.2e9]),
+                                    np.zeros(3, dtype=bool))
+        assert missing.tolist() == [True, False, True]
 
     def test_telescoping(self):
         rng = np.random.default_rng(21)
         n = 25
         dates = np.datetime64("2021-01-01", "D") + np.arange(n)
         mcap = 1e9 * np.exp(np.cumsum(rng.normal(0, 0.08, size=n)))
-        s = mx.size_change("X", dates, mcap, np.zeros(n, dtype=bool))
-        total = np.sum(s.values[1:])
+        values, _ = mx.size_change("X", dates, mcap, np.zeros(n, dtype=bool))
+        total = np.sum(values[1:])
         assert total == pytest.approx(math.log(mcap[-1] / mcap[0]), abs=1e-10)
 
     def test_nonpositive_mcap_rejected(self):
@@ -266,15 +244,14 @@ def test_masks_only_grow_and_alignment():
     close = 100 * np.exp(np.cumsum(rng.normal(0, 0.03, size=n)))
     missing_close = np.zeros(n, dtype=bool)
     missing_close[[5, 17]] = True
-    returns = mx.log_return_series("X", dates, close, missing_close)
-    assert len(returns) == n
+    values, missing = mx.log_return_series(dates, close, missing_close)
+    assert len(values) == len(missing) == n
     # mask grows: missing wherever source missing, plus the day after
-    assert returns.missing[5] and returns.missing[6]
-    assert returns.missing[17] and returns.missing[18]
-    assert returns.missing[0]
-    present = ~returns.missing
+    assert missing[5] and missing[6]
+    assert missing[17] and missing[18]
+    assert missing[0]
     expected = np.log(close[1:] / close[:-1])
-    assert returns.values[present] == pytest.approx(expected[present[1:]], rel=1e-12)
+    assert values[~missing] == pytest.approx(expected[~missing[1:]], rel=1e-12)
 
 
 def gapped_records(rng, symbol, fields, n, columns):
@@ -312,19 +289,19 @@ def test_every_metric_is_nan_exactly_where_masked():
         "volume": volume, "mcap": 1e9 * close, "attention": rng.uniform(0, 100, size=n),
     })
     market = gapped_market(rng, close)
-    bundle = {**mx.compute_entity_metrics(entity), **mx.compute_market_metrics(market)}
-    assert set(bundle) == {"price_risk", "log_return", "amihud", "illiquidity", "size",
-                           "attractiveness", "market_volatility", "market_shocks"}
-    for name, series in bundle.items():
-        assert 0 < series.missing.sum() < n, name
-        assert np.array_equal(np.isnan(series.values), series.missing), name
-        assert np.isfinite(series.present_values()).all(), name
-    # days with a return whose volume is empty or zero
+    columns = {**mx.compute_entity_metrics(entity), **mx.compute_market_metrics(market)}
+    assert set(columns) == {"price_risk", "log_return", "amihud", "illiquidity", "size",
+                            "attractiveness", "market_volatility", "market_shocks"}
+    for name, (values, missing) in columns.items():
+        assert len(values) == len(missing) == n, name
+        assert 0 < missing.sum() < n, name
+        assert np.array_equal(np.isnan(values), missing), name
+    # days with a return whose volume is empty or zero are masked
     bad_volume = entity.missing["volume"] | (volume <= 0)
-    masked = int(np.sum(~bundle["log_return"].missing & bad_volume))
-    assert masked >= 2 and bundle["amihud"].flags == [f"masked_volume_days={masked}"]
+    masked = ~columns["log_return"][1] & bad_volume
+    assert masked.sum() >= 2 and columns["amihud"][1][masked].all()
     # a lag across a calendar gap is missing: 2021-01-24 follows 2021-01-20
-    assert bundle["log_return"].missing[20] and bundle["size"].missing[20]
+    assert columns["log_return"][1][20] and columns["size"][1][20]
 
 
 def test_decentralization_is_the_pooled_orthogonalization_of_ln_mcap():
@@ -348,9 +325,10 @@ def test_decentralization_is_the_pooled_orthogonalization_of_ln_mcap():
     log_mcap = np.log(np.concatenate([records[meta.symbol].values["mcap"] for meta in metas]))
     expected, _ = dec.orthogonalize(composites, log_mcap)
     for i, meta in enumerate(metas):
-        series = bundle[meta.symbol]["decentralization"]
+        rec = bundle[meta.symbol]
+        values, missing = rec.values["decentralization"], rec.missing["decentralization"]
         mcap_missing = records[meta.symbol].missing["mcap"]
-        assert mcap_missing.any() and np.array_equal(series.missing, mcap_missing)
-        assert np.array_equal(np.isnan(series.values), mcap_missing)
-        assert np.array_equal(series.values, expected[i * n:(i + 1) * n], equal_nan=True)
-        assert np.array_equal(series.dates, records[meta.symbol].dates)
+        assert mcap_missing.any() and np.array_equal(missing, mcap_missing)
+        assert np.array_equal(np.isnan(values), mcap_missing)
+        assert np.array_equal(values, expected[i * n:(i + 1) * n], equal_nan=True)
+        assert np.array_equal(rec.dates, records[meta.symbol].dates)

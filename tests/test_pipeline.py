@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from panelcrypt import estimators, pipeline
 from panelcrypt import metrics as mx
 from panelcrypt.estimators import FixedEffects, ModelSpec, RandomEffects, hausman
-from panelcrypt.metrics import MetricSeries
+from panelcrypt.metrics import records
 from panelcrypt.panel import (
     MARKET_SYMBOL,
     META_HEADER,
@@ -69,28 +69,43 @@ def small_sim():
     return simulate_dgp(small_params(), seed=11)
 
 
-def present_by_day(series):
-    """{day number: value} of a series' present values."""
-    days = series.dates.astype(np.int64).tolist()
+def present_by_day(rec, name):
+    """{day number: value} of the present values of column ``name`` of ``rec``."""
+    days = rec.dates.astype(np.int64).tolist()
     return {day: value for day, value, missing
-            in zip(days, series.values.tolist(), series.missing.tolist()) if not missing}
+            in zip(days, rec.values[name].tolist(), rec.missing[name].tolist()) if not missing}
+
+
+def kept(rec, keep):
+    """The records ``rec`` on the rows that ``keep`` selects."""
+    return replace(rec, dates=rec.dates[keep],
+                   values={name: v[keep] for name, v in rec.values.items()},
+                   missing={name: m[keep] for name, m in rec.missing.items()})
+
+
+def mask(rec, name, where):
+    """Mark column ``name`` of ``rec`` missing, NaN, where ``where`` selects, in place."""
+    rec.values[name][where] = np.nan
+    rec.missing[name][where] = True
 
 
 def reference_design(metas, bundle, spec, window=None):
     """A design found row by row with date lookups: ``(columns, dropped,
     rows_in)``, where ``columns`` maps entity, day, the response and every
-    non-constant column name to the complete rows' values."""
+    non-constant column name to the complete rows' values.  Every record
+    date of an entity is a row."""
     regressors = [n for n in spec.regressors if not (spec.effects == "fixed" and n == "hyfi")]
     pairs = [(f"{a}_x_{b}", a, b) for a, b in spec.interactions]
     lo, hi = (-math.inf, math.inf) if window is None else (
         int(np.datetime64(d, "D").astype(np.int64)) for d in window)
-    market = {name: present_by_day(bundle[MARKET_SYMBOL][name]) for name in MARKET_METRICS}
+    market = {name: present_by_day(bundle[MARKET_SYMBOL], name) for name in MARKET_METRICS}
     columns, dropped, rows_in = {}, Counter(), 0
     for meta in metas:
-        lookups = {name: present_by_day(series) for name, series in bundle[meta.symbol].items()}
+        rec = bundle[meta.symbol]
+        lookups = {name: present_by_day(rec, name) for name in rec.values}
         lookups.update(market)
         response = lookups["price_risk"]
-        days = bundle[meta.symbol]["price_risk"].dates.astype(np.int64).tolist()
+        days = rec.dates.astype(np.int64).tolist()
         for day in (d for d in days if lo <= d <= hi):
             rows_in += 1
             cells = {"price_risk": response.get(day)}
@@ -114,18 +129,16 @@ def reference_design(metas, bundle, spec, window=None):
 
 class TestBuildDesign:
     def test_report_designs_equal_row_lookups(self, tmp_path, small_sim):
-        # a metrics file read back keeps only present values, so each
-        # entity's series start on different days; two more carved days make
-        # interior gaps in one response and in another entity's size
+        # a metrics file read back keeps each entity's first day, where size,
+        # illiquidity and the response are missing; a carved row makes an
+        # interior calendar gap in one entity, and a masked day a missing
+        # size inside another entity's rows
         write_simulation(small_sim, tmp_path)
         bundle = read_metrics_csv(tmp_path / "metrics.csv")
         metas = small_sim.metas
-        for symbol, name, position in ((metas[0].symbol, "price_risk", 60),
-                                       (metas[1].symbol, "size", 90)):
-            series = bundle[symbol][name]
-            keep = np.arange(len(series)) != position
-            bundle[symbol][name] = MetricSeries(symbol, name, series.dates[keep],
-                                                series.values[keep], series.missing[keep])
+        first = bundle[metas[0].symbol]
+        bundle[metas[0].symbol] = kept(first, np.arange(len(first)) != 60)
+        mask(bundle[metas[1].symbol], "size", 90)
         table = design_table(metas, bundle)
         assert design_table(metas, table) is table
         # the report's 14 designs: 4 baseline specs over the full sample and
@@ -193,13 +206,8 @@ class TestBuildDesign:
     def test_dynamic_drops_one_extra_row_per_gap(self):
         sim = simulate_dgp(small_params(n_entities=3), seed=13)
         # carve an interior gap into one entity's series
-        target = sim.metas[0].symbol
-        for series in sim.bundle[target].values():
-            keep = np.ones(len(series), dtype=bool)
-            keep[40] = False
-            series.dates = series.dates[keep]
-            series.values = series.values[keep]
-            series.missing = series.missing[keep]
+        target = sim.bundle[sim.metas[0].symbol]
+        sim.bundle[target.symbol] = kept(target, np.arange(len(target)) != 40)
         static = ModelSpec(effects="fixed", regressors=list(CONTROLS),
                            interactions=[("hyfi", "market_volatility")])
         dynamic = ModelSpec(effects="fixed", dynamic=True, regressors=list(CONTROLS),
@@ -236,12 +244,12 @@ class TestBuildDesign:
                                     window=(mid, hi))
         lag = post.column("price_risk_lag")
         for meta in small_sim.metas:
-            series = small_sim.bundle[meta.symbol]["price_risk"]
-            before = np.flatnonzero(series.dates == mid - np.timedelta64(1, "D"))
+            rec = small_sim.bundle[meta.symbol]
+            before = np.flatnonzero(rec.dates == mid - np.timedelta64(1, "D"))
             row = np.flatnonzero((post.entities == meta.symbol) & (post.dates == mid))
-            assert len(before) == 1 and not series.missing[before[0]]
+            assert len(before) == 1 and not rec.missing["price_risk"][before[0]]
             assert len(row) == 1
-            assert lag[row[0]] == series.values[before[0]]
+            assert lag[row[0]] == rec.values["price_risk"][before[0]]
         assert "missing_price_risk_lag" not in ledger.dropped
 
     def test_empty_design_rejected(self, small_sim):
@@ -257,12 +265,10 @@ class TestSimulate:
     def test_seed_determinism_bitwise(self, tmp_path):
         a = simulate_dgp(small_params(), seed=5)
         b = simulate_dgp(small_params(), seed=5)
-        for symbol in a.bundle:
-            for name in a.bundle[symbol]:
-                assert np.array_equal(
-                    a.bundle[symbol][name].values, b.bundle[symbol][name].values,
-                    equal_nan=True,
-                )
+        for symbol, rec in a.bundle.items():
+            assert np.array_equal(rec.dates, b.bundle[symbol].dates)
+            for name, values in rec.values.items():
+                assert np.array_equal(values, b.bundle[symbol].values[name], equal_nan=True)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         write_simulation(a, out_a)
         write_simulation(b, out_b)
@@ -274,7 +280,7 @@ class TestSimulate:
         b = simulate_dgp(small_params(), seed=6)
         sym = a.metas[0].symbol
         assert not np.array_equal(
-            a.bundle[sym]["price_risk"].values, b.bundle[sym]["price_risk"].values,
+            a.bundle[sym].values["price_risk"], b.bundle[sym].values["price_risk"],
             equal_nan=True,
         )
 
@@ -297,12 +303,10 @@ class TestSimulate:
         path = tmp_path / "metrics.csv"
         write_metrics_csv(small_sim.bundle, path)
         loaded = read_metrics_csv(path)
-        for symbol, per in small_sim.bundle.items():
-            for name, series in per.items():
-                back = loaded[symbol][name]
-                ok = ~series.missing
-                assert np.array_equal(series.values[ok], back.values)
-                assert np.array_equal(series.dates[ok], back.dates)
+        expected = read_back(small_sim.bundle)
+        assert list(loaded) == list(expected)
+        for symbol, rec in loaded.items():
+            same_records(rec, expected[symbol])
 
     @pytest.mark.parametrize(
         "row, message",
@@ -401,14 +405,16 @@ class TestSimulate:
 
     def test_market_starts_one_window_and_a_day_before_start(self, small_sim):
         start = np.datetime64(small_sim.params.start, "D")
-        for series in small_sim.bundle[MARKET_SYMBOL].values():
-            assert series.dates[0] == start - (mx.VOLATILITY_WINDOW + 1) * DAY
-        volatility = small_sim.bundle[MARKET_SYMBOL]["market_volatility"]
-        assert not volatility.missing[volatility.dates >= start].any()
+        market = small_sim.bundle[MARKET_SYMBOL]
+        assert market.dates[0] == start - (mx.VOLATILITY_WINDOW + 1) * DAY
+        assert not market.missing["market_shocks"].any()
+        volatility = market.missing["market_volatility"]
+        assert volatility[market.dates < start - DAY].all()
+        assert not volatility[market.dates >= start - DAY].any()
 
     def test_shortest_benchmark_calendar_simulates(self):
         sim = simulate_dgp(SynthParams(n_periods=421))
-        assert len(sim.bundle["RAY"]["illiquidity"].dates) == 3
+        assert len(sim.bundle["RAY"]) == 3
 
     @pytest.mark.parametrize("n_entities", [2, 17, 20])
     def test_benchmark_universe_needs_its_18_tokens(self, n_entities):
@@ -426,16 +432,16 @@ class TestSimulate:
         first_day = np.zeros(80, dtype=bool)
         first_day[0] = True
         for meta in sim.metas:
-            per = sim.bundle[meta.symbol]
+            rec = sim.bundle[meta.symbol]
             for name in ("size", "illiquidity", "price_risk"):
-                assert np.array_equal(per[name].missing, first_day), name
-                assert np.array_equal(np.isnan(per[name].values), first_day), name
-            z = per["illiquidity"].present_values()
+                assert np.array_equal(rec.missing[name], first_day), name
+                assert np.array_equal(np.isnan(rec.values[name]), first_day), name
+            z = rec.values["illiquidity"][~first_day]
             assert abs(z.mean()) < 1e-12 and abs(z.std(ddof=1) - 1.0) < 1e-12
-            attractiveness = per["attractiveness"]
-            assert not attractiveness.missing.any()
-            assert 0.0 <= attractiveness.values.min()
-            assert attractiveness.values.max() <= math.log(101.0)
+            attractiveness = rec.values["attractiveness"]
+            assert not rec.missing["attractiveness"].any()
+            assert 0.0 <= attractiveness.min()
+            assert attractiveness.max() <= math.log(101.0)
 
 
 # Metric-file properties.  Names may carry blanks, commas and quotes, so the
@@ -452,19 +458,31 @@ DAYS = st.one_of(
 )
 
 
+def drawn_records(draw, entity, names, values, whole):
+    """Records of ``entity`` on a drawn set of days, with a column per name
+    of ``values`` and a drawn missing mask; missing slots hold NaN.  With
+    ``whole``, there is a day and each column has a present value."""
+    days = sorted(draw(st.sets(DAYS, min_size=1 if whole else 0, max_size=6)))
+    columns = {}
+    for name in names:
+        cells = draw(st.lists(values, min_size=len(days), max_size=len(days)))
+        missing = np.array(draw(st.lists(st.booleans(), min_size=len(days),
+                                         max_size=len(days))), dtype=bool)
+        if whole:
+            missing[draw(st.integers(0, len(days) - 1))] = False
+        columns[name] = np.where(missing, np.nan, np.array(cells, dtype=float)), missing
+    return records(entity, np.array(days, dtype=np.int64).view("datetime64[D]"), columns)
+
+
 @st.composite
 def metric_bundles(draw):
+    """Bundles whose every entity and column has a present value; columns
+    are listed in sorted order."""
     bundle = {}
     for entity in draw(st.lists(NAMES, min_size=1, max_size=3, unique=True)):
-        bundle[entity] = {}
-        for name in draw(st.lists(NAMES, min_size=1, max_size=3, unique=True)):
-            days = sorted(draw(st.sets(DAYS, min_size=1, max_size=6)))
-            values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                                   min_size=len(days), max_size=len(days)))
-            bundle[entity][name] = MetricSeries(
-                entity, name, np.array(days, dtype=np.int64).view("datetime64[D]"),
-                np.array(values), np.zeros(len(days), dtype=bool),
-            )
+        names = sorted(draw(st.lists(NAMES, min_size=1, max_size=3, unique=True)))
+        bundle[entity] = drawn_records(draw, entity, names,
+                                       st.floats(allow_nan=False, allow_infinity=False), True)
     return bundle
 
 
@@ -481,11 +499,30 @@ def csv_line(fields, lineterminator="\n"):
     return out.getvalue()
 
 
-def same_series(a, b):
-    assert a.dates.dtype == b.dates.dtype and a.values.dtype == b.values.dtype
-    assert a.dates.tobytes() == b.dates.tobytes()
-    assert a.values.tobytes() == b.values.tobytes()
-    assert not a.missing.any() and not b.missing.any()
+def same_records(a, b):
+    """``a`` and ``b`` hold the same dates, columns, masks and present values, bit for bit."""
+    assert a.symbol == b.symbol and sorted(a.values) == sorted(b.values)
+    assert a.dates.dtype == b.dates.dtype and a.dates.tobytes() == b.dates.tobytes()
+    for name, values in a.values.items():
+        missing = a.missing[name]
+        assert values.dtype == b.values[name].dtype and np.array_equal(missing, b.missing[name])
+        assert np.isnan(values[missing]).all() and np.isnan(b.values[name][missing]).all()
+        assert values[~missing].tobytes() == b.values[name][~missing].tobytes()
+
+
+def read_back(bundle):
+    """``bundle`` as ``read_metrics_csv`` reads it back once written: each
+    entity with a row, in sorted order, holds every column of the header,
+    sorted; a column it lacks has no present value."""
+    names = sorted({name for rec in bundle.values() for name in rec.values})
+    expected = {}
+    for entity in sorted(bundle):
+        rec = bundle[entity]
+        if len(rec.dates):
+            absent = (np.full(len(rec.dates), np.nan), np.ones(len(rec.dates), dtype=bool))
+            expected[entity] = records(entity, rec.dates, {
+                name: rec.column(name) if name in rec.values else absent for name in names})
+    return expected
 
 
 def row_cells(line):
@@ -508,13 +545,12 @@ class TestMetricsFileProperties:
         path = tmp_path_factory.mktemp("metrics") / "metrics.csv"
         write_metrics_csv(bundle, path)
         loaded = read_metrics_csv(path)
+        expected = read_back(bundle)
         # the writer sorts, and the reader keeps first-appearance order
-        assert list(loaded) == sorted(bundle)
-        for entity, per in loaded.items():
-            assert list(per) == sorted(bundle[entity])
-            for name, series in per.items():
-                assert (series.entity, series.name) == (entity, name)
-                same_series(series, bundle[entity][name])
+        assert list(loaded) == list(expected)
+        for entity, rec in loaded.items():
+            assert list(rec.values) == list(expected[entity].values)
+            same_records(rec, expected[entity])
 
     @PROPERTY_SETTINGS
     @given(bundle=metric_bundles(), data=st.data())
@@ -532,10 +568,9 @@ class TestMetricsFileProperties:
         path.write_text(header + "".join(interleaved))
         loaded = read_metrics_csv(path)
         assert list(loaded) == list(dict.fromkeys(row_cells(line)[0] for line in interleaved))
-        for entity, per in loaded.items():
-            assert list(per) == sorted(bundle[entity])
-            for name, series in per.items():
-                same_series(series, bundle[entity][name])
+        expected = read_back(bundle)
+        for entity, rec in loaded.items():
+            same_records(rec, expected[entity])
 
     @PROPERTY_SETTINGS
     @given(bundle=metric_bundles(), data=st.data())
@@ -590,34 +625,25 @@ class TestMetricsFileProperties:
 @st.composite
 def writer_bundles(draw):
     """Bundles with awkward names, edge values, random missing masks, and
-    empty series and entities; missing slots hold NaN."""
-    bundle = {}
-    for entity in draw(st.lists(CELL_TEXTS, max_size=3, unique=True)):
-        bundle[entity] = {}
-        for name in draw(st.lists(CELL_TEXTS, max_size=3, unique=True)):
-            days = sorted(draw(st.sets(DAYS, max_size=6)))
-            values = draw(st.lists(FINITE_VALUES, min_size=len(days), max_size=len(days)))
-            missing = np.array(draw(st.lists(st.booleans(), min_size=len(days),
-                                             max_size=len(days))), dtype=bool)
-            bundle[entity][name] = MetricSeries(
-                entity, name, np.array(days, dtype=np.int64).view("datetime64[D]"),
-                np.where(missing, np.nan, np.array(values, dtype=float)), missing,
-            )
-    return bundle
+    entities without rows, columns or present values."""
+    return {entity: drawn_records(draw, entity,
+                                  draw(st.lists(CELL_TEXTS, max_size=3, unique=True)),
+                                  FINITE_VALUES, False)
+            for entity in draw(st.lists(CELL_TEXTS, max_size=3, unique=True))}
 
 
 def reference_metrics_file(bundle, path):
     """The metrics file as a plain ``csv.writer`` row loop writes it: rows
-    quoted as under the ``\\r\\n`` terminator, each ended by ``\\n``."""
-    names = sorted({name for per in bundle.values() for name in per})
+    quoted as under the ``\\r\\n`` terminator, each ended by ``\\n``;
+    one row per record date, a missing or absent value an empty cell."""
+    names = sorted({name for rec in bundle.values() for name in rec.values})
     rows = [["entity", "date"] + names]
     for entity in sorted(bundle):
-        by_day = {}  # day -> {name: value text} of the entity's present values
-        for name, series in bundle[entity].items():
-            for i in np.flatnonzero(~series.missing):
-                by_day.setdefault(series.dates[i], {})[name] = repr(float(series.values[i]))
-        for day in sorted(by_day):
-            rows.append([entity, str(day)] + [by_day[day].get(name, "") for name in names])
+        rec = bundle[entity]
+        for i, day in enumerate(rec.dates):
+            rows.append([entity, str(day)] + [
+                "" if name not in rec.values or rec.missing[name][i]
+                else repr(float(rec.values[name][i])) for name in names])
     with open(path, "w", newline="") as handle:
         for row in rows:
             handle.write(csv_line(row, "\r\n").removesuffix("\r\n") + "\n")
@@ -635,34 +661,24 @@ class TestMetricsWriter:
     @PROPERTY_SETTINGS
     @given(bundle=writer_bundles())
     def test_awkward_names_read_back(self, tmp_path_factory, bundle):
-        # names holding the delimiter, quotes, \r or \n; a series with no
-        # present value writes no row and so does not read back
+        # names holding the delimiter, quotes, \r or \n; every record date
+        # is a row, with every column of the header, and an entity without
+        # rows does not read back
         path = tmp_path_factory.mktemp("metrics") / "metrics.csv"
         write_metrics_csv(bundle, path)
-        expected = {}
-        for entity in sorted(bundle):
-            for name in sorted(bundle[entity]):
-                series = bundle[entity][name]
-                if not series.missing.all():
-                    expected.setdefault(entity, {})[name] = series
+        expected = read_back(bundle)
         loaded = read_metrics_csv(path)
         assert list(loaded) == list(expected)
-        for entity, per in loaded.items():
-            assert list(per) == list(expected[entity])
-            for name, series in per.items():
-                source = expected[entity][name]
-                present = ~source.missing
-                assert series.dates.tobytes() == source.dates[present].tobytes()
-                assert series.values.tobytes() == source.values[present].tobytes()
+        for entity, rec in loaded.items():
+            assert list(rec.values) == list(expected[entity].values)
+            same_records(rec, expected[entity])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_present_non_finite_value_refused(self, tmp_path, value):
-        series = MetricSeries(
-            "AAA", "size", np.datetime64("2020-01-01") + np.arange(3),
-            np.array([1.0, value, np.nan]), np.array([False, False, True]),
-        )
+        rec = records("AAA", np.datetime64("2020-01-01") + np.arange(3), {
+            "size": (np.array([1.0, value, np.nan]), np.array([False, False, True]))})
         with pytest.raises(ValueError) as info:
-            write_metrics_csv({"AAA": {"size": series}}, tmp_path / "metrics.csv")
+            write_metrics_csv({"AAA": rec}, tmp_path / "metrics.csv")
         assert str(info.value) == f"non-finite value {value} for AAA size on 2020-01-02"
         # the header alone would read as an empty bundle
         assert not (tmp_path / "metrics.csv").exists()
@@ -670,10 +686,10 @@ class TestMetricsWriter:
     def test_first_non_finite_value_in_file_order_refused(self, tmp_path):
         # rows are by date, so a later metric's earlier value comes first
         dates = np.datetime64("2020-01-01") + np.arange(4)
-        bundle = {"AAA": {
-            name: MetricSeries("AAA", name, dates, np.array(values), np.zeros(4, dtype=bool))
+        bundle = {"AAA": records("AAA", dates, {
+            name: (np.array(values), np.zeros(4, dtype=bool))
             for name, values in [("illiquidity", [1.0, 2.0, np.inf, 4.0]),
-                                 ("size", [1.0, np.nan, 3.0, 4.0])]}}
+                                 ("size", [1.0, np.nan, 3.0, 4.0])]})}
         with pytest.raises(ValueError) as info:
             write_metrics_csv(bundle, tmp_path / "metrics.csv")
         assert str(info.value) == "non-finite value nan for AAA size on 2020-01-02"
@@ -681,10 +697,10 @@ class TestMetricsWriter:
 
     @pytest.mark.parametrize("name", ["entity", " date"])
     def test_metric_named_as_a_key_column_refused(self, tmp_path, name):
-        series = MetricSeries("AAA", name, np.datetime64("2020-01-01") + np.arange(2),
-                              np.array([1.0, 2.0]), np.zeros(2, dtype=bool))
+        rec = records("AAA", np.datetime64("2020-01-01") + np.arange(2),
+                      {name: (np.array([1.0, 2.0]), np.zeros(2, dtype=bool))})
         with pytest.raises(ValueError) as info:
-            write_metrics_csv({"AAA": {name: series}}, tmp_path / "metrics.csv")
+            write_metrics_csv({"AAA": rec}, tmp_path / "metrics.csv")
         assert str(info.value) == f"metric {name!r} would name a key column of the metrics file"
         assert not (tmp_path / "metrics.csv").exists()
 
@@ -803,10 +819,7 @@ class TestBaseline:
         sim = simulate_dgp(small_params(n_entities=4, n_periods=120), seed=5)
         metas = sorted(sim.metas, key=lambda meta: meta.symbol)
         # the first entity in label order lists after the window ends
-        first = sim.bundle[metas[0].symbol]
-        late = {name: MetricSeries(metas[0].symbol, name, series.dates[60:],
-                                   series.values[60:], series.missing[60:])
-                for name, series in first.items()}
+        late = kept(sim.bundle[metas[0].symbol], slice(60, None))
         bundle = {**sim.bundle, metas[0].symbol: late}
         table = design_table(sim.metas, bundle)
         window = (table.dates.min(), table.dates.min() + 40 * DAY)
@@ -865,10 +878,8 @@ class TestBaseline:
         # lag and the dynamic FE fit has 11 rows for 8 slopes and 3 effects
         sim = simulate_dgp(small_params(n_entities=3), seed=13)
         start = np.datetime64("2020-03-02")
-        series = sim.bundle[sim.metas[0].symbol]["price_risk"]
-        before = np.flatnonzero(series.dates == start - np.timedelta64(1, "D"))
-        series.values[before] = np.nan
-        series.missing[before] = True
+        rec = sim.bundle[sim.metas[0].symbol]
+        mask(rec, "price_risk", rec.dates == start - np.timedelta64(1, "D"))
         with pytest.raises(ValueError, match="baseline/dynamic_fixed: no residual degrees"):
             run_baseline(sim.metas, sim.bundle, window=(start, start + np.timedelta64(3, "D")))
 
@@ -942,10 +953,9 @@ class TestQuantileBattery:
         for symbol, per in sim.bundle.items():
             if symbol == "MARKET" or not hyfi_flags.get(symbol, False):
                 continue
-            series = per["price_risk"]
-            ok = ~series.missing
-            center = np.nanmean(series.values[ok])
-            series.values[ok] = center + 0.4 * (series.values[ok] - center) - 0.01
+            values, ok = per.values["price_risk"], ~per.missing["price_risk"]
+            center = np.nanmean(values[ok])
+            values[ok] = center + 0.4 * (values[ok] - center) - 0.01
         fragment = run_quantiles(sim.metas, sim.bundle, (0.10, 0.50, 0.90))
         path = [fragment.fits[tau].coef("hyfi") for tau in (0.10, 0.50, 0.90)]
         assert path[0] > path[1] > path[2]
@@ -1175,34 +1185,30 @@ class TestReport:
             assert any(fnmatch.fnmatchcase(path, pattern) for path in written), pattern
 
     def test_diagnostics_read_the_report_table(self, tmp_path, monkeypatch):
-        # one design table serves every design of the report; the diagnostics
-        # align each variable once more, onto the bundle's calendar, and take
-        # everything else from the report's table
+        # one design table serves every design of the report, and aligns only
+        # the market columns, once per entity; the diagnostics align each
+        # entity variable and each market variable once more, onto the
+        # bundle's calendar, and take everything else from the report's table
         data_dir = self.write_inputs(tmp_path)
         config = parse_config(self.write_config(tmp_path, data_dir, tmp_path / "report"))
         names, aligned = [], pipeline._aligned
 
-        def counting(series, dates):
-            names.append(series.name)
-            return aligned(series, dates)
+        def counting(rec, name, dates):
+            names.append(name)
+            return aligned(rec, name, dates)
 
         monkeypatch.setattr(pipeline, "_aligned", counting)
         run_report(config)
         per_entity = ["price_risk", *(c for c in CONTROLS if c not in MARKET_METRICS)]
-        expected = {**dict.fromkeys(per_entity, 10), **dict.fromkeys(MARKET_METRICS, 6)}
+        expected = {**dict.fromkeys(per_entity, 5), **dict.fromkeys(MARKET_METRICS, 6)}
         assert Counter(names) == expected
 
     def test_failed_adf_is_an_error_row(self):
         # like a failed CIPS, a failed ADF is isolated to its own row
         sim = simulate_dgp(small_params(n_entities=3, n_periods=120), seed=52)
-        bundle = dict(sim.bundle)
-        market = dict(bundle[MARKET_SYMBOL])
-        shocks = market["market_shocks"]
-        market["market_shocks"] = replace(shocks, dates=shocks.dates[-6:],
-                                          values=shocks.values[-6:],
-                                          missing=shocks.missing[-6:])
-        bundle[MARKET_SYMBOL] = market
-        tables = pipeline._emit_diagnostics(sim.metas, bundle, design_table(sim.metas, bundle))
+        mask(sim.bundle[MARKET_SYMBOL], "market_shocks", slice(None, -6))
+        tables = pipeline._emit_diagnostics(sim.metas, sim.bundle,
+                                            design_table(sim.metas, sim.bundle))
         rows = {row[:2]: row for row in tables["unit_roots.csv"][1]}
         error = rows[("market_shocks", "adf_error")]
         assert math.isnan(error[2]) and math.isnan(error[3])
@@ -1213,11 +1219,7 @@ class TestReport:
         # a day the market lacks is a gap on the diagnostics calendar, as an
         # entity's is to CIPS, and not a one-step difference
         sim = simulate_dgp(small_params(n_entities=3), seed=61)
-        shocks = sim.bundle[MARKET_SYMBOL]["market_shocks"]
-        missing = shocks.missing.copy()
-        missing[80:90] = True
-        sim.bundle[MARKET_SYMBOL]["market_shocks"] = replace(
-            shocks, values=np.where(missing, np.nan, shocks.values), missing=missing)
+        mask(sim.bundle[MARKET_SYMBOL], "market_shocks", slice(80, 90))
         write_simulation(sim, tmp_path / "data")
         out = tmp_path / "report"
         run_report(parse_config(self.write_config(tmp_path, tmp_path / "data", out)))
@@ -1384,6 +1386,8 @@ class TestReport:
         ("taus = 0.2_5", r"bad\.cfg:3: taus: finite number expected, got '0\.2_5'"),
         ("taus = 1_0", r"bad\.cfg:3: taus: finite number expected, got '1_0'"),
         ("taus = \uff10.5", r"bad\.cfg:3: taus: finite number expected, got '\uff10\.5'"),
+        # a seed is a non-negative integer, as simulate --seed is
+        ("seed = -5", r"bad\.cfg:3: seed: non-negative integer expected, got '-5'"),
     ])
     def test_config_bad_value_named_at_its_line(self, tmp_path, line, message):
         bad = tmp_path / "bad.cfg"
